@@ -27,6 +27,7 @@ from .bounds import (
 )
 from .constraint import ConstraintCurve, cubic_model
 from .errors import (
+    EvaluationError,
     LinearSolveError,
     NonconvergenceError,
     ParameterError,
@@ -86,7 +87,12 @@ def _resolve_bounds(cfg, model, fallback_center=None):
     delta = float(block.get("delta", 0.5))
     safety = float(block.get("safety", 1.1))
     if "path" in block:
-        raw = bounds_from_json(Path(block["path"]).read_text())
+        try:
+            raw = bounds_from_json(Path(block["path"]).read_text())
+        except (OSError, ValueError, KeyError) as exc:
+            raise ConfigError(
+                f"cannot read bounds {block['path']}: {type(exc).__name__}: {exc}"
+            ) from exc
     else:
         center = block.get("center", None)
         if center is None:
@@ -118,7 +124,10 @@ def _resolve_initial_state(cfg, model):
             "(with wp) or q0/p0/t0 plus lambda_target"
         )
     if has_state:
-        return ExtendedState(np.asarray(init["state"], dtype=float), model.n)
+        try:
+            return ExtendedState(np.asarray(init["state"], dtype=float), model.n)
+        except (ValueError, TypeError, EvaluationError) as exc:
+            raise ConfigError(f"bad initial state: {exc}") from exc
     try:
         wp0 = choose_conjugate_momentum(
             model,

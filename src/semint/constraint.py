@@ -119,7 +119,8 @@ class ConstraintCurve:
     def g_and_derivative(self, lam: float) -> tuple[float, float]:
         zbar = self._zbar(lam)
         val = eval_value(self.model, zbar)
-        slope = float(eval_gradient(self.model, zbar) @ midpoint_sensitivity(self.model, lam, zbar))
+        grad = eval_gradient(self.model, zbar)
+        slope = float(grad @ midpoint_sensitivity(self.model, lam, zbar, grad=grad))
         return val, slope
 
     def midpoint(self, lam: float) -> np.ndarray:
@@ -137,7 +138,8 @@ def g_derivative(model: HamiltonianModel, lam: float, z_k, tol: float = 1e-12) -
     """Exact dg/dlambda via implicit differentiation (no cubic truncation)."""
     z = z_k.coords if isinstance(z_k, ExtendedState) else np.asarray(z_k, dtype=float)
     zbar, _, _ = solve_midpoint_coords(model, lam, z, tol=tol)
-    return float(eval_gradient(model, zbar) @ midpoint_sensitivity(model, lam, zbar))
+    grad = eval_gradient(model, zbar)
+    return float(grad @ midpoint_sensitivity(model, lam, zbar, grad=grad))
 
 
 def cubic_model(

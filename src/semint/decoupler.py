@@ -10,10 +10,19 @@ Newton iteration started at z_bar = z, which is exactly the iterate sequence
 the Kantorovich certificate in ``kantorovich_report`` speaks about: when the
 certificate holds, the iteration converges to the unique solution inside the
 ball of radius r_minus about z.
+
+For a one-degree-of-freedom lift (n = 1 with ``time_independent`` and
+``wp_affine`` declared) H_zz has zero t and wp rows and columns, so f_zbar is
+the identity on (t, wp) and a 2x2 block on (q, p).  The Newton systems of
+``solve_midpoint_coords``, ``midpoint_sensitivity`` and ``kantorovich_report``
+are then solved in closed form; every other model goes through
+``np.linalg.solve`` on the full (2n+2)x(2n+2) Jacobian.  Convergence is
+always judged on the full residual.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -102,6 +111,87 @@ def _jacobian(model: HamiltonianModel, lam: float, z_bar: np.ndarray) -> np.ndar
     return _identity(dim) - 0.5 * lam * jh
 
 
+def _closed_form(model: HamiltonianModel) -> bool:
+    """Whether f_zbar reduces to a 2x2 (q, p) block (see the module docstring)."""
+    return model.n == 1 and model.time_independent is True and model.wp_affine is True
+
+
+def _singular(lam: float) -> LinearSolveError:
+    return LinearSolveError(
+        f"singular midpoint Jacobian at lambda={lam:g}; |lambda| likely too large"
+    )
+
+
+def _solve_qp(hess: np.ndarray, lam: float, r_q: float, r_p: float) -> tuple[float, float]:
+    """Cramer solve of the (q, p) block of f_zbar x = r for an n = 1 lift.
+
+    With z = (q, t, p, wp) the block is
+    ((1 - c H_pq, -c H_pp), (c H_qq, 1 + c H_qp)), c = lambda/2.
+    """
+    c = 0.5 * lam
+    a11 = 1.0 - c * hess.item(2, 0)
+    a12 = -c * hess.item(2, 2)
+    a21 = c * hess.item(0, 0)
+    a22 = 1.0 + c * hess.item(0, 2)
+    det = a11 * a22 - a12 * a21
+    if det == 0.0 or not math.isfinite(det):
+        raise _singular(lam)
+    return (a22 * r_q - a12 * r_p) / det, (a11 * r_p - a21 * r_q) / det
+
+
+def _solve_jacobian(
+    model: HamiltonianModel, lam: float, z_bar: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
+    """Solve f_zbar(z_bar) x = rhs; a singular f_zbar raises LinearSolveError."""
+    if _closed_form(model):
+        x = rhs.copy()  # f_zbar is the identity on the t and wp rows
+        x[0], x[2] = _solve_qp(eval_hessian(model, z_bar), lam, rhs.item(0), rhs.item(2))
+        return x
+    try:
+        return np.linalg.solve(_jacobian(model, lam, z_bar), rhs)
+    except np.linalg.LinAlgError as exc:
+        raise _singular(lam) from exc
+
+
+def _solve_midpoint_qp(
+    model: HamiltonianModel,
+    lam: float,
+    z: np.ndarray,
+    z_bar: np.ndarray,
+    tol: float,
+    max_iter: int,
+) -> tuple[np.ndarray, int, float]:
+    """``solve_midpoint_coords`` for n = 1 lifts, iterating on Python floats.
+
+    The residual is the full four-component one; only the Newton correction
+    uses the block structure (t and wp move by -f_t and -f_wp).
+    """
+    q0, t0, p0, w0 = z.tolist()
+    q, t, p, w = z_bar.tolist()
+    c = 0.5 * lam
+    grad_fn = model.gradient
+    for it in range(max_iter + 1):
+        g_q, g_t, g_p, g_w = np.asarray(grad_fn(z_bar), dtype=float).tolist()
+        if not math.isfinite(g_q + g_t + g_p + g_w):
+            raise EvaluationError("model gradient is non-finite", z_bar)
+        f_q = q - q0 - c * g_p
+        f_t = t - t0 - c * g_w
+        f_p = p - p0 + c * g_q
+        f_w = w - w0 + c * g_t
+        res = math.sqrt(f_q * f_q + f_t * f_t + f_p * f_p + f_w * f_w)
+        if res <= tol:
+            return z_bar, it, res
+        if it == max_iter:
+            raise NonconvergenceError(
+                f"midpoint solve did not reach tol={tol:g} in {max_iter} iterations",
+                residual=res,
+                iterations=it,
+            )
+        d_q, d_p = _solve_qp(eval_hessian(model, z_bar), lam, -f_q, -f_p)
+        q, t, p, w = q + d_q, t - f_t, p + d_p, w - f_w
+        z_bar = np.array([q, t, p, w])
+
+
 def solve_midpoint_coords(
     model: HamiltonianModel,
     lam: float,
@@ -121,6 +211,8 @@ def solve_midpoint_coords(
         raise ParameterError("tol must be positive")
     z = np.asarray(z, dtype=float)
     z_bar = z.copy() if initial is None else np.asarray(initial, dtype=float).copy()
+    if _closed_form(model):
+        return _solve_midpoint_qp(model, lam, z, z_bar, tol, max_iter)
     half = z.size // 2
     half_lam = 0.5 * lam
     grad_fn = model.gradient
@@ -140,14 +232,7 @@ def solve_midpoint_coords(
                 residual=res,
                 iterations=it,
             )
-        A = _jacobian(model, lam, z_bar)
-        try:
-            delta = np.linalg.solve(A, -f)
-        except np.linalg.LinAlgError as exc:
-            raise LinearSolveError(
-                f"singular midpoint Jacobian at lambda={lam:g}; |lambda| likely too large"
-            ) from exc
-        z_bar = z_bar + delta
+        z_bar = z_bar + _solve_jacobian(model, lam, z_bar, -f)
 
 
 def solve_midpoint(
@@ -192,13 +277,7 @@ def kantorovich_report(
     z_arr = z.coords if isinstance(z, ExtendedState) else np.asarray(z, dtype=float)
     beta, gamma = 2.0, 0.5
     f0 = -0.5 * lam * apply_J(eval_gradient(model, z_arr))
-    A = _jacobian(model, lam, z_arr)
-    try:
-        eta = float(np.linalg.norm(np.linalg.solve(A, f0)))
-    except np.linalg.LinAlgError as exc:
-        raise LinearSolveError(
-            f"singular midpoint Jacobian at lambda={lam:g}; |lambda| likely too large"
-        ) from exc
+    eta = float(np.linalg.norm(_solve_jacobian(model, lam, z_arr, f0)))
     alpha = beta * gamma * eta
 
     m1, m2, gh = bounds.M1, bounds.M2, bounds.gamma_H
@@ -234,18 +313,16 @@ def kantorovich_report(
     )
 
 
-def midpoint_sensitivity(model: HamiltonianModel, lam: float, z_bar) -> np.ndarray:
+def midpoint_sensitivity(
+    model: HamiltonianModel, lam: float, z_bar, grad: Optional[np.ndarray] = None
+) -> np.ndarray:
     """dz_bar/dlambda at a solved midpoint: one linear solve.
 
     Implicit differentiation of the midpoint equation gives
-    z_bar_lambda = f_zbar^{-1} (1/2) J H_z(z_bar).
+    z_bar_lambda = f_zbar^{-1} (1/2) J H_z(z_bar).  ``grad`` is H_z(z_bar)
+    when the caller has already evaluated it.
     """
     zb = z_bar.coords if isinstance(z_bar, ExtendedState) else np.asarray(z_bar, dtype=float)
-    rhs = 0.5 * apply_J(eval_gradient(model, zb))
-    A = _jacobian(model, lam, zb)
-    try:
-        return np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise LinearSolveError(
-            f"singular midpoint Jacobian at lambda={lam:g}; |lambda| likely too large"
-        ) from exc
+    if grad is None:
+        grad = eval_gradient(model, zb)
+    return _solve_jacobian(model, lam, zb, 0.5 * apply_J(grad))

@@ -96,8 +96,17 @@ class HamiltonianModel:
     ``value``, ``gradient`` and ``hessian`` each take a coordinate array of
     length 2n+2.  ``psi_gradient``, when supplied, gives the gradient of the
     curvature scalar psi analytically; otherwise callers fall back to central
-    finite differences of psi.  ``time_independent`` / ``wp_affine`` let the
-    region sampler skip the t / wp axes without probing.
+    finite differences of psi.
+
+    ``time_independent=True`` promises that H_z does not depend on t and
+    ``wp_affine=True`` that it does not depend on wp, so H_zz has zero t and
+    wp rows and columns (a classical lift H = wp + H_c(q, p) keeps both).
+    The region sampler then skips the t / wp axes without probing, and for
+    n = 1 the midpoint Newton solve becomes a closed-form 2x2 (q, p) solve.
+    Convergence is still judged on the full residual, so a wrongly declared
+    flag costs Newton iterations or raises ``NonconvergenceError`` but never
+    returns a wrong midpoint; ``midpoint_sensitivity`` and the Kantorovich
+    eta, which are single linear solves, do rely on the promise.
     """
 
     n: int

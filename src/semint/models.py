@@ -42,8 +42,10 @@ def pendulum() -> HamiltonianModel:
         return np.array([np.sin(q), 0.0, p, 1.0])
 
     def hessian(z):
-        q = z[0]
-        return np.diag([np.cos(q), 0.0, 1.0, 0.0])
+        h = np.zeros((4, 4))
+        h[0, 0] = np.cos(z[0])
+        h[2, 2] = 1.0
+        return h
 
     def psi_grad(z):
         q, p = z[0], z[2]
@@ -92,7 +94,10 @@ def oscillator(omega: float = 1.0) -> HamiltonianModel:
         return np.array([w2 * q, 0.0, p, 1.0])
 
     def hessian(z):
-        return np.diag([w2, 0.0, 1.0, 0.0])
+        h = np.zeros((4, 4))
+        h[0, 0] = w2
+        h[2, 2] = 1.0
+        return h
 
     def psi_grad(z):
         q, p = z[0], z[2]

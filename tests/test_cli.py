@@ -124,6 +124,44 @@ class TestRun:
         assert len(rows) == 8
 
 
+def assert_config_error(proc):
+    """Exit 1 with a one-line ``error: ...`` message and no traceback."""
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+class TestRunConfigErrors:
+    def test_missing_bounds_path(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "run.json",
+            {
+                "model": {"name": "pendulum"},
+                "initial": {"q0": 1.0, "p0": 0.5, "lambda_target": 0.1},
+                "steps": 5,
+                "bounds": {"path": str(tmp_path / "no-such-bounds.json")},
+                "out": str(tmp_path / "out"),
+            },
+        )
+        assert_config_error(run_cli("run", "--config", cfg))
+
+    def test_non_numeric_initial_state(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "run.json",
+            {
+                "model": {"name": "pendulum"},
+                "initial": {"state": [0.0, 0.0, "one", 0.4]},
+                "steps": 5,
+                "bounds": BOUNDS_BLOCK,
+                "out": str(tmp_path / "out"),
+            },
+        )
+        assert_config_error(run_cli("run", "--config", cfg))
+
+
 class TestScan:
     @pytest.fixture()
     def scan_rows(self, tmp_path):

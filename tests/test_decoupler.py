@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semint import models
 from semint.bounds import RegionBounds
@@ -7,9 +11,15 @@ from semint.decoupler import (
     kantorovich_report,
     midpoint_sensitivity,
     solve_midpoint,
+    solve_midpoint_coords,
 )
-from semint.errors import LinearSolveError, NonconvergenceError, ParameterError
-from semint.extphase import ExtendedState, apply_J, eval_gradient
+from semint.errors import (
+    EvaluationError,
+    LinearSolveError,
+    NonconvergenceError,
+    ParameterError,
+)
+from semint.extphase import ClassicalModel, ExtendedState, apply_J, autonomize, eval_gradient
 
 from conftest import DELTA, PEND_RADIUS, pendulum_state
 
@@ -77,11 +87,23 @@ class TestSolveMidpoint:
             back = solve_midpoint(pendulum, -lam, sol.z_partner, tol=1e-13)
             assert np.allclose(back.z_bar.coords, sol.z_bar.coords, atol=1e-11)
 
-    def test_singular_jacobian_raises(self, pendulum):
-        # at q = pi the midpoint Jacobian 1 + lam^2 cos(q)/4 degenerates at lam = 2
+    def test_singular_jacobian_raises(self, pendulum, pendulum_scaled):
+        # at q = pi the midpoint Jacobian 1 + lam^2 cos(q)/4 degenerates at lam = 2;
+        # the flagged pendulum takes the closed-form (q, p) solve, the
+        # unflagged one np.linalg.solve
         z = pendulum_state(np.pi, 0.0, wp=-1.0)
-        with pytest.raises(LinearSolveError):
-            solve_midpoint(pendulum, 2.0, z)
+        for model in (pendulum, replace(pendulum, time_independent=None)):
+            with pytest.raises(LinearSolveError):
+                solve_midpoint(model, 2.0, z)
+            with pytest.raises(LinearSolveError):
+                midpoint_sensitivity(model, 2.0, z)
+            with pytest.raises(LinearSolveError):
+                kantorovich_report(model, 2.0, z, pendulum_scaled, delta=DELTA)
+
+    def test_nan_gradient_raises_on_closed_form_path(self, pendulum):
+        broken = replace(pendulum, gradient=lambda z: np.array([np.nan, 0.0, z[2], 1.0]))
+        with pytest.raises(EvaluationError, match="gradient"):
+            solve_midpoint_coords(broken, 0.1, pendulum_state(0.5, 0.2).coords)
 
     def test_nonconvergence_carries_residual(self, pendulum):
         z = pendulum_state(0.5, 1.0, wp=0.0)
@@ -209,3 +231,61 @@ class TestSensitivity:
             sol = solve_midpoint(pendulum, lam, z, tol=1e-13)
             sens = midpoint_sensitivity(pendulum, lam, sol.z_bar)
             assert np.linalg.norm(sens) <= pendulum_scaled.M1
+
+
+def coupled_lift():
+    """A lift with a mixed H_qp term, which the built-in models lack."""
+
+    def value(x):
+        q, p = x[0], x[2]
+        return 0.5 * p * p + 0.3 * q * p - np.cos(q)
+
+    def gradient(x):
+        q, p = x[0], x[2]
+        return np.array([0.3 * p + np.sin(q), 0.0, p + 0.3 * q])
+
+    def hessian(x):
+        return np.array([[np.cos(x[0]), 0.0, 0.3], [0.0, 0.0, 0.0], [0.3, 0.0, 1.0]])
+
+    return autonomize(
+        ClassicalModel(
+            n=1, value=value, gradient=gradient, hessian=hessian, time_independent=True
+        )
+    )
+
+
+DIFFERENTIAL_MODELS = {
+    "pendulum": models.pendulum(),
+    "oscillator": models.oscillator(1.3),
+    "coupled": coupled_lift(),
+}
+
+
+class TestClosedFormDifferential:
+    """n = 1 lifts take a closed-form (q, p) Newton solve; clearing a flag
+    sends the same model through np.linalg.solve, the reference path."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(DIFFERENTIAL_MODELS)),
+        q=st.floats(-np.pi, np.pi),
+        t=st.floats(-5.0, 5.0),
+        p=st.floats(-3.0, 3.0),
+        wp=st.floats(-2.0, 2.0),
+        lam=st.floats(-0.5, 0.5),
+    )
+    def test_matches_reference_solve(self, name, q, t, p, wp, lam):
+        tol = 1e-13
+        model = DIFFERENTIAL_MODELS[name]
+        reference = replace(model, time_independent=None)
+        z = np.array([q, t, p, wp])
+        zb, _, res = solve_midpoint_coords(model, lam, z, tol=tol)
+        zb_ref, _, res_ref = solve_midpoint_coords(reference, lam, z, tol=tol)
+        assert res <= tol and res_ref <= tol
+        scale = 1.0 + np.linalg.norm(z)
+        assert np.max(np.abs(zb - zb_ref)) <= 1e-12 * scale
+        if name == "oscillator":
+            assert np.max(np.abs(zb - models.oscillator_midpoint(z, lam, 1.3))) <= 1e-12 * scale
+        sens = midpoint_sensitivity(model, lam, zb)
+        sens_ref = midpoint_sensitivity(reference, lam, zb)
+        assert np.max(np.abs(sens - sens_ref)) <= 1e-10
