@@ -172,15 +172,32 @@ def _active_axes(model: HamiltonianModel, center: np.ndarray, radius: float) -> 
     return tuple(a for a in axes if a not in drop)
 
 
-def _psi_hessian(model, z, active, step):
-    """Central-difference Jacobian of psi_z along the active axes."""
-    dim = z.size
-    h = np.zeros((dim, dim))
-    for j in active:
-        e = np.zeros(dim)
-        e[j] = step
-        h[:, j] = (psi_gradient(model, z + e) - psi_gradient(model, z - e)) / (2 * step)
-    return 0.5 * (h + h.T)
+_STENCIL_BLOCK = 8  # grid points per psi_gradient call; keeps the stack small
+
+
+def _psi_suprema(model: HamiltonianModel, points: np.ndarray, active, step: float):
+    """Largest ||psi_z|| and ||psi_zz||_F over the grid points.
+
+    A point's stencil is the point and its +-step neighbours along the active
+    axes; one batched ``psi_gradient`` call per block of stencils gives psi_z
+    at each point (N1) and its central-difference Jacobian, symmetrized (N2).
+    """
+    dim, k = points.shape[1], len(active)
+    offsets = step * np.eye(dim)[list(active)]
+    n1 = n2 = 0.0
+    for start in range(0, len(points), _STENCIL_BLOCK):
+        block = points[start : start + _STENCIL_BLOCK]
+        stencils = np.empty((len(block), 1 + 2 * k, dim))
+        stencils[:, 0] = block
+        np.add(block[:, None], offsets, out=stencils[:, 1 : k + 1])
+        np.subtract(block[:, None], offsets, out=stencils[:, k + 1 :])
+        pz = psi_gradient(model, stencils.reshape(-1, dim)).reshape(stencils.shape)
+        for row in pz:
+            n1 = max(n1, float(np.linalg.norm(row[0])))
+            pzz = np.zeros((dim, dim))
+            pzz[:, active] = ((row[1 : k + 1] - row[k + 1 :]) / (2 * step)).T
+            n2 = max(n2, float(np.linalg.norm(0.5 * (pzz + pzz.T))))
+    return n1, n2
 
 
 def estimate_bounds(
@@ -217,9 +234,8 @@ def estimate_bounds(
 
     points = np.array([p for p in itertools.product(*grids)])
     count = points.shape[0]
-    step = psi_fd_step(c + radius)
 
-    m1 = m2 = n1 = n2 = 0.0
+    m1 = m2 = 0.0
     hessians = np.empty((count, dim, dim))
     for i, z in enumerate(points):
         grad = eval_gradient(model, z)
@@ -227,8 +243,7 @@ def estimate_bounds(
         hessians[i] = hess
         m1 = max(m1, float(np.linalg.norm(grad)))
         m2 = max(m2, float(np.linalg.norm(hess)))
-        n1 = max(n1, float(np.linalg.norm(psi_gradient(model, z))))
-        n2 = max(n2, float(np.linalg.norm(_psi_hessian(model, z, active, step))))
+    n1, n2 = _psi_suprema(model, points, active, psi_fd_step(c + radius))
 
     gamma = 0.0
     flat = hessians.reshape(count, -1)

@@ -100,7 +100,10 @@ def _resolve_bounds(cfg, model, fallback_center=None):
                 raise ConfigError("bounds config needs a center (or a saved path)")
             center_state = fallback_center
         else:
-            center_state = ExtendedState(np.asarray(center, dtype=float), model.n)
+            try:
+                center_state = ExtendedState(np.asarray(center, dtype=float), model.n)
+            except (ValueError, TypeError, EvaluationError) as exc:
+                raise ConfigError(f"bad bounds center: {exc}") from exc
         raw = estimate_bounds(
             model,
             center_state,
@@ -108,7 +111,12 @@ def _resolve_bounds(cfg, model, fallback_center=None):
             int(block["samples_per_axis"]),
         )
     if "save" in block:
-        Path(block["save"]).write_text(bounds_to_json(raw))
+        try:
+            Path(block["save"]).write_text(bounds_to_json(raw))
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot save bounds {block['save']}: {type(exc).__name__}: {exc}"
+            ) from exc
     scaled = raw.scaled(safety)
     constants = derive_constants(scaled, delta)
     return raw, scaled, constants
@@ -271,8 +279,8 @@ def _map_cell(task):
     (model_spec, qs, p, t, wp_rule, bounds_json, delta, safety, shrink) = task
     model = models.by_name(model_spec.pop("name"), **model_spec)
     raw = bounds_from_json(bounds_json)
-    constants = derive_constants(raw.scaled(safety), delta)
     scaled = raw.scaled(safety)
+    constants = derive_constants(scaled, delta)
     out = []
     for q in qs:
         if wp_rule.get("kind", "h-zero") == "h-zero":

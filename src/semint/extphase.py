@@ -101,12 +101,14 @@ class HamiltonianModel:
     ``time_independent=True`` promises that H_z does not depend on t and
     ``wp_affine=True`` that it does not depend on wp, so H_zz has zero t and
     wp rows and columns (a classical lift H = wp + H_c(q, p) keeps both).
-    The region sampler then skips the t / wp axes without probing, and for
+    The region sampler then skips the t / wp axes without probing, psi
+    differencing skips them too (psi is then constant along them), and for
     n = 1 the midpoint Newton solve becomes a closed-form 2x2 (q, p) solve.
     Convergence is still judged on the full residual, so a wrongly declared
     flag costs Newton iterations or raises ``NonconvergenceError`` but never
-    returns a wrong midpoint; ``midpoint_sensitivity`` and the Kantorovich
-    eta, which are single linear solves, do rely on the promise.
+    returns a wrong midpoint; ``midpoint_sensitivity``, the Kantorovich eta
+    and, for models without ``psi_gradient``, the differenced psi_z (hence
+    psi' and the sampled N1 / N2) do rely on the promise.
     """
 
     n: int
@@ -225,28 +227,90 @@ def psi_fd_step(z: np.ndarray, base: float = 1e-5) -> float:
     return base * max(1.0, float(np.linalg.norm(z)))
 
 
-def psi_value(model: HamiltonianModel, z) -> float:
-    """The curvature scalar psi(z) = (J H_z)^T H_zz (J H_z)."""
-    z = _coords(z)
-    w = apply_J(eval_gradient(model, z))
-    return float(w @ eval_hessian(model, z) @ w)
+def _psi_axes(model: HamiltonianModel) -> tuple[int, ...]:
+    """Axes psi can vary along: the model's flags rule out t and wp."""
+    n = model.n
+    skip = {n} if model.time_independent is True else set()
+    if model.wp_affine is True:
+        skip.add(2 * n + 1)
+    return tuple(i for i in range(model.dim) if i not in skip)
+
+
+def _psi_stack(model: HamiltonianModel, zs: np.ndarray) -> np.ndarray:
+    """psi at every row of a (N, dim) stack, with the checks of eval_*.
+
+    The model is called row by row, so vector-only models work; the
+    finiteness and symmetry checks then run on the whole stack and an error
+    carries the first offending row, as a row-by-row loop would raise it.
+    """
+    grads = np.array([model.gradient(z) for z in zs], dtype=float)
+    hessians = np.array([model.hessian(z) for z in zs], dtype=float)
+    dim = model.dim
+    if grads.shape != (len(zs), dim) or hessians.shape != (len(zs), dim, dim):
+        raise DimensionError(
+            f"model has dimension {dim}, got gradients {grads.shape} "
+            f"and hessians {hessians.shape}"
+        )
+    bad_g = ~np.isfinite(grads.sum(axis=1))
+    bad_h = ~np.isfinite(hessians.sum(axis=(1, 2)))
+    bad_s = np.zeros(len(zs), dtype=bool)
+    if not model.hessian_symmetric:
+        transposed = hessians.transpose(0, 2, 1)
+        with np.errstate(invalid="ignore"):  # inf - inf only where bad_h is set
+            scale = 1.0 + np.linalg.norm(hessians, axis=(1, 2))
+            bad_s = np.linalg.norm(hessians - transposed, axis=(1, 2)) > 1e-10 * scale
+            hessians = 0.5 * (hessians + transposed)
+    bad = bad_g | bad_h | bad_s
+    if bad.any():
+        k = int(np.argmax(bad))
+        if bad_g[k]:
+            raise EvaluationError("model gradient is non-finite", zs[k])
+        if bad_h[k]:
+            raise EvaluationError("model hessian is non-finite", zs[k])
+        raise EvaluationError("model hessian is not symmetric", zs[k])
+    half = dim // 2
+    ws = np.empty_like(grads)
+    ws[:, :half] = grads[:, half:]
+    ws[:, half:] = -grads[:, :half]
+    # one small product per row keeps psi bit-identical to the scalar form
+    return np.array([float(w @ h @ w) for w, h in zip(ws, hessians)])
 
 
 def psi_gradient(model: HamiltonianModel, z, step: Optional[float] = None) -> np.ndarray:
-    """Gradient of psi: analytic when the model carries one, else central FD."""
+    """Gradient of psi at one state (dim,) or at every row of a (N, dim) stack.
+
+    Analytic when the model carries one.  Otherwise psi is central-differenced
+    along the axes the model's flags leave active (``time_independent`` drops
+    t, ``wp_affine`` drops wp; undeclared flags keep every axis), the skipped
+    components are zero, and all probes of the call are evaluated as one
+    stack.  The default step is ``psi_fd_step`` of each row.
+    """
     z = _coords(z)
-    if model.psi_gradient is not None:
+    if model.psi_gradient is not None and z.ndim == 1:
         g = np.asarray(model.psi_gradient(z), dtype=float)
         if not np.all(np.isfinite(g)):
             raise EvaluationError("model psi gradient is non-finite", z)
         return g
-    h = psi_fd_step(z) if step is None else float(step)
-    out = np.empty(z.size)
-    for i in range(z.size):
-        e = np.zeros(z.size)
-        e[i] = h
-        out[i] = (psi_value(model, z + e) - psi_value(model, z - e)) / (2 * h)
-    return out
+    zs = z[None] if z.ndim == 1 else z
+    if zs.ndim != 2 or zs.shape[1] != model.dim:
+        raise DimensionError(f"model has dimension {model.dim}, states have shape {z.shape}")
+    if model.psi_gradient is not None:
+        out = np.array([model.psi_gradient(row) for row in zs], dtype=float)
+        bad = ~np.isfinite(out).all(axis=1)
+        if bad.any():
+            raise EvaluationError("model psi gradient is non-finite", zs[int(np.argmax(bad))])
+        return out
+    axes = _psi_axes(model)
+    if step is None:
+        steps = np.array([psi_fd_step(row) for row in zs])
+    else:
+        steps = np.full(len(zs), float(step))
+    offsets = steps[:, None, None] * np.eye(model.dim)[list(axes)]  # h e_i rows, exact
+    probes = np.concatenate([zs[:, None] + offsets, zs[:, None] - offsets], axis=1)
+    psi = _psi_stack(model, probes.reshape(-1, model.dim)).reshape(len(zs), 2, len(axes))
+    out = np.zeros(zs.shape)
+    out[:, axes] = (psi[:, 0] - psi[:, 1]) / (2 * steps[:, None])
+    return out[0] if z.ndim == 1 else out
 
 
 def sample_fields(model: HamiltonianModel, z, psi_step: Optional[float] = None) -> FieldSample:
@@ -307,24 +371,12 @@ def finite_difference_model(
     The gradient is a central difference of the value (accurate to O(step^2))
     and the Hessian a central difference of that gradient.
     """
-    dim = 2 * n + 2
 
     def gradient(z: np.ndarray) -> np.ndarray:
-        out = np.empty(dim)
-        for i in range(dim):
-            e = np.zeros(dim)
-            e[i] = step
-            out[i] = (value(z + e) - value(z - e)) / (2 * step)
-        return out
+        return np.array(_central_differences(value, z, step), dtype=float)
 
     def hessian(z: np.ndarray) -> np.ndarray:
-        h_step = max(step, 1e-5)
-        cols = []
-        for i in range(dim):
-            e = np.zeros(dim)
-            e[i] = h_step
-            cols.append((gradient(z + e) - gradient(z - e)) / (2 * h_step))
-        h = np.column_stack(cols)
+        h = np.column_stack(_central_differences(gradient, z, max(step, 1e-5)))
         return 0.5 * (h + h.T)
 
     return HamiltonianModel(
@@ -339,26 +391,26 @@ def finite_difference_model(
     )
 
 
-def fd_gradient(model: HamiltonianModel, z, step: float = 1e-6) -> np.ndarray:
-    """Central finite-difference gradient of H, for cross-checking models."""
-    z = _coords(z)
-    out = np.empty(z.size)
+def _central_differences(f: Callable, z: np.ndarray, step: float) -> list:
+    """(f(z + step e_i) - f(z - step e_i)) / (2 step) for every axis i."""
+    out = []
     for i in range(z.size):
         e = np.zeros(z.size)
         e[i] = step
-        out[i] = (eval_value(model, z + e) - eval_value(model, z - e)) / (2 * step)
+        out.append((f(z + e) - f(z - e)) / (2 * step))
     return out
+
+
+def fd_gradient(model: HamiltonianModel, z, step: float = 1e-6) -> np.ndarray:
+    """Central finite-difference gradient of H, for cross-checking models."""
+    return np.array(_central_differences(lambda x: eval_value(model, x), _coords(z), step))
 
 
 def fd_hessian(model: HamiltonianModel, z, step: float = 1e-5) -> np.ndarray:
     """Central finite-difference Hessian built from the model gradient."""
-    z = _coords(z)
-    cols = []
-    for i in range(z.size):
-        e = np.zeros(z.size)
-        e[i] = step
-        cols.append((eval_gradient(model, z + e) - eval_gradient(model, z - e)) / (2 * step))
-    h = np.column_stack(cols)
+    h = np.column_stack(
+        _central_differences(lambda x: eval_gradient(model, x), _coords(z), step)
+    )
     return 0.5 * (h + h.T)
 
 

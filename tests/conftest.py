@@ -3,7 +3,7 @@ import pytest
 
 from semint import models
 from semint.bounds import derive_constants, estimate_bounds
-from semint.extphase import ExtendedState
+from semint.extphase import ClassicalModel, ExtendedState, autonomize
 
 PEND_RADIUS = 2.5
 DELTA = 0.5
@@ -43,3 +43,30 @@ def rng():
 
 def pendulum_state(q, p, wp=0.0, t=0.0):
     return ExtendedState.from_parts([q], t, [p], wp)
+
+
+def henon_heiles_lift():
+    """n = 2 Henon-Heiles lift H = wp + H_c with no analytic psi gradient.
+
+    H_c = (px^2 + py^2)/2 + (x^2 + y^2)/2 + x^2 y - y^3/3; the lift declares
+    both flags, so psi is differenced along x, y, px and py only.
+    """
+
+    def value(c):
+        x, y, _, px, py = c
+        return 0.5 * (px * px + py * py) + 0.5 * (x * x + y * y) + x * x * y - y**3 / 3.0
+
+    def gradient(c):
+        x, y, _, px, py = c
+        return np.array([x + 2.0 * x * y, y + x * x - y * y, 0.0, px, py])
+
+    def hessian(c):
+        x, y = c[0], c[1]
+        h = np.zeros((5, 5))
+        h[0, 0], h[0, 1], h[1, 0], h[1, 1] = 1.0 + 2.0 * y, 2.0 * x, 2.0 * x, 1.0 - 2.0 * y
+        h[3, 3] = h[4, 4] = 1.0
+        return h
+
+    return autonomize(
+        ClassicalModel(n=2, value=value, gradient=gradient, hessian=hessian, time_independent=True)
+    )

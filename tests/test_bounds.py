@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from semint.bounds import (
     derive_constants,
     estimate_bounds,
 )
-from semint.errors import ParameterError
+from semint.errors import EvaluationError, ParameterError
+from semint.extphase import ExtendedState, finite_difference_model, psi_fd_step
 
-from conftest import pendulum_state
+from conftest import henon_heiles_lift, pendulum_state
 
 
 def pendulum_analytic_suprema(radius=2.0, fine=1201):
@@ -169,6 +171,108 @@ class TestEstimateBounds:
             estimate_bounds(pendulum, pendulum_state(0, 0), 0.0, 9)
         with pytest.raises(ParameterError):
             estimate_bounds(pendulum, pendulum_state(0, 0), 1.0, 2)
+
+
+def _hh_center():
+    return ExtendedState.from_parts([0.05, -0.1], 0.0, [0.3, 0.1], 0.0)
+
+
+class TestPinnedBounds:
+    """Exact outputs recorded before psi differencing was batched.
+
+    Batching and skipping the t / wp axes must not move a single bit of the
+    five sampled constants, so these compare with ``==``.
+    """
+
+    @staticmethod
+    def _constants(b):
+        return (b.M1, b.M2, b.gamma_H, b.N1, b.N2)
+
+    def test_flagged_pendulum(self, pendulum):
+        b = estimate_bounds(pendulum, pendulum_state(0.0, 0.0), 2.0, 9)
+        assert b.active_axes == (0, 2)
+        assert self._constants(b) == (
+            2.4484681432071405, 1.4142135623730951, 0.9737680764296907,
+            4.698725200487292, 6.0811811613059295,
+        )
+
+    def test_unflagged_pendulum(self, pendulum):
+        unflagged = replace(pendulum, time_independent=None, wp_affine=None)
+        b = estimate_bounds(unflagged, pendulum_state(0.0, 0.0), 2.0, 9)
+        assert b.active_axes == (0, 2)
+        assert self._constants(b) == (
+            2.4484681432071405, 1.4142135623730951, 0.9737680764296907,
+            4.698725200487292, 6.0811811613059295,
+        )
+
+    def test_finite_difference_pendulum(self, pendulum):
+        # no flags: psi is differenced along all four axes, and the probe
+        # keeps wp active because the differenced dH/dwp carries rounding
+        fd = finite_difference_model(1, pendulum.value)
+        b = estimate_bounds(fd, pendulum_state(0.3, -0.2, wp=0.1), 1.0, 3)
+        assert b.active_axes == (0, 2, 3)
+        assert self._constants(b) == (
+            1.835332225084129, 1.3829959430487937, 0.6878386751193136,
+            2.5197842501366265, 18501.352287510017,
+        )
+
+    def test_two_dof_lift(self):
+        b = estimate_bounds(henon_heiles_lift(), _hh_center(), 0.4, 3)
+        assert b.active_axes == (0, 1, 3, 4)
+        assert b.sample_count == 81
+        assert self._constants(b) == (
+            1.5583825749795843, 2.7604347483684526, 2.8284271247461903,
+            6.068096756921769, 15.347996387808903,
+        )
+
+
+class TestEstimateBoundsCost:
+    def test_model_evaluations_per_point(self):
+        """Count guard: one batched stencil per grid point, no per-probe loop.
+
+        Each point costs one gradient and one Hessian for M1 / M2, and its
+        stencil (the point and its +-step neighbours on the active axes)
+        needs psi at +-h along every differenced axis, one gradient and one
+        Hessian each: 2 + 2 * 2 * (1 + 2 * |active|) * |fd axes| = 146 for
+        the n = 2 lift (the per-probe loop it replaced made 218).
+        """
+        lift = henon_heiles_lift()
+        calls = {"n": 0}
+
+        def counted(fn):
+            def wrapper(z):
+                calls["n"] += 1
+                return fn(z)
+
+            return wrapper
+
+        model = replace(lift, gradient=counted(lift.gradient), hessian=counted(lift.hessian))
+        b = estimate_bounds(model, _hh_center(), 0.4, 3)
+        active = len(b.active_axes)
+        fd_axes = 4  # both flags declared: t and wp are not differenced
+        per_point = 2 + 2 * 2 * (1 + 2 * active) * fd_axes
+        assert per_point == 146
+        assert calls["n"] <= per_point * b.sample_count
+
+    def test_evaluation_error_in_stencil_carries_point(self):
+        # the Hessian turns asymmetric just beyond the box edge x = 0.45,
+        # which only the psi probes around edge points reach; the first is
+        # the +x probe of the first edge point in grid order
+        lift = henon_heiles_lift()
+        c, r = _hh_center().coords, 0.4
+
+        def hessian(z):
+            h = lift.hessian(z)
+            if z[0] > c[0] + r + 5e-6:
+                h[0, 1] += 1.0
+            return h
+
+        with pytest.raises(EvaluationError, match="not symmetric") as err:
+            estimate_bounds(replace(lift, hessian=hessian), _hh_center(), r, 3)
+        edge = np.array([c[0] + r, c[1] - r, c[2], c[3] - r, c[4] - r, c[5]])
+        probe = edge.copy()
+        probe[0] += psi_fd_step(edge)
+        assert np.array_equal(err.value.z, probe)
 
 
 class TestRegionBounds:

@@ -162,6 +162,29 @@ class TestRunConfigErrors:
         assert_config_error(run_cli("run", "--config", cfg))
 
 
+def _bounds_config(tmp_path, command, bounds):
+    """A small run or map config with the given bounds block."""
+    payload = {"model": {"name": "pendulum"}, "bounds": bounds, "out": str(tmp_path / "out")}
+    if command == "run":
+        payload.update(initial={"q0": 1.0, "p0": 0.5, "lambda_target": 0.1}, steps=5)
+    else:
+        payload.update(grid={"q_min": -1.0, "q_max": 1.0, "p_min": -1.0, "p_max": 1.0,
+                             "nq": 3, "np": 3})
+    return write_config(tmp_path, f"{command}.json", payload)
+
+
+class TestBoundsConfigErrors:
+    @pytest.mark.parametrize("command", ["run", "map"])
+    def test_save_into_missing_directory(self, tmp_path, command):
+        bounds = dict(BOUNDS_BLOCK, save=str(tmp_path / "no-such-dir" / "bounds.json"))
+        assert_config_error(run_cli(command, "--config", _bounds_config(tmp_path, command, bounds)))
+
+    @pytest.mark.parametrize("command", ["run", "map"])
+    def test_wrong_length_center(self, tmp_path, command):
+        bounds = dict(BOUNDS_BLOCK, center=[0.0, 0.0, 0.0])
+        assert_config_error(run_cli(command, "--config", _bounds_config(tmp_path, command, bounds)))
+
+
 class TestScan:
     @pytest.fixture()
     def scan_rows(self, tmp_path):

@@ -9,7 +9,12 @@ from semint.extphase import (
     ExtendedState,
     apply_J,
     autonomize,
+    eval_gradient,
+    eval_hessian,
     fd_gradient,
+    finite_difference_model,
+    psi_fd_step,
+    psi_gradient,
     sample_fields,
     state_from_json,
     state_to_json,
@@ -18,7 +23,7 @@ from semint.extphase import (
 )
 from semint import models
 
-from conftest import pendulum_state
+from conftest import henon_heiles_lift, pendulum_state
 
 
 class TestExtendedState:
@@ -132,6 +137,130 @@ class TestSampleFields:
             a = sample_fields(pendulum, z)
             b = sample_fields(fd_model, z)
             assert b.psi_prime == pytest.approx(a.psi_prime, rel=1e-7, abs=1e-8)
+
+
+def _psi_gradient_reference(model, z):
+    """The per-probe loop psi differencing used before batching: all axes."""
+    h = psi_fd_step(z)
+    out = np.empty(z.size)
+    for i in range(z.size):
+        e = np.zeros(z.size)
+        e[i] = h
+        psi = []
+        for x in (z + e, z - e):
+            w = apply_J(eval_gradient(model, x))
+            psi.append(float(w @ eval_hessian(model, x) @ w))
+        out[i] = (psi[0] - psi[1]) / (2 * h)
+    return out
+
+
+class TestPsiGradientBatch:
+    @staticmethod
+    def _stack(rng, n, rows=7):
+        return rng.uniform(-0.6, 0.6, size=(rows, 2 * n + 2))
+
+    def test_stack_equals_rows_bitwise(self, pendulum, rng):
+        from dataclasses import replace
+
+        cases = [
+            (henon_heiles_lift(), 2),
+            (pendulum, 1),
+            (replace(pendulum, psi_gradient=None), 1),
+            (finite_difference_model(1, pendulum.value), 1),
+        ]
+        for model, n in cases:
+            zs = self._stack(rng, n)
+            for step in (None, 3e-5):
+                batch = psi_gradient(model, zs, step=step)
+                rows = np.array([psi_gradient(model, z, step=step) for z in zs])
+                assert batch.shape == zs.shape
+                assert np.array_equal(batch, rows)
+
+    def test_matches_per_probe_loop_bitwise(self, rng):
+        # an honest lift: the skipped t and wp components were exact zeros
+        lift = henon_heiles_lift()
+        zs = self._stack(rng, 2)
+        batch = psi_gradient(lift, zs)
+        assert np.array_equal(batch, [_psi_gradient_reference(lift, z) for z in zs])
+        assert np.all(batch[:, [2, 5]] == 0.0)
+
+    def test_undeclared_flags_keep_every_axis(self, rng):
+        from dataclasses import replace
+
+        lift = henon_heiles_lift()
+        unflagged = replace(lift, time_independent=None, wp_affine=None)
+        calls = []
+
+        def gradient(z):
+            calls.append(1)
+            return lift.gradient(z)
+
+        zs = self._stack(rng, 2, rows=3)
+        flagged_out = psi_gradient(lift, zs)
+        out = psi_gradient(replace(unflagged, gradient=gradient), zs)
+        assert len(calls) == 3 * 2 * 6  # +-h on all six axes per row
+        assert np.array_equal(out, flagged_out)
+
+    def test_wrong_width_stack_raises(self, pendulum):
+        from dataclasses import replace
+
+        for model in (henon_heiles_lift(), pendulum, replace(pendulum, psi_gradient=None)):
+            with pytest.raises(DimensionError):
+                psi_gradient(model, np.zeros((3, model.dim + 1)))
+            with pytest.raises(DimensionError):
+                psi_gradient(model, np.zeros((2, 3, model.dim)))
+
+    @pytest.mark.parametrize("fault", ["nan", "asymmetric"])
+    def test_bad_hessian_carries_first_offending_probe(self, fault, rng):
+        from dataclasses import replace
+
+        lift = henon_heiles_lift()
+
+        def hessian(z):
+            h = lift.hessian(z)
+            if z[1] > 0.5:
+                h[0, 1] += np.nan if fault == "nan" else 1.0
+            return h
+
+        zs = self._stack(rng, 2, rows=4)
+        zs[:, 1] = [0.1, 0.2, 0.5, 0.9]  # rows 2 and 3 probe the bad region
+        # probes run +h along x, y, px, py and then -h; row 2 sits on the
+        # edge, so its first probe with y > 0.5 is its +y probe
+        probe = zs[2].copy()
+        probe[1] += psi_fd_step(zs[2])
+        with pytest.raises(EvaluationError, match="non-finite" if fault == "nan" else "symmetric") as err:
+            psi_gradient(replace(lift, hessian=hessian), zs)
+        assert np.array_equal(err.value.z, probe)
+
+    def test_nonfinite_gradient_carries_probe(self, rng):
+        from dataclasses import replace
+
+        lift = henon_heiles_lift()
+
+        def gradient(z):
+            g = lift.gradient(z)
+            if z[0] < -0.5:
+                g[0] = np.inf
+            return g
+
+        zs = self._stack(rng, 2, rows=3)
+        zs[:, 0] = [0.0, -0.5, 0.3]
+        probe = zs[1].copy()
+        probe[0] -= psi_fd_step(zs[1])  # row 1's -x probe, the first below -0.5
+        with pytest.raises(EvaluationError, match="gradient") as err:
+            psi_gradient(replace(lift, gradient=gradient), zs)
+        assert np.array_equal(err.value.z, probe)
+
+    def test_nonfinite_analytic_psi_gradient_carries_row(self, pendulum):
+        from dataclasses import replace
+
+        def psi_grad(z):
+            return np.full(4, np.nan) if z[0] > 1.0 else pendulum.psi_gradient(z)
+
+        zs = np.array([[0.0, 0, 0.5, 0], [1.5, 0, 0.5, 0], [2.0, 0, 0.5, 0]])
+        with pytest.raises(EvaluationError) as err:
+            psi_gradient(replace(pendulum, psi_gradient=psi_grad), zs)
+        assert np.array_equal(err.value.z, zs[1])
 
 
 class TestAutonomize:
