@@ -80,12 +80,23 @@ def _tolerances(cfg, args):
     return tols
 
 
+def _bounds_number(block, key, kind=float):
+    try:
+        return kind(block[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bounds.{key} must be a number, got {block[key]!r}") from exc
+
+
 def _resolve_bounds(cfg, model, fallback_center=None):
     """Build (raw bounds, safety-scaled bounds, derived constants)."""
     block = dict(DEFAULT_BOUNDS)
     block.update(cfg.get("bounds", {}))
-    delta = float(block.get("delta", 0.5))
-    safety = float(block.get("safety", 1.1))
+    delta = _bounds_number(block, "delta")
+    safety = _bounds_number(block, "safety")
+    if not 0.0 < delta < 1.0:
+        raise ConfigError(f"bounds.delta must lie in (0, 1), got {delta}")
+    if not safety > 0:
+        raise ConfigError(f"bounds.safety must be positive, got {safety}")
     if "path" in block:
         try:
             raw = bounds_from_json(Path(block["path"]).read_text())
@@ -104,12 +115,14 @@ def _resolve_bounds(cfg, model, fallback_center=None):
                 center_state = ExtendedState(np.asarray(center, dtype=float), model.n)
             except (ValueError, TypeError, EvaluationError) as exc:
                 raise ConfigError(f"bad bounds center: {exc}") from exc
-        raw = estimate_bounds(
-            model,
-            center_state,
-            float(block["radius"]),
-            int(block["samples_per_axis"]),
-        )
+        radius = _bounds_number(block, "radius")
+        samples = _bounds_number(block, "samples_per_axis", int)
+        if not np.isfinite(radius):
+            raise ConfigError(f"bounds.radius must be finite, got {radius}")
+        try:
+            raw = estimate_bounds(model, center_state, radius, samples)
+        except ParameterError as exc:
+            raise ConfigError(f"bad bounds: {exc}") from exc
     if "save" in block:
         try:
             Path(block["save"]).write_text(bounds_to_json(raw))

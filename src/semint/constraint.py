@@ -18,10 +18,11 @@ from typing import Optional
 import numpy as np
 
 from .bounds import DerivedConstants
-from .decoupler import midpoint_sensitivity, solve_midpoint_coords
+from .decoupler import midpoint_sensitivity, solve_midpoint_coords, solve_midpoints
 from .extphase import (
     ExtendedState,
     HamiltonianModel,
+    _eval_stack,
     apply_J as _apply_J_arr,
     eval_gradient,
     eval_value,
@@ -65,8 +66,9 @@ class ConstraintCurve:
 
     Root searches evaluate g at many nearby lambdas; reusing the previous
     midpoint as the Newton start cuts the inner iteration count roughly in
-    half.  Instances are cheap and single-purpose; share models, not curves,
-    across threads.
+    half.  ``g_grid`` evaluates a whole grid in one batched solve instead.
+    Instances are cheap and single-purpose; share models, not curves, across
+    threads.
     """
 
     def __init__(
@@ -115,6 +117,14 @@ class ConstraintCurve:
 
     def g(self, lam: float) -> float:
         return eval_value(self.model, self._zbar(lam))
+
+    def g_grid(self, lams) -> np.ndarray:
+        """g at every lambda of a grid: one batched midpoint solve, cold-started.
+
+        Leaves the warm-start history of ``g`` untouched.
+        """
+        zbars = solve_midpoints(self.model, lams, self.z, tol=self.tol, max_iter=self.max_iter)
+        return _eval_stack(self.model, zbars, "value")[0]
 
     def g_and_derivative(self, lam: float) -> tuple[float, float]:
         zbar = self._zbar(lam)

@@ -18,6 +18,12 @@ the identity on (t, wp) and a 2x2 block on (q, p).  The Newton systems of
 are then solved in closed form; every other model goes through
 ``np.linalg.solve`` on the full (2n+2)x(2n+2) Jacobian.  Convergence is
 always judged on the full residual.
+
+``solve_midpoints`` runs the same Newton iteration for a whole grid of
+lambdas at one z as one masked batch: every row starts at z_bar = z, freezes
+at the first iterate that meets the tolerance, and the rows still active
+share one stacked model evaluation and one batched ``np.linalg.solve`` per
+iteration.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import RegionBounds
+from .bounds import RegionBounds, derive_constants
 from .errors import (
     EvaluationError,
     LinearSolveError,
@@ -38,6 +44,7 @@ from .errors import (
 from .extphase import (
     ExtendedState,
     HamiltonianModel,
+    _eval_stack,
     apply_J,
     eval_gradient,
     eval_hessian,
@@ -48,6 +55,7 @@ __all__ = [
     "KantorovichReport",
     "solve_midpoint",
     "solve_midpoint_coords",
+    "solve_midpoints",
     "kantorovich_report",
     "midpoint_sensitivity",
 ]
@@ -235,6 +243,61 @@ def solve_midpoint_coords(
         z_bar = z_bar + _solve_jacobian(model, lam, z_bar, -f)
 
 
+def solve_midpoints(
+    model: HamiltonianModel,
+    lams,
+    z: np.ndarray,
+    tol: float = 1e-12,
+    max_iter: int = 50,
+) -> np.ndarray:
+    """z_bar(lambda, z) for every lambda of a grid, as a (len(lams), dim) array.
+
+    Row k follows the iterate sequence of ``solve_midpoint_coords(model,
+    lams[k], z, tol, max_iter)`` started at z_bar = z (the start the
+    Kantorovich certificate speaks about) up to rounding, and raises what
+    that call would: ``NonconvergenceError`` if a row misses ``tol`` after
+    ``max_iter`` steps, ``LinearSolveError`` naming the first singular row's
+    lambda, ``EvaluationError`` naming the first row with a non-finite model
+    result.  The model sees one stack of the active rows per evaluation.
+    """
+    lams = np.asarray(lams, dtype=float)
+    if not np.all(np.isfinite(lams)):
+        raise ParameterError("lambda must be finite")
+    if not tol > 0:
+        raise ParameterError("tol must be positive")
+    z = np.asarray(z, dtype=float)
+    dim, half = z.size, z.size // 2
+    z_bar = np.tile(z, (lams.size, 1))
+    active = np.arange(lams.size)  # rows not yet within tol
+    it = 0
+    while active.size:
+        zs, c = z_bar[active], 0.5 * lams[active, None]
+        (g,) = _eval_stack(model, zs, "gradient")
+        f = zs - z
+        f[:, :half] -= c * g[:, half:]
+        f[:, half:] += c * g[:, :half]
+        moving = np.sqrt((f * f).sum(axis=1)) > tol  # the others freeze here
+        active, zs, f, c = active[moving], zs[moving], f[moving], c[moving]
+        if not active.size:
+            break
+        if it == max_iter:
+            raise NonconvergenceError(
+                f"midpoint solve did not reach tol={tol:g} in {max_iter} iterations",
+                residual=float(np.sqrt(f[0] @ f[0])),
+                iterations=it,
+            )
+        (hess,) = _eval_stack(model, zs, "hessian")
+        jh = np.concatenate([hess[:, half:], -hess[:, :half]], axis=1)  # J H_zz per row
+        jac = _identity(dim) - c[:, :, None] * jh
+        try:
+            z_bar[active] = zs + np.linalg.solve(jac, -f[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            k = int(np.argmax(np.linalg.det(jac) == 0.0))  # LU met a zero pivot there
+            raise _singular(lams[active[k]]) from None
+        it += 1
+    return z_bar
+
+
 def solve_midpoint(
     model: HamiltonianModel,
     lam: float,
@@ -272,22 +335,14 @@ def kantorovich_report(
     lambda_delta comes from the region constants and delta.  alpha >= 1/2
     yields guaranteed=False rather than an exception.
     """
-    if not 0.0 < delta < 1.0:
-        raise ParameterError(f"delta must lie in (0, 1), got {delta}")
+    lambda_delta = derive_constants(bounds, delta).lambda_delta  # checks delta
     z_arr = z.coords if isinstance(z, ExtendedState) else np.asarray(z, dtype=float)
     beta, gamma = 2.0, 0.5
     f0 = -0.5 * lam * apply_J(eval_gradient(model, z_arr))
     eta = float(np.linalg.norm(_solve_jacobian(model, lam, z_arr, f0)))
     alpha = beta * gamma * eta
 
-    m1, m2, gh = bounds.M1, bounds.M2, bounds.gamma_H
-    terms = [
-        1.0 / m2 if m2 > 0 else np.inf,
-        1.0 / gh if gh > 0 else np.inf,
-        (1.0 - (1.0 - delta) ** 2) / (2.0 * m1) if m1 > 0 else np.inf,
-    ]
-    lambda_delta = float(min(terms))
-
+    m2, gh = bounds.M2, bounds.gamma_H
     if alpha < 0.5:
         root = np.sqrt(1.0 - 2.0 * alpha)
         r_minus = (1.0 - root) / (beta * gamma)

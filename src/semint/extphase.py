@@ -109,6 +109,13 @@ class HamiltonianModel:
     returns a wrong midpoint; ``midpoint_sensitivity``, the Kantorovich eta
     and, for models without ``psi_gradient``, the differenced psi_z (hence
     psi' and the sampled N1 / N2) do rely on the promise.
+
+    ``vectorized=True`` promises that ``value``, ``gradient`` and ``hessian``
+    also take an (N, dim) stack of states and return shapes (N,), (N, dim)
+    and (N, dim, dim), row k being the result at row k.  Batched evaluations
+    (the dense g-scan of the root search, psi differencing) then call each
+    once per stack; an undeclared model is called row by row.  A declared
+    model whose results have the wrong shape raises ``DimensionError``.
     """
 
     n: int
@@ -122,6 +129,7 @@ class HamiltonianModel:
     time_independent: Optional[bool] = None
     wp_affine: Optional[bool] = None
     hessian_symmetric: bool = False  # skip the symmetry check for exact models
+    vectorized: bool = False  # value/gradient/hessian accept (N, dim) stacks
     name: str = ""
 
     @property
@@ -166,13 +174,14 @@ def apply_J(v: np.ndarray) -> np.ndarray:
 
     Splitting v = (a, b) at the midpoint gives J v = (b, -a).  The length
     must be even; for extended-phase-space vectors it is 2n+2 and the blocks
-    are the position block (q, t) and the momentum block (p, wp).
+    are the position block (q, t) and the momentum block (p, wp).  A stack
+    (..., 2m) is mapped row by row along its last axis.
     """
     v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size % 2 != 0:
+    if v.ndim == 0 or v.shape[-1] % 2 != 0:
         raise DimensionError(f"J needs an even-length vector, got shape {v.shape}")
-    half = v.size // 2
-    return np.concatenate([v[half:], -v[:half]])
+    half = v.shape[-1] // 2
+    return np.concatenate([v[..., half:], -v[..., :half]], axis=-1)
 
 
 def _coords(z) -> np.ndarray:
@@ -236,42 +245,52 @@ def _psi_axes(model: HamiltonianModel) -> tuple[int, ...]:
     return tuple(i for i in range(model.dim) if i not in skip)
 
 
-def _psi_stack(model: HamiltonianModel, zs: np.ndarray) -> np.ndarray:
-    """psi at every row of a (N, dim) stack, with the checks of eval_*.
+def _eval_stack(model: HamiltonianModel, zs: np.ndarray, *kinds: str) -> list[np.ndarray]:
+    """``kinds`` ("value", "gradient", "hessian") at every row of a (N, dim) stack.
 
-    The model is called row by row, so vector-only models work; the
-    finiteness and symmetry checks then run on the whole stack and an error
-    carries the first offending row, as a row-by-row loop would raise it.
+    A ``vectorized`` model is called once per kind, any other row by row.
+    The checks of the eval_* wrappers then run on the whole stack: the
+    shape (``DimensionError``), finiteness, and the symmetry test unless
+    ``hessian_symmetric`` (Hessians come back symmetrized).  An
+    ``EvaluationError`` carries the first offending row, as a row-by-row
+    loop would raise it.
     """
-    grads = np.array([model.gradient(z) for z in zs], dtype=float)
-    hessians = np.array([model.hessian(z) for z in zs], dtype=float)
-    dim = model.dim
-    if grads.shape != (len(zs), dim) or hessians.shape != (len(zs), dim, dim):
-        raise DimensionError(
-            f"model has dimension {dim}, got gradients {grads.shape} "
-            f"and hessians {hessians.shape}"
-        )
-    bad_g = ~np.isfinite(grads.sum(axis=1))
-    bad_h = ~np.isfinite(hessians.sum(axis=(1, 2)))
-    bad_s = np.zeros(len(zs), dtype=bool)
-    if not model.hessian_symmetric:
-        transposed = hessians.transpose(0, 2, 1)
-        with np.errstate(invalid="ignore"):  # inf - inf only where bad_h is set
-            scale = 1.0 + np.linalg.norm(hessians, axis=(1, 2))
-            bad_s = np.linalg.norm(hessians - transposed, axis=(1, 2)) > 1e-10 * scale
-            hessians = 0.5 * (hessians + transposed)
-    bad = bad_g | bad_h | bad_s
+    rows, dim = len(zs), model.dim
+    shapes = {"value": (rows,), "gradient": (rows, dim), "hessian": (rows, dim, dim)}
+    out, checks = [], []  # checks: (bad-row mask, message), in priority order
+    for kind in kinds:
+        fn = getattr(model, kind)
+        if model.vectorized:
+            arr = np.asarray(fn(zs), dtype=float)
+        else:
+            arr = np.array([fn(z) for z in zs], dtype=float)
+        if arr.shape != shapes[kind]:
+            raise DimensionError(
+                f"model has dimension {dim}; its {kind} on {rows} states has shape "
+                f"{arr.shape}, expected {shapes[kind]}"
+            )
+        # a single NaN/Inf component poisons a row's sum
+        finite = np.isfinite(arr.reshape(rows, -1).sum(axis=1))
+        checks.append((~finite, f"model {kind} is non-finite"))
+        if kind == "hessian" and not model.hessian_symmetric:
+            transposed = arr.transpose(0, 2, 1)
+            with np.errstate(invalid="ignore"):  # inf - inf only in non-finite rows
+                scale = 1.0 + np.linalg.norm(arr, axis=(1, 2))
+                asym = np.linalg.norm(arr - transposed, axis=(1, 2)) > 1e-10 * scale
+            checks.append((asym, "model hessian is not symmetric"))
+            arr = 0.5 * (arr + transposed)
+        out.append(arr)
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
     if bad.any():
         k = int(np.argmax(bad))
-        if bad_g[k]:
-            raise EvaluationError("model gradient is non-finite", zs[k])
-        if bad_h[k]:
-            raise EvaluationError("model hessian is non-finite", zs[k])
-        raise EvaluationError("model hessian is not symmetric", zs[k])
-    half = dim // 2
-    ws = np.empty_like(grads)
-    ws[:, :half] = grads[:, half:]
-    ws[:, half:] = -grads[:, :half]
+        raise EvaluationError(next(msg for mask, msg in checks if mask[k]), zs[k])
+    return out
+
+
+def _psi_stack(model: HamiltonianModel, zs: np.ndarray) -> np.ndarray:
+    """psi at every row of a (N, dim) stack, with the checks of eval_*."""
+    grads, hessians = _eval_stack(model, zs, "gradient", "hessian")
+    ws = apply_J(grads)
     # one small product per row keeps psi bit-identical to the scalar form
     return np.array([float(w @ h @ w) for w, h in zip(ws, hessians)])
 

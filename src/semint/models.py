@@ -3,6 +3,10 @@
 Each model carries analytic gradient, Hessian and psi-gradient.  The closed
 forms of psi and its bracket with H are exported alongside so tests can use
 them as oracles against the generic finite-difference machinery.
+
+Every built-in is ``vectorized``: value, gradient and Hessian also take an
+(N, dim) stack.  One state keeps its own scalar branch, the hot path of a
+single Newton solve; a stack gives the same numbers row for row.
 """
 
 from __future__ import annotations
@@ -34,17 +38,24 @@ def pendulum() -> HamiltonianModel:
     """
 
     def value(z):
-        q, p, wp = z[0], z[2], z[3]
+        c = z if z.ndim == 1 else z.T  # c[i]: coordinate i of every row
+        q, p, wp = c[0], c[2], c[3]
         return wp + 0.5 * p * p - np.cos(q)
 
     def gradient(z):
-        q, p = z[0], z[2]
-        return np.array([np.sin(q), 0.0, p, 1.0])
+        if z.ndim == 1:
+            return np.array([np.sin(z[0]), 0.0, z[2], 1.0])
+        g = np.zeros(z.shape)
+        g[:, 0], g[:, 2], g[:, 3] = np.sin(z[:, 0]), z[:, 2], 1.0
+        return g
 
     def hessian(z):
-        h = np.zeros((4, 4))
-        h[0, 0] = np.cos(z[0])
-        h[2, 2] = 1.0
+        if z.ndim == 1:
+            h = np.zeros((4, 4))
+            h[0, 0], h[2, 2] = np.cos(z[0]), 1.0
+            return h
+        h = np.zeros(z.shape + (4,))
+        h[:, 0, 0], h[:, 2, 2] = np.cos(z[:, 0]), 1.0
         return h
 
     def psi_grad(z):
@@ -62,6 +73,7 @@ def pendulum() -> HamiltonianModel:
         time_independent=True,
         wp_affine=True,
         hessian_symmetric=True,
+        vectorized=True,
         name="pendulum",
     )
 
@@ -86,17 +98,24 @@ def oscillator(omega: float = 1.0) -> HamiltonianModel:
     w2 = float(omega) ** 2
 
     def value(z):
-        q, p, wp = z[0], z[2], z[3]
+        c = z if z.ndim == 1 else z.T  # c[i]: coordinate i of every row
+        q, p, wp = c[0], c[2], c[3]
         return wp + 0.5 * (p * p + w2 * q * q)
 
     def gradient(z):
-        q, p = z[0], z[2]
-        return np.array([w2 * q, 0.0, p, 1.0])
+        if z.ndim == 1:
+            return np.array([w2 * z[0], 0.0, z[2], 1.0])
+        g = np.zeros(z.shape)
+        g[:, 0], g[:, 2], g[:, 3] = w2 * z[:, 0], z[:, 2], 1.0
+        return g
 
     def hessian(z):
-        h = np.zeros((4, 4))
-        h[0, 0] = w2
-        h[2, 2] = 1.0
+        if z.ndim == 1:
+            h = np.zeros((4, 4))
+            h[0, 0], h[2, 2] = w2, 1.0
+            return h
+        h = np.zeros(z.shape + (4,))
+        h[:, 0, 0], h[:, 2, 2] = w2, 1.0
         return h
 
     def psi_grad(z):
@@ -112,6 +131,7 @@ def oscillator(omega: float = 1.0) -> HamiltonianModel:
         time_independent=True,
         wp_affine=True,
         hessian_symmetric=True,
+        vectorized=True,
         name="oscillator",
     )
 
@@ -136,15 +156,15 @@ def free_time(n: int = 1) -> HamiltonianModel:
     dim = 2 * n + 2
 
     def value(z):
-        return float(z[dim - 1])
+        return float(z[dim - 1]) if z.ndim == 1 else z[:, dim - 1].copy()
 
     def gradient(z):
-        g = np.zeros(dim)
-        g[dim - 1] = 1.0
+        g = np.zeros(z.shape)
+        g[..., dim - 1] = 1.0
         return g
 
     def hessian(z):
-        return np.zeros((dim, dim))
+        return np.zeros(z.shape + (dim,))
 
     def psi_grad(z):
         return np.zeros(dim)
@@ -158,6 +178,7 @@ def free_time(n: int = 1) -> HamiltonianModel:
         time_independent=True,
         wp_affine=True,
         hessian_symmetric=True,
+        vectorized=True,
         name="free_time",
     )
 

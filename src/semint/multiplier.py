@@ -411,7 +411,7 @@ def _search_monotone(curve, a, b, tol_lambda, tol_g):
 def _scan_interval(curve, a, b, points, tol_lambda, tol_g):
     """Dense scan for sign changes, bisecting and polishing each bracket."""
     xs = np.linspace(a, b, points)
-    vals = [curve.g(x) for x in xs]
+    vals = curve.g_grid(xs).tolist()
     found = []
     for i in range(len(xs) - 1):
         va, vb = vals[i], vals[i + 1]

@@ -31,6 +31,7 @@ from .errors import (
 from .extphase import (
     ExtendedState,
     HamiltonianModel,
+    apply_J,
     eval_gradient,
     eval_value,
     sample_fields,
@@ -450,14 +451,6 @@ def classify_vertex(
     return VertexClass(kind, r, "H/psi_prime", lam_cap, region.tag, prediction.case_label)
 
 
-def _structure_matrix(dim: int) -> np.ndarray:
-    half = dim // 2
-    J = np.zeros((dim, dim))
-    J[:half, half:] = np.eye(half)
-    J[half:, :half] = -np.eye(half)
-    return J
-
-
 def symplectic_defect(
     model: HamiltonianModel,
     z: ExtendedState,
@@ -482,8 +475,8 @@ def symplectic_defect(
         e[j] = fd_step
         cols.append((the_map(z_arr + e) - the_map(z_arr - e)) / (2.0 * fd_step))
     D = np.column_stack(cols)
-    J = _structure_matrix(dim)
-    return float(np.linalg.norm(D.T @ J @ D - J))
+    # row by row, v^T J = -(J v)^T; so D^T J = -apply_J(D^T) and J = -apply_J(I)
+    return float(np.linalg.norm(-apply_J(D.T) @ D + apply_J(np.eye(dim))))
 
 
 def conservation_report(

@@ -3,7 +3,8 @@
 Each check returns (name, passed, detail).  The battery covers the module
 invariants: structure-matrix algebra, field-sample identities, certificate
 behavior, the cubic/derivative error envelopes, monotone-interval soundness,
-prediction/solver agreement, and trajectory conservation.  ``k_scale``
+prediction/solver agreement, the batched dense-scan grid against scalar g,
+and trajectory conservation.  ``k_scale``
 injects a corrupted quartic constant so callers can confirm the battery
 actually bites.
 """
@@ -219,6 +220,38 @@ def check_prediction_consistency(rng):
     return agree == total and total >= 8, f"{agree}/{total} grid cases agree with the solver"
 
 
+def check_grid_scan(rng):
+    model, _, _, constants = _pendulum_setup()
+    ld = constants.lambda_delta
+    lams = np.linspace(-ld, ld, 256)
+    worst, brackets = 0.0, 0
+    for z in _sample_states(rng, 10, box=PEND_RADIUS - DELTA):
+        # move wp so g(0) = H_k puts sign changes inside the grid where psi_k > 0
+        fields = sample_fields(model, z)
+        target = fields.psi * rng.uniform(0.0, 1.0) * ld**2 / 8.0
+        z = z.replace_coords(z.coords + [0.0, 0.0, 0.0, target - fields.H])
+        curve = ConstraintCurve(model, z, tol=1e-13)
+        scalar = np.array([curve.g(lam) for lam in lams])
+        batched = ConstraintCurve(model, z, tol=1e-13).g_grid(lams)
+        dev = float(np.max(np.abs(batched - scalar) / (1.0 + np.abs(scalar))))
+        worst = max(worst, dev)
+        if dev > 1e-12:
+            return False, f"batched g off the scalar g by {dev:.2e} (relative)"
+        cells = _brackets(scalar)
+        if not np.array_equal(_brackets(batched), cells):
+            return False, f"batched and scalar scans bracket different roots at q={z.q[0]:.3f}"
+        brackets += cells.size
+    return True, (
+        f"10 states x 256 lambdas: worst rel dev {worst:.1e}, same {brackets} brackets"
+    )
+
+
+def _brackets(vals):
+    """Grid cells the dense scan would bisect (a zero at the left end or a sign change)."""
+    left, right = vals[:-1], vals[1:]
+    return np.flatnonzero((left == 0.0) | ((left < 0) != (right < 0)))
+
+
 def _has_sign_change(vals):
     signs = [v < 0 for v in vals if v != 0.0]
     return any(a != b for a, b in zip(signs, signs[1:]))
@@ -283,6 +316,7 @@ def run_all(seed: int = 0, k_scale: float = 1.0):
         ("derivative-bound", check_derivative_bound, {}),
         ("monotone-intervals", check_monotone_intervals, {}),
         ("prediction-vs-solver", check_prediction_consistency, {}),
+        ("grid-scan", check_grid_scan, {}),
         ("trajectory-conservation", check_trajectory, {}),
         ("free-time-trivial", check_free_time, {}),
     ]

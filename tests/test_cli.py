@@ -167,6 +167,8 @@ def _bounds_config(tmp_path, command, bounds):
     payload = {"model": {"name": "pendulum"}, "bounds": bounds, "out": str(tmp_path / "out")}
     if command == "run":
         payload.update(initial={"q0": 1.0, "p0": 0.5, "lambda_target": 0.1}, steps=5)
+    elif command == "scan":
+        payload.update(state=[0.0, 0.0, 1.0, 0.501], lambda_range=[-0.05, 0.05], count=5)
     else:
         payload.update(grid={"q_min": -1.0, "q_max": 1.0, "p_min": -1.0, "p_max": 1.0,
                              "nq": 3, "np": 3})
@@ -183,6 +185,25 @@ class TestBoundsConfigErrors:
     def test_wrong_length_center(self, tmp_path, command):
         bounds = dict(BOUNDS_BLOCK, center=[0.0, 0.0, 0.0])
         assert_config_error(run_cli(command, "--config", _bounds_config(tmp_path, command, bounds)))
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"samples_per_axis": 2},
+            {"safety": 0.0},
+            {"radius": "wide"},
+            {"radius": float("inf")},  # written as Infinity, read back as inf
+            {"safety": "x"},
+            {"delta": "y"},
+            {"delta": 1.5},
+        ],
+        ids=["samples-below-3", "safety-not-positive", "radius-non-numeric",
+             "radius-infinite", "safety-non-numeric", "delta-non-numeric", "delta-outside-unit-interval"],
+    )
+    def test_bad_bounds_value(self, tmp_path, override):
+        for command in ("run", "scan", "map"):
+            bounds = dict(BOUNDS_BLOCK, **override)
+            assert_config_error(run_cli(command, "--config", _bounds_config(tmp_path, command, bounds)))
 
 
 class TestScan:
@@ -340,6 +361,18 @@ class TestVerify:
         assert proc.returncode == 3
         assert "quartic-bound" in proc.stdout
         assert "FAIL" in proc.stdout
+
+
+    def test_grid_scan_check_bites(self, monkeypatch, capsys):
+        # a batched grid that drifts from the scalar g must turn verify red
+        from semint.cli import main
+        from semint.constraint import ConstraintCurve
+
+        original = ConstraintCurve.g_grid
+        monkeypatch.setattr(ConstraintCurve, "g_grid", lambda self, lams: original(self, lams) + 1e-9)
+        assert main(["verify"]) == 3
+        failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+        assert len(failed) == 1 and failed[0].startswith("grid-scan")
 
 
 class TestBoundsReuse:

@@ -1,11 +1,17 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semint import models
+from semint.bounds import derive_constants, estimate_bounds
 from semint.constraint import ConstraintCurve, CubicModel, cubic_model, g_derivative, g_eval
 from semint.decoupler import solve_midpoint
+from semint.extphase import ExtendedState
 
-from conftest import DELTA, PEND_RADIUS, pendulum_state
+from conftest import DELTA, PEND_RADIUS, henon_heiles_lift, pendulum_state
 
 
 def sample_box_state(rng, margin=DELTA, wp_span=1.0):
@@ -131,3 +137,46 @@ class TestConstraintCurve:
         cold = [g_eval(pendulum, lam, z, tol=1e-13) for lam in lams]
         warm = [curve.g(lam) for lam in lams]
         assert np.allclose(cold, warm, atol=1e-12)
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_setup(name):
+    """(model, state half-width, lambda_delta) of a sampled box about the origin."""
+    model, radius, samples = {
+        "pendulum": (models.pendulum(), PEND_RADIUS, 17),
+        "oscillator": (models.oscillator(1.3), PEND_RADIUS, 9),
+        "henon-heiles": (henon_heiles_lift(), 1.0, 3),  # not vectorized: row-by-row calls
+    }[name]
+    center = ExtendedState(np.zeros(model.dim), model.n)
+    constants = derive_constants(estimate_bounds(model, center, radius, samples).scaled(1.1), DELTA)
+    return model, radius - DELTA, constants.lambda_delta
+
+
+class TestGGrid:
+    """The batched grid of the dense scan against the scalar warm-started g."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(["pendulum", "oscillator", "henon-heiles"]),
+        unit=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+        ends=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        points=st.integers(2, 256),
+    )
+    def test_grid_matches_scalar_g(self, name, unit, ends, points):
+        model, half_width, lambda_delta = _grid_setup(name)
+        z = half_width * np.array(unit[: model.dim])
+        lams = np.linspace(*sorted(lambda_delta * np.array(ends)), points)
+        curve = ConstraintCurve(model, z, tol=1e-13)
+        scalar = np.array([curve.g(lam) for lam in lams])
+        batched = ConstraintCurve(model, z, tol=1e-13).g_grid(lams)
+        assert batched.shape == scalar.shape
+        assert np.all(np.abs(batched - scalar) <= 1e-12 * (1.0 + np.abs(scalar)))
+        clear = np.abs(scalar) > 1e-12
+        assert np.array_equal(np.sign(batched[clear]), np.sign(scalar[clear]))
+
+    def test_grid_leaves_warm_start_history_alone(self, pendulum):
+        curve = ConstraintCurve(pendulum, pendulum_state(0.4, 0.8, wp=0.1))
+        curve.g(0.05)
+        before = (curve._prev, curve._last)
+        curve.g_grid(np.linspace(-0.1, 0.1, 9))
+        assert (curve._prev, curve._last) == before

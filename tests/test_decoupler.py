@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 from semint import models
 from semint.bounds import RegionBounds
 from semint.decoupler import (
+    KantorovichReport,
     kantorovich_report,
     midpoint_sensitivity,
     solve_midpoint,
     solve_midpoint_coords,
+    solve_midpoints,
 )
 from semint.errors import (
+    DimensionError,
     EvaluationError,
     LinearSolveError,
     NonconvergenceError,
@@ -116,6 +119,70 @@ class TestSolveMidpoint:
             solve_midpoint(pendulum, 0.1, pendulum_state(0, 0), tol=0.0)
 
 
+def _t_capped(model, stacked):
+    """The model with a NaN gradient wherever t > 0.04 (rows with lambda > 0.08)."""
+
+    def gradient(z):
+        g = np.array(model.gradient(z))
+        g[z[..., 1] > 0.04] = np.nan  # a 0-d mask on one state selects all of it
+        return g
+
+    return replace(model, gradient=gradient, vectorized=stacked)
+
+
+class TestSolveMidpoints:
+    """The masked batched Newton raises what the scalar solve raises."""
+
+    def test_rows_match_scalar_solves(self, pendulum):
+        z = pendulum_state(0.9, -0.6, wp=0.2).coords
+        lams = np.linspace(-0.12, 0.12, 33)
+        for model in (pendulum, replace(pendulum, vectorized=False, time_independent=None)):
+            rows = solve_midpoints(model, lams, z, tol=1e-13)
+            for lam, row in zip(lams, rows):
+                ref, _, _ = solve_midpoint_coords(model, lam, z, tol=1e-13)
+                assert np.max(np.abs(row - ref)) <= 1e-14
+
+    def test_empty_grid(self, pendulum):
+        assert solve_midpoints(pendulum, [], np.zeros(4)).shape == (0, 4)
+
+    def test_singular_row_raises(self, pendulum):
+        # at q = pi the midpoint Jacobian degenerates at lambda = 2 (as for the
+        # scalar solve); the lambda = 0 row has frozen before the singular row is met
+        z = pendulum_state(np.pi, 0.0, wp=-1.0).coords
+        for model in (pendulum, replace(pendulum, vectorized=False)):
+            with pytest.raises(LinearSolveError, match="lambda=2"):
+                solve_midpoints(model, [0.0, 1.5, 1.9, 2.0, 2.1], z)
+
+    def test_max_iter_raises_nonconvergence(self, pendulum):
+        z = pendulum_state(0.5, 1.0, wp=0.0).coords
+        with pytest.raises(NonconvergenceError) as err:
+            solve_midpoints(pendulum, [0.0, 0.05, 0.1], z, max_iter=1)
+        assert err.value.iterations == 1 and err.value.residual > 1e-12
+        with pytest.raises(NonconvergenceError):
+            solve_midpoint_coords(pendulum, 0.05, z, max_iter=1)
+
+    def test_nan_gradient_names_the_row(self, pendulum):
+        z = pendulum_state(0.5, 0.2).coords
+        lams = np.array([0.0, 0.05, 0.07, 0.09, 0.11])
+        for stacked in (True, False):
+            with pytest.raises(EvaluationError, match="gradient is non-finite") as err:
+                solve_midpoints(_t_capped(pendulum, stacked), lams, z)
+            # after one Newton step row k sits at t = lambda_k / 2
+            assert err.value.z[1] == pytest.approx(0.045, abs=1e-15)
+
+    def test_wrong_declared_shape_raises(self, pendulum):
+        # declares stacks but answers for the first row only
+        broken = replace(pendulum, gradient=lambda z: pendulum.gradient(z[0]))
+        with pytest.raises(DimensionError):
+            solve_midpoints(broken, [0.01, 0.02], pendulum_state(0.5, 0.2).coords)
+
+    def test_rejects_bad_arguments(self, pendulum):
+        with pytest.raises(ParameterError):
+            solve_midpoints(pendulum, [0.1, np.nan], np.zeros(4))
+        with pytest.raises(ParameterError):
+            solve_midpoints(pendulum, [0.1], np.zeros(4), tol=0.0)
+
+
 class TestKantorovich:
     def test_lambda_zero(self, pendulum, pendulum_scaled):
         z = pendulum_state(0.2, 0.3, wp=0.1)
@@ -168,6 +235,24 @@ class TestKantorovich:
         rep = kantorovich_report(pendulum, 1.4, z, pendulum_scaled, delta=DELTA)
         assert not rep.guaranteed
         assert rep.alpha >= 0.5 or not np.isfinite(rep.r_minus) or rep.r_minus >= 0
+
+    def test_report_pinned(self, pendulum, pendulum_scaled):
+        # recorded before lambda_delta came from derive_constants; must stay bitwise
+        cases = [
+            ([0.7, 0.0, -0.4, 0.1], 0.05, 0.5,
+             (0.031402742895795324, 0.03191192848563129, 1.9680880715143687, 0.11868980597796436, True)),
+            ([1.9, 0.0, 0.2, 0.0], -0.02, 0.3,
+             (0.013930698322792557, 0.014029106233650057, 1.9859708937663498, 0.08070906806501577, True)),
+        ]
+        for coords, lam, delta, (alpha, r_minus, r_plus, lambda_delta, guaranteed) in cases:
+            rep = kantorovich_report(pendulum, lam, ExtendedState(np.array(coords), 1), pendulum_scaled, delta=delta)
+            assert rep == KantorovichReport(
+                alpha=alpha, beta=2.0, gamma=0.5, eta=alpha, r_minus=r_minus, r_plus=r_plus,
+                lambda_delta=lambda_delta, guaranteed=guaranteed,
+            )
+        rep = kantorovich_report(pendulum, 1.4, pendulum_state(0.0, 0.0), pendulum_scaled, delta=0.5)
+        assert (rep.alpha, rep.eta, rep.lambda_delta, rep.guaranteed) == (0.7, 0.7, 0.11868980597796436, False)
+        assert np.isnan(rep.r_minus) and np.isnan(rep.r_plus)
 
     def test_delta_validation(self, pendulum, pendulum_scaled):
         with pytest.raises(ParameterError):

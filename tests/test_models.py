@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semint import models
 from semint.errors import ParameterError
@@ -81,3 +83,23 @@ def test_by_name_lookup():
     assert models.by_name("oscillator", omega=2.0).name == "oscillator"
     with pytest.raises(ParameterError):
         models.by_name("nope")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["pendulum", "oscillator", "free_time"]),
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 64),
+    scale=st.sampled_from([1.0, 10.0, 1e3]),
+)
+def test_builtin_stack_equals_rows_bitwise(name, seed, rows, scale):
+    model = {"pendulum": models.pendulum(), "oscillator": models.oscillator(1.3),
+             "free_time": models.free_time(2)}[name]
+    assert model.vectorized
+    zs = scale * np.random.default_rng(seed).uniform(-1.0, 1.0, (rows, model.dim))
+    for attr in ("value", "gradient", "hessian"):
+        fn = getattr(model, attr)
+        stacked = np.asarray(fn(zs))
+        by_row = np.array([fn(z) for z in zs], dtype=float)
+        assert stacked.shape == by_row.shape, attr
+        assert np.array_equal(stacked, by_row), attr

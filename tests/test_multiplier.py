@@ -470,6 +470,11 @@ class TestPartialResults:
                     raise NonconvergenceError("stub divergence", residual=1.0, iterations=1)
                 return super().g_and_derivative(lam)
 
+            def g_grid(self, lams):
+                if np.max(lams) > 0.005:
+                    raise NonconvergenceError("stub divergence", residual=1.0, iterations=1)
+                return super().g_grid(lams)
+
         monkeypatch.setattr(mult, "ConstraintCurve", FailingCurve)
         z = pendulum_state(0.0, 1.0, wp=0.501)
         cubic = cubic_model(pendulum, z, pendulum_constants)
@@ -479,6 +484,35 @@ class TestPartialResults:
         )
         assert roots.unsearched  # the positive extension failed
         assert roots.lambda_minus is not None  # the negative side still searched
+
+
+    # recorded with the scalar dense scan: the batched scan must give up on
+    # exactly the same intervals when no midpoint solve can meet its tolerance
+    UNSEARCHED = {
+        (0.7, -0.9, 0.3603077296546011): [
+            (-0.11868980597796436, -0.02369935210463289, "midpoint solve failed in extension"),
+            (0.02369935210463289, 0.11868980597796436, "midpoint solve failed in extension"),
+        ],
+        (1.93, 1.5782623919766807, -1.5969849308969368): [
+            (-0.004440269689702873, 0.0, "midpoint solve failed in s<0"),
+            (0.0, 0.00026084085660217323, "midpoint solve failed in s>0"),
+            (0.00026084085660217323, 0.004440269689702873, "midpoint solve failed in ghost zone"),
+            (-0.11868980597796436, -0.004440269689702873, "midpoint solve failed in extension"),
+            (0.004440269689702873, 0.11868980597796436, "midpoint solve failed in extension"),
+        ],
+    }
+
+    @pytest.mark.parametrize("point", sorted(UNSEARCHED), ids=["region-I", "region-II-ghost"])
+    def test_unsearched_intervals_pinned(self, pendulum, pendulum_constants, point):
+        q, p, wp = point
+        z = pendulum_state(q, p, wp=wp)
+        cubic = cubic_model(pendulum, z, pendulum_constants)
+        pred = predict_roots(classify_region(cubic), cubic, pendulum_constants)
+        kwargs = dict(extend_to=pendulum_constants.lambda_delta)
+        assert solve_roots(pendulum, z, pred, **kwargs).unsearched == []
+        failing = solve_roots(pendulum, z, pred, solver_tol=1e-300, **kwargs)
+        assert failing.unsearched == self.UNSEARCHED[point]
+        assert failing.roots == []
 
 
 class TestGhostCheck:

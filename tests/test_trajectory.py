@@ -4,7 +4,7 @@ import pytest
 from semint import models
 from semint.bounds import derive_constants, estimate_bounds
 from semint.errors import ParameterError, StepNonexistenceError, UnsupportedRegionError
-from semint.extphase import apply_J, eval_gradient, eval_value, sample_fields
+from semint.extphase import ExtendedState, apply_J, eval_gradient, eval_value, sample_fields
 from semint.trajectory import (
     StepOptions,
     choose_conjugate_momentum,
@@ -309,6 +309,20 @@ class TestConservation:
             z = pendulum_state(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5), wp=rng.uniform(-1, 1))
             defect = symplectic_defect(model, z, 0.1)
             assert defect <= 1e-6
+
+    def test_symplectic_defect_pinned(self):
+        # recorded before J was applied through extphase.apply_J; must stay bitwise
+        from conftest import henon_heiles_lift
+
+        cases = [
+            (models.pendulum(), [0.7, 0.0, -0.4, 0.1], 0.1, 6.3867014292779906e-12),
+            (models.pendulum(), [2.9, 1.5, 0.3, -0.2], -0.07, 1.1574545381073221e-10),
+            (models.oscillator(1.3), [1.1, 0.0, 0.6, 0.0], 0.2, 2.5574104162871777e-10),
+            (henon_heiles_lift(), [0.1, -0.05, 0.0, 0.2, 0.15, 0.0], 0.05, 2.598376266741207e-11),
+        ]
+        for model, coords, lam, expected in cases:
+            z = ExtendedState(np.array(coords), model.n)
+            assert symplectic_defect(model, z, lam) == expected, model.name
 
 
 class TestChooseConjugateMomentum:
