@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from .bounds import (
     derive_constants,
     estimate_bounds,
 )
-from .constraint import ConstraintCurve, cubic_model
+from .constraint import ConstraintCurve, CubicModel, cubic_model
 from .errors import (
     EvaluationError,
     LinearSolveError,
@@ -33,12 +33,13 @@ from .errors import (
     ParameterError,
     UnsupportedRegionError,
 )
-from .extphase import ExtendedState, sample_fields, state_header
+from .extphase import ExtendedState, _eval_stack, sample_fields, state_header
 from .multiplier import classify_region
 from .trajectory import (
     StepOptions,
+    case_table_vertex,
     choose_conjugate_momentum,
-    classify_vertex,
+    classify_vertex,  # noqa: F401  (kept bound: the benchmark tracer rebinds it here)
     propagate,
 )
 from . import verify as verify_mod
@@ -80,19 +81,27 @@ def _tolerances(cfg, args):
     return tols
 
 
-def _bounds_number(block, key, kind=float):
+def _config_number(value, name, integer=False):
+    """A finite float (or, with ``integer``, a whole number) from a config value."""
     try:
-        return kind(block[key])
+        number = float(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bounds.{key} must be a number, got {block[key]!r}") from exc
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    if integer:
+        if number != int(number):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        return int(number)
+    return number
 
 
 def _resolve_bounds(cfg, model, fallback_center=None):
     """Build (raw bounds, safety-scaled bounds, derived constants)."""
     block = dict(DEFAULT_BOUNDS)
     block.update(cfg.get("bounds", {}))
-    delta = _bounds_number(block, "delta")
-    safety = _bounds_number(block, "safety")
+    delta = _config_number(block["delta"], "bounds.delta")
+    safety = _config_number(block["safety"], "bounds.safety")
     if not 0.0 < delta < 1.0:
         raise ConfigError(f"bounds.delta must lie in (0, 1), got {delta}")
     if not safety > 0:
@@ -115,10 +124,8 @@ def _resolve_bounds(cfg, model, fallback_center=None):
                 center_state = ExtendedState(np.asarray(center, dtype=float), model.n)
             except (ValueError, TypeError, EvaluationError) as exc:
                 raise ConfigError(f"bad bounds center: {exc}") from exc
-        radius = _bounds_number(block, "radius")
-        samples = _bounds_number(block, "samples_per_axis", int)
-        if not np.isfinite(radius):
-            raise ConfigError(f"bounds.radius must be finite, got {radius}")
+        radius = _config_number(block["radius"], "bounds.radius")
+        samples = _config_number(block["samples_per_axis"], "bounds.samples_per_axis", integer=True)
         try:
             raw = estimate_bounds(model, center_state, radius, samples)
         except ParameterError as exc:
@@ -288,34 +295,34 @@ def cmd_scan(args) -> int:
 
 
 def _map_cell(task):
-    """Worker for one map row: returns CSV cells for every q at fixed p."""
+    """Worker for one map row: returns CSV cells for every q at fixed p.
+
+    The row's states go through one stacked ``sample_fields`` call; each cell
+    then only builds its cubic model, its region and its case-table class.
+    """
     (model_spec, qs, p, t, wp_rule, bounds_json, delta, safety, shrink) = task
-    model = models.by_name(model_spec.pop("name"), **model_spec)
+    spec = dict(model_spec)
+    model = models.by_name(spec.pop("name"), **spec)
     raw = bounds_from_json(bounds_json)
-    scaled = raw.scaled(safety)
-    constants = derive_constants(scaled, delta)
+    constants = derive_constants(raw.scaled(safety), delta)
+    zs = np.zeros((len(qs), 4))
+    zs[:, 0], zs[:, 1], zs[:, 2] = qs, t, p
+    if wp_rule.get("kind", "h-zero") == "h-zero":
+        zs[:, 3] = -_eval_stack(model, zs, "value")[0]  # H = wp + H_c vanishes there
+    else:
+        zs[:, 3] = float(wp_rule.get("value", 0.0))
+    fields = sample_fields(model, zs)
+    p_text = repr(float(p))
     out = []
-    for q in qs:
-        if wp_rule.get("kind", "h-zero") == "h-zero":
-            probe = ExtendedState.from_parts([q], t, [p], 0.0)
-            wp = -(model.value(probe.coords) - probe.wp)
-        else:
-            wp = float(wp_rule.get("value", 0.0))
-        z = ExtendedState.from_parts([q], t, [p], wp)
-        fields = sample_fields(model, z)
-        constants_cubic = cubic_model(model, z, constants)
-        region = classify_region(constants_cubic)
-        vclass = classify_vertex(model, z, scaled, constants, shrink=shrink)
-        out.append(
-            [
-                repr(float(q)),
-                repr(float(p)),
-                repr(fields.psi),
-                repr(fields.psi_prime),
-                region.tag,
-                vclass.kind,
-            ]
+    for q, H, psi, psi_prime in zip(
+        zs[:, 0].tolist(), fields.H.tolist(), fields.psi.tolist(), fields.psi_prime.tolist()
+    ):
+        cubic = CubicModel(
+            H_k=H, psi_k=psi, psi_prime_k=psi_prime, K=constants.K, lambda_delta=constants.lambda_delta
         )
+        region = classify_region(cubic)
+        vclass = case_table_vertex(cubic, region, constants, shrink=shrink)
+        out.append([repr(q), p_text, repr(psi), repr(psi_prime), region.tag, vclass.kind])
     return out
 
 
@@ -329,38 +336,35 @@ def cmd_map(args) -> int:
                 raise ConfigError(f"map grid config needs '{key}'")
         if model.n != 1:
             raise ConfigError("map sweeps a (q, p) plane; model must have n = 1")
-        nq, npts = int(grid["nq"]), int(grid["np"])
-        if nq < 2 or npts < 2 or not (grid["q_max"] > grid["q_min"]) or not (
-            grid["p_max"] > grid["p_min"]
-        ):
+        q_min, q_max, p_min, p_max = (
+            _config_number(grid[key], f"grid.{key}") for key in ("q_min", "q_max", "p_min", "p_max")
+        )
+        nq, npts = (_config_number(grid[key], f"grid.{key}", integer=True) for key in ("nq", "np"))
+        if nq < 2 or npts < 2 or not q_max > q_min or not p_max > p_min:
             raise ConfigError("map grid must be increasing with at least 2 points per axis")
-        t = float(cfg.get("t", 0.0))
+        t = _config_number(cfg.get("t", 0.0), "t")
         wp_rule = cfg.get("wp_rule", {"kind": "h-zero"})
         if wp_rule.get("kind") not in ("h-zero", "fixed"):
             raise ConfigError("wp_rule kind must be 'h-zero' or 'fixed'")
-        center = ExtendedState.from_parts(
-            [0.5 * (grid["q_min"] + grid["q_max"])],
-            t,
-            [0.5 * (grid["p_min"] + grid["p_max"])],
-            0.0,
-        )
+        if wp_rule["kind"] == "fixed":
+            _config_number(wp_rule.get("value", 0.0), "wp_rule.value")
+        # accepted so existing configs still validate; rows always run serially
+        _config_number(cfg.get("jobs", 1), "jobs", integer=True)
+        center = ExtendedState.from_parts([0.5 * (q_min + q_max)], t, [0.5 * (p_min + p_max)], 0.0)
         bcfg = dict(DEFAULT_BOUNDS)
         bcfg.update(cfg.get("bounds", {}))
         if "radius" not in cfg.get("bounds", {}):
-            half_q = 0.5 * (grid["q_max"] - grid["q_min"])
-            half_p = 0.5 * (grid["p_max"] - grid["p_min"])
-            bcfg["radius"] = max(half_q, half_p) + 0.5
+            bcfg["radius"] = max(0.5 * (q_max - q_min), 0.5 * (p_max - p_min)) + 0.5
         cfg = dict(cfg)
         cfg["bounds"] = bcfg
-        raw, scaled, constants = _resolve_bounds(cfg, model, fallback_center=center)
-        jobs = int(cfg.get("jobs", 1))
+        raw, _, _ = _resolve_bounds(cfg, model, fallback_center=center)
         out = _out_dir(cfg, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    qs = np.linspace(grid["q_min"], grid["q_max"], nq)
-    ps = np.linspace(grid["p_min"], grid["p_max"], npts)
+    qs = np.linspace(q_min, q_max, nq)
+    ps = np.linspace(p_min, p_max, npts)
     model_spec = dict(cfg.get("model", {"name": "pendulum"}))
     raw_json = bounds_to_json(raw)
     delta = float(bcfg.get("delta", 0.5))
@@ -369,11 +373,7 @@ def cmd_map(args) -> int:
         (dict(model_spec), list(qs), float(p), t, dict(wp_rule), raw_json, delta, safety, 0.9)
         for p in ps
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_map_cell, tasks))
-    else:
-        chunks = [_map_cell(task) for task in tasks]
+    chunks = [_map_cell(task) for task in tasks]
 
     with open(out / "map.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

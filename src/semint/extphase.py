@@ -122,9 +122,6 @@ class HamiltonianModel:
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
-    gradient_mode: str = "analytic"
-    hessian_mode: str = "analytic"
-    fd_step: float = 1e-6
     psi_gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     time_independent: Optional[bool] = None
     wp_affine: Optional[bool] = None
@@ -156,17 +153,18 @@ class ClassicalModel:
 
 @dataclass(frozen=True)
 class FieldSample:
-    """H, its derivatives and the curvature scalars at one point.
+    """H, its derivatives and the curvature scalars at one point or a stack.
 
     ``psi`` is the quadratic form (J H_z)^T H_zz (J H_z); ``psi_prime`` is its
-    Poisson bracket with H, i.e. psi_z^T J H_z.
+    Poisson bracket with H, i.e. psi_z^T J H_z.  For a (N, dim) stack every
+    field gains a leading axis: H, psi and psi_prime are (N,) arrays.
     """
 
-    H: float
+    H: float | np.ndarray
     grad: np.ndarray
     hess: np.ndarray
-    psi: float
-    psi_prime: float
+    psi: float | np.ndarray
+    psi_prime: float | np.ndarray
 
 
 def apply_J(v: np.ndarray) -> np.ndarray:
@@ -287,12 +285,19 @@ def _eval_stack(model: HamiltonianModel, zs: np.ndarray, *kinds: str) -> list[np
     return out
 
 
+def _psi_rows(ws: np.ndarray, hessians: np.ndarray) -> np.ndarray:
+    """psi = w_k^T H_zz w_k for every row k of a stack of w = J H_z.
+
+    One small product per row keeps psi bit-identical to the scalar form;
+    stacked einsum or sum reductions round some rows differently.
+    """
+    return np.array([float(w @ h @ w) for w, h in zip(ws, hessians)])
+
+
 def _psi_stack(model: HamiltonianModel, zs: np.ndarray) -> np.ndarray:
     """psi at every row of a (N, dim) stack, with the checks of eval_*."""
     grads, hessians = _eval_stack(model, zs, "gradient", "hessian")
-    ws = apply_J(grads)
-    # one small product per row keeps psi bit-identical to the scalar form
-    return np.array([float(w @ h @ w) for w, h in zip(ws, hessians)])
+    return _psi_rows(apply_J(grads), hessians)
 
 
 def psi_gradient(model: HamiltonianModel, z, step: Optional[float] = None) -> np.ndarray:
@@ -333,8 +338,24 @@ def psi_gradient(model: HamiltonianModel, z, step: Optional[float] = None) -> np
 
 
 def sample_fields(model: HamiltonianModel, z, psi_step: Optional[float] = None) -> FieldSample:
-    """Evaluate H, H_z, H_zz, psi and psi' = [psi, H] at one point."""
+    """Evaluate H, H_z, H_zz, psi and psi' = [psi, H] at one point or a stack.
+
+    ``z`` is one state (an ``ExtendedState`` or a (dim,) array) or a
+    (N, dim) stack.  On a stack the model is evaluated through the batched
+    path (one call per callable for a ``vectorized`` model, row by row
+    otherwise, with the same shape, finiteness and symmetry checks; an
+    ``EvaluationError`` names the first offending row), and row k of every
+    field is bit-identical to ``sample_fields(model, z[k])``.
+    """
     z = _coords(z)
+    if z.ndim == 2:
+        if z.shape[1] != model.dim:
+            raise DimensionError(f"model has dimension {model.dim}, states have shape {z.shape}")
+        H, grads, hessians = _eval_stack(model, z, "value", "gradient", "hessian")
+        ws = apply_J(grads)
+        pz = psi_gradient(model, z, step=psi_step)
+        psi_prime = np.array([float(g @ w) for g, w in zip(pz, ws)])
+        return FieldSample(H, grads, hessians, _psi_rows(ws, hessians), psi_prime)
     H = eval_value(model, z)
     grad = eval_gradient(model, z)
     hess = eval_hessian(model, z)
@@ -403,9 +424,6 @@ def finite_difference_model(
         value=value,
         gradient=gradient,
         hessian=hessian,
-        gradient_mode="finite-difference",
-        hessian_mode="finite-difference",
-        fd_step=step,
         name=name or "finite-difference",
     )
 

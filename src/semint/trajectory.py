@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import DerivedConstants, RegionBounds
-from .constraint import ConstraintCurve, cubic_model
+from .constraint import ConstraintCurve, CubicModel, cubic_model
 from .decoupler import solve_midpoint_coords
 from .errors import (
     LinearSolveError,
@@ -39,6 +39,7 @@ from .extphase import (
 from .multiplier import (
     GHOST_S_EDGE,
     INDETERMINATE,
+    Region,
     classify_region,
     predict_roots,
     solve_roots,
@@ -54,6 +55,7 @@ __all__ = [
     "step",
     "propagate",
     "classify_vertex",
+    "case_table_vertex",
     "conservation_report",
     "choose_conjugate_momentum",
     "interpolate_at_time",
@@ -386,7 +388,17 @@ def classify_vertex(
     back indeterminate; psi = psi' = 0 is degenerate.
     """
     cubic = cubic_model(model, z0, constants, psi_step=psi_step)
-    region = classify_region(cubic)
+    return case_table_vertex(cubic, classify_region(cubic), constants, shrink, tol_g)
+
+
+def case_table_vertex(
+    cubic: CubicModel,
+    region: Region,
+    constants: DerivedConstants,
+    shrink: float = 0.9,
+    tol_g: float = 1e-12,
+) -> VertexClass:
+    """The vertex class the case tables give a cubic model in its region."""
     if region.tag == "degenerate":
         return VertexClass("degenerate", None, None, None, region.tag, "degenerate")
     prediction = predict_roots(region, cubic, constants, shrink=shrink, tol_g=tol_g)

@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +344,92 @@ class TestMap:
             assert proc.returncode == 0, proc.stderr
             outputs.append((tmp_path / tag / "map.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+
+# map.csv hashes recorded before `semint map` switched to one stacked field
+# pass per row; any change to a byte of the map shows up here.
+GOLDEN_MAPS = {
+    # criterion-9-like window whose grid passes through psi = 0 (region III at
+    # (+-q, +-p) = (+-0.55 Q, +-0.95 P)) and close to it elsewhere (region II)
+    "pendulum-h-zero": (
+        {
+            "model": {"name": "pendulum"},
+            "grid": {"q_min": -3.0742000000000003, "q_max": 3.0742000000000003,
+                     "p_min": -3.0202812278852775, "p_max": 3.0202812278852775,
+                     "nq": 41, "np": 41},
+            "t": 0.0,
+            "wp_rule": {"kind": "h-zero"},
+            "bounds": {"center": [0.0, 0.0, 0.0, 0.0], "radius": 4.0, "samples_per_axis": 9},
+        },
+        {"I": 1664, "II": 12, "III": 4, "degenerate": 1},
+        {"fixed-point": 1672, "indeterminate": 4, "bifurcates": 4, "degenerate": 1},
+        "ad054e5d550773ef2b1adc1d4e38fa3b8e71177cc9922489ac3bfbef29bda26f",
+    ),
+    # H = wp + (p^2 + q^2) / 2 sits just above 0 at the four grid points on
+    # the unit circle (pass-through) and below it elsewhere (none)
+    "oscillator-fixed": (
+        {
+            "model": {"name": "oscillator", "omega": 1.0},
+            "grid": {"q_min": -1.0, "q_max": 1.0, "p_min": -1.0, "p_max": 1.0,
+                     "nq": 15, "np": 11},
+            "t": 0.25,
+            "wp_rule": {"kind": "fixed", "value": -0.499999},
+            "bounds": {"center": [0.0, 0.0, 0.0, 0.0], "radius": 2.0, "samples_per_axis": 7},
+        },
+        {"I": 164, "degenerate": 1},
+        {"none": 160, "pass-through": 4, "degenerate": 1},
+        "d733497c7910f778f0859a72fb7f396c05442e37d242e035344a53ec9c7db102",
+    ),
+}
+
+
+class TestMapGolden:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_MAPS))
+    def test_map_csv_is_unchanged(self, tmp_path, name):
+        payload, regions, classes, digest = GOLDEN_MAPS[name]
+        cfg = write_config(tmp_path, "map.json", dict(payload, out=str(tmp_path / "out")))
+        proc = run_cli("map", "--config", cfg)
+        assert proc.returncode == 0, proc.stderr
+        data = (tmp_path / "out" / "map.csv").read_bytes()
+        _, rows = read_csv(tmp_path / "out" / "map.csv")
+        assert Counter(r[4] for r in rows) == regions
+        assert Counter(r[5] for r in rows) == classes
+        assert hashlib.sha256(data).hexdigest() == digest
+
+
+class TestMapConfigErrors:
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("jobs",), "two"),
+            (("jobs",), float("inf")),
+            (("grid", "nq"), "many"),
+            (("grid", "nq"), 2.5),
+            (("grid", "np"), float("inf")),
+            (("grid", "q_min"), "left"),
+            (("grid", "p_max"), float("inf")),
+            (("t",), "noon"),
+            (("t",), float("inf")),
+            (("wp_rule", "value"), "cold"),
+            (("wp_rule", "value"), float("-inf")),
+        ],
+        ids=["jobs-non-integer", "jobs-infinite", "nq-non-integer", "nq-fractional",
+             "np-infinite", "q_min-non-numeric", "p_max-infinite", "t-non-numeric",
+             "t-infinite", "wp-value-non-numeric", "wp-value-infinite"],
+    )
+    def test_bad_value(self, tmp_path, path, value):
+        payload = {
+            "model": {"name": "pendulum"},
+            "grid": {"q_min": -1.0, "q_max": 1.0, "p_min": -1.0, "p_max": 1.0, "nq": 3, "np": 3},
+            "wp_rule": {"kind": "fixed", "value": 0.0},
+            "bounds": BOUNDS_BLOCK,
+            "out": str(tmp_path / "out"),
+        }
+        block = payload
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1]] = value
+        assert_config_error(run_cli("map", "--config", write_config(tmp_path, "map.json", payload)))
 
 
 class TestVerify:

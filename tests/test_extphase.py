@@ -263,6 +263,56 @@ class TestPsiGradientBatch:
         assert np.array_equal(err.value.z, zs[1])
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestSampleFieldsStack:
+    FIELDS = ("H", "grad", "hess", "psi", "psi_prime")
+
+    @staticmethod
+    def _cases(pendulum):
+        from dataclasses import replace
+
+        return [
+            (pendulum, 1),
+            (replace(pendulum, psi_gradient=None), 1),
+            (models.oscillator(1.7), 1),
+            (models.free_time(2), 2),
+            (henon_heiles_lift(), 2),
+            (finite_difference_model(1, pendulum.value), 1),
+        ]
+
+    @pytest.mark.parametrize("psi_step", [None, 3e-5])
+    def test_stack_equals_rows_bitwise(self, pendulum, rng, psi_step):
+        for model, n in self._cases(pendulum):
+            zs = rng.uniform(-1.5, 1.5, size=(9, 2 * n + 2))
+            stack = sample_fields(model, zs, psi_step=psi_step)
+            rows = [sample_fields(model, z, psi_step=psi_step) for z in zs]
+            dim = model.dim
+            shapes = {"H": (9,), "grad": (9, dim), "hess": (9, dim, dim), "psi": (9,),
+                      "psi_prime": (9,)}
+            for name in self.FIELDS:
+                got = getattr(stack, name)
+                assert got.shape == shapes[name], (model.name, name)
+                assert _bits(got) == _bits([getattr(r, name) for r in rows]), (model.name, name)
+
+    def test_bad_shapes_raise(self, pendulum):
+        for model, _ in self._cases(pendulum):
+            with pytest.raises(DimensionError):
+                sample_fields(model, np.zeros((3, model.dim + 1)))
+            with pytest.raises(DimensionError):
+                sample_fields(model, np.zeros((2, 3, model.dim)))
+
+    def test_nan_row_named(self, pendulum, rng):
+        for model, n in self._cases(pendulum):
+            zs = rng.uniform(-1.0, 1.0, size=(5, 2 * n + 2))
+            zs[3] = np.nan
+            with pytest.raises(EvaluationError) as err:
+                sample_fields(model, zs)
+            assert np.array_equal(err.value.z, zs[3], equal_nan=True), model.name
+
+
 class TestAutonomize:
     @staticmethod
     def _oscillator_classical(omega=1.0):
@@ -338,7 +388,6 @@ class TestFiniteDifferenceAgreement:
         from semint.extphase import finite_difference_model
 
         fd = finite_difference_model(1, pendulum.value, step=1e-6)
-        assert fd.gradient_mode == "finite-difference"
         z = pendulum_state(0.8, -1.1, wp=0.2).coords
         assert np.allclose(fd.gradient(z), pendulum.gradient(z), atol=1e-9)
         assert np.allclose(fd.hessian(z), pendulum.hessian(z), atol=1e-6)
