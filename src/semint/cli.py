@@ -3,8 +3,8 @@
 All commands read a JSON config (``--config``) whose fields can be overridden
 on the command line, and write CSV/JSON artifacts for external plotting.
 Exit codes: 0 success, 1 bad configuration, 2 no trajectory exists at the
-requested start point (the ruling existence case is printed), 3 verification
-failure.
+requested start point (the ruling existence case, or the evaluation or solver
+error that ended the run, is printed), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def _resolve_bounds(cfg, model, fallback_center=None):
         samples = _config_number(block["samples_per_axis"], "bounds.samples_per_axis", integer=True)
         try:
             raw = estimate_bounds(model, center_state, radius, samples)
-        except ParameterError as exc:
+        except (ParameterError, EvaluationError) as exc:
             raise ConfigError(f"bad bounds: {exc}") from exc
     if "save" in block:
         try:
@@ -164,7 +164,13 @@ def _resolve_initial_state(cfg, model):
             init.get("p0", 0.0),
             float(init["lambda_target"]),
         )
-    except (ParameterError, UnsupportedRegionError) as exc:
+    except (
+        ParameterError,
+        UnsupportedRegionError,
+        EvaluationError,
+        NonconvergenceError,
+        LinearSolveError,
+    ) as exc:
         raise ConfigError(f"conjugate-momentum completion failed: {exc}") from exc
     return ExtendedState.from_parts(
         init.get("q0", 0.0), float(init.get("t0", 0.0)), init.get("p0", 0.0), wp0
@@ -263,9 +269,15 @@ def cmd_scan(args) -> int:
         tols = _tolerances(cfg, args)
         if "state" not in cfg:
             raise ConfigError("scan config needs a 'state'")
-        z_k = ExtendedState(np.asarray(cfg["state"], dtype=float), model.n)
-        lo, hi = cfg.get("lambda_range", [-0.15, 0.15])
-        count = int(cfg.get("count", 201))
+        try:
+            z_k = ExtendedState(np.asarray(cfg["state"], dtype=float), model.n)
+        except (ValueError, TypeError, EvaluationError) as exc:
+            raise ConfigError(f"bad scan state: {exc}") from exc
+        lam_range = cfg.get("lambda_range", [-0.15, 0.15])
+        if not isinstance(lam_range, list) or len(lam_range) != 2:
+            raise ConfigError(f"lambda_range must be a pair [lo, hi], got {lam_range!r}")
+        lo, hi = (_config_number(x, "lambda_range") for x in lam_range)
+        count = _config_number(cfg.get("count", 201), "count", integer=True)
         if count < 2 or not hi > lo:
             raise ConfigError("scan needs count >= 2 and lambda_range with hi > lo")
         _, scaled, constants = _resolve_bounds(cfg, model, fallback_center=z_k)
@@ -294,17 +306,12 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _map_cell(task):
-    """Worker for one map row: returns CSV cells for every q at fixed p.
+def _map_cell(model, constants, qs, p, t, wp_rule):
+    """One map row: CSV cells for every q at fixed p.
 
     The row's states go through one stacked ``sample_fields`` call; each cell
     then only builds its cubic model, its region and its case-table class.
     """
-    (model_spec, qs, p, t, wp_rule, bounds_json, delta, safety, shrink) = task
-    spec = dict(model_spec)
-    model = models.by_name(spec.pop("name"), **spec)
-    raw = bounds_from_json(bounds_json)
-    constants = derive_constants(raw.scaled(safety), delta)
     zs = np.zeros((len(qs), 4))
     zs[:, 0], zs[:, 1], zs[:, 2] = qs, t, p
     if wp_rule.get("kind", "h-zero") == "h-zero":
@@ -321,7 +328,7 @@ def _map_cell(task):
             H_k=H, psi_k=psi, psi_prime_k=psi_prime, K=constants.K, lambda_delta=constants.lambda_delta
         )
         region = classify_region(cubic)
-        vclass = case_table_vertex(cubic, region, constants, shrink=shrink)
+        vclass = case_table_vertex(cubic, region, constants)
         out.append([repr(q), p_text, repr(psi), repr(psi_prime), region.tag, vclass.kind])
     return out
 
@@ -357,7 +364,7 @@ def cmd_map(args) -> int:
             bcfg["radius"] = max(0.5 * (q_max - q_min), 0.5 * (p_max - p_min)) + 0.5
         cfg = dict(cfg)
         cfg["bounds"] = bcfg
-        raw, _, _ = _resolve_bounds(cfg, model, fallback_center=center)
+        _, _, constants = _resolve_bounds(cfg, model, fallback_center=center)
         out = _out_dir(cfg, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -365,15 +372,7 @@ def cmd_map(args) -> int:
 
     qs = np.linspace(q_min, q_max, nq)
     ps = np.linspace(p_min, p_max, npts)
-    model_spec = dict(cfg.get("model", {"name": "pendulum"}))
-    raw_json = bounds_to_json(raw)
-    delta = float(bcfg.get("delta", 0.5))
-    safety = float(bcfg.get("safety", 1.1))
-    tasks = [
-        (dict(model_spec), list(qs), float(p), t, dict(wp_rule), raw_json, delta, safety, 0.9)
-        for p in ps
-    ]
-    chunks = [_map_cell(task) for task in tasks]
+    chunks = [_map_cell(model, constants, qs, float(p), t, wp_rule) for p in ps]
 
     with open(out / "map.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -441,7 +440,10 @@ def main(argv=None) -> int:
     p_verify.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    # non-finite model values surface as EvaluationError; numpy's overflow
+    # warnings would only add lines in front of the one-line error
+    with np.errstate(over="ignore", invalid="ignore"):
+        return args.func(args)
 
 
 if __name__ == "__main__":

@@ -7,10 +7,11 @@ Points split into three regions by the curvature scalars at z_k:
     region III  psi_k = 0, psi'_k != 0
 
 Each region has its own existence/uniqueness case table (labelled EU_1,
-EU_2, EU_3 with roman-numeral cases); ``predict_roots`` evaluates the table
-and ``solve_roots`` searches the intervals the table declares monotone.  In
-region II the search runs in the rescaled variable s = -(psi'_k/psi_k) lambda
-where the table thresholds are stated, with S_k = |psi'_k/psi_k| Lambda_k.
+EU_2, EU_3 with roman-numeral cases).  ``predict_roots`` evaluates the table
+once, interval verdicts and vertex kind together; ``solve_roots`` walks the
+list of search intervals those verdicts give.  In region II the thresholds
+are stated in the rescaled variable s = -(psi'_k/psi_k) lambda, with
+S_k = |psi'_k/psi_k| Lambda_k.
 Roots with |s| > 6/5 are ghost multipliers: they do not vanish as
 H_k/psi_k -> 0+ and make trajectories bifurcate.
 """
@@ -79,6 +80,9 @@ class RootPrediction:
     II.  ``zero_root`` says lambda = 0 solves the constraint (H_k = 0 within
     tolerance).  Ratios falling between a guaranteed-existence and a
     guaranteed-nonexistence threshold come back indeterminate.
+    ``vertex_kind`` is what the same table says the point can be on a
+    trajectory (pass-through, bifurcates, begins-or-ends, none, fixed-point
+    or indeterminate).
     """
 
     region: Region
@@ -91,14 +95,13 @@ class RootPrediction:
     S_k: Optional[float]
     ghost_expected: bool
     ratio: float
-    thresholds: dict = field(default_factory=dict)
+    vertex_kind: str
 
 
 @dataclass
 class RootRecord:
     lam: float
     residual: float
-    interval: tuple[float, float]
     provenance: str  # "theorem" | "scan"
     is_ghost: bool
     s: Optional[float] = None
@@ -122,7 +125,6 @@ class MultiplierSet:
     lambda_zero: Optional[float] = None
     roots: list[RootRecord] = field(default_factory=list)
     residuals: dict = field(default_factory=dict)
-    brackets: list[tuple[float, float, str]] = field(default_factory=list)
     unsearched: list[tuple[float, float, str]] = field(default_factory=list)
 
 
@@ -200,61 +202,58 @@ def predict_roots(
     psi, psip = region.psi_k, region.psi_prime_k
     zero_root = abs(H) <= tol_g
 
+    S, ghost = None, "not-applicable"
     if region.tag == "I":
-        return _predict_region1(region, H, psi, lam_cap, zero_root, tol_g)
-    if region.tag == "II":
-        return _predict_region2(region, H, psi, psip, lam_cap, zero_root, tol_g)
-    if region.tag == "III":
-        return _predict_region3(region, H, psip, lam_cap, zero_root, tol_g)
-    raise UnsupportedRegionError("cannot predict roots at a degenerate point")
-
-
-def _predict_region1(region, H, psi, lam_cap, zero_root, tol_g):
-    r = H / psi
-    lo = (3.0 / 32.0) * lam_cap**2
-    hi = (5.0 / 32.0) * lam_cap**2
-    thresholds = {"exists_below": lo, "none_above": hi, "tol_g": tol_g}
-    if zero_root:
-        label, neg, pos = "EU_1(ii)", NONE, NONE
-    elif r < 0:
-        label, neg, pos = "EU_1(i)", NONE, NONE
-    elif r < lo:
-        label, neg, pos = "EU_1(iii)", EXISTS_UNIQUE, EXISTS_UNIQUE
-    elif r > hi:
-        label, neg, pos = "EU_1(iv)", NONE, NONE
+        r = H / psi
+        label, neg, pos, kind = _predict_region1(r, lam_cap, zero_root)
+    elif region.tag == "II":
+        r, S = H / psi, abs(psip / psi) * lam_cap
+        label, neg, pos, ghost, kind = _predict_region2(r, psi, psip, S, lam_cap, zero_root)
+    elif region.tag == "III":
+        r = H / psip
+        label, neg, pos, kind = _predict_region3(r, lam_cap, zero_root)
     else:
-        label, neg, pos = "EU_1(indeterminate)", INDETERMINATE, INDETERMINATE
+        raise UnsupportedRegionError("cannot predict roots at a degenerate point")
     return RootPrediction(
         region=region,
         case_label=label,
         neg_interval=neg,
         pos_interval=pos,
-        ghost_verdict="not-applicable",
+        ghost_verdict=ghost,
         zero_root=zero_root,
         capital_lambda=lam_cap,
-        S_k=None,
-        ghost_expected=False,
+        S_k=S,
+        ghost_expected=ghost == EXISTS,
         ratio=r,
-        thresholds=thresholds,
+        vertex_kind=kind,
     )
 
 
-def _predict_region2(region, H, psi, psip, lam_cap, zero_root, tol_g):
-    r = H / psi
-    S = abs(psip / psi) * lam_cap
+def _predict_region1(r, lam_cap, zero_root):
+    """EU_1: (case label, neg verdict, pos verdict, vertex kind)."""
+    lo = (3.0 / 32.0) * lam_cap**2
+    hi = (5.0 / 32.0) * lam_cap**2
+    if zero_root:
+        label, neg, pos, kind = "EU_1(ii)", NONE, NONE, "fixed-point"
+    elif r < 0:
+        label, neg, pos, kind = "EU_1(i)", NONE, NONE, "none"
+    elif r < lo:
+        label, neg, pos, kind = "EU_1(iii)", EXISTS_UNIQUE, EXISTS_UNIQUE, "pass-through"
+    elif r > hi:
+        label, neg, pos, kind = "EU_1(iv)", NONE, NONE, "none"
+    else:
+        label, neg, pos, kind = "EU_1(indeterminate)", INDETERMINATE, INDETERMINATE, "indeterminate"
+    return label, neg, pos, kind
+
+
+def _predict_region2(r, psi, psip, S, lam_cap, zero_root):
+    """EU_2: (case label, neg verdict, pos verdict, ghost verdict, vertex kind)."""
     ratio2 = (psi / psip) ** 2
     t_neg_side = lam_cap**2 * (6.0 + S) / 48.0      # s in (-S, 0) exists below this
     t_pos_small = lam_cap**2 * (2.0 - S) / 16.0     # s in (0, S) exists below this, S < 6/5
     t_pos_large = (9.0 / 125.0) * ratio2            # s in [0, 6/5) exists below this, S >= 6/5
     t_none = (2.0 / 3.0) * ratio2                   # no root in (0, S) above this
     t_ghost_neg = lam_cap**2 * (6.0 - S) / 48.0     # ghost exists for r above this (S > 6)
-    thresholds = {
-        "neg_side_exists_below": t_neg_side,
-        "pos_side_exists_below": t_pos_small if S < GHOST_S_EDGE else t_pos_large,
-        "pos_side_none_above": t_none,
-        "ghost_exists_above": t_ghost_neg,
-        "tol_g": tol_g,
-    }
 
     # verdicts for the s-intervals, then mapped onto lambda signs
     cases = []
@@ -311,55 +310,41 @@ def _predict_region2(region, H, psi, psip, lam_cap, zero_root, tol_g):
                 ghost = INDETERMINATE
 
     label = "EU_2(" + (",".join(cases) if cases else "indeterminate") + ")"
+    pair = s_neg == EXISTS_UNIQUE and s_pos == EXISTS_UNIQUE
+    if not (S < GHOST_S_EDGE or S > 6.0):
+        kind = "indeterminate"  # 6/5 <= S <= 6: outside the quantified windows
+    elif zero_root:  # for S > 6 the fixed point comes with a ghost branch
+        kind = "fixed-point" if S < GHOST_S_EDGE else "bifurcates"
+    elif pair:  # so does the regular pair
+        kind = "pass-through" if S < GHOST_S_EDGE else "bifurcates"
+    elif r < 0 and S < GHOST_S_EDGE:
+        kind = "none"
+    elif r < 0 and ghost == EXISTS:  # case (iii): only the ghost branch
+        kind = "begins-or-ends"
+    else:
+        kind = "indeterminate"
     # s > 0 corresponds to lambda = -(psi/psip) s
     c = -psi / psip
     if c > 0:
-        pos_iv, neg_iv = s_pos, s_neg
-    else:
-        pos_iv, neg_iv = s_neg, s_pos
-    return RootPrediction(
-        region=region,
-        case_label=label,
-        neg_interval=neg_iv,
-        pos_interval=pos_iv,
-        ghost_verdict=ghost,
-        zero_root=zero_root,
-        capital_lambda=lam_cap,
-        S_k=S,
-        ghost_expected=ghost == EXISTS,
-        ratio=r,
-        thresholds=thresholds,
-    )
+        return label, s_neg, s_pos, ghost, kind
+    return label, s_pos, s_neg, ghost, kind
 
 
-def _predict_region3(region, H, psip, lam_cap, zero_root, tol_g):
-    r = H / psip
+def _predict_region3(r, lam_cap, zero_root):
+    """EU_3: (case label, neg verdict, pos verdict, vertex kind)."""
     lo = lam_cap**3 / 48.0
     hi = lam_cap**3 / 16.0
-    thresholds = {"exists_below": lo, "none_above": hi, "tol_g": tol_g}
     if zero_root:
-        label, neg, pos = "EU_3(iii)", NONE, NONE
+        label, neg, pos, kind = "EU_3(iii)", NONE, NONE, "fixed-point"
     elif 0 < r < lo:
-        label, neg, pos = "EU_3(ii)", NONE, EXISTS_UNIQUE
+        label, neg, pos, kind = "EU_3(ii)", NONE, EXISTS_UNIQUE, "begins-or-ends"
     elif -lo < r < 0:
-        label, neg, pos = "EU_3(i)", EXISTS_UNIQUE, NONE
+        label, neg, pos, kind = "EU_3(i)", EXISTS_UNIQUE, NONE, "begins-or-ends"
     elif abs(r) > hi:
-        label, neg, pos = "EU_3(iv)", NONE, NONE
+        label, neg, pos, kind = "EU_3(iv)", NONE, NONE, "none"
     else:
-        label, neg, pos = "EU_3(indeterminate)", INDETERMINATE, INDETERMINATE
-    return RootPrediction(
-        region=region,
-        case_label=label,
-        neg_interval=neg,
-        pos_interval=pos,
-        ghost_verdict="not-applicable",
-        zero_root=zero_root,
-        capital_lambda=lam_cap,
-        S_k=None,
-        ghost_expected=False,
-        ratio=r,
-        thresholds=thresholds,
-    )
+        label, neg, pos, kind = "EU_3(indeterminate)", INDETERMINATE, INDETERMINATE, "indeterminate"
+    return label, neg, pos, kind
 
 
 def _bisect_then_polish(curve, a, b, fa, fb, tol_lambda, tol_g, max_newton=30):
@@ -396,18 +381,6 @@ def _bisect_then_polish(curve, a, b, fa, fb, tol_lambda, tol_g, max_newton=30):
     return (lam, abs(val)) if abs(val) <= tol_g else None
 
 
-def _search_monotone(curve, a, b, tol_lambda, tol_g):
-    """Endpoint sign test on a monotone interval, then bisect + polish."""
-    fa, fb = curve.g(a), curve.g(b)
-    if fa == 0.0:
-        return a, 0.0
-    if fb == 0.0:
-        return b, 0.0
-    if (fa < 0) == (fb < 0):
-        return None
-    return _bisect_then_polish(curve, a, b, fa, fb, tol_lambda, tol_g)
-
-
 def _scan_interval(curve, a, b, points, tol_lambda, tol_g):
     """Dense scan for sign changes, bisecting and polishing each bracket."""
     xs = np.linspace(a, b, points)
@@ -425,6 +398,57 @@ def _scan_interval(curve, a, b, points, tol_lambda, tol_g):
     return found
 
 
+@dataclass(frozen=True)
+class _SearchInterval:
+    """One lambda interval for solve_roots, with what the case table says of it."""
+
+    a: float
+    b: float
+    verdict: str
+    where: str  # suffix of the "midpoint solve failed" message
+    is_ghost: bool = False
+    in_window: bool = True
+    c: Optional[float] = None  # lambda per s-unit in region II
+
+
+def _search_intervals(prediction, extend_to, extend_sides):
+    """The intervals solve_roots searches, in the order it searches them.
+
+    Regions I and III give (-Lambda, 0) and (0, Lambda); region II gives
+    s in (-S, 0), s in (0, min(6/5, S)) and the ghost zone s in (6/5, S);
+    ``none`` verdicts drop out.  The extension annuli past Lambda follow.
+    """
+    lam_cap = prediction.capital_lambda
+    region = prediction.region
+    if region.tag in ("I", "III"):
+        sides = [(-lam_cap, 0.0, prediction.neg_interval), (0.0, lam_cap, prediction.pos_interval)]
+        out = [_SearchInterval(a, b, verdict, "") for a, b, verdict in sides if verdict != NONE]
+    elif region.tag == "II":
+        c = -region.psi_k / region.psi_prime_k  # lambda = c * s
+        S = prediction.S_k
+        s_neg, s_pos = prediction.neg_interval, prediction.pos_interval
+        if not c > 0:  # s > 0 is lambda < 0
+            s_neg, s_pos = s_pos, s_neg
+        ghost = prediction.ghost_verdict if S > GHOST_S_EDGE else NONE
+        zones = [
+            (-S, 0.0, s_neg, " in s<0", False),
+            (0.0, min(GHOST_S_EDGE, S), s_pos, " in s>0", False),
+            (GHOST_S_EDGE, S, ghost, " in ghost zone", True),  # never exists-unique: scanned
+        ]
+        out = []
+        for sa, sb, verdict, where, is_ghost in zones:
+            if verdict != NONE:
+                a, b = sorted((c * sa, c * sb))
+                out.append(_SearchInterval(a, b, verdict, where, is_ghost, c=c))
+    else:
+        raise UnsupportedRegionError("solve_roots needs a non-degenerate prediction")
+    if extend_to is not None and extend_to > lam_cap:
+        for side, a, b in (("neg", -extend_to, -lam_cap), ("pos", lam_cap, extend_to)):
+            if extend_sides in ("both", side):
+                out.append(_SearchInterval(a, b, INDETERMINATE, " in extension", in_window=False))
+    return out
+
+
 def solve_roots(
     model: HamiltonianModel,
     z_k: ExtendedState,
@@ -438,11 +462,15 @@ def solve_roots(
 ) -> MultiplierSet:
     """Find the multipliers the prediction allows inside [-Lambda, Lambda].
 
-    Intervals with a ``none`` verdict are trusted and skipped.  Indeterminate
-    intervals fall back to a dense scan (provenance "scan" on anything found
-    there).  In region II the search runs in s-units; the unguaranteed band
-    s in (6/5, 6) is always scanned rather than bracket-searched, and roots
-    beyond |s| = 6/5 are recorded as ghosts.
+    One loop walks the search intervals of the prediction.  Intervals with
+    a ``none`` verdict are trusted and skipped.  An ``exists-unique``
+    interval gets an endpoint sign test, then bisection and Newton polish
+    (provenance "theorem").  Every other interval, and an ``exists-unique``
+    one whose endpoint test loses the root to float noise, is densely
+    scanned (provenance "scan").  In region II the intervals are cut in
+    s-units; the ghost zone s in (6/5, S) is always scanned and its roots are
+    recorded as ghosts.  An interval where a midpoint solve fails is listed
+    in ``unsearched``.
 
     By default the search stops at the case-table window.  ``extend_to``
     additionally scans the annulus between Lambda and the given radius
@@ -452,102 +480,31 @@ def solve_roots(
     "neg" multipliers.
     """
     curve = ConstraintCurve(model, z_k, tol=solver_tol)
-    lam_cap = prediction.capital_lambda
     result = MultiplierSet()
     if prediction.zero_root:
         result.lambda_zero = 0.0
         result.residuals["zero"] = abs(curve.g(0.0))
 
-    region = prediction.region
     records: list[RootRecord] = []
-
-    if region.tag in ("I", "III"):
-        for side, verdict in (("neg", prediction.neg_interval), ("pos", prediction.pos_interval)):
-            a, b = (-lam_cap, 0.0) if side == "neg" else (0.0, lam_cap)
-            if verdict == NONE:
-                continue
-            try:
-                if verdict == EXISTS_UNIQUE:
-                    result.brackets.append((a, b, "theorem"))
-                    hit = _search_monotone(curve, a, b, tol_lambda, tol_g)
-                    if hit is None:
-                        hits = _scan_interval(curve, a, b, scan_points, tol_lambda, tol_g)
-                        for lam, res in hits:
-                            records.append(RootRecord(lam, res, (a, b), "scan", False))
-                    else:
-                        records.append(RootRecord(hit[0], hit[1], (a, b), "theorem", False))
-                else:  # indeterminate between the theorem thresholds
-                    result.brackets.append((a, b, "scan"))
-                    for lam, res in _scan_interval(curve, a, b, scan_points, tol_lambda, tol_g):
-                        records.append(RootRecord(lam, res, (a, b), "scan", False))
-            except (NonconvergenceError, LinearSolveError):
-                result.unsearched.append((a, b, "midpoint solve failed"))
-    elif region.tag == "II":
-        c = -region.psi_k / region.psi_prime_k  # lambda = c * s
-        S = prediction.S_k
-
-        def s_curve_root(sa, sb, verdict, label):
-            la, lb = sorted((c * sa, c * sb))
-            try:
-                if verdict == EXISTS_UNIQUE:
-                    result.brackets.append((la, lb, "theorem"))
-                    hit = _search_monotone(curve, la, lb, tol_lambda, tol_g)
-                    if hit is not None:
-                        return [(hit, "theorem")]
-                    # endpoint test can lose a guaranteed root to float noise
-                result.brackets.append((la, lb, "scan"))
-                return [
-                    (hit, "scan")
-                    for hit in _scan_interval(curve, la, lb, scan_points, tol_lambda, tol_g)
-                ]
-            except (NonconvergenceError, LinearSolveError):
-                result.unsearched.append((la, lb, f"midpoint solve failed in {label}"))
-                return []
-
-        # near zone: s in (-S, 0) and (0, min(6/5, S))
-        if prediction.neg_interval != NONE or prediction.pos_interval != NONE:
-            near_hi = min(GHOST_S_EDGE, S)
-            sneg_verdict = prediction.neg_interval if c > 0 else prediction.pos_interval
-            spos_verdict = prediction.pos_interval if c > 0 else prediction.neg_interval
-            if sneg_verdict != NONE:
-                for hit, prov in s_curve_root(-S, 0.0, sneg_verdict, "s<0"):
-                    records.append(
-                        RootRecord(hit[0], hit[1], tuple(sorted((c * -S, 0.0))), prov, False, s=hit[0] / c)
-                    )
-            if spos_verdict != NONE:
-                for hit, prov in s_curve_root(0.0, near_hi, spos_verdict, "s>0"):
-                    records.append(
-                        RootRecord(hit[0], hit[1], tuple(sorted((0.0, c * near_hi))), prov, False, s=hit[0] / c)
-                    )
-        # ghost zone: s in (6/5, S), scanned (monotonicity only holds past 6)
-        if S > GHOST_S_EDGE and prediction.ghost_verdict in (EXISTS, INDETERMINATE):
-            la, lb = sorted((c * GHOST_S_EDGE, c * S))
-            result.brackets.append((la, lb, "ghost-scan"))
-            try:
-                for lam, res in _scan_interval(curve, la, lb, scan_points, tol_lambda, tol_g):
-                    records.append(
-                        RootRecord(lam, res, (la, lb), "scan", True, s=lam / c)
-                    )
-            except (NonconvergenceError, LinearSolveError):
-                result.unsearched.append((la, lb, "midpoint solve failed in ghost zone"))
-    else:
-        raise UnsupportedRegionError("solve_roots needs a non-degenerate prediction")
-
-    if extend_to is not None and extend_to > lam_cap:
-        annuli = []
-        if extend_sides in ("both", "neg"):
-            annuli.append((-extend_to, -lam_cap))
-        if extend_sides in ("both", "pos"):
-            annuli.append((lam_cap, extend_to))
-        for a, b in annuli:
-            result.brackets.append((a, b, "extension-scan"))
-            try:
-                for lam, res in _scan_interval(curve, a, b, scan_points, tol_lambda, tol_g):
-                    records.append(
-                        RootRecord(lam, res, (a, b), "scan", False, in_window=False)
-                    )
-            except (NonconvergenceError, LinearSolveError):
-                result.unsearched.append((a, b, "midpoint solve failed in extension"))
+    for iv in _search_intervals(prediction, extend_to, extend_sides):
+        try:
+            hits, provenance = [], "theorem"
+            if iv.verdict == EXISTS_UNIQUE:
+                fa, fb = curve.g(iv.a), curve.g(iv.b)
+                if fa == 0.0 or fb == 0.0:
+                    hits = [(iv.a if fa == 0.0 else iv.b, 0.0)]
+                elif (fa < 0) != (fb < 0):
+                    hit = _bisect_then_polish(curve, iv.a, iv.b, fa, fb, tol_lambda, tol_g)
+                    hits = [] if hit is None else [hit]
+            if not hits:
+                hits = _scan_interval(curve, iv.a, iv.b, scan_points, tol_lambda, tol_g)
+                provenance = "scan"
+        except (NonconvergenceError, LinearSolveError):
+            result.unsearched.append((iv.a, iv.b, "midpoint solve failed" + iv.where))
+            continue
+        for lam, res in hits:
+            s = None if iv.c is None else lam / iv.c
+            records.append(RootRecord(lam, res, provenance, iv.is_ghost, s, iv.in_window))
 
     # dedupe near-identical roots (a scan can bracket the same zero twice)
     records.sort(key=lambda rec: rec.lam)

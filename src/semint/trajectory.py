@@ -22,6 +22,7 @@ from .bounds import DerivedConstants, RegionBounds
 from .constraint import ConstraintCurve, CubicModel, cubic_model
 from .decoupler import solve_midpoint_coords
 from .errors import (
+    EvaluationError,
     LinearSolveError,
     NonconvergenceError,
     ParameterError,
@@ -37,7 +38,6 @@ from .extphase import (
     sample_fields,
 )
 from .multiplier import (
-    GHOST_S_EDGE,
     INDETERMINATE,
     Region,
     classify_region,
@@ -312,8 +312,9 @@ def propagate(
     """March forward up to n_steps, logging bifurcation/termination events.
 
     Stops early at a fixed point (lambda = 0 would loop forever), when no
-    forward multiplier exists (terminated), or once the vertex time passes
-    t_stop.
+    forward multiplier exists or the step cannot be evaluated or solved
+    (terminated; the detail names the case or the exception), or once the
+    vertex time passes t_stop.
     """
     if n_steps < 1:
         raise ParameterError(f"need n_steps >= 1, got {n_steps}")
@@ -334,6 +335,9 @@ def propagate(
         except StepNonexistenceError as exc:
             label = exc.prediction.case_label if exc.prediction is not None else "degenerate"
             traj.events.append(TrajectoryEvent(k, "terminated", label))
+            break
+        except (EvaluationError, NonconvergenceError, LinearSolveError) as exc:
+            traj.events.append(TrajectoryEvent(k, "terminated", f"{type(exc).__name__}: {exc}"))
             break
         if result.fixed_point:
             traj.events.append(
@@ -398,69 +402,22 @@ def case_table_vertex(
     shrink: float = 0.9,
     tol_g: float = 1e-12,
 ) -> VertexClass:
-    """The vertex class the case tables give a cubic model in its region."""
+    """The vertex class the case tables give a cubic model in its region.
+
+    ``predict_roots`` decides the kind along with the interval verdicts;
+    only the degenerate point, which has no table, is handled here.
+    """
     if region.tag == "degenerate":
         return VertexClass("degenerate", None, None, None, region.tag, "degenerate")
     prediction = predict_roots(region, cubic, constants, shrink=shrink, tol_g=tol_g)
-    lam_cap = prediction.capital_lambda
-    r = prediction.ratio
-
-    if region.tag == "I":
-        if prediction.zero_root:
-            kind = "fixed-point"
-        elif r < 0 or r > prediction.thresholds["none_above"]:
-            kind = "none"
-        elif r < prediction.thresholds["exists_below"]:
-            kind = "pass-through"
-        else:
-            kind = "indeterminate"
-        return VertexClass(kind, r, "H/psi", lam_cap, region.tag, prediction.case_label)
-
-    if region.tag == "II":
-        S = prediction.S_k
-        if S < GHOST_S_EDGE:
-            # behaves like the large-psi cases: no ghost zone in the window
-            if prediction.zero_root:
-                kind = "fixed-point"
-            elif r < 0:
-                kind = "none"
-            elif (
-                r < prediction.thresholds["neg_side_exists_below"]
-                and r < prediction.thresholds["pos_side_exists_below"]
-            ):
-                kind = "pass-through"
-            else:
-                kind = "indeterminate"
-        elif S > 6.0:
-            if prediction.zero_root:
-                kind = "bifurcates"  # fixed point plus a ghost branch
-            elif r < 0:
-                kind = (
-                    "begins-or-ends"
-                    if r > prediction.thresholds["ghost_exists_above"]
-                    else "indeterminate"
-                )
-            elif (
-                r < prediction.thresholds["neg_side_exists_below"]
-                and r < prediction.thresholds["pos_side_exists_below"]
-            ):
-                kind = "bifurcates"  # regular pair plus a ghost branch
-            else:
-                kind = "indeterminate"
-        else:
-            kind = "indeterminate"  # 6/5 <= S <= 6: outside the quantified windows
-        return VertexClass(kind, r, "H/psi", lam_cap, region.tag, prediction.case_label)
-
-    # region III
-    if prediction.zero_root:
-        kind = "fixed-point"
-    elif abs(r) > prediction.thresholds["none_above"]:
-        kind = "none"
-    elif 0 < abs(r) < prediction.thresholds["exists_below"]:
-        kind = "begins-or-ends"
-    else:
-        kind = "indeterminate"
-    return VertexClass(kind, r, "H/psi_prime", lam_cap, region.tag, prediction.case_label)
+    return VertexClass(
+        prediction.vertex_kind,
+        prediction.ratio,
+        "H/psi_prime" if region.tag == "III" else "H/psi",
+        prediction.capital_lambda,
+        region.tag,
+        prediction.case_label,
+    )
 
 
 def symplectic_defect(

@@ -164,6 +164,32 @@ class TestRunConfigErrors:
         assert_config_error(run_cli("run", "--config", cfg))
 
 
+class TestRunEvaluationErrors:
+    """Start states the oscillator cannot evaluate: a clean exit, never a traceback."""
+
+    def _run(self, tmp_path, initial, bounds=None):
+        payload = {"model": {"name": "oscillator"}, "initial": initial, "steps": 5,
+                   "out": str(tmp_path / "out")}
+        if bounds is not None:
+            payload["bounds"] = bounds
+        return run_cli("run", "--config", write_config(tmp_path, "run.json", payload))
+
+    def test_conjugate_momentum_completion(self, tmp_path):
+        assert_config_error(self._run(tmp_path, {"q0": 1e200, "p0": 0.5, "lambda_target": 0.1}))
+
+    def test_bounds_around_start_state(self, tmp_path):
+        assert_config_error(self._run(tmp_path, {"state": [1e200, 0.0, 0.0, 0.0]}))
+
+    def test_first_step_terminates_run(self, tmp_path):
+        proc = self._run(tmp_path, {"state": [1e200, 0.0, 0.0, 0.0]}, bounds=BOUNDS_BLOCK)
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        assert "EvaluationError" in proc.stdout
+        events = json.loads((tmp_path / "out" / "events.json").read_text())["events"]
+        assert [e["kind"] for e in events] == ["terminated"]
+        assert events[0]["index"] == 0 and events[0]["detail"].startswith("EvaluationError: ")
+
+
 def _bounds_config(tmp_path, command, bounds):
     """A small run or map config with the given bounds block."""
     payload = {"model": {"name": "pendulum"}, "bounds": bounds, "out": str(tmp_path / "out")}
@@ -206,6 +232,19 @@ class TestBoundsConfigErrors:
         for command in ("run", "scan", "map"):
             bounds = dict(BOUNDS_BLOCK, **override)
             assert_config_error(run_cli(command, "--config", _bounds_config(tmp_path, command, bounds)))
+
+
+class TestScanConfigErrors:
+    @pytest.mark.parametrize(
+        "override",
+        [{"state": [0.0, 0.0, 1.0]}, {"lambda_range": [0.1]}, {"count": "many"}],
+        ids=["state-wrong-length", "lambda-range-one-value", "count-non-numeric"],
+    )
+    def test_bad_value(self, tmp_path, override):
+        payload = {"model": {"name": "pendulum"}, "state": [0.0, 0.0, 1.0, 0.501],
+                   "bounds": BOUNDS_BLOCK, "out": str(tmp_path / "out")}
+        payload.update(override)
+        assert_config_error(run_cli("scan", "--config", write_config(tmp_path, "scan.json", payload)))
 
 
 class TestScan:
@@ -395,6 +434,42 @@ class TestMapGolden:
         assert Counter(r[4] for r in rows) == regions
         assert Counter(r[5] for r in rows) == classes
         assert hashlib.sha256(data).hexdigest() == digest
+
+
+# SHA-256 of the artifacts of a 300-step criterion-1 run and of a default
+# scan, recorded before solve_roots became one loop over its search intervals
+GOLDEN_RUN = {
+    "payload": {
+        "model": {"name": "pendulum"},
+        "initial": {"q0": 1.0, "p0": 0.5, "t0": 0.0, "lambda_target": 0.1},
+        "steps": 300,
+        "bounds": {"center": [0.0, 0.0, 0.0, 0.0], "radius": 2.5, "samples_per_axis": 17},
+    },
+    "trajectory.csv": "e17328145c89edb44af33bbb578683f4dc44f44d7fda40efd8fcfc6747837bdc",
+    "events.json": "cb2b007f0e46b22f36cb6e82ee5001607f0daf4e469222082db1b9283549cd3d",
+}
+GOLDEN_SCAN = {
+    "payload": {"model": {"name": "pendulum"}, "state": [1.0, 0.0, 0.5, 0.4]},
+    "scan.csv": "42aa9c90c8ef3517700c54082fb65ace0a7d1b3156414ef4d853d611c62aaf63",
+}
+
+
+class TestRunScanGolden:
+    def test_run_artifacts_unchanged(self, tmp_path):
+        cfg = write_config(tmp_path, "run.json", dict(GOLDEN_RUN["payload"], out=str(tmp_path)))
+        proc = run_cli("run", "--config", cfg)
+        assert proc.returncode == 0, proc.stderr
+        for name in ("trajectory.csv", "events.json"):
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == GOLDEN_RUN[name]
+
+    def test_scan_csv_unchanged(self, tmp_path):
+        cfg = write_config(tmp_path, "scan.json", dict(GOLDEN_SCAN["payload"], out=str(tmp_path)))
+        proc = run_cli("scan", "--config", cfg)
+        assert proc.returncode == 0, proc.stderr
+        _, rows = read_csv(tmp_path / "scan.csv")
+        assert len(rows) == 201
+        digest = hashlib.sha256((tmp_path / "scan.csv").read_bytes()).hexdigest()
+        assert digest == GOLDEN_SCAN["scan.csv"]
 
 
 class TestMapConfigErrors:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -538,3 +540,83 @@ class TestGhostCheck:
         cubic = make_cubic(H=-1.0, psi=1.0)
         with pytest.raises(PreconditionError):
             ghost_check([None], [cubic], pendulum_scaled)
+
+
+def _exact(*values):
+    """repr of each value with numbers as plain floats (exact round trip)."""
+    return repr(tuple(v if v is None or isinstance(v, (str, bool)) else float(v) for v in values))
+
+
+def _roots_text(result):
+    """Every observable field of a MultiplierSet, floats written exactly."""
+    lines = [
+        _exact(result.lambda_minus, result.lambda_plus, result.lambda_ghost, result.lambda_zero),
+        _exact(*(v for item in sorted(result.residuals.items()) for v in item)),
+    ]
+    lines += [_exact(*interval) for interval in result.unsearched]
+    for rec in result.roots:
+        lines.append(_exact(rec.lam, rec.residual, rec.provenance, rec.is_ghost, rec.s, rec.in_window))
+    return "\n".join(lines)
+
+
+class TestSolveRootsPinned:
+    """Exact solve_roots results at pendulum points in every case-table region.
+
+    Each point runs under no extension, under an extension to lambda_delta on
+    both sides, the positive side and the negative side, and with a solver
+    tolerance no midpoint solve can meet.  The digest covers every root's
+    lambda, residual, provenance, ghost flag, s and in-window flag, the
+    lambda_* summary, the residuals and the unsearched intervals.
+    """
+
+    POINTS = {
+        "I-inside": (0.0, 1.0, 0.5000254488128532),  # EU_1(iii)
+        "I-beyond": (0.0, 1.0, 0.501),  # EU_1(iv): roots only past Lambda_k
+        "I-indeterminate": (0.0, 1.0, 0.5000678635009418),  # EU_1(indeterminate)
+        "I-negative": (0.0, 1.0, 0.4),  # EU_1(i)
+        "zero-root": (0.0, 1.0, 0.5),  # EU_1(ii)
+        "II-small-S": (2.0, 1.3995570670161739, -1.3955268239753231),  # EU_2(iv,v), S = 0.64
+        # S = 7.8 at H/psi = 1e-6, 1e-8 and 1e-10
+        "II-ghost-1e-6": (2.0, 1.4087044144225276, -1.4083708991539006),  # EU_2(iv,vii)
+        "II-ghost-1e-8": (2.0, 1.4087044144225276, -1.4083709001439007),  # EU_2(iv,vi.a,vi.b)
+        "II-ghost-1e-10": (2.0, 1.4087044144225276, -1.4083709001538007),  # EU_2(ii,vi.b)
+        "II-near-III": (1.93, 1.5782623919766807, -1.5969849308969368),  # EU_2(iv)
+        "III+": (2.0, 1.409557067016174, -1.4095723999040441),  # EU_3(ii)
+        "III-": (2.0, 1.409557067016174, -1.4095723983654793),  # EU_3(i)
+    }
+    # recorded before solve_roots became one loop over a search-interval list
+    DIGESTS = {
+        "I-beyond": "50d92750023825f5e6c094dc3c1e13b5cd5d332b10c469022ca4055cc6078041",
+        "I-indeterminate": "577c9911fcf5be56f1cc3c5ce73b86b23336657499ca58993026ca3cf001009f",
+        "I-inside": "42127ac344e6cc19b9ad40a607c9b658754805001449084abbe165fc0bd3859f",
+        "I-negative": "9c587d25070332007c7ed037c4d71324dfb6107be34c7e62b2cea4b2c7fd47a6",
+        "II-ghost-1e-10": "aefd8e8d3091d2b89782625f24b4444f60ee91b55b088911e864c587bc83cffe",
+        "II-ghost-1e-6": "22f0dba1bb040de789f49efb95b029de24b576c133bffb96665e8501237e21dc",
+        "II-ghost-1e-8": "e71322c12445a8d5f5962f84ac97aff4fcd1b242173dc49a0e6015d3d17ea4cc",
+        "II-near-III": "8ea4856e4f57e57f50569f2afcd3efe1a6a1eab9ffa1b9eb2ecd4ada6ed4fecd",
+        "II-small-S": "91767fbe3591ec1dbfbf2c6169b69b473aeae5aa698d37869c244018bfb5d79d",
+        "III+": "88ba5a06c27411d0e3c20b2ddf585f0798b1a94760a82f7d4a459f8e2240e44c",
+        "III-": "278e3e1163b2e1d9cd5eb21ce80d98487e473ebbda83a80d465395e2763dd8e6",
+        "zero-root": "374ec48a3cf5fc842709498bd1629cb597aa44ce704e2750c16e7de2512d4d29",
+    }
+
+    @pytest.mark.parametrize("name", sorted(POINTS))
+    def test_records_unchanged(self, pendulum, pendulum_constants, name):
+        q, p, wp = self.POINTS[name]
+        z = pendulum_state(q, p, wp=wp)
+        cubic = cubic_model(pendulum, z, pendulum_constants)
+        pred = predict_roots(classify_region(cubic), cubic, pendulum_constants)
+        texts = [_roots_text(solve_roots(pendulum, z, pred))]
+        for sides in ("both", "pos", "neg"):
+            got = solve_roots(
+                pendulum, z, pred, extend_to=pendulum_constants.lambda_delta, extend_sides=sides
+            )
+            texts.append(_roots_text(got))
+        # no midpoint solve can meet this tolerance: every searched interval
+        # comes back unsearched
+        failing = solve_roots(
+            pendulum, z, pred, solver_tol=1e-300, extend_to=pendulum_constants.lambda_delta
+        )
+        texts.append(_roots_text(failing))
+        text = f"{pred.case_label}\n" + "\n--\n".join(texts)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[name], text

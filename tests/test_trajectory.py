@@ -1,12 +1,18 @@
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from semint import models
-from semint.bounds import derive_constants, estimate_bounds
+from semint.bounds import DerivedConstants, derive_constants, estimate_bounds
+from semint.constraint import CubicModel
 from semint.errors import ParameterError, StepNonexistenceError, UnsupportedRegionError
 from semint.extphase import ExtendedState, apply_J, eval_gradient, eval_value, sample_fields
+from semint.multiplier import classify_region
 from semint.trajectory import (
     StepOptions,
+    case_table_vertex,
     choose_conjugate_momentum,
     classify_vertex,
     conservation_report,
@@ -122,6 +128,19 @@ class TestPropagate:
         assert traj.vertices[-1].t >= 2.0
         assert traj.vertices[-2].t < 2.0 + 0.2
 
+    def test_evaluation_error_terminates(self):
+        # the oscillator overflows at q = 1e200: the run ends with a
+        # terminated event naming the exception instead of raising it
+        model = models.oscillator()
+        center = pendulum_state(0.0, 0.0)
+        scaled = estimate_bounds(model, center, 2.0, 5).scaled(1.1)
+        opts = StepOptions(bounds=scaled, constants=derive_constants(scaled, 0.5))
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = propagate(model, pendulum_state(1e200, 0.0), 5, opts)
+        assert len(traj.vertices) == 1 and traj.multipliers == []
+        assert [(e.index, e.kind) for e in traj.events] == [(0, "terminated")]
+        assert traj.events[0].detail.startswith("EvaluationError: ")
+
     def test_rejects_zero_steps(self, pend_opts):
         model, opts = pend_opts
         with pytest.raises(ParameterError):
@@ -235,6 +254,39 @@ class TestClassifyVertex:
         model, opts = pend_opts
         vc = classify_vertex(model, pendulum_state(0, 0, wp=1.0), opts.bounds, opts.constants)
         assert vc.kind == "degenerate"
+
+
+# recorded before case_table_vertex took its kind from predict_roots
+SWEEP_DIGEST = "fafbdd39a7043b37110ae0d1f4b90c5536c541c29355d81ff3ae8ee9d4c6dfc5"
+
+
+def test_case_table_sweep_pinned():
+    """Every field of case_table_vertex over a synthetic cubic-model sweep.
+
+    About 32k cells: psi and psi' at 0 and at +-powers of ten, H at 0 and
+    +-113 log-spaced magnitudes in [1e-14, 1], all under the unit-bounds
+    constants; every vertex kind occurs.
+    """
+    constants = DerivedConstants(gamma_z=0.0, gamma_h=0.0, K=0.28125, lambda_delta=0.375, delta=0.5)
+    psis = [0.0] + [s * 10.0**e for e in (-6, -4, -3, -2, -1, 0) for s in (1, -1)]
+    psi_primes = [0.0] + [s * 10.0**e for e in (-3, -1, 0, 0.5, 1) for s in (1, -1)]
+    Hs = [0.0] + [s * 10.0**e for e in np.linspace(-14, 0, 113).tolist() for s in (1, -1)]
+    digest = hashlib.sha256()
+    kinds = Counter()
+    for psi in psis:
+        for psip in psi_primes:
+            for H in Hs:
+                cubic = CubicModel(H_k=H, psi_k=psi, psi_prime_k=psip, K=constants.K,
+                                   lambda_delta=constants.lambda_delta)
+                vc = case_table_vertex(cubic, classify_region(cubic), constants)
+                line = (f"{vc.kind}|{vc.case_label}|{vc.ratio!r}|{vc.capital_lambda!r}"
+                        f"|{vc.ratio_kind}|{vc.region_tag}\n")
+                digest.update(line.encode())
+                kinds[vc.kind] += 1
+    assert set(kinds) == {"pass-through", "bifurcates", "begins-or-ends", "none",
+                          "fixed-point", "indeterminate", "degenerate"}
+    assert sum(kinds.values()) == 32461
+    assert digest.hexdigest() == SWEEP_DIGEST
 
 
 class TestGhostPolicy:
