@@ -96,6 +96,11 @@ def _config_number(value, name, integer=False):
     return number
 
 
+def _config_vector(value, name):
+    """A list of finite floats from a config number or list of numbers."""
+    return [_config_number(x, name) for x in (value if isinstance(value, list) else [value])]
+
+
 def _resolve_bounds(cfg, model, fallback_center=None):
     """Build (raw bounds, safety-scaled bounds, derived constants)."""
     block = dict(DEFAULT_BOUNDS)
@@ -156,14 +161,12 @@ def _resolve_initial_state(cfg, model):
             return ExtendedState(np.asarray(init["state"], dtype=float), model.n)
         except (ValueError, TypeError, EvaluationError) as exc:
             raise ConfigError(f"bad initial state: {exc}") from exc
+    q0 = _config_vector(init.get("q0", 0.0), "initial.q0")
+    p0 = _config_vector(init.get("p0", 0.0), "initial.p0")
+    t0 = _config_number(init.get("t0", 0.0), "initial.t0")
+    lambda_target = _config_number(init["lambda_target"], "initial.lambda_target")
     try:
-        wp0 = choose_conjugate_momentum(
-            model,
-            init.get("q0", 0.0),
-            float(init.get("t0", 0.0)),
-            init.get("p0", 0.0),
-            float(init["lambda_target"]),
-        )
+        wp0 = choose_conjugate_momentum(model, q0, t0, p0, lambda_target)
     except (
         ParameterError,
         UnsupportedRegionError,
@@ -172,9 +175,7 @@ def _resolve_initial_state(cfg, model):
         LinearSolveError,
     ) as exc:
         raise ConfigError(f"conjugate-momentum completion failed: {exc}") from exc
-    return ExtendedState.from_parts(
-        init.get("q0", 0.0), float(init.get("t0", 0.0)), init.get("p0", 0.0), wp0
-    )
+    return ExtendedState.from_parts(q0, t0, p0, wp0)
 
 
 def _out_dir(cfg, args):
@@ -189,7 +190,9 @@ def cmd_run(args) -> int:
         cfg = _load_config(args.config)
         model = _build_model(cfg)
         tols = _tolerances(cfg, args)
-        steps = args.steps if args.steps is not None else int(cfg.get("steps", 100))
+        steps = args.steps if args.steps is not None else _config_number(
+            cfg.get("steps", 100), "steps", integer=True
+        )
         if steps < 1:
             raise ConfigError(f"steps must be >= 1, got {steps}")
         z0 = _resolve_initial_state(cfg, model)

@@ -8,21 +8,41 @@ live here: the exact derivative dg/dlambda = H_z(z_bar)^T dz_bar/dlambda
 
 whose defect is bounded by K |lambda|^4 for |lambda| <= lambda_delta.  The
 model is reserved for prediction and bracketing.
+
+``ConstraintCurve`` is the one kernel under every warm-started g and g'
+evaluation: the DTH fast path in ``trajectory``, the bisection and Newton
+polish of ``solve_roots``, ``choose_conjugate_momentum``, ``semint scan`` and
+``semint verify``.  Each midpoint solve hands back the H_z(z_bar) its final
+residual was judged with; the curve caches (lambda, z_bar, H_z(z_bar)), so
+the fast path's g' = H_z(z_bar)^T dz_bar/dlambda costs one Hessian and one
+linear solve (a 2x2 Cramer solve on floats for an n = 1 lift), not a second
+gradient.  Warm-start guesses are formed element-wise on floats.  Every
+result is bit-identical to ``g_eval`` / ``g_derivative`` from the same start:
+the kernel drops only argument checks on arrays it built itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .bounds import DerivedConstants
-from .decoupler import midpoint_sensitivity, solve_midpoint_coords, solve_midpoints
+from .decoupler import (
+    _midpoint_newton,
+    _sensitivity,
+    midpoint_sensitivity,
+    solve_midpoint_coords,
+    solve_midpoints,
+)
+from .errors import ParameterError
 from .extphase import (
     ExtendedState,
     HamiltonianModel,
     _eval_stack,
+    _value,
     apply_J as _apply_J_arr,
     eval_gradient,
     eval_value,
@@ -78,45 +98,44 @@ class ConstraintCurve:
         tol: float = 1e-13,
         max_iter: int = 50,
     ):
+        if not tol > 0:
+            raise ParameterError("tol must be positive")
         self.model = model
         self.z = z_k.coords if isinstance(z_k, ExtendedState) else np.asarray(z_k, dtype=float)
         self.tol = tol
         self.max_iter = max_iter
-        self._half_jgrad = 0.5 * _apply_J_arr(eval_gradient(self.model, self.z))
-        self._prev: Optional[tuple[float, np.ndarray]] = None
-        self._last: Optional[tuple[float, np.ndarray]] = None
+        self._half_jgrad = (0.5 * _apply_J_arr(eval_gradient(self.model, self.z))).tolist()
+        # (lambda, z_bar, H_z(z_bar)) of the latest solve and of the one before
+        self._prev: Optional[tuple[float, np.ndarray, np.ndarray]] = None
+        self._last: Optional[tuple[float, np.ndarray, np.ndarray]] = None
 
-    def _initial_guess(self, lam: float) -> Optional[np.ndarray]:
+    def _initial_guess(self, lam: float) -> list[float]:
         # secant extrapolation through the two most recent midpoints, else a
         # half-Euler predictor; both typically save one Newton iteration
-        if self._last is not None:
-            l2, z2 = self._last
-            if self._prev is not None:
-                l1, z1 = self._prev
-                if l1 != l2 and abs(lam - l2) < 0.5:
-                    return z2 + (lam - l2) / (l2 - l1) * (z2 - z1)
-            if abs(lam - l2) < 0.5:
+        if self._last is not None and abs(lam - self._last[0]) < 0.5:
+            l2, z2 = self._last[0], self._last[1].tolist()
+            if self._prev is None:
                 return z2
-        return self.z + lam * self._half_jgrad
+            l1, z1 = self._prev[0], self._prev[1].tolist()
+            s = (lam - l2) / (l2 - l1)  # the two lambdas always differ
+            return [b + s * (b - a) for a, b in zip(z1, z2)]
+        return [x + lam * h for x, h in zip(self.z.tolist(), self._half_jgrad)]
 
-    def _zbar(self, lam: float) -> np.ndarray:
-        if self._last is not None and lam == self._last[0]:
-            return self._last[1]
-        zbar, _, _ = solve_midpoint_coords(
-            self.model,
-            lam,
-            self.z,
-            tol=self.tol,
-            max_iter=self.max_iter,
-            initial=self._initial_guess(lam),
+    def _solve(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
+        """(z_bar, H_z(z_bar)) at lambda; a repeated lambda reuses the last solve."""
+        last = self._last
+        if last is not None and lam == last[0]:
+            return last[1], last[2]
+        if not math.isfinite(lam):
+            raise ParameterError("lambda must be finite")
+        zbar, grad, _, _ = _midpoint_newton(
+            self.model, lam, self.z, self._initial_guess(lam), self.tol, self.max_iter
         )
-        if self._last is not None and self._last[0] != lam:
-            self._prev = self._last
-        self._last = (lam, zbar)
-        return zbar
+        self._prev, self._last = last, (lam, zbar, grad)
+        return zbar, grad
 
     def g(self, lam: float) -> float:
-        return eval_value(self.model, self._zbar(lam))
+        return _value(self.model, self._solve(lam)[0])
 
     def g_grid(self, lams) -> np.ndarray:
         """g at every lambda of a grid: one batched midpoint solve, cold-started.
@@ -127,14 +146,12 @@ class ConstraintCurve:
         return _eval_stack(self.model, zbars, "value")[0]
 
     def g_and_derivative(self, lam: float) -> tuple[float, float]:
-        zbar = self._zbar(lam)
-        val = eval_value(self.model, zbar)
-        grad = eval_gradient(self.model, zbar)
-        slope = float(grad @ midpoint_sensitivity(self.model, lam, zbar, grad=grad))
-        return val, slope
+        zbar, grad = self._solve(lam)
+        val = _value(self.model, zbar)
+        return val, float(grad @ _sensitivity(self.model, lam, zbar, grad))
 
     def midpoint(self, lam: float) -> np.ndarray:
-        return self._zbar(lam).copy()
+        return self._solve(lam)[0].copy()
 
 
 def g_eval(model: HamiltonianModel, lam: float, z_k, tol: float = 1e-12) -> float:

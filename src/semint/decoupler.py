@@ -19,6 +19,14 @@ are then solved in closed form; every other model goes through
 ``np.linalg.solve`` on the full (2n+2)x(2n+2) Jacobian.  Convergence is
 always judged on the full residual.
 
+``_midpoint_newton`` and ``_sensitivity`` are the unchecked cores of
+``solve_midpoint_coords`` and ``midpoint_sensitivity`` for callers that built
+their arrays themselves: ``constraint.ConstraintCurve``, the kernel of the
+DTH fast path.  The Newton core also returns the H_z(z_bar) of its final
+residual, so the fast path's dg/dlambda needs no further gradient call.  The
+cores run the same floating-point operations as the public functions, so
+their results are bit-identical.
+
 ``solve_midpoints`` runs the same Newton iteration for a whole grid of
 lambdas at one z as one masked batch: every row starts at z_bar = z, freezes
 at the first iterate that meets the tolerance, and the rows still active
@@ -44,7 +52,9 @@ from .errors import (
 from .extphase import (
     ExtendedState,
     HamiltonianModel,
+    _check_dim,
     _eval_stack,
+    _hessian,
     apply_J,
     eval_gradient,
     eval_hessian,
@@ -165,21 +175,23 @@ def _solve_midpoint_qp(
     model: HamiltonianModel,
     lam: float,
     z: np.ndarray,
-    z_bar: np.ndarray,
+    start,
     tol: float,
     max_iter: int,
-) -> tuple[np.ndarray, int, float]:
-    """``solve_midpoint_coords`` for n = 1 lifts, iterating on Python floats.
+) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """``_midpoint_newton`` for n = 1 lifts, iterating on Python floats.
 
     The residual is the full four-component one; only the Newton correction
     uses the block structure (t and wp move by -f_t and -f_wp).
     """
     q0, t0, p0, w0 = z.tolist()
-    q, t, p, w = z_bar.tolist()
+    q, t, p, w = start
+    z_bar = np.array([q, t, p, w])
     c = 0.5 * lam
     grad_fn = model.gradient
     for it in range(max_iter + 1):
-        g_q, g_t, g_p, g_w = np.asarray(grad_fn(z_bar), dtype=float).tolist()
+        grad = np.asarray(grad_fn(z_bar), dtype=float)
+        g_q, g_t, g_p, g_w = grad.tolist()
         if not math.isfinite(g_q + g_t + g_p + g_w):
             raise EvaluationError("model gradient is non-finite", z_bar)
         f_q = q - q0 - c * g_p
@@ -188,16 +200,55 @@ def _solve_midpoint_qp(
         f_w = w - w0 + c * g_t
         res = math.sqrt(f_q * f_q + f_t * f_t + f_p * f_p + f_w * f_w)
         if res <= tol:
-            return z_bar, it, res
+            return z_bar, grad, it, res
         if it == max_iter:
             raise NonconvergenceError(
                 f"midpoint solve did not reach tol={tol:g} in {max_iter} iterations",
                 residual=res,
                 iterations=it,
             )
-        d_q, d_p = _solve_qp(eval_hessian(model, z_bar), lam, -f_q, -f_p)
+        d_q, d_p = _solve_qp(_hessian(model, z_bar), lam, -f_q, -f_p)
         q, t, p, w = q + d_q, t - f_t, p + d_p, w - f_w
         z_bar = np.array([q, t, p, w])
+
+
+def _midpoint_newton(
+    model: HamiltonianModel,
+    lam: float,
+    z: np.ndarray,
+    start,
+    tol: float,
+    max_iter: int,
+) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Newton for z_bar from ``start``: (z_bar, H_z(z_bar), iterations, residual).
+
+    ``solve_midpoint_coords`` without its argument checks: ``z`` is a float
+    array of the model's dimension, ``start`` a float sequence of the same
+    length (left unchanged), ``lam`` finite and ``tol`` positive.
+    """
+    if _closed_form(model):
+        return _solve_midpoint_qp(model, lam, z, start, tol, max_iter)
+    z_bar = np.array(start, dtype=float)
+    half = z.size // 2
+    half_lam = 0.5 * lam
+    grad_fn = model.gradient
+    for it in range(max_iter + 1):
+        g = np.asarray(grad_fn(z_bar), dtype=float)
+        if not np.isfinite(g.sum()):
+            raise EvaluationError("model gradient is non-finite", z_bar)
+        f = z_bar - z
+        f[:half] -= half_lam * g[half:]
+        f[half:] += half_lam * g[:half]
+        res = float(np.sqrt(f @ f))
+        if res <= tol:
+            return z_bar, g, it, res
+        if it == max_iter:
+            raise NonconvergenceError(
+                f"midpoint solve did not reach tol={tol:g} in {max_iter} iterations",
+                residual=res,
+                iterations=it,
+            )
+        z_bar = z_bar + _solve_jacobian(model, lam, z_bar, -f)
 
 
 def solve_midpoint_coords(
@@ -218,29 +269,9 @@ def solve_midpoint_coords(
     if not tol > 0:
         raise ParameterError("tol must be positive")
     z = np.asarray(z, dtype=float)
-    z_bar = z.copy() if initial is None else np.asarray(initial, dtype=float).copy()
-    if _closed_form(model):
-        return _solve_midpoint_qp(model, lam, z, z_bar, tol, max_iter)
-    half = z.size // 2
-    half_lam = 0.5 * lam
-    grad_fn = model.gradient
-    for it in range(max_iter + 1):
-        g = np.asarray(grad_fn(z_bar), dtype=float)
-        if not np.isfinite(g.sum()):
-            raise EvaluationError("model gradient is non-finite", z_bar)
-        f = z_bar - z
-        f[:half] -= half_lam * g[half:]
-        f[half:] += half_lam * g[:half]
-        res = float(np.sqrt(f @ f))
-        if res <= tol:
-            return z_bar, it, res
-        if it == max_iter:
-            raise NonconvergenceError(
-                f"midpoint solve did not reach tol={tol:g} in {max_iter} iterations",
-                residual=res,
-                iterations=it,
-            )
-        z_bar = z_bar + _solve_jacobian(model, lam, z_bar, -f)
+    start = z if initial is None else np.asarray(initial, dtype=float)
+    z_bar, _, it, res = _midpoint_newton(model, lam, z, start.tolist(), tol, max_iter)
+    return z_bar, it, res
 
 
 def solve_midpoints(
@@ -378,6 +409,21 @@ def midpoint_sensitivity(
     when the caller has already evaluated it.
     """
     zb = z_bar.coords if isinstance(z_bar, ExtendedState) else np.asarray(z_bar, dtype=float)
-    if grad is None:
-        grad = eval_gradient(model, zb)
-    return _solve_jacobian(model, lam, zb, 0.5 * apply_J(grad))
+    _check_dim(model, zb)
+    grad = eval_gradient(model, zb) if grad is None else np.asarray(grad, dtype=float)
+    return _sensitivity(model, lam, zb, grad)
+
+
+def _sensitivity(
+    model: HamiltonianModel, lam: float, z_bar: np.ndarray, grad: np.ndarray
+) -> np.ndarray:
+    """``midpoint_sensitivity`` without argument checks; ``grad`` is H_z(z_bar).
+
+    For an n = 1 lift the right-hand side (1/2) J H_z is
+    (g_p, g_wp, -g_q, -g_t) / 2 and f_zbar is the identity on its t and wp rows.
+    """
+    if _closed_form(model):
+        g_q, g_t, g_p, g_w = grad.tolist()
+        d_q, d_p = _solve_qp(_hessian(model, z_bar), lam, 0.5 * g_p, -0.5 * g_q)
+        return np.array([d_q, 0.5 * g_w, d_p, -0.5 * g_t])
+    return _solve_jacobian(model, lam, z_bar, 0.5 * apply_J(grad))

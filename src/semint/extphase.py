@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -209,8 +210,13 @@ def eval_hessian(model: HamiltonianModel, z) -> np.ndarray:
     """Evaluate the Hessian, check symmetry, and symmetrize before use."""
     z = _coords(z)
     _check_dim(model, z)
+    return _hessian(model, z)
+
+
+def _hessian(model: HamiltonianModel, z: np.ndarray) -> np.ndarray:
+    """``eval_hessian`` at a coordinate array already of the model's shape."""
     h = np.asarray(model.hessian(z), dtype=float)
-    if not np.isfinite(h.sum()):
+    if not math.isfinite(h.sum()):
         raise EvaluationError("model hessian is non-finite", z)
     if model.hessian_symmetric:
         return h
@@ -223,8 +229,13 @@ def eval_hessian(model: HamiltonianModel, z) -> np.ndarray:
 def eval_value(model: HamiltonianModel, z) -> float:
     z = _coords(z)
     _check_dim(model, z)
+    return _value(model, z)
+
+
+def _value(model: HamiltonianModel, z: np.ndarray) -> float:
+    """``eval_value`` at a coordinate array already of the model's shape."""
     H = float(model.value(z))
-    if not np.isfinite(H):
+    if not math.isfinite(H):
         raise EvaluationError("model value is non-finite", z)
     return H
 

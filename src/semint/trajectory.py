@@ -13,6 +13,7 @@ near a requested size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -141,7 +142,8 @@ def _fast_newton_root(model, z, search_cap, cubic, hint, tol_g, solver_tol, max_
     Accepts a root only after a mid-interval probe confirms g kept the sign
     of H_k before it (no earlier crossing), so the returned multiplier is the
     smallest positive root along a smooth run.  The probe is free when the
-    cubic model plus its quartic envelope already pins the sign.
+    cubic model plus its quartic envelope already pins the sign.  Returns
+    (lambda, z_bar) with the curve's own midpoint array, or None.
     """
     curve = ConstraintCurve(model, z, tol=solver_tol)
     lam = min(max(hint, 1e-3 * search_cap), 0.999 * search_cap)
@@ -154,12 +156,11 @@ def _fast_newton_root(model, z, search_cap, cubic, hint, tol_g, solver_tol, max_
             half = 0.5 * lam
             envelope = cubic.quartic_bound(half)
             modeled = cubic(half)
-            if abs(modeled) > envelope and (modeled < 0) == (H_k < 0):
-                return lam, curve  # sign certified without another solve
-            probe = curve.g(half)
-            if probe != 0.0 and (probe < 0) != (H_k < 0):
-                return None
-            return lam, curve
+            if not (abs(modeled) > envelope and (modeled < 0) == (H_k < 0)):
+                probe = curve.g(half)  # the model alone does not certify the sign
+                if probe != 0.0 and (probe < 0) != (H_k < 0):
+                    return None
+            return lam, curve._solve(lam)[0]
         if slope == 0.0:
             return None
         lam -= val / slope
@@ -221,8 +222,7 @@ def step(
         except (NonconvergenceError, LinearSolveError):
             got = None
         if got is not None:
-            lam, curve = got
-            mid = curve.midpoint(lam)
+            lam, mid = got
             z_next = ExtendedState(2.0 * mid - z_k.coords, z_k.n)
             return StepResult(
                 lam=lam,
@@ -500,6 +500,8 @@ def choose_conjugate_momentum(
     """
     if not lambda_target > 0:
         raise ParameterError("lambda_target must be positive")
+    if not math.isfinite(lambda_target * lambda_target):
+        raise ParameterError(f"lambda_target {lambda_target:g} is too large: its square overflows")
 
     def make_state(wp):
         return ExtendedState.from_parts(q0, t0, p0, wp)

@@ -41,6 +41,23 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def pendulum_analytic_suprema(radius=2.0, fine=1201):
+    """Closed-form derivative norms of the pendulum maximized on the box."""
+    q = np.linspace(-radius, radius, fine)
+    p = np.linspace(-radius, radius, fine)
+    Q, P = np.meshgrid(q, p, indexing="ij")
+    m1 = np.sqrt(np.sin(Q) ** 2 + P**2 + 1.0).max()
+    m2 = np.sqrt(np.cos(Q) ** 2 + 1.0).max()
+    gamma_H = np.abs(np.sin(Q)).max()
+    n1 = np.sqrt((np.sin(2 * Q) - P**2 * np.sin(Q)) ** 2 + 4 * P**2 * np.cos(Q) ** 2).max()
+    n2 = np.sqrt(
+        (-(P**2) * np.cos(Q) + 2 * np.cos(2 * Q)) ** 2
+        + 2 * (2 * P * np.sin(Q)) ** 2
+        + (2 * np.cos(Q)) ** 2
+    ).max()
+    return float(m1), float(m2), float(gamma_H), float(n1), float(n2)
+
+
 def pendulum_state(q, p, wp=0.0, t=0.0):
     return ExtendedState.from_parts([q], t, [p], wp)
 

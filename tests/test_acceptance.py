@@ -5,6 +5,7 @@ run with  pytest tests/test_acceptance.py -v -s
 """
 
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -83,6 +84,18 @@ def test_criterion_1_energy_constraint(setup, reference_run):
         ok,
         f"{steps} steps, max|H(z_bar)| = {resid:.2e} (<= 1e-10), runtime {elapsed:.2f}s (< 1s)",
     )
+
+
+# recorded before the lean ConstraintCurve kernel; must stay bitwise
+REFERENCE_RUN_DIGEST = "8db0b85da641a10e499dabb0ddff0530904911a116827c073a0b65514c65a4f3"
+
+
+def test_reference_run_pinned(reference_run):
+    """Every criterion-1 multiplier and vertex coordinate, repr-exact."""
+    traj, _ = reference_run
+    record = ([float(lam) for lam in traj.multipliers], [v.coords.tolist() for v in traj.vertices])
+    assert len(record[0]) == 2000
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == REFERENCE_RUN_DIGEST
 
 
 def test_criterion_2_conjugate_momentum(reference_run):

@@ -17,24 +17,7 @@ from semint.bounds import (
 from semint.errors import EvaluationError, ParameterError
 from semint.extphase import ExtendedState, finite_difference_model, psi_fd_step
 
-from conftest import henon_heiles_lift, pendulum_state
-
-
-def pendulum_analytic_suprema(radius=2.0, fine=1201):
-    """Closed-form derivative norms of the pendulum maximized on the box."""
-    q = np.linspace(-radius, radius, fine)
-    p = np.linspace(-radius, radius, fine)
-    Q, P = np.meshgrid(q, p, indexing="ij")
-    m1 = np.sqrt(np.sin(Q) ** 2 + P**2 + 1.0).max()
-    m2 = np.sqrt(np.cos(Q) ** 2 + 1.0).max()
-    gamma_H = np.abs(np.sin(Q)).max()
-    n1 = np.sqrt((np.sin(2 * Q) - P**2 * np.sin(Q)) ** 2 + 4 * P**2 * np.cos(Q) ** 2).max()
-    n2 = np.sqrt(
-        (-(P**2) * np.cos(Q) + 2 * np.cos(2 * Q)) ** 2
-        + 2 * (2 * P * np.sin(Q)) ** 2
-        + (2 * np.cos(Q)) ** 2
-    ).max()
-    return float(m1), float(m2), float(gamma_H), float(n1), float(n2)
+from conftest import PEND_RADIUS, henon_heiles_lift, pendulum_analytic_suprema, pendulum_state
 
 
 class TestDeriveConstants:
@@ -112,6 +95,15 @@ class TestEstimateBounds:
         assert sampled.N2 <= n2 * (1 + 1e-6) + 1e-6  # FD psi_zz may overshoot by truncation
         assert sampled.mode == "sampled"
         assert sampled.sample_count == 33 * 33
+
+    def test_scaled_acceptance_bounds_dominate_closed_form(self, pendulum_scaled):
+        # the 1.1-scaled 17-per-axis bounds of the |q|, |p| <= 2.5 box, as
+        # criterion 1 and the benchmark use them, lie above every true supremum
+        b = pendulum_scaled
+        sampled = (b.M1, b.M2, b.gamma_H, b.N1, b.N2)
+        for name, got, want in zip(("M1", "M2", "gamma_H", "N1", "N2"), sampled,
+                                   pendulum_analytic_suprema(PEND_RADIUS)):
+            assert got >= want, name
 
     def test_pendulum_converges_within_two_percent(self, pendulum):
         center = pendulum_state(0.0, 0.0)

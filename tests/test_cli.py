@@ -164,6 +164,30 @@ class TestRunConfigErrors:
         assert_config_error(run_cli("run", "--config", cfg))
 
 
+    @pytest.mark.parametrize(
+        "initial, steps",
+        [
+            ({"q0": "one"}, 5),
+            ({"p0": [0.5, "x"]}, 5),
+            ({"t0": "zero"}, 5),
+            ({"lambda_target": "tenth"}, 5),
+            ({"lambda_target": 1e300}, 5),  # its square overflows
+            ({}, "many"),
+        ],
+        ids=["q0-non-numeric", "p0-non-numeric", "t0-non-numeric",
+             "lambda-target-non-numeric", "lambda-target-overflows", "steps-non-numeric"],
+    )
+    def test_bad_initial_value(self, tmp_path, initial, steps):
+        payload = {
+            "model": {"name": "pendulum"},
+            "initial": dict({"q0": 1.0, "p0": 0.5, "lambda_target": 0.1}, **initial),
+            "steps": steps,
+            "bounds": BOUNDS_BLOCK,
+            "out": str(tmp_path / "out"),
+        }
+        assert_config_error(run_cli("run", "--config", write_config(tmp_path, "run.json", payload)))
+
+
 class TestRunEvaluationErrors:
     """Start states the oscillator cannot evaluate: a clean exit, never a traceback."""
 

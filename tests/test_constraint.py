@@ -1,4 +1,5 @@
 import functools
+import hashlib
 
 import numpy as np
 import pytest
@@ -180,3 +181,48 @@ class TestGGrid:
         before = (curve._prev, curve._last)
         curve.g_grid(np.linspace(-0.1, 0.1, 9))
         assert (curve._prev, curve._last) == before
+
+
+def _curve_record(model, coords):
+    """One fixed call sequence on a fresh curve, every result as a repr-exact float.
+
+    The calls walk each warm-start branch: no history (half-Euler guess), one
+    midpoint behind (that midpoint), two behind (secant), a repeated lambda
+    (cached midpoint), a lambda at least 0.5 from the last (half-Euler again)
+    and negative lambdas; ``g_eval`` / ``g_derivative`` start cold at z.
+    """
+    z = np.array(coords)
+    curve = ConstraintCurve(model, z, tol=1e-13)
+    out = [
+        curve.g(0.05),
+        curve.g_and_derivative(0.07),
+        curve.g_and_derivative(0.08),
+        curve.g_and_derivative(0.08),
+        curve.midpoint(0.08),
+        curve.g(0.04),
+        curve.midpoint(0.07),
+        curve.g_and_derivative(0.6),
+        curve.g(-0.05),
+        curve.g_and_derivative(-0.06),
+        curve.midpoint(-0.06),
+        g_eval(model, 0.05, z, tol=1e-13),
+        g_derivative(model, 0.05, z, tol=1e-13),
+    ]
+    return [np.asarray(x, dtype=float).tolist() for x in out]
+
+
+# recorded before the lean ConstraintCurve kernel; must stay bitwise
+CURVE_DIGESTS = {
+    "pendulum": "7c6f0d8bcbee93d04bbdf077f0ad76d7532deff2f718e8929972e934dc1df7e3",
+    "henon-heiles": "4b168822b5e79a47453540533d9d3fb3d4d7007d692e6d88a5e6b6170f3b859b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CURVE_DIGESTS))
+def test_curve_sequence_pinned(name):
+    model, coords = {
+        "pendulum": (models.pendulum(), [0.4, 0.0, 0.8, 0.1]),
+        "henon-heiles": (henon_heiles_lift(), [0.1, -0.05, 0.0, 0.2, 0.15, 0.1]),
+    }[name]
+    record = _curve_record(model, coords)
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == CURVE_DIGESTS[name]

@@ -3,10 +3,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import semint.trajectory
 from semint import models
 from semint.bounds import DerivedConstants, derive_constants, estimate_bounds
-from semint.constraint import CubicModel
+from semint.constraint import CubicModel, g_derivative
 from semint.errors import ParameterError, StepNonexistenceError, UnsupportedRegionError
 from semint.extphase import ExtendedState, apply_J, eval_gradient, eval_value, sample_fields
 from semint.multiplier import classify_region
@@ -22,7 +25,7 @@ from semint.trajectory import (
     symplectic_defect,
 )
 
-from conftest import pendulum_state
+from conftest import henon_heiles_lift, pendulum_state
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +148,98 @@ class TestPropagate:
         model, opts = pend_opts
         with pytest.raises(ParameterError):
             propagate(model, pendulum_state(0, 1, wp=0.501), 0, opts)
+
+    def test_propagate_calls_step_once_per_accepted_step(self, pend_opts, monkeypatch):
+        # per-step timing (benchmark/workloads.py) wraps this module-level name;
+        # a propagate that bypassed it would time nothing
+        model, opts = pend_opts
+        calls = []
+        original = semint.trajectory.step
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(semint.trajectory, "step", counting)
+        wp0 = choose_conjugate_momentum(model, 1.0, 0.0, 0.5, 0.1)
+        traj = propagate(model, pendulum_state(1.0, 0.5, wp=wp0), 20, opts)
+        assert len(traj.multipliers) == 20
+        assert calls == traj.vertices[:-1]
+
+
+# recorded before the lean ConstraintCurve kernel; must stay bitwise
+HENON_HEILES_DIGEST = "56b74e00bda6fb9f44e0f999d7baf5ccefb0c31c99cc488579f4cbc0dd103f8f"
+
+
+def test_henon_heiles_run_pinned(monkeypatch):
+    """50 n = 2 steps, all after the first on the warm-started fast path."""
+    model = henon_heiles_lift()
+    center = ExtendedState(np.zeros(model.dim), model.n)
+    scaled = estimate_bounds(model, center, 0.6, 3).scaled(1.1)
+    opts = StepOptions(bounds=scaled, constants=derive_constants(scaled, 0.5))
+    q0, p0 = [0.0, 0.1], [0.35, 0.1]
+    wp0 = choose_conjugate_momentum(model, q0, 0.0, p0, 0.1)
+    full_path = []
+    original = semint.trajectory.solve_roots
+
+    def counting(*args, **kwargs):
+        full_path.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(semint.trajectory, "solve_roots", counting)
+    traj = propagate(model, ExtendedState.from_parts(q0, 0.0, p0, wp0), 50, opts)
+    assert len(traj.multipliers) == 50 and len(full_path) == 1
+    record = ([float(lam) for lam in traj.multipliers], [v.coords.tolist() for v in traj.vertices])
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == HENON_HEILES_DIGEST
+
+
+class TestFastPathAgreesWithFullPath:
+    """A hint only seeds the warm-started Newton of the fast path.
+
+    Whatever the hint, ``step`` must return the multiplier the full path
+    finds without one, with the same window flag; a declined fast path falls
+    back to the full path itself.  Both paths stop at |g| <= tol_g, so each
+    lies within tol_g / |g'| of the true root and the two within twice that
+    (an ill-conditioned region III root with |g'| ~ 9e-5 differs by 1.0006
+    tol_g / |g'|), or within the bisection width tol_lambda.
+    """
+
+    @staticmethod
+    def vertex(region, q, p, lam):
+        """A pendulum vertex whose cubic model puts a forward root near lam."""
+        if region == "I":
+            H = models.pendulum_psi(q, p) * lam * lam / 8.0
+        else:  # on the psi = 0 curve, where psi' carries the cubic
+            from test_multiplier import on_psi_zero_curve
+
+            # |q| in [1.75, 2.4]: cos q < 0, and the curve's |p| stays below 2.5
+            q, p = np.copysign(1.75 + 0.65 * abs(q) / 2.0, q), np.copysign(1.0, p)
+            p *= on_psi_zero_curve(abs(q))
+            H = models.pendulum_psi_prime(q, p) * lam**3 / 24.0
+        return pendulum_state(q, p, wp=H - (0.5 * p * p - np.cos(q)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        region=st.sampled_from(["I", "III"]),
+        q=st.floats(-2.0, 2.0),
+        p=st.floats(-2.0, 2.0),
+        lam=st.floats(0.005, 0.15),
+        spread=st.floats(-0.2, 0.2),
+    )
+    def test_hinted_step_matches_unhinted(self, pend_opts, region, q, p, lam, spread):
+        model, opts = pend_opts
+        z = self.vertex(region, q, p, lam)
+        try:
+            full = step(model, z, "forward", opts)
+        except StepNonexistenceError:
+            assume(False)
+        assume(full.prediction.region.tag == region and not full.fixed_point)
+        hinted = step(model, z, "forward", opts, hint=full.lam * (1.0 + spread))
+        slope = g_derivative(model, full.lam, z, tol=opts.solver_tol)
+        tol = max(opts.tol_lambda, 2.0 * opts.tol_g / abs(slope))
+        assert abs(hinted.lam - full.lam) <= tol
+        assert hinted.beyond_window == full.beyond_window
+        assert not hinted.took_ghost and not hinted.fixed_point
 
 
 class TestClassifyVertex:
