@@ -57,9 +57,12 @@ def _load_config(path):
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must be a JSON object, got {type(cfg).__name__}")
+    return cfg
 
 
 def _build_model(cfg):
@@ -354,6 +357,8 @@ def cmd_map(args) -> int:
             raise ConfigError("map grid must be increasing with at least 2 points per axis")
         t = _config_number(cfg.get("t", 0.0), "t")
         wp_rule = cfg.get("wp_rule", {"kind": "h-zero"})
+        if not isinstance(wp_rule, dict):
+            raise ConfigError(f"wp_rule must be an object, got {wp_rule!r}")
         if wp_rule.get("kind") not in ("h-zero", "fixed"):
             raise ConfigError("wp_rule kind must be 'h-zero' or 'fixed'")
         if wp_rule["kind"] == "fixed":
@@ -389,10 +394,12 @@ def cmd_map(args) -> int:
 def cmd_verify(args) -> int:
     try:
         cfg = _load_config(args.config)
+        seed = args.seed if args.seed is not None else _config_number(
+            cfg.get("seed", 0), "seed", integer=True
+        )
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     results = verify_mod.run_all(seed=seed, k_scale=args.inject_k_scale)
     width = max(len(name) for name, _, _ in results)
     failures = 0

@@ -14,11 +14,16 @@ evaluation: the DTH fast path in ``trajectory``, the bisection and Newton
 polish of ``solve_roots``, ``choose_conjugate_momentum``, ``semint scan`` and
 ``semint verify``.  Each midpoint solve hands back the H_z(z_bar) its final
 residual was judged with; the curve caches (lambda, z_bar, H_z(z_bar)), so
-the fast path's g' = H_z(z_bar)^T dz_bar/dlambda costs one Hessian and one
-linear solve (a 2x2 Cramer solve on floats for an n = 1 lift), not a second
-gradient.  Warm-start guesses are formed element-wise on floats.  Every
-result is bit-identical to ``g_eval`` / ``g_derivative`` from the same start:
-the kernel drops only argument checks on arrays it built itself.
+``derivative`` right after ``g`` at the same lambda, g' = H_z(z_bar)^T
+dz_bar/dlambda, costs one Hessian and one linear solve (a 2x2 Cramer solve
+on floats for an n = 1 lift), not a second midpoint solve or gradient.  The
+Newton loops of the fast path and of the polish call it only on iterations
+that take a Newton step; the iteration that accepts a root pays no
+sensitivity solve.  A caller that has H_z(z_k) already (``step``, from its
+field sample) passes it as ``grad``.  Warm-start guesses are formed
+element-wise on floats.  Every result is bit-identical to ``g_eval`` /
+``g_derivative`` from the same start: the kernel drops only argument checks
+on arrays it built itself.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .decoupler import (
 from .errors import ParameterError
 from .extphase import (
     ExtendedState,
+    FieldSample,
     HamiltonianModel,
     _eval_stack,
     _value,
@@ -80,6 +86,10 @@ class CubicModel:
     def quartic_bound(self, lam: float) -> float:
         return self.K * lam**4
 
+    @classmethod
+    def from_fields(cls, fields: FieldSample, constants: DerivedConstants) -> "CubicModel":
+        return cls(fields.H, fields.psi, fields.psi_prime, constants.K, constants.lambda_delta)
+
 
 class ConstraintCurve:
     """g(., z_k) as a callable curve with warm-started midpoint solves.
@@ -97,14 +107,18 @@ class ConstraintCurve:
         z_k: ExtendedState,
         tol: float = 1e-13,
         max_iter: int = 50,
+        grad: Optional[np.ndarray] = None,
     ):
+        """``grad`` is H_z(z_k) when the caller has already evaluated it."""
         if not tol > 0:
             raise ParameterError("tol must be positive")
         self.model = model
         self.z = z_k.coords if isinstance(z_k, ExtendedState) else np.asarray(z_k, dtype=float)
         self.tol = tol
         self.max_iter = max_iter
-        self._half_jgrad = (0.5 * _apply_J_arr(eval_gradient(self.model, self.z))).tolist()
+        if grad is None:
+            grad = eval_gradient(self.model, self.z)
+        self._half_jgrad = (0.5 * _apply_J_arr(grad)).tolist()
         # (lambda, z_bar, H_z(z_bar)) of the latest solve and of the one before
         self._prev: Optional[tuple[float, np.ndarray, np.ndarray]] = None
         self._last: Optional[tuple[float, np.ndarray, np.ndarray]] = None
@@ -145,10 +159,13 @@ class ConstraintCurve:
         zbars = solve_midpoints(self.model, lams, self.z, tol=self.tol, max_iter=self.max_iter)
         return _eval_stack(self.model, zbars, "value")[0]
 
-    def g_and_derivative(self, lam: float) -> tuple[float, float]:
+    def derivative(self, lam: float) -> float:
+        """dg/dlambda; right after ``g(lam)`` it reuses that midpoint solve."""
         zbar, grad = self._solve(lam)
-        val = _value(self.model, zbar)
-        return val, float(grad @ _sensitivity(self.model, lam, zbar, grad))
+        return float(grad @ _sensitivity(self.model, lam, zbar, grad))
+
+    def g_and_derivative(self, lam: float) -> tuple[float, float]:
+        return _value(self.model, self._solve(lam)[0]), self.derivative(lam)
 
     def midpoint(self, lam: float) -> np.ndarray:
         return self._solve(lam)[0].copy()
@@ -176,11 +193,4 @@ def cubic_model(
     psi_step: Optional[float] = None,
 ) -> CubicModel:
     """Assemble the cubic model of g at z_k from one field sample."""
-    fields = sample_fields(model, z_k, psi_step=psi_step)
-    return CubicModel(
-        H_k=fields.H,
-        psi_k=fields.psi,
-        psi_prime_k=fields.psi_prime,
-        K=constants.K,
-        lambda_delta=constants.lambda_delta,
-    )
+    return CubicModel.from_fields(sample_fields(model, z_k, psi_step=psi_step), constants)

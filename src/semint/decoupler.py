@@ -22,10 +22,15 @@ always judged on the full residual.
 ``_midpoint_newton`` and ``_sensitivity`` are the unchecked cores of
 ``solve_midpoint_coords`` and ``midpoint_sensitivity`` for callers that built
 their arrays themselves: ``constraint.ConstraintCurve``, the kernel of the
-DTH fast path.  The Newton core also returns the H_z(z_bar) of its final
-residual, so the fast path's dg/dlambda needs no further gradient call.  The
-cores run the same floating-point operations as the public functions, so
-their results are bit-identical.
+DTH fast path, which asks for a sensitivity only on Newton iterations that
+take a step.  The Newton core also returns the H_z(z_bar) of its final
+residual, so the fast path's dg/dlambda needs no further gradient call.  On
+arrays they built, the cores skip the checks too: the Jacobian takes the
+Hessian through ``extphase._hessian`` (whose symmetry check returns a
+bitwise-symmetric Hessian untouched), the sensitivity writes (1/2) J H_z in
+place, and the general-n residual is tested with ``math``.  They run the
+same floating-point operations as the public functions, so their results
+are bit-identical.
 
 ``solve_midpoints`` runs the same Newton iteration for a whole grid of
 lambdas at one z as one masked batch: every row starts at z_bar = z, freezes
@@ -119,8 +124,8 @@ def _identity(dim: int) -> np.ndarray:
 
 
 def _jacobian(model: HamiltonianModel, lam: float, z_bar: np.ndarray) -> np.ndarray:
-    """f_zbar = I - (lambda/2) J H_zz(z_bar)."""
-    hess = eval_hessian(model, z_bar)
+    """f_zbar = I - (lambda/2) J H_zz(z_bar); z_bar has the model's shape."""
+    hess = _hessian(model, z_bar)
     dim = z_bar.size
     half = dim // 2
     jh = np.empty_like(hess)
@@ -234,12 +239,12 @@ def _midpoint_newton(
     grad_fn = model.gradient
     for it in range(max_iter + 1):
         g = np.asarray(grad_fn(z_bar), dtype=float)
-        if not np.isfinite(g.sum()):
+        if not math.isfinite(g.sum()):
             raise EvaluationError("model gradient is non-finite", z_bar)
         f = z_bar - z
         f[:half] -= half_lam * g[half:]
         f[half:] += half_lam * g[:half]
-        res = float(np.sqrt(f @ f))
+        res = math.sqrt(f @ f)
         if res <= tol:
             return z_bar, g, it, res
         if it == max_iter:
@@ -426,4 +431,8 @@ def _sensitivity(
         g_q, g_t, g_p, g_w = grad.tolist()
         d_q, d_p = _solve_qp(_hessian(model, z_bar), lam, 0.5 * g_p, -0.5 * g_q)
         return np.array([d_q, 0.5 * g_w, d_p, -0.5 * g_t])
-    return _solve_jacobian(model, lam, z_bar, 0.5 * apply_J(grad))
+    half = grad.size // 2
+    rhs = np.empty_like(grad)  # (1/2) J H_z = (g_p, g_wp, -g_q, -g_t) / 2
+    np.multiply(grad[half:], 0.5, out=rhs[:half])
+    np.multiply(grad[:half], -0.5, out=rhs[half:])
+    return _solve_jacobian(model, lam, z_bar, rhs)

@@ -218,12 +218,23 @@ def _hessian(model: HamiltonianModel, z: np.ndarray) -> np.ndarray:
     h = np.asarray(model.hessian(z), dtype=float)
     if not math.isfinite(h.sum()):
         raise EvaluationError("model hessian is non-finite", z)
-    if model.hessian_symmetric:
+    if model.hessian_symmetric or _bitwise_symmetric(h, h.T):
         return h
     scale = 1.0 + np.linalg.norm(h)
     if np.linalg.norm(h - h.T) > 1e-10 * scale:
         raise EvaluationError("model hessian is not symmetric", z)
     return 0.5 * (h + h.T)
+
+
+def _bitwise_symmetric(h: np.ndarray, transposed: np.ndarray) -> bool:
+    """Whether h and its transpose have the same float64 bit patterns.
+
+    Bytes, not floats, are compared, so a +0.0 / -0.0 pair (equal as
+    floats) counts as asymmetric.  A bitwise-symmetric Hessian passes the
+    norm test, and 0.5 (h + h^T) is h bit for bit (short of an entry above
+    DBL_MAX / 2, where the sum overflows), so it can skip both.
+    """
+    return h.shape == transposed.shape and h.tobytes() == transposed.tobytes()
 
 
 def eval_value(model: HamiltonianModel, z) -> float:
@@ -260,7 +271,8 @@ def _eval_stack(model: HamiltonianModel, zs: np.ndarray, *kinds: str) -> list[np
     A ``vectorized`` model is called once per kind, any other row by row.
     The checks of the eval_* wrappers then run on the whole stack: the
     shape (``DimensionError``), finiteness, and the symmetry test unless
-    ``hessian_symmetric`` (Hessians come back symmetrized).  An
+    ``hessian_symmetric`` (Hessians come back symmetrized; a stack that is
+    bitwise symmetric already comes back untouched).  An
     ``EvaluationError`` carries the first offending row, as a row-by-row
     loop would raise it.
     """
@@ -283,11 +295,12 @@ def _eval_stack(model: HamiltonianModel, zs: np.ndarray, *kinds: str) -> list[np
         checks.append((~finite, f"model {kind} is non-finite"))
         if kind == "hessian" and not model.hessian_symmetric:
             transposed = arr.transpose(0, 2, 1)
-            with np.errstate(invalid="ignore"):  # inf - inf only in non-finite rows
-                scale = 1.0 + np.linalg.norm(arr, axis=(1, 2))
-                asym = np.linalg.norm(arr - transposed, axis=(1, 2)) > 1e-10 * scale
-            checks.append((asym, "model hessian is not symmetric"))
-            arr = 0.5 * (arr + transposed)
+            if not _bitwise_symmetric(arr, transposed):
+                with np.errstate(invalid="ignore"):  # inf - inf only in non-finite rows
+                    scale = 1.0 + np.linalg.norm(arr, axis=(1, 2))
+                    asym = np.linalg.norm(arr - transposed, axis=(1, 2)) > 1e-10 * scale
+                checks.append((asym, "model hessian is not symmetric"))
+                arr = 0.5 * (arr + transposed)
         out.append(arr)
     bad = np.logical_or.reduce([mask for mask, _ in checks])
     if bad.any():

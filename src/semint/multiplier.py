@@ -365,10 +365,11 @@ def _bisect_then_polish(curve, a, b, fa, fb, tol_lambda, tol_g, max_newton=30):
         else:
             hi = mid
     lam = 0.5 * (lo + hi)
-    val, slope = curve.g_and_derivative(lam)
+    val = curve.g(lam)
     for _ in range(max_newton):
         if abs(val) <= tol_g:
             return lam, abs(val)
+        slope = curve.derivative(lam)  # only iterations that step need g'
         if slope == 0.0:
             break
         step = val / slope
@@ -376,7 +377,7 @@ def _bisect_then_polish(curve, a, b, fa, fb, tol_lambda, tol_g, max_newton=30):
         if not (a - tol_lambda <= nxt <= b + tol_lambda):
             break
         lam = nxt
-        val, slope = curve.g_and_derivative(lam)
+        val = curve.g(lam)
     # every returned root must honor the residual contract
     return (lam, abs(val)) if abs(val) <= tol_g else None
 
@@ -459,6 +460,7 @@ def solve_roots(
     scan_points: int = 256,
     extend_to: Optional[float] = None,
     extend_sides: str = "both",
+    grad: Optional[np.ndarray] = None,
 ) -> MultiplierSet:
     """Find the multipliers the prediction allows inside [-Lambda, Lambda].
 
@@ -477,9 +479,10 @@ def solve_roots(
     (at most the decoupling radius makes sense); anything found there is
     recorded with in_window=False and provenance "scan" since no uniqueness
     statement covers it.  ``extend_sides`` limits the extension to "pos" or
-    "neg" multipliers.
+    "neg" multipliers.  ``grad`` is H_z(z_k) when the caller has already
+    evaluated it.
     """
-    curve = ConstraintCurve(model, z_k, tol=solver_tol)
+    curve = ConstraintCurve(model, z_k, tol=solver_tol, grad=grad)
     result = MultiplierSet()
     if prediction.zero_root:
         result.lambda_zero = 0.0

@@ -136,20 +136,22 @@ class ConservationReport:
     symplectic_defects: tuple[float, ...]
 
 
-def _fast_newton_root(model, z, search_cap, cubic, hint, tol_g, solver_tol, max_iter=12):
+def _fast_newton_root(model, z, grad, search_cap, cubic, hint, tol_g, solver_tol, max_iter=12):
     """Newton on g from a previous step's multiplier, confined to (0, cap).
 
     Accepts a root only after a mid-interval probe confirms g kept the sign
     of H_k before it (no earlier crossing), so the returned multiplier is the
     smallest positive root along a smooth run.  The probe is free when the
-    cubic model plus its quartic envelope already pins the sign.  Returns
-    (lambda, z_bar) with the curve's own midpoint array, or None.
+    cubic model plus its quartic envelope already pins the sign.  g' is
+    computed only on iterations that take a Newton step.  ``grad`` is
+    H_z(z).  Returns (lambda, z_bar) with the curve's own midpoint array, or
+    None.
     """
-    curve = ConstraintCurve(model, z, tol=solver_tol)
+    curve = ConstraintCurve(model, z, tol=solver_tol, grad=grad)
     lam = min(max(hint, 1e-3 * search_cap), 0.999 * search_cap)
     H_k = cubic.H_k
     for _ in range(max_iter):
-        val, slope = curve.g_and_derivative(lam)
+        val = curve.g(lam)
         if abs(val) <= tol_g:
             if not 0.0 < lam < search_cap:
                 return None
@@ -161,6 +163,7 @@ def _fast_newton_root(model, z, search_cap, cubic, hint, tol_g, solver_tol, max_
                 if probe != 0.0 and (probe < 0) != (H_k < 0):
                     return None
             return lam, curve._solve(lam)[0]
+        slope = curve.derivative(lam)
         if slope == 0.0:
             return None
         lam -= val / slope
@@ -191,7 +194,8 @@ def step(
         raise ParameterError(f"direction must be forward or backward, got {direction}")
     sign = 1.0 if direction == "forward" else -1.0
 
-    cubic = cubic_model(model, z_k, opts.constants, psi_step=opts.psi_step)
+    fields = sample_fields(model, z_k, psi_step=opts.psi_step)
+    cubic = CubicModel.from_fields(fields, opts.constants)
     region = classify_region(cubic)
     if region.tag == "degenerate":
         raise StepNonexistenceError(
@@ -217,7 +221,7 @@ def step(
         )
         try:
             got = _fast_newton_root(
-                model, z_k, cap, cubic, hint, opts.tol_g, opts.solver_tol
+                model, z_k, fields.grad, cap, cubic, hint, opts.tol_g, opts.solver_tol
             )
         except (NonconvergenceError, LinearSolveError):
             got = None
@@ -246,6 +250,7 @@ def step(
         scan_points=opts.scan_points,
         extend_to=extend_to,
         extend_sides="pos" if sign > 0 else "neg",
+        grad=fields.grad,
     )
 
     regular = [r for r in roots.roots if not r.is_ghost and r.lam * sign > 0]

@@ -531,6 +531,27 @@ class TestMapConfigErrors:
         assert_config_error(run_cli("map", "--config", write_config(tmp_path, "map.json", payload)))
 
 
+class TestConfigShape:
+    @pytest.mark.parametrize("command", ["run", "scan", "map", "verify"])
+    def test_top_level_must_be_an_object(self, tmp_path, command):
+        cfg = write_config(tmp_path, "list.json", [1, 2])
+        assert_config_error(run_cli(command, "--config", cfg))
+
+    def test_map_wp_rule_must_be_an_object(self, tmp_path):
+        payload = {
+            "grid": {"q_min": -1.0, "q_max": 1.0, "p_min": -1.0, "p_max": 1.0, "nq": 3, "np": 3},
+            "wp_rule": "h-zero",
+            "bounds": BOUNDS_BLOCK,
+            "out": str(tmp_path / "out"),
+        }
+        assert_config_error(run_cli("map", "--config", write_config(tmp_path, "map.json", payload)))
+
+    @pytest.mark.parametrize("seed", ["x", 2.5, float("inf")])
+    def test_verify_seed_must_be_an_integer(self, tmp_path, seed):
+        cfg = write_config(tmp_path, "verify.json", {"seed": seed})
+        assert_config_error(run_cli("verify", "--config", cfg))
+
+
 class TestVerify:
     def test_battery_passes(self):
         import time

@@ -7,6 +7,9 @@ from semint.errors import DimensionError, EvaluationError
 from semint.extphase import (
     ClassicalModel,
     ExtendedState,
+    HamiltonianModel,
+    _eval_stack,
+    _hessian,
     apply_J,
     autonomize,
     eval_gradient,
@@ -422,3 +425,110 @@ class TestEvaluationErrors:
         with pytest.raises(EvaluationError) as err:
             sample_fields(bad, z)
         assert err.value.z is not None
+
+
+def parent_hessian(h):
+    """The symmetry check every Hessian went through before the bitwise shortcut."""
+    scale = 1.0 + np.linalg.norm(h)
+    if np.linalg.norm(h - h.T) > 1e-10 * scale:
+        raise EvaluationError("model hessian is not symmetric", None)
+    return 0.5 * (h + h.T)
+
+
+def parent_stack(arr):
+    """The same check on a (N, dim, dim) stack, as ``_eval_stack`` ran it."""
+    transposed = arr.transpose(0, 2, 1)
+    scale = 1.0 + np.linalg.norm(arr, axis=(1, 2))
+    if (np.linalg.norm(arr - transposed, axis=(1, 2)) > 1e-10 * scale).any():
+        raise EvaluationError("model hessian is not symmetric", None)
+    return 0.5 * (arr + transposed)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def hessian_case(kind, rng, dim=4):
+    a = rng.normal(size=(dim, dim))
+    h = a + a.T  # bitwise symmetric: floating-point addition commutes
+    if kind == "signed-zero":  # equal as floats, not as bits
+        h[0, 1], h[1, 0] = 0.0, -0.0
+    elif kind == "below":  # one ulp apart, far under the 1e-10 scale threshold
+        h[1, 2] = np.nextafter(h[2, 1], np.inf)
+    elif kind == "above":
+        h[1, 2] = h[2, 1] + 1e-6
+    return h
+
+
+def hessian_model(hessians, vectorized):
+    """An n = 1 model whose Hessian at a state z is hessians[int(z[0])]."""
+    if vectorized:
+        def hessian(zs):
+            return hessians[zs[:, 0].astype(int)].copy()
+    else:
+        def hessian(z):
+            return hessians[int(z[0])].copy()
+    return HamiltonianModel(
+        n=1,
+        value=lambda z: 0.0,
+        gradient=lambda z: np.zeros(4),
+        hessian=hessian,
+        vectorized=vectorized,
+    )
+
+
+class TestHessianSymmetryShortcut:
+    """A bitwise-symmetric Hessian skips the norm test and 0.5 (h + h^T);
+    every result and every "not symmetric" error stays what that formula gave."""
+
+    @pytest.mark.parametrize("kind", ["bitwise", "signed-zero", "below", "above"])
+    def test_single_matches_the_norm_test_bitwise(self, kind, rng):
+        h = hessian_case(kind, rng)
+        model = hessian_model(h[None], vectorized=False)
+        z = np.zeros(4)
+        if kind == "above":
+            with pytest.raises(EvaluationError):
+                parent_hessian(h)
+            for fn in (_hessian, eval_hessian):
+                with pytest.raises(EvaluationError, match="not symmetric"):
+                    fn(model, z)
+            return
+        want = parent_hessian(h)
+        # the formula leaves only a bitwise-symmetric input unchanged
+        assert same_bits(want, h) == (kind == "bitwise")
+        assert same_bits(_hessian(model, z), want)
+        assert same_bits(eval_hessian(model, z), want)
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    @pytest.mark.parametrize(
+        "kinds",
+        [
+            ("bitwise", "bitwise", "bitwise"),
+            ("bitwise", "signed-zero", "bitwise"),
+            ("below", "bitwise", "signed-zero"),
+            ("bitwise", "below", "above"),
+        ],
+    )
+    def test_stack_matches_the_norm_test_bitwise(self, kinds, vectorized, rng):
+        arr = np.array([hessian_case(kind, rng) for kind in kinds])
+        model = hessian_model(arr, vectorized)
+        zs = np.zeros((len(kinds), 4))
+        zs[:, 0] = np.arange(len(kinds))
+        if "above" in kinds:
+            with pytest.raises(EvaluationError):
+                parent_stack(arr)
+            with pytest.raises(EvaluationError, match="not symmetric") as err:
+                _eval_stack(model, zs, "hessian")
+            assert same_bits(err.value.z, zs[kinds.index("above")])
+            return
+        (got,) = _eval_stack(model, zs, "hessian")
+        assert same_bits(got, parent_stack(arr))
+
+    def test_huge_symmetric_entry_is_no_longer_overflowed(self, rng):
+        # the one input the shortcut changes: 0.5 (h + h^T) overflowed an
+        # entry above DBL_MAX / 2 to inf; the model's own h comes back instead
+        h = hessian_case("bitwise", rng)
+        h[3, 3] = 1.5e308
+        with np.errstate(over="ignore"):
+            assert np.isinf(parent_hessian(h)[3, 3])
+        assert same_bits(_hessian(hessian_model(h[None], vectorized=False), np.zeros(4)), h)

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import semint.constraint
 import semint.trajectory
 from semint import models
 from semint.bounds import DerivedConstants, derive_constants, estimate_bounds
-from semint.constraint import CubicModel, g_derivative
+from semint.constraint import ConstraintCurve, CubicModel, g_derivative
 from semint.errors import ParameterError, StepNonexistenceError, UnsupportedRegionError
 from semint.extphase import ExtendedState, apply_J, eval_gradient, eval_value, sample_fields
 from semint.multiplier import classify_region
@@ -191,6 +192,86 @@ def test_henon_heiles_run_pinned(monkeypatch):
     assert len(traj.multipliers) == 50 and len(full_path) == 1
     record = ([float(lam) for lam in traj.multipliers], [v.coords.tolist() for v in traj.vertices])
     assert hashlib.sha256(repr(record).encode()).hexdigest() == HENON_HEILES_DIGEST
+
+
+# recorded before the fast path stopped computing g' on its accepting
+# iteration; must stay bitwise
+HENON_HEILES_500_DIGEST = "3256b739df045ce1a69432033c7e8f2913d368b74f8e5e391f7299ede33e98af"
+
+
+def henon_heiles_run(n_steps, samples=5):
+    """``propagate`` from the two-dof-run seed-0 start of ``benchmark/workloads.py``."""
+    model = henon_heiles_lift()
+    center = ExtendedState(np.zeros(model.dim), model.n)
+    scaled = estimate_bounds(model, center, 0.6, samples).scaled(1.1)
+    opts = StepOptions(bounds=scaled, constants=derive_constants(scaled, 0.5))
+    q0, p0 = [0.0, 0.1], [0.35, 0.1]
+    wp0 = choose_conjugate_momentum(model, q0, 0.0, p0, 0.1)
+    return propagate(model, ExtendedState.from_parts(q0, 0.0, p0, wp0), n_steps, opts)
+
+
+def test_henon_heiles_long_run_pinned():
+    """500 n = 2 steps: the half-step probe, and the re-solve of the accepted
+    root after it, run on 395 of them (27 of the 50 in the pin above)."""
+    traj = henon_heiles_run(500)
+    assert len(traj.multipliers) == 500
+    record = ([float(lam) for lam in traj.multipliers], [v.coords.tolist() for v in traj.vertices])
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == HENON_HEILES_500_DIGEST
+
+
+# the pendulum's quartic envelope certifies every step's sign; 27 of the 49
+# Henon-Heiles fast steps need the half-step probe
+@pytest.mark.parametrize("run, probes_expected", [("pendulum", 0), ("henon-heiles", 27)])
+def test_fast_path_solves_for_the_slope_only_on_newton_steps(
+    run, probes_expected, pend_opts, monkeypatch
+):
+    """Each fast-path Newton iteration evaluates g; only those that go on to
+    take a Newton step pay a sensitivity solve for g', the accepting one not."""
+    calls, inside = [], []  # one record per fast-path call; the open one
+    original_fast = semint.trajectory._fast_newton_root
+    original_g = ConstraintCurve.g
+    original_sensitivity = semint.constraint._sensitivity
+
+    def counting_fast(*args, **kwargs):
+        inside.append({"g": [], "sensitivity": 0})
+        try:
+            inside[-1]["got"] = original_fast(*args, **kwargs)
+        finally:
+            calls.append(inside.pop())
+        return calls[-1]["got"]
+
+    def counting_g(self, lam):
+        if inside:
+            inside[-1]["g"].append(lam)
+        return original_g(self, lam)
+
+    def counting_sensitivity(*args):
+        if inside:
+            inside[-1]["sensitivity"] += 1
+        return original_sensitivity(*args)
+
+    monkeypatch.setattr(semint.trajectory, "_fast_newton_root", counting_fast)
+    monkeypatch.setattr(ConstraintCurve, "g", counting_g)
+    monkeypatch.setattr(semint.constraint, "_sensitivity", counting_sensitivity)
+    if run == "pendulum":
+        model, opts = pend_opts
+        wp0 = choose_conjugate_momentum(model, 1.0, 0.0, 0.5, 0.1)
+        traj = propagate(model, pendulum_state(1.0, 0.5, wp=wp0), 50, opts)
+    else:
+        traj = henon_heiles_run(50, samples=3)
+    assert len(traj.multipliers) == 50
+    # every step after the first takes the fast path and accepts its root
+    assert [c["got"][0] for c in calls] == traj.multipliers[1:]
+    newton_evals = probes = sensitivity = 0
+    for c in calls:
+        lams, root = c["g"], c["got"][0]
+        if len(lams) > 1 and lams[-1] == 0.5 * root:  # the half-step probe
+            lams, probes = lams[:-1], probes + 1
+        assert lams[-1] == root
+        newton_evals += len(lams)
+        sensitivity += c["sensitivity"]
+    assert probes == probes_expected and newton_evals > len(calls)
+    assert sensitivity == newton_evals - len(calls)
 
 
 class TestFastPathAgreesWithFullPath:
