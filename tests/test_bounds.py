@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -215,6 +216,31 @@ class TestPinnedBounds:
         assert self._constants(b) == (
             1.5583825749795843, 2.7604347483684526, 2.8284271247461903,
             6.068096756921769, 15.347996387808903,
+        )
+
+
+def _bounds_digest(b):
+    fields = (b.M1, b.M2, b.gamma_H, b.N1, b.N2, b.active_axes, b.sample_count)
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
+class TestBoundsDigests:
+    """SHA-256 of the sampled constants on the boxes the benchmark runs use.
+
+    Recorded before the lift and the M1 / M2 grid were evaluated as stacks;
+    a change in the last bit of any constant changes the digest.
+    """
+
+    def test_two_dof_run_box(self):
+        center = ExtendedState.from_parts([0.0, 0.0], 0.0, [0.0, 0.0], 0.0)
+        b = estimate_bounds(henon_heiles_lift(), center, 0.6, 5)
+        assert _bounds_digest(b) == (
+            "37fb5e9fda6efca1b4375a373a897dff10b5a9fdf6e35f9d1ed031d3edd8fbcb"
+        )
+
+    def test_pendulum_acceptance_box(self, pendulum_bounds):
+        assert _bounds_digest(pendulum_bounds) == (
+            "21e1b01c129474b126faca09eb39773241fe595a6c50ea3152c0247be5c2addf"
         )
 
 
