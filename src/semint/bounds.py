@@ -22,6 +22,8 @@ from .errors import ParameterError
 from .extphase import (
     ExtendedState,
     HamiltonianModel,
+    _eval_stack,
+    _row_dots,
     eval_gradient,
     eval_hessian,
     psi_fd_step,
@@ -172,6 +174,16 @@ def _active_axes(model: HamiltonianModel, center: np.ndarray, radius: float) -> 
     return tuple(a for a in axes if a not in drop)
 
 
+def _max_norm(rows: np.ndarray) -> float:
+    """Largest Euclidean norm of the rows of a (N, d) stack, at least 0.0.
+
+    ``np.linalg.norm`` of a vector or a raveled matrix is the sqrt of its
+    dot product with itself; ``_row_dots`` takes every row's dot product
+    bit for bit, so the maximum is the one a per-row norm loop finds.
+    """
+    return float(np.sqrt(_row_dots(rows, rows)).max(initial=0.0))
+
+
 _STENCIL_BLOCK = 8  # grid points per psi_gradient call; keeps the stack small
 
 
@@ -192,11 +204,11 @@ def _psi_suprema(model: HamiltonianModel, points: np.ndarray, active, step: floa
         np.add(block[:, None], offsets, out=stencils[:, 1 : k + 1])
         np.subtract(block[:, None], offsets, out=stencils[:, k + 1 :])
         pz = psi_gradient(model, stencils.reshape(-1, dim)).reshape(stencils.shape)
-        for row in pz:
-            n1 = max(n1, float(np.linalg.norm(row[0])))
-            pzz = np.zeros((dim, dim))
-            pzz[:, active] = ((row[1 : k + 1] - row[k + 1 :]) / (2 * step)).T
-            n2 = max(n2, float(np.linalg.norm(0.5 * (pzz + pzz.T))))
+        pzz = np.zeros((len(block), dim, dim))
+        pzz[:, :, active] = ((pz[:, 1 : k + 1] - pz[:, k + 1 :]) / (2 * step)).transpose(0, 2, 1)
+        sym = 0.5 * (pzz + pzz.transpose(0, 2, 1))
+        n1 = max(n1, _max_norm(pz[:, 0]))
+        n2 = max(n2, _max_norm(sym.reshape(len(block), -1)))
     return n1, n2
 
 
@@ -235,18 +247,12 @@ def estimate_bounds(
     points = np.array([p for p in itertools.product(*grids)])
     count = points.shape[0]
 
-    m1 = m2 = 0.0
-    hessians = np.empty((count, dim, dim))
-    for i, z in enumerate(points):
-        grad = eval_gradient(model, z)
-        hess = eval_hessian(model, z)
-        hessians[i] = hess
-        m1 = max(m1, float(np.linalg.norm(grad)))
-        m2 = max(m2, float(np.linalg.norm(hess)))
+    grads, hessians = _eval_stack(model, points, "gradient", "hessian")
+    flat = hessians.reshape(count, -1)
+    m1, m2 = _max_norm(grads), _max_norm(flat)
     n1, n2 = _psi_suprema(model, points, active, psi_fd_step(c + radius))
 
     gamma = 0.0
-    flat = hessians.reshape(count, -1)
     # neighbor pairs along each grid axis
     idx = np.arange(count).reshape(shape)
     for axis_pos in range(len(shape)):

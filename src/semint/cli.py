@@ -65,8 +65,16 @@ def _load_config(path):
     return cfg
 
 
+def _config_object(cfg, key, default=None):
+    """The JSON object under ``key``: ``default`` (or {}) when absent."""
+    block = cfg.get(key, {} if default is None else default)
+    if not isinstance(block, dict):
+        raise ConfigError(f"{key} must be an object, got {type(block).__name__}")
+    return block
+
+
 def _build_model(cfg):
-    spec = dict(cfg.get("model", {"name": "pendulum"}))
+    spec = dict(_config_object(cfg, "model", {"name": "pendulum"}))
     name = spec.pop("name", "pendulum")
     try:
         return models.by_name(name, **spec)
@@ -76,7 +84,7 @@ def _build_model(cfg):
 
 def _tolerances(cfg, args):
     tols = dict(DEFAULT_TOLERANCES)
-    tols.update(cfg.get("tolerances", {}))
+    tols.update(_config_object(cfg, "tolerances"))
     if getattr(args, "tol_g", None) is not None:
         tols["tol_g"] = args.tol_g
     if getattr(args, "tol_lambda", None) is not None:
@@ -107,7 +115,7 @@ def _config_vector(value, name):
 def _resolve_bounds(cfg, model, fallback_center=None):
     """Build (raw bounds, safety-scaled bounds, derived constants)."""
     block = dict(DEFAULT_BOUNDS)
-    block.update(cfg.get("bounds", {}))
+    block.update(_config_object(cfg, "bounds"))
     delta = _config_number(block["delta"], "bounds.delta")
     safety = _config_number(block["safety"], "bounds.safety")
     if not 0.0 < delta < 1.0:
@@ -151,7 +159,7 @@ def _resolve_bounds(cfg, model, fallback_center=None):
 
 
 def _resolve_initial_state(cfg, model):
-    init = cfg.get("initial", {})
+    init = _config_object(cfg, "initial")
     has_state = "state" in init
     has_target = "lambda_target" in init
     if has_state == has_target:
@@ -343,7 +351,7 @@ def cmd_map(args) -> int:
     try:
         cfg = _load_config(args.config)
         model = _build_model(cfg)
-        grid = cfg.get("grid", {})
+        grid = _config_object(cfg, "grid")
         for key in ("q_min", "q_max", "p_min", "p_max", "nq", "np"):
             if key not in grid:
                 raise ConfigError(f"map grid config needs '{key}'")
@@ -366,9 +374,9 @@ def cmd_map(args) -> int:
         # accepted so existing configs still validate; rows always run serially
         _config_number(cfg.get("jobs", 1), "jobs", integer=True)
         center = ExtendedState.from_parts([0.5 * (q_min + q_max)], t, [0.5 * (p_min + p_max)], 0.0)
-        bcfg = dict(DEFAULT_BOUNDS)
-        bcfg.update(cfg.get("bounds", {}))
-        if "radius" not in cfg.get("bounds", {}):
+        user_bounds = _config_object(cfg, "bounds")
+        bcfg = {**DEFAULT_BOUNDS, **user_bounds}
+        if "radius" not in user_bounds:
             bcfg["radius"] = max(0.5 * (q_max - q_min), 0.5 * (p_max - p_min)) + 0.5
         cfg = dict(cfg)
         cfg["bounds"] = bcfg

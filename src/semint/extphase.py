@@ -117,6 +117,9 @@ class HamiltonianModel:
     (the dense g-scan of the root search, psi differencing) then call each
     once per stack; an undeclared model is called row by row.  A declared
     model whose results have the wrong shape raises ``DimensionError``.
+    The built-in models and every ``autonomize`` lift declare it, so
+    swapping a callable that takes one state only into one of them with
+    ``dataclasses.replace`` needs ``vectorized=False`` too.
     """
 
     n: int
@@ -251,8 +254,26 @@ def _value(model: HamiltonianModel, z: np.ndarray) -> float:
     return H
 
 
-def psi_fd_step(z: np.ndarray, base: float = 1e-5) -> float:
-    """Default step for differencing psi: scales with the point's size."""
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_k . b_k for every row k of two (N, d) stacks, bit for bit the
+    per-row ``a_k @ b_k``.
+
+    A stacked (1 x d) @ (d x 1) matmul hands each row to the BLAS dot that
+    the per-row product uses.  The C-contiguous copies matter: on a strided
+    view numpy falls back to its own loop, which rounds differently.
+    """
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def psi_fd_step(z: np.ndarray, base: float = 1e-5):
+    """Default step for differencing psi: scales with the point's size.
+
+    A (N, dim) stack gives the (N,) steps of its rows, bit for bit.
+    """
+    z = np.asarray(z, dtype=float)
+    if z.ndim == 2:
+        return base * np.maximum(1.0, np.sqrt(_row_dots(z, z)))
     return base * max(1.0, float(np.linalg.norm(z)))
 
 
@@ -312,10 +333,13 @@ def _eval_stack(model: HamiltonianModel, zs: np.ndarray, *kinds: str) -> list[np
 def _psi_rows(ws: np.ndarray, hessians: np.ndarray) -> np.ndarray:
     """psi = w_k^T H_zz w_k for every row k of a stack of w = J H_z.
 
-    One small product per row keeps psi bit-identical to the scalar form;
-    stacked einsum or sum reductions round some rows differently.
+    One stacked matmul, bit for bit the scalar ``w @ h @ w``: each
+    (1 x d) @ (d x d) item goes through the BLAS gemv of the per-row
+    ``w @ h``, and the product with w through ``_row_dots``.  (Stacked
+    einsum or sum reductions would round some rows differently.)
     """
-    return np.array([float(w @ h @ w) for w, h in zip(ws, hessians)])
+    ws, hessians = np.ascontiguousarray(ws), np.ascontiguousarray(hessians)
+    return _row_dots((ws[:, None, :] @ hessians)[:, 0], ws)
 
 
 def _psi_stack(model: HamiltonianModel, zs: np.ndarray) -> np.ndarray:
@@ -350,7 +374,7 @@ def psi_gradient(model: HamiltonianModel, z, step: Optional[float] = None) -> np
         return out
     axes = _psi_axes(model)
     if step is None:
-        steps = np.array([psi_fd_step(row) for row in zs])
+        steps = psi_fd_step(zs)
     else:
         steps = np.full(len(zs), float(step))
     offsets = steps[:, None, None] * np.eye(model.dim)[list(axes)]  # h e_i rows, exact
@@ -378,8 +402,7 @@ def sample_fields(model: HamiltonianModel, z, psi_step: Optional[float] = None) 
         H, grads, hessians = _eval_stack(model, z, "value", "gradient", "hessian")
         ws = apply_J(grads)
         pz = psi_gradient(model, z, step=psi_step)
-        psi_prime = np.array([float(g @ w) for g, w in zip(pz, ws)])
-        return FieldSample(H, grads, hessians, _psi_rows(ws, hessians), psi_prime)
+        return FieldSample(H, grads, hessians, _psi_rows(ws, hessians), _row_dots(pz, ws))
     H = eval_value(model, z)
     grad = eval_gradient(model, z)
     hess = eval_hessian(model, z)
@@ -395,22 +418,45 @@ def autonomize(classical: ClassicalModel) -> HamiltonianModel:
 
     The gradient gains a unit wp component and the Hessian a zero wp
     row/column, so dH/dwp = 1 identically and dH/dt = dH_c/dt.
+
+    The lift is ``vectorized``: its callables also take an (N, dim) stack.
+    The classical callables still see one state at a time, and their
+    results are written into one array for the whole stack, row k bit for
+    bit the lift at row k.  A model made from the lift by swapping in a
+    callable that takes one state only must say so:
+    ``replace(lift, hessian=f, vectorized=False)``.
     """
     n = classical.n
     dim = 2 * n + 2
+    c = dim - 1  # the classical block: every coordinate but wp
 
-    def value(z: np.ndarray) -> float:
-        return float(z[dim - 1]) + float(classical.value(z[: dim - 1]))
+    def value(z: np.ndarray):
+        if z.ndim == 1:
+            return float(z[c]) + float(classical.value(z[:c]))
+        return z[:, c] + np.array([float(classical.value(row)) for row in z[:, :c]])
 
     def gradient(z: np.ndarray) -> np.ndarray:
-        g = np.empty(dim)
-        g[: dim - 1] = classical.gradient(z[: dim - 1])
-        g[dim - 1] = 1.0
+        if z.ndim == 1:
+            g = np.empty(dim)
+            g[:c] = classical.gradient(z[:c])
+            g[c] = 1.0
+            return g
+        g = np.empty(z.shape)
+        block = g[:, :c]
+        for k, row in enumerate(z[:, :c]):
+            block[k] = classical.gradient(row)
+        g[:, c] = 1.0
         return g
 
     def hessian(z: np.ndarray) -> np.ndarray:
-        h = np.zeros((dim, dim))
-        h[: dim - 1, : dim - 1] = classical.hessian(z[: dim - 1])
+        if z.ndim == 1:
+            h = np.zeros((dim, dim))
+            h[:c, :c] = classical.hessian(z[:c])
+            return h
+        h = np.zeros(z.shape + (dim,))
+        block = h[:, :c, :c]
+        for k, row in enumerate(z[:, :c]):
+            block[k] = classical.hessian(row)
         return h
 
     return HamiltonianModel(
@@ -420,6 +466,7 @@ def autonomize(classical: ClassicalModel) -> HamiltonianModel:
         hessian=hessian,
         time_independent=classical.time_independent,
         wp_affine=True,
+        vectorized=True,
         name=classical.name or "lifted",
     )
 

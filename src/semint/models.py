@@ -186,6 +186,8 @@ def free_time(n: int = 1) -> HamiltonianModel:
 def by_name(name: str, **params) -> HamiltonianModel:
     """Model lookup used by the CLI config loader."""
     if name == "pendulum":
+        if params:
+            raise ParameterError(f"model 'pendulum' takes no parameters, got {sorted(params)}")
         return pendulum()
     if name == "oscillator":
         return oscillator(**params)

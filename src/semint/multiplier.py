@@ -311,9 +311,9 @@ def _predict_region2(r, psi, psip, S, lam_cap, zero_root):
 
     label = "EU_2(" + (",".join(cases) if cases else "indeterminate") + ")"
     pair = s_neg == EXISTS_UNIQUE and s_pos == EXISTS_UNIQUE
-    if not (S < GHOST_S_EDGE or S > 6.0):
-        kind = "indeterminate"  # 6/5 <= S <= 6: outside the quantified windows
-    elif zero_root:  # for S > 6 the fixed point comes with a ghost branch
+    if not (S < GHOST_S_EDGE or S >= 6.0):
+        kind = "indeterminate"  # 6/5 <= S < 6: outside the quantified windows
+    elif zero_root:  # for S >= 6 the fixed point comes with a ghost branch
         kind = "fixed-point" if S < GHOST_S_EDGE else "bifurcates"
     elif pair:  # so does the regular pair
         kind = "pass-through" if S < GHOST_S_EDGE else "bifurcates"

@@ -4,9 +4,9 @@ Each check returns (name, passed, detail).  The battery covers the module
 invariants: structure-matrix algebra, field-sample identities, certificate
 behavior, the cubic/derivative error envelopes, monotone-interval soundness,
 prediction/solver agreement, the batched dense-scan grid against scalar g,
-and trajectory conservation.  ``k_scale``
-injects a corrupted quartic constant so callers can confirm the battery
-actually bites.
+stacked field samples against scalar ones, and trajectory conservation.
+``k_scale`` injects a corrupted quartic constant so callers can confirm the
+battery actually bites.
 """
 
 from __future__ import annotations
@@ -20,10 +20,13 @@ from .bounds import derive_constants, estimate_bounds
 from .constraint import ConstraintCurve, cubic_model
 from .decoupler import kantorovich_report, solve_midpoint
 from .extphase import (
+    ClassicalModel,
     ExtendedState,
     apply_J,
+    autonomize,
     eval_gradient,
     fd_gradient,
+    psi_gradient,
     sample_fields,
 )
 from .multiplier import (
@@ -246,6 +249,46 @@ def check_grid_scan(rng):
     )
 
 
+def _oscillator_lift(omega=1.3):
+    """H = wp + (p^2 + omega^2 q^2)/2 as an ``autonomize`` lift: the classical
+    callables take one state, and psi is differenced (no analytic gradient)."""
+    w2 = omega * omega
+
+    def value(c):
+        return 0.5 * (c[2] * c[2] + w2 * c[0] * c[0])
+
+    def gradient(c):
+        return np.array([w2 * c[0], 0.0, c[2]])
+
+    def hessian(c):
+        h = np.zeros((3, 3))
+        h[0, 0], h[2, 2] = w2, 1.0
+        return h
+
+    return autonomize(ClassicalModel(n=1, value=value, gradient=gradient, hessian=hessian,
+                                     time_independent=True, name="oscillator-lift"))
+
+
+def check_stacked_fields(rng):
+    """Stacked sample_fields and psi_gradient against the scalar calls, bit for bit.
+
+    The stacked products are exact only while numpy sends every row through
+    the BLAS kernel of the per-row product; another numpy build may not.
+    """
+    rows = 32
+    for model in (models.pendulum(), _oscillator_lift()):
+        zs = rng.uniform(-2.0, 2.0, size=(rows, model.dim))
+        stack = sample_fields(model, zs)
+        scalar = [sample_fields(model, z) for z in zs]
+        pairs = [(name, getattr(stack, name), [getattr(f, name) for f in scalar])
+                 for name in ("H", "grad", "hess", "psi", "psi_prime")]
+        pairs.append(("psi_gradient", psi_gradient(model, zs), [psi_gradient(model, z) for z in zs]))
+        for name, got, want in pairs:
+            if np.asarray(got, dtype=float).tobytes() != np.asarray(want, dtype=float).tobytes():
+                return False, f"stacked {name} differs from the scalar calls on {model.name}"
+    return True, f"pendulum and oscillator lift x {rows} states: every field bit-identical"
+
+
 def _brackets(vals):
     """Grid cells the dense scan would bisect (a zero at the left end or a sign change)."""
     left, right = vals[:-1], vals[1:]
@@ -317,6 +360,7 @@ def run_all(seed: int = 0, k_scale: float = 1.0):
         ("monotone-intervals", check_monotone_intervals, {}),
         ("prediction-vs-solver", check_prediction_consistency, {}),
         ("grid-scan", check_grid_scan, {}),
+        ("stacked-fields", check_stacked_fields, {}),
         ("trajectory-conservation", check_trajectory, {}),
         ("free-time-trivial", check_free_time, {}),
     ]

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from dataclasses import replace
 
@@ -10,13 +11,20 @@ from hypothesis import strategies as st
 from semint import models
 from semint.bounds import (
     RegionBounds,
+    _max_norm,
     bounds_from_json,
     bounds_to_json,
     derive_constants,
     estimate_bounds,
 )
 from semint.errors import EvaluationError, ParameterError
-from semint.extphase import ExtendedState, finite_difference_model, psi_fd_step
+from semint.extphase import (
+    ExtendedState,
+    eval_gradient,
+    eval_hessian,
+    finite_difference_model,
+    psi_fd_step,
+)
 
 from conftest import PEND_RADIUS, henon_heiles_lift, pendulum_analytic_suprema, pendulum_state
 
@@ -244,6 +252,35 @@ class TestBoundsDigests:
         )
 
 
+class TestStackedNorms:
+    """The stacked M1 / M2 / N1 / N2 maxima against per-row norm loops, bit for bit."""
+
+    @pytest.mark.parametrize("d", [4, 6, 36])
+    def test_max_norm_matches_the_norm_loop(self, d, rng):
+        rows = rng.standard_normal((30, d))
+        rows[0], rows[1] = 0.0, -0.0
+        rows[2] = 1e-300 * rng.standard_normal(d)
+        rows[3, 0] = 1e150
+        for stack in (rows, rows[4:], np.asfortranarray(rows[4:]), np.ascontiguousarray(rows.T).T):
+            want = 0.0
+            for row in stack:
+                want = max(want, float(np.linalg.norm(row)))
+            assert _max_norm(stack) == want
+
+    def test_m1_m2_match_the_per_point_loop(self):
+        model = henon_heiles_lift()
+        b = estimate_bounds(model, _hh_center(), 0.4, 3)
+        c, r = _hh_center().coords, 0.4
+        grids = [np.linspace(c[i] - r, c[i] + r, 3) if i in b.active_axes else [c[i]]
+                 for i in range(model.dim)]
+        m1 = m2 = 0.0
+        for z in itertools.product(*grids):
+            z = np.array(z)
+            m1 = max(m1, float(np.linalg.norm(eval_gradient(model, z))))
+            m2 = max(m2, float(np.linalg.norm(eval_hessian(model, z))))
+        assert (b.M1, b.M2) == (m1, m2)
+
+
 class TestEstimateBoundsCost:
     def test_model_evaluations_per_point(self):
         """Count guard: one batched stencil per grid point, no per-probe loop.
@@ -286,7 +323,7 @@ class TestEstimateBoundsCost:
             return h
 
         with pytest.raises(EvaluationError, match="not symmetric") as err:
-            estimate_bounds(replace(lift, hessian=hessian), _hh_center(), r, 3)
+            estimate_bounds(replace(lift, hessian=hessian, vectorized=False), _hh_center(), r, 3)
         edge = np.array([c[0] + r, c[1] - r, c[2], c[3] - r, c[4] - r, c[5]])
         probe = edge.copy()
         probe[0] += psi_fd_step(edge)

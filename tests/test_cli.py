@@ -546,6 +546,48 @@ class TestConfigShape:
         }
         assert_config_error(run_cli("map", "--config", write_config(tmp_path, "map.json", payload)))
 
+    @staticmethod
+    def _payload(command, tmp_path):
+        payload = {"model": {"name": "pendulum"}, "bounds": BOUNDS_BLOCK,
+                   "out": str(tmp_path / "out")}
+        payload.update({
+            "run": {"initial": {"q0": 1.0, "p0": 0.5, "lambda_target": 0.1}, "steps": 2},
+            "scan": {"state": [0.0, 0.0, 1.0, 0.501], "count": 3},
+            "map": {"grid": {"q_min": -1.0, "q_max": 1.0, "p_min": -1.0, "p_max": 1.0,
+                             "nq": 3, "np": 3}},
+        }[command])
+        return payload
+
+    @pytest.mark.parametrize(
+        "command, key, value, got",
+        [
+            ("run", "model", "pendulum", "str"),
+            ("scan", "model", "pendulum", "str"),
+            ("map", "model", "pendulum", "str"),
+            ("run", "bounds", 5, "int"),
+            ("map", "bounds", 5, "int"),
+            ("run", "tolerances", 5, "int"),
+            ("scan", "tolerances", 5, "int"),
+            ("run", "initial", [1.0, 0.5], "list"),
+            ("map", "grid", [-1.0, 1.0], "list"),
+        ],
+        ids=["run-model", "scan-model", "map-model", "run-bounds", "map-bounds",
+             "run-tolerances", "scan-tolerances", "run-initial", "map-grid"],
+    )
+    def test_config_block_must_be_an_object(self, tmp_path, command, key, value, got):
+        payload = self._payload(command, tmp_path)
+        payload[key] = value
+        proc = run_cli(command, "--config", write_config(tmp_path, "cfg.json", payload))
+        assert_config_error(proc)
+        assert proc.stderr.strip() == f"error: {key} must be an object, got {got}"
+
+    def test_pendulum_rejects_parameters(self, tmp_path):
+        payload = self._payload("run", tmp_path)
+        payload["model"] = {"name": "pendulum", "omega": 2}
+        proc = run_cli("run", "--config", write_config(tmp_path, "cfg.json", payload))
+        assert_config_error(proc)
+        assert "omega" in proc.stderr
+
     @pytest.mark.parametrize("seed", ["x", 2.5, float("inf")])
     def test_verify_seed_must_be_an_integer(self, tmp_path, seed):
         cfg = write_config(tmp_path, "verify.json", {"seed": seed})
@@ -581,6 +623,17 @@ class TestVerify:
         assert main(["verify"]) == 3
         failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
         assert len(failed) == 1 and failed[0].startswith("grid-scan")
+
+    def test_stacked_fields_check_bites(self, monkeypatch, capsys):
+        # a stacked psi one ulp off the scalar form must turn verify red
+        from semint import extphase
+        from semint.cli import main
+
+        original = extphase._psi_rows
+        monkeypatch.setattr(extphase, "_psi_rows", lambda ws, h: np.nextafter(original(ws, h), np.inf))
+        assert main(["verify"]) == 3
+        failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+        assert len(failed) == 1 and failed[0].startswith("stacked-fields")
 
 
 class TestBoundsReuse:

@@ -146,7 +146,7 @@ def _grid_setup(name):
     model, radius, samples = {
         "pendulum": (models.pendulum(), PEND_RADIUS, 17),
         "oscillator": (models.oscillator(1.3), PEND_RADIUS, 9),
-        "henon-heiles": (henon_heiles_lift(), 1.0, 3),  # not vectorized: row-by-row calls
+        "henon-heiles": (henon_heiles_lift(), 1.0, 3),  # a lift over row-only classical callables
     }[name]
     center = ExtendedState(np.zeros(model.dim), model.n)
     constants = derive_constants(estimate_bounds(model, center, radius, samples).scaled(1.1), DELTA)

@@ -10,6 +10,8 @@ from semint.extphase import (
     HamiltonianModel,
     _eval_stack,
     _hessian,
+    _psi_rows,
+    _row_dots,
     apply_J,
     autonomize,
     eval_gradient,
@@ -200,7 +202,7 @@ class TestPsiGradientBatch:
 
         zs = self._stack(rng, 2, rows=3)
         flagged_out = psi_gradient(lift, zs)
-        out = psi_gradient(replace(unflagged, gradient=gradient), zs)
+        out = psi_gradient(replace(unflagged, gradient=gradient, vectorized=False), zs)
         assert len(calls) == 3 * 2 * 6  # +-h on all six axes per row
         assert np.array_equal(out, flagged_out)
 
@@ -232,7 +234,7 @@ class TestPsiGradientBatch:
         probe = zs[2].copy()
         probe[1] += psi_fd_step(zs[2])
         with pytest.raises(EvaluationError, match="non-finite" if fault == "nan" else "symmetric") as err:
-            psi_gradient(replace(lift, hessian=hessian), zs)
+            psi_gradient(replace(lift, hessian=hessian, vectorized=False), zs)
         assert np.array_equal(err.value.z, probe)
 
     def test_nonfinite_gradient_carries_probe(self, rng):
@@ -251,7 +253,7 @@ class TestPsiGradientBatch:
         probe = zs[1].copy()
         probe[0] -= psi_fd_step(zs[1])  # row 1's -x probe, the first below -0.5
         with pytest.raises(EvaluationError, match="gradient") as err:
-            psi_gradient(replace(lift, gradient=gradient), zs)
+            psi_gradient(replace(lift, gradient=gradient, vectorized=False), zs)
         assert np.array_equal(err.value.z, probe)
 
     def test_nonfinite_analytic_psi_gradient_carries_row(self, pendulum):
@@ -377,6 +379,88 @@ class TestAutonomize:
         for _ in range(5):
             z = pendulum_state(rng.uniform(-2, 2), rng.uniform(-2, 2), wp=rng.uniform(-2, 2))
             assert lifted.gradient(z.coords)[-1] == 1.0
+
+    def test_stack_equals_rows_bitwise(self, rng):
+        lift = henon_heiles_lift()
+        assert lift.vectorized
+        zs = rng.uniform(-0.7, 0.7, size=(23, lift.dim))
+        for kind, shape in (("value", (23,)), ("gradient", (23, 6)), ("hessian", (23, 6, 6))):
+            stacked = getattr(lift, kind)(zs)
+            assert stacked.shape == shape, kind
+            assert _bits(stacked) == _bits([getattr(lift, kind)(z) for z in zs]), kind
+
+    @pytest.mark.parametrize("fault", ["nan", "asymmetric"])
+    def test_bad_classical_hessian_names_its_row(self, fault, rng):
+        def hessian(c):
+            h = np.diag([1.0 + 2.0 * c[1], 1.0, 0.0, 1.0, 1.0])
+            if c[0] > 0.5:
+                h[0, 1] += np.nan if fault == "nan" else 1.0
+            return h
+
+        bad = autonomize(ClassicalModel(n=2, value=lambda c: 0.0, gradient=lambda c: np.zeros(5),
+                                        hessian=hessian, time_independent=True))
+        zs = rng.uniform(-0.4, 0.4, size=(5, 6))
+        zs[[2, 4], 0] = 0.6  # rows 2 and 4 reach the bad region; row 2 comes first
+        for call in (lambda: _eval_stack(bad, zs, "hessian"), lambda: sample_fields(bad, zs)):
+            with pytest.raises(EvaluationError, match="non-finite" if fault == "nan" else "symmetric") as err:
+                call()
+            assert same_bits(err.value.z, zs[2])
+
+
+def _special_stack(rng, rows, d, scale=1.0):
+    """Seeded rows plus rows holding +-0.0, 1e-300 and 1e150 entries."""
+    out = scale * rng.standard_normal((rows, d))
+    out[0] = 0.0
+    out[1] = -0.0
+    out[2, ::2] = -0.0
+    out[3] = 1e-300 * rng.standard_normal(d)
+    out[4, 0], out[4, -1] = 1e150, -1e-300
+    out[5, 1] = 1e150
+    return out
+
+
+def _layouts(a):
+    """a itself, a Fortran-ordered copy and a view through reversed axes."""
+    flipped = np.ascontiguousarray(a.transpose(tuple(reversed(range(a.ndim)))))
+    return [a, np.asfortranarray(a), flipped.transpose(tuple(reversed(range(a.ndim))))]
+
+
+class TestStackedProducts:
+    """psi, psi' and the psi step on a stack, bit for bit the per-row forms."""
+
+    @pytest.mark.parametrize("d", [4, 6, 8])
+    def test_psi_rows(self, d, rng):
+        ws = _special_stack(rng, 40, d)
+        a = rng.standard_normal((40, d, d))
+        hs = a + a.transpose(0, 2, 1)
+        want = [float(w @ h @ w) for w, h in zip(ws, hs)]
+        for ws_view in _layouts(ws):
+            for hs_view in _layouts(hs):
+                assert _bits(_psi_rows(ws_view, hs_view)) == _bits(want)
+
+    @pytest.mark.parametrize("d", [4, 6, 8])
+    def test_psi_prime_rows(self, d, rng):
+        pz, ws = _special_stack(rng, 40, d), _special_stack(rng, 40, d, scale=3.0)
+        want = [float(g @ w) for g, w in zip(pz, ws)]
+        for pz_view in _layouts(pz):
+            for ws_view in _layouts(ws):
+                assert _bits(_row_dots(pz_view, ws_view)) == _bits(want)
+
+    @pytest.mark.parametrize("d", [4, 6, 8])
+    def test_fd_step(self, d, rng):
+        zs = _special_stack(rng, 40, d)
+        want = [1e-5 * max(1.0, float(np.linalg.norm(z))) for z in zs]
+        for view in _layouts(zs):
+            assert _bits(psi_fd_step(view)) == _bits(want)
+
+    def test_sample_fields_on_a_strided_stack(self, rng):
+        lift = henon_heiles_lift()
+        zs = rng.uniform(-0.5, 0.5, size=(7, lift.dim))
+        rows = [sample_fields(lift, z) for z in zs]
+        for view in _layouts(zs)[1:]:
+            stack = sample_fields(lift, view)
+            for name in ("H", "grad", "hess", "psi", "psi_prime"):
+                assert _bits(getattr(stack, name)) == _bits([getattr(r, name) for r in rows]), name
 
 
 class TestFiniteDifferenceAgreement:

@@ -263,6 +263,16 @@ class TestPredictRegion2:
         # the s- side keeps its root: r below Lambda^2 (6+S)/48
         assert EXISTS_UNIQUE in (pred.neg_interval, pred.pos_interval)
 
+    def test_S_exactly_six_kind_agrees_with_the_ghost_table(self):
+        # the table grants EU_2(vi.b) for S >= 6, so the vertex kind must too
+        psi = 0.09999999999999999
+        cubic = make_cubic(H=1e-6 * psi, psi=psi, psi_prime=3.0)
+        pred = predict_roots(classify_region(cubic), cubic, reference_constants())
+        assert pred.S_k == 6.0
+        assert pred.case_label == "EU_2(iv,vi.a,vi.b)"
+        assert pred.ghost_verdict == EXISTS
+        assert pred.vertex_kind == "bifurcates"
+
     def test_small_S_behaves_like_region1(self):
         constants = reference_constants()
         cubic = make_cubic(H=1e-4, psi=1.0, psi_prime=3.0)  # 24K < 9 < 64K
