@@ -185,6 +185,7 @@ def _max_norm(rows: np.ndarray) -> float:
 
 
 _STENCIL_BLOCK = 8  # grid points per psi_gradient call; keeps the stack small
+_PAIR_SAMPLES = 20000  # random Hessian pairs for the gamma_H estimate
 
 
 def _psi_suprema(model: HamiltonianModel, points: np.ndarray, active, step: float):
@@ -217,15 +218,13 @@ def estimate_bounds(
     center: ExtendedState,
     radius: float,
     samples_per_axis: int,
-    pair_samples: int = 20000,
-    seed: int = 0,
 ) -> RegionBounds:
     """Grid-sample derivative norms over the box |z_i - center_i| <= radius.
 
     The t and wp axes are skipped when the model declares (or probing shows)
     that nothing varies along them.  gamma_H is estimated from grid-neighbor
-    Hessian pairs plus a seeded batch of random pairs; enlarging the grid can
-    only grow the returned maxima.
+    Hessian pairs plus a batch of random pairs drawn with seed 0; enlarging
+    the grid can only grow the returned maxima.
     """
     if not radius > 0:
         raise ParameterError(f"radius must be positive, got {radius}")
@@ -266,10 +265,10 @@ def estimate_bounds(
         if np.any(good):
             gamma = max(gamma, float(np.max(num[good] / den[good])))
     # seeded random pairs for off-axis variation
-    if count > 1 and pair_samples > 0:
-        rng = np.random.default_rng(seed)
-        i1 = rng.integers(0, count, size=pair_samples)
-        i2 = rng.integers(0, count, size=pair_samples)
+    if count > 1:
+        rng = np.random.default_rng(0)
+        i1 = rng.integers(0, count, size=_PAIR_SAMPLES)
+        i2 = rng.integers(0, count, size=_PAIR_SAMPLES)
         den = np.linalg.norm(points[i1] - points[i2], axis=1)
         good = den > 0
         if np.any(good):

@@ -2,9 +2,10 @@
 
 All commands read a JSON config (``--config``) whose fields can be overridden
 on the command line, and write CSV/JSON artifacts for external plotting.
-Exit codes: 0 success, 1 bad configuration, 2 no trajectory exists at the
-requested start point (the ruling existence case, or the evaluation or solver
-error that ended the run, is printed), 3 verification failure.
+Exit codes: 0 success, 1 bad configuration or command line, 2 no trajectory
+exists at the requested start point (the ruling existence case, or the
+evaluation or solver error that ended the run, is printed), 3 verification
+failure.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
     ParameterError,
     UnsupportedRegionError,
 )
-from .extphase import ExtendedState, _eval_stack, sample_fields, state_header
+from .extphase import ExtendedState, _eval_stack, eval_value, sample_fields, state_header
 from .multiplier import classify_region
 from .trajectory import (
     StepOptions,
@@ -83,13 +84,14 @@ def _build_model(cfg):
 
 
 def _tolerances(cfg, args):
-    tols = dict(DEFAULT_TOLERANCES)
-    tols.update(_config_object(cfg, "tolerances"))
-    if getattr(args, "tol_g", None) is not None:
-        tols["tol_g"] = args.tol_g
-    if getattr(args, "tol_lambda", None) is not None:
-        tols["tol_lambda"] = args.tol_lambda
-    return tols
+    """The solver tolerances: defaults, then the config's, then the flags'."""
+    tols = {**DEFAULT_TOLERANCES, **_config_object(cfg, "tolerances")}
+    given = {key: (tols[key], f"tolerances.{key}") for key in DEFAULT_TOLERANCES}
+    if args.tol_g is not None:
+        given["tol_g"] = (args.tol_g, "--tol-g")
+    if args.tol_lambda is not None:
+        given["tol_lambda"] = (args.tol_lambda, "--tol-lambda")
+    return {key: _positive_number(value, name) for key, (value, name) in given.items()}
 
 
 def _config_number(value, name, integer=False):
@@ -107,6 +109,13 @@ def _config_number(value, name, integer=False):
     return number
 
 
+def _positive_number(value, name):
+    number = _config_number(value, name)
+    if not number > 0:
+        raise ConfigError(f"{name} must be positive, got {number}")
+    return number
+
+
 def _config_vector(value, name):
     """A list of finite floats from a config number or list of numbers."""
     return [_config_number(x, name) for x in (value if isinstance(value, list) else [value])]
@@ -114,14 +123,11 @@ def _config_vector(value, name):
 
 def _resolve_bounds(cfg, model, fallback_center=None):
     """Build (raw bounds, safety-scaled bounds, derived constants)."""
-    block = dict(DEFAULT_BOUNDS)
-    block.update(_config_object(cfg, "bounds"))
+    block = {**DEFAULT_BOUNDS, **_config_object(cfg, "bounds")}
     delta = _config_number(block["delta"], "bounds.delta")
-    safety = _config_number(block["safety"], "bounds.safety")
+    safety = _positive_number(block["safety"], "bounds.safety")
     if not 0.0 < delta < 1.0:
         raise ConfigError(f"bounds.delta must lie in (0, 1), got {delta}")
-    if not safety > 0:
-        raise ConfigError(f"bounds.safety must be positive, got {safety}")
     if "path" in block:
         try:
             raw = bounds_from_json(Path(block["path"]).read_text())
@@ -190,45 +196,33 @@ def _resolve_initial_state(cfg, model):
 
 
 def _out_dir(cfg, args):
-    out = getattr(args, "out", None) or cfg.get("out", ".")
-    path = Path(out)
+    path = Path(args.out or cfg.get("out", "."))
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = _load_config(args.config)
-        model = _build_model(cfg)
-        tols = _tolerances(cfg, args)
-        steps = args.steps if args.steps is not None else _config_number(
-            cfg.get("steps", 100), "steps", integer=True
-        )
-        if steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {steps}")
-        z0 = _resolve_initial_state(cfg, model)
-        _, scaled, constants = _resolve_bounds(cfg, model, fallback_center=z0)
-        policy = cfg.get("policy", "default")
-        if policy not in ("default", "follow-ghost"):
-            raise ConfigError(f"unknown policy '{policy}'")
-        out = _out_dir(cfg, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    opts = StepOptions(
-        bounds=scaled,
-        constants=constants,
-        tol_g=tols["tol_g"],
-        tol_lambda=tols["tol_lambda"],
-        solver_tol=tols["solver_tol"],
-        policy=policy,
+    cfg = _load_config(args.config)
+    model = _build_model(cfg)
+    tols = _tolerances(cfg, args)
+    steps = args.steps if args.steps is not None else _config_number(
+        cfg.get("steps", 100), "steps", integer=True
     )
+    if steps < 1:
+        raise ConfigError(f"steps must be >= 1, got {steps}")
+    z0 = _resolve_initial_state(cfg, model)
+    _, scaled, constants = _resolve_bounds(cfg, model, fallback_center=z0)
+    policy = cfg.get("policy", "default")
+    if policy not in ("default", "follow-ghost"):
+        raise ConfigError(f"unknown policy '{policy}'")
+    out = _out_dir(cfg, args)
+
+    opts = StepOptions(bounds=scaled, constants=constants, policy=policy, **tols)
     traj = propagate(model, z0, steps, opts)
+    max_resid = _write_trajectory(model, traj, out)
 
     taken = len(traj.multipliers)
     if taken == 0:
-        _write_trajectory(model, traj, out, tols)
         fixed = [e for e in traj.events if e.kind == "fixed-point"]
         if fixed:
             # a zero-step trajectory is still a trajectory; report and succeed
@@ -238,7 +232,6 @@ def cmd_run(args) -> int:
         print(f"no trajectory from z0: {verdicts[0] if verdicts else 'unknown'}")
         return 2
 
-    max_resid = _write_trajectory(model, traj, out, tols)
     print(f"steps taken: {taken}")
     print(f"max |H(z_bar)|: {max_resid:.3e}")
     print(f"events: {len(traj.events)}")
@@ -247,9 +240,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _write_trajectory(model, traj, out: Path, tols) -> float:
-    from .extphase import eval_value
-
+def _write_trajectory(model, traj, out: Path) -> float:
     n = traj.vertices[0].n
     max_resid = 0.0
     with open(out / "trajectory.csv", "w", newline="") as fh:
@@ -277,28 +268,24 @@ def _write_trajectory(model, traj, out: Path, tols) -> float:
 
 
 def cmd_scan(args) -> int:
+    cfg = _load_config(args.config)
+    model = _build_model(cfg)
+    tols = _tolerances(cfg, args)
+    if "state" not in cfg:
+        raise ConfigError("scan config needs a 'state'")
     try:
-        cfg = _load_config(args.config)
-        model = _build_model(cfg)
-        tols = _tolerances(cfg, args)
-        if "state" not in cfg:
-            raise ConfigError("scan config needs a 'state'")
-        try:
-            z_k = ExtendedState(np.asarray(cfg["state"], dtype=float), model.n)
-        except (ValueError, TypeError, EvaluationError) as exc:
-            raise ConfigError(f"bad scan state: {exc}") from exc
-        lam_range = cfg.get("lambda_range", [-0.15, 0.15])
-        if not isinstance(lam_range, list) or len(lam_range) != 2:
-            raise ConfigError(f"lambda_range must be a pair [lo, hi], got {lam_range!r}")
-        lo, hi = (_config_number(x, "lambda_range") for x in lam_range)
-        count = _config_number(cfg.get("count", 201), "count", integer=True)
-        if count < 2 or not hi > lo:
-            raise ConfigError("scan needs count >= 2 and lambda_range with hi > lo")
-        _, scaled, constants = _resolve_bounds(cfg, model, fallback_center=z_k)
-        out = _out_dir(cfg, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        z_k = ExtendedState(np.asarray(cfg["state"], dtype=float), model.n)
+    except (ValueError, TypeError, EvaluationError) as exc:
+        raise ConfigError(f"bad scan state: {exc}") from exc
+    lam_range = cfg.get("lambda_range", [-0.15, 0.15])
+    if not isinstance(lam_range, list) or len(lam_range) != 2:
+        raise ConfigError(f"lambda_range must be a pair [lo, hi], got {lam_range!r}")
+    lo, hi = (_config_number(x, "lambda_range") for x in lam_range)
+    count = _config_number(cfg.get("count", 201), "count", integer=True)
+    if count < 2 or not hi > lo:
+        raise ConfigError("scan needs count >= 2 and lambda_range with hi > lo")
+    _, scaled, constants = _resolve_bounds(cfg, model, fallback_center=z_k)
+    out = _out_dir(cfg, args)
 
     cubic = cubic_model(model, z_k, constants)
     curve = ConstraintCurve(model, z_k, tol=tols["solver_tol"])
@@ -348,43 +335,39 @@ def _map_cell(model, constants, qs, p, t, wp_rule):
 
 
 def cmd_map(args) -> int:
-    try:
-        cfg = _load_config(args.config)
-        model = _build_model(cfg)
-        grid = _config_object(cfg, "grid")
-        for key in ("q_min", "q_max", "p_min", "p_max", "nq", "np"):
-            if key not in grid:
-                raise ConfigError(f"map grid config needs '{key}'")
-        if model.n != 1:
-            raise ConfigError("map sweeps a (q, p) plane; model must have n = 1")
-        q_min, q_max, p_min, p_max = (
-            _config_number(grid[key], f"grid.{key}") for key in ("q_min", "q_max", "p_min", "p_max")
-        )
-        nq, npts = (_config_number(grid[key], f"grid.{key}", integer=True) for key in ("nq", "np"))
-        if nq < 2 or npts < 2 or not q_max > q_min or not p_max > p_min:
-            raise ConfigError("map grid must be increasing with at least 2 points per axis")
-        t = _config_number(cfg.get("t", 0.0), "t")
-        wp_rule = cfg.get("wp_rule", {"kind": "h-zero"})
-        if not isinstance(wp_rule, dict):
-            raise ConfigError(f"wp_rule must be an object, got {wp_rule!r}")
-        if wp_rule.get("kind") not in ("h-zero", "fixed"):
-            raise ConfigError("wp_rule kind must be 'h-zero' or 'fixed'")
-        if wp_rule["kind"] == "fixed":
-            _config_number(wp_rule.get("value", 0.0), "wp_rule.value")
-        # accepted so existing configs still validate; rows always run serially
-        _config_number(cfg.get("jobs", 1), "jobs", integer=True)
-        center = ExtendedState.from_parts([0.5 * (q_min + q_max)], t, [0.5 * (p_min + p_max)], 0.0)
-        user_bounds = _config_object(cfg, "bounds")
-        bcfg = {**DEFAULT_BOUNDS, **user_bounds}
-        if "radius" not in user_bounds:
-            bcfg["radius"] = max(0.5 * (q_max - q_min), 0.5 * (p_max - p_min)) + 0.5
-        cfg = dict(cfg)
-        cfg["bounds"] = bcfg
-        _, _, constants = _resolve_bounds(cfg, model, fallback_center=center)
-        out = _out_dir(cfg, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cfg = _load_config(args.config)
+    model = _build_model(cfg)
+    grid = _config_object(cfg, "grid")
+    for key in ("q_min", "q_max", "p_min", "p_max", "nq", "np"):
+        if key not in grid:
+            raise ConfigError(f"map grid config needs '{key}'")
+    if model.n != 1:
+        raise ConfigError("map sweeps a (q, p) plane; model must have n = 1")
+    q_min, q_max, p_min, p_max = (
+        _config_number(grid[key], f"grid.{key}") for key in ("q_min", "q_max", "p_min", "p_max")
+    )
+    nq, npts = (_config_number(grid[key], f"grid.{key}", integer=True) for key in ("nq", "np"))
+    if nq < 2 or npts < 2 or not q_max > q_min or not p_max > p_min:
+        raise ConfigError("map grid must be increasing with at least 2 points per axis")
+    t = _config_number(cfg.get("t", 0.0), "t")
+    wp_rule = cfg.get("wp_rule", {"kind": "h-zero"})
+    if not isinstance(wp_rule, dict):
+        raise ConfigError(f"wp_rule must be an object, got {wp_rule!r}")
+    if wp_rule.get("kind") not in ("h-zero", "fixed"):
+        raise ConfigError("wp_rule kind must be 'h-zero' or 'fixed'")
+    if wp_rule["kind"] == "fixed":
+        _config_number(wp_rule.get("value", 0.0), "wp_rule.value")
+    # accepted so existing configs still validate; rows always run serially
+    _config_number(cfg.get("jobs", 1), "jobs", integer=True)
+    center = ExtendedState.from_parts([0.5 * (q_min + q_max)], t, [0.5 * (p_min + p_max)], 0.0)
+    user_bounds = _config_object(cfg, "bounds")
+    bcfg = {**DEFAULT_BOUNDS, **user_bounds}
+    if "radius" not in user_bounds:
+        bcfg["radius"] = max(0.5 * (q_max - q_min), 0.5 * (p_max - p_min)) + 0.5
+    cfg = dict(cfg)
+    cfg["bounds"] = bcfg
+    _, _, constants = _resolve_bounds(cfg, model, fallback_center=center)
+    out = _out_dir(cfg, args)
 
     qs = np.linspace(q_min, q_max, nq)
     ps = np.linspace(p_min, p_max, npts)
@@ -400,14 +383,10 @@ def cmd_map(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        cfg = _load_config(args.config)
-        seed = args.seed if args.seed is not None else _config_number(
-            cfg.get("seed", 0), "seed", integer=True
-        )
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cfg = _load_config(args.config)
+    seed = args.seed if args.seed is not None else _config_number(
+        cfg.get("seed", 0), "seed", integer=True
+    )
     results = verify_mod.run_all(seed=seed, k_scale=args.inject_k_scale)
     width = max(len(name) for name, _, _ in results)
     failures = 0
@@ -419,49 +398,52 @@ def cmd_verify(args) -> int:
     return 0 if failures == 0 else 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit 1, like a bad config (2 means no trajectory)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="semint",
         description="Symplectic-energy-momentum integration with "
         "existence/uniqueness certificates",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    p_run = sub.add_parser("run", help="propagate a trajectory, write CSV + event log")
+    p_scan = sub.add_parser("scan", help="tabulate g(lambda) against its cubic model")
+    p_map = sub.add_parser("map", help="sweep a (q, p) grid; emit region/vertex classes")
+    p_verify = sub.add_parser("verify", help="run the invariant check battery")
+    # each command takes only the flags it reads
+    for p, func in ((p_run, cmd_run), (p_scan, cmd_scan), (p_map, cmd_map), (p_verify, cmd_verify)):
+        p.set_defaults(func=func)
         p.add_argument("--config", help="JSON config file")
+    for p in (p_run, p_scan, p_map):
         p.add_argument("--out", help="output directory")
+    for p in (p_run, p_scan):
         p.add_argument("--tol-g", type=float, dest="tol_g")
         p.add_argument("--tol-lambda", type=float, dest="tol_lambda")
-        p.add_argument("--seed", type=int)
-
-    p_run = sub.add_parser("run", help="propagate a trajectory, write CSV + event log")
-    add_common(p_run)
     p_run.add_argument("--steps", type=int)
-    p_run.set_defaults(func=cmd_run)
-
-    p_scan = sub.add_parser("scan", help="tabulate g(lambda) against its cubic model")
-    add_common(p_scan)
-    p_scan.set_defaults(func=cmd_scan)
-
-    p_map = sub.add_parser("map", help="sweep a (q, p) grid; emit region/vertex classes")
-    add_common(p_map)
-    p_map.set_defaults(func=cmd_map)
-
-    p_verify = sub.add_parser("verify", help="run the invariant check battery")
-    add_common(p_verify)
+    p_verify.add_argument("--seed", type=int)
     p_verify.add_argument(
         "--inject-k-scale",
         type=float,
         default=1.0,
         help="multiply K by this factor before the quartic-bound check (fault injection)",
     )
-    p_verify.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)
     # non-finite model values surface as EvaluationError; numpy's overflow
     # warnings would only add lines in front of the one-line error
     with np.errstate(over="ignore", invalid="ignore"):
-        return args.func(args)
+        try:
+            return args.func(args)
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

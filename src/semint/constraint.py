@@ -16,14 +16,15 @@ polish of ``solve_roots``, ``choose_conjugate_momentum``, ``semint scan`` and
 residual was judged with; the curve caches (lambda, z_bar, H_z(z_bar)), so
 ``derivative`` right after ``g`` at the same lambda, g' = H_z(z_bar)^T
 dz_bar/dlambda, costs one Hessian and one linear solve (a 2x2 Cramer solve
-on floats for an n = 1 lift), not a second midpoint solve or gradient.  The
-Newton loops of the fast path and of the polish call it only on iterations
-that take a Newton step; the iteration that accepts a root pays no
-sensitivity solve.  A caller that has H_z(z_k) already (``step``, from its
-field sample) passes it as ``grad``.  Warm-start guesses are formed
-element-wise on floats.  Every result is bit-identical to ``g_eval`` /
-``g_derivative`` from the same start: the kernel drops only argument checks
-on arrays it built itself.
+on floats for an n = 1 lift), not a second midpoint solve or gradient.
+``ConstraintCurve.newton`` is the one Newton iteration on g (the fast path,
+the polish and the conjugate-momentum refinement all run it); it asks for
+g' only on iterations that take a step, so the iteration that accepts a
+root pays no sensitivity solve.  A caller that has H_z(z_k) already
+(``step``, from its field sample) passes it as ``grad``.  Warm-start guesses
+are formed element-wise on floats.  Every result is bit-identical to
+``g_eval`` / ``g_derivative`` from the same start: the kernel drops only
+argument checks on arrays it built itself.
 """
 
 from __future__ import annotations
@@ -106,7 +107,6 @@ class ConstraintCurve:
         model: HamiltonianModel,
         z_k: ExtendedState,
         tol: float = 1e-13,
-        max_iter: int = 50,
         grad: Optional[np.ndarray] = None,
     ):
         """``grad`` is H_z(z_k) when the caller has already evaluated it."""
@@ -115,7 +115,6 @@ class ConstraintCurve:
         self.model = model
         self.z = z_k.coords if isinstance(z_k, ExtendedState) else np.asarray(z_k, dtype=float)
         self.tol = tol
-        self.max_iter = max_iter
         if grad is None:
             grad = eval_gradient(self.model, self.z)
         self._half_jgrad = (0.5 * _apply_J_arr(grad)).tolist()
@@ -142,8 +141,8 @@ class ConstraintCurve:
             return last[1], last[2]
         if not math.isfinite(lam):
             raise ParameterError("lambda must be finite")
-        zbar, grad, _, _ = _midpoint_newton(
-            self.model, lam, self.z, self._initial_guess(lam), self.tol, self.max_iter
+        zbar, grad, _, _ = _midpoint_newton(  # 50 iterations, the decoupler's default
+            self.model, lam, self.z, self._initial_guess(lam), self.tol, 50
         )
         self._prev, self._last = last, (lam, zbar, grad)
         return zbar, grad
@@ -156,7 +155,7 @@ class ConstraintCurve:
 
         Leaves the warm-start history of ``g`` untouched.
         """
-        zbars = solve_midpoints(self.model, lams, self.z, tol=self.tol, max_iter=self.max_iter)
+        zbars = solve_midpoints(self.model, lams, self.z, tol=self.tol)
         return _eval_stack(self.model, zbars, "value")[0]
 
     def derivative(self, lam: float) -> float:
@@ -166,6 +165,30 @@ class ConstraintCurve:
 
     def g_and_derivative(self, lam: float) -> tuple[float, float]:
         return _value(self.model, self._solve(lam)[0]), self.derivative(lam)
+
+    def newton(
+        self, lam: float, lo: float, hi: float, tol_g: float, max_steps: int
+    ) -> tuple[float, float]:
+        """Newton on g from ``lam``: (last iterate, g there).
+
+        Stops at |g| <= tol_g, at a zero slope, before a step that would
+        leave [lo, hi], or after ``max_steps`` steps; the caller tells a
+        root from a stop by the returned residual.  g' is asked for only on
+        iterations that take a step.
+        """
+        val = self.g(lam)
+        for _ in range(max_steps):
+            if abs(val) <= tol_g:
+                break
+            slope = self.derivative(lam)
+            if slope == 0.0:
+                break
+            nxt = lam - val / slope
+            if not lo <= nxt <= hi:
+                break
+            lam = nxt
+            val = self.g(lam)
+        return lam, val
 
     def midpoint(self, lam: float) -> np.ndarray:
         return self._solve(lam)[0].copy()
@@ -186,11 +209,6 @@ def g_derivative(model: HamiltonianModel, lam: float, z_k, tol: float = 1e-12) -
     return float(grad @ midpoint_sensitivity(model, lam, zbar, grad=grad))
 
 
-def cubic_model(
-    model: HamiltonianModel,
-    z_k,
-    constants: DerivedConstants,
-    psi_step: Optional[float] = None,
-) -> CubicModel:
+def cubic_model(model: HamiltonianModel, z_k, constants: DerivedConstants) -> CubicModel:
     """Assemble the cubic model of g at z_k from one field sample."""
-    return CubicModel.from_fields(sample_fields(model, z_k, psi_step=psi_step), constants)
+    return CubicModel.from_fields(sample_fields(model, z_k), constants)

@@ -262,20 +262,17 @@ def solve_midpoint_coords(
     z: np.ndarray,
     tol: float = 1e-12,
     max_iter: int = 50,
-    initial: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, int, float]:
-    """Newton solve for z_bar on raw coordinate arrays (hot-path core).
+    """Newton solve for z_bar on raw coordinate arrays, started at z itself.
 
-    Returns (z_bar, iterations, residual); ``initial`` warm-starts the
-    iteration (defaults to z itself).
+    Returns (z_bar, iterations, residual).
     """
     if not np.isfinite(lam):
         raise ParameterError("lambda must be finite")
     if not tol > 0:
         raise ParameterError("tol must be positive")
     z = np.asarray(z, dtype=float)
-    start = z if initial is None else np.asarray(initial, dtype=float)
-    z_bar, _, it, res = _midpoint_newton(model, lam, z, start.tolist(), tol, max_iter)
+    z_bar, _, it, res = _midpoint_newton(model, lam, z, z.tolist(), tol, max_iter)
     return z_bar, it, res
 
 
@@ -340,14 +337,12 @@ def solve_midpoint(
     z: ExtendedState,
     tol: float = 1e-12,
     max_iter: int = 50,
-    initial: Optional[np.ndarray] = None,
 ) -> MidpointSolution:
-    """Solve f(lambda, z, z_bar) = 0 for the midpoint z_bar(lambda, z)."""
+    """Solve f(lambda, z, z_bar) = 0 for the midpoint z_bar(lambda, z),
+    starting Newton at z_bar = z."""
     z_arr = z.coords if isinstance(z, ExtendedState) else np.asarray(z, dtype=float)
     n = z.n if isinstance(z, ExtendedState) else (z_arr.size - 2) // 2
-    z_bar, iterations, residual = solve_midpoint_coords(
-        model, lam, z_arr, tol=tol, max_iter=max_iter, initial=initial
-    )
+    z_bar, iterations, residual = solve_midpoint_coords(model, lam, z_arr, tol, max_iter)
     partner = 2.0 * z_bar - z_arr
     return MidpointSolution(
         z_bar=ExtendedState(z_bar, n),

@@ -266,15 +266,15 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def psi_fd_step(z: np.ndarray, base: float = 1e-5):
-    """Default step for differencing psi: scales with the point's size.
+def psi_fd_step(z: np.ndarray):
+    """Default step for differencing psi: 1e-5 scaled with the point's size.
 
     A (N, dim) stack gives the (N,) steps of its rows, bit for bit.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim == 2:
-        return base * np.maximum(1.0, np.sqrt(_row_dots(z, z)))
-    return base * max(1.0, float(np.linalg.norm(z)))
+        return 1e-5 * np.maximum(1.0, np.sqrt(_row_dots(z, z)))
+    return 1e-5 * max(1.0, float(np.linalg.norm(z)))
 
 
 def _psi_axes(model: HamiltonianModel) -> tuple[int, ...]:
@@ -292,8 +292,9 @@ def _eval_stack(model: HamiltonianModel, zs: np.ndarray, *kinds: str) -> list[np
     A ``vectorized`` model is called once per kind, any other row by row.
     The checks of the eval_* wrappers then run on the whole stack: the
     shape (``DimensionError``), finiteness, and the symmetry test unless
-    ``hessian_symmetric`` (Hessians come back symmetrized; a stack that is
-    bitwise symmetric already comes back untouched).  An
+    ``hessian_symmetric`` (a row whose Hessian is not bitwise symmetric
+    comes back symmetrized, every other row untouched, as ``_hessian``
+    treats one state).  An
     ``EvaluationError`` carries the first offending row, as a row-by-row
     loop would raise it.
     """
@@ -315,13 +316,17 @@ def _eval_stack(model: HamiltonianModel, zs: np.ndarray, *kinds: str) -> list[np
         finite = np.isfinite(arr.reshape(rows, -1).sum(axis=1))
         checks.append((~finite, f"model {kind} is non-finite"))
         if kind == "hessian" and not model.hessian_symmetric:
-            transposed = arr.transpose(0, 2, 1)
-            if not _bitwise_symmetric(arr, transposed):
+            bits = np.ascontiguousarray(arr).view(np.int64)
+            rows_off = (bits != bits.transpose(0, 2, 1)).any(axis=(1, 2))
+            if rows_off.any():
+                h, ht = arr[rows_off], arr[rows_off].transpose(0, 2, 1)
+                asym = np.zeros(rows, dtype=bool)
                 with np.errstate(invalid="ignore"):  # inf - inf only in non-finite rows
-                    scale = 1.0 + np.linalg.norm(arr, axis=(1, 2))
-                    asym = np.linalg.norm(arr - transposed, axis=(1, 2)) > 1e-10 * scale
+                    scale = 1.0 + np.linalg.norm(h, axis=(1, 2))
+                    asym[rows_off] = np.linalg.norm(h - ht, axis=(1, 2)) > 1e-10 * scale
                 checks.append((asym, "model hessian is not symmetric"))
-                arr = 0.5 * (arr + transposed)
+                arr = arr.copy()
+                arr[rows_off] = 0.5 * (h + ht)
         out.append(arr)
     bad = np.logical_or.reduce([mask for mask, _ in checks])
     if bad.any():

@@ -11,6 +11,8 @@ single Newton solve; a stack gives the same numbers row for row.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import ParameterError
@@ -153,6 +155,8 @@ def oscillator_midpoint(z: np.ndarray, lam: float, omega: float = 1.0):
 
 def free_time(n: int = 1) -> HamiltonianModel:
     """Degenerate model H = wp: every derivative beyond dH/dwp vanishes."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ParameterError(f"n must be an integer >= 1, got {n!r}")
     dim = 2 * n + 2
 
     def value(z):
@@ -192,5 +196,5 @@ def by_name(name: str, **params) -> HamiltonianModel:
     if name == "oscillator":
         return oscillator(**params)
     if name == "free_time":
-        return free_time(**{k: int(v) for k, v in params.items()})
+        return free_time(**params)
     raise ParameterError(f"unknown model '{name}'")

@@ -67,8 +67,6 @@ class Region:
     psi_k: float
     psi_prime_k: float
     threshold: float  # 24 K |psi_k|
-    tau_psi: float
-    tau_psi_prime: float
 
 
 @dataclass(frozen=True)
@@ -93,7 +91,6 @@ class RootPrediction:
     zero_root: bool
     capital_lambda: float
     S_k: Optional[float]
-    ghost_expected: bool
     ratio: float
     vertex_kind: str
 
@@ -128,38 +125,24 @@ class MultiplierSet:
     unsearched: list[tuple[float, float, str]] = field(default_factory=list)
 
 
-def classify_region(
-    cubic: CubicModel,
-    tau_psi: Optional[float] = None,
-    tau_psi_prime: Optional[float] = None,
-) -> Region:
+def classify_region(cubic: CubicModel) -> Region:
     """Assign a region tag with explicit numeric gates for the zero tests.
 
-    The exact condition psi_k = 0 needs a tolerance in floating point; the
-    default scales with how much psi can change over one multiplier window,
-    tau_psi = 1e-9 (1 + |psi'_k| lambda_delta).
+    The exact condition psi_k = 0 needs a tolerance in floating point; it
+    scales with how much psi can change over one multiplier window,
+    tau_psi = 1e-9 (1 + |psi'_k| lambda_delta), and psi'_k = 0 is tested
+    against tau_psi' = 1e-9 (1 + |psi_k|).
     """
     psi, psip = cubic.psi_k, cubic.psi_prime_k
     ld = cubic.lambda_delta if np.isfinite(cubic.lambda_delta) else 1.0
-    if tau_psi is None:
-        tau_psi = 1e-9 * (1.0 + abs(psip) * ld)
-    if tau_psi_prime is None:
-        tau_psi_prime = 1e-9 * (1.0 + abs(psi))
     threshold = 24.0 * cubic.K * abs(psi)
-    if abs(psi) > tau_psi:
+    if abs(psi) > 1e-9 * (1.0 + abs(psip) * ld):
         tag = "I" if psip * psip <= threshold else "II"
-    elif abs(psip) > tau_psi_prime:
+    elif abs(psip) > 1e-9 * (1.0 + abs(psi)):
         tag = "III"
     else:
         tag = "degenerate"
-    return Region(
-        tag=tag,
-        psi_k=psi,
-        psi_prime_k=psip,
-        threshold=threshold,
-        tau_psi=tau_psi,
-        tau_psi_prime=tau_psi_prime,
-    )
+    return Region(tag=tag, psi_k=psi, psi_prime_k=psip, threshold=threshold)
 
 
 def capital_lambda(
@@ -223,7 +206,6 @@ def predict_roots(
         zero_root=zero_root,
         capital_lambda=lam_cap,
         S_k=S,
-        ghost_expected=ghost == EXISTS,
         ratio=r,
         vertex_kind=kind,
     )
@@ -347,11 +329,12 @@ def _predict_region3(r, lam_cap, zero_root):
     return label, neg, pos, kind
 
 
-def _bisect_then_polish(curve, a, b, fa, fb, tol_lambda, tol_g, max_newton=30):
+def _bisect_then_polish(curve, a, b, fa, fb, tol_lambda, tol_g):
     """Bisection to width tol_lambda, then Newton polish to |g| <= tol_g.
 
-    Assumes fa and fb straddle zero. Returns (lambda, residual) or None if
-    the polish cannot push the residual under tol_g (flat curve).
+    Assumes fa and fb straddle zero.  The polish takes at most 30 steps and
+    stays within tol_lambda of [a, b].  Returns (lambda, residual) or None
+    if it cannot push the residual under tol_g (flat curve).
     """
     lo, hi, flo = a, b, fa
     while hi - lo > tol_lambda:
@@ -364,20 +347,7 @@ def _bisect_then_polish(curve, a, b, fa, fb, tol_lambda, tol_g, max_newton=30):
             lo, flo = mid, fm
         else:
             hi = mid
-    lam = 0.5 * (lo + hi)
-    val = curve.g(lam)
-    for _ in range(max_newton):
-        if abs(val) <= tol_g:
-            return lam, abs(val)
-        slope = curve.derivative(lam)  # only iterations that step need g'
-        if slope == 0.0:
-            break
-        step = val / slope
-        nxt = lam - step
-        if not (a - tol_lambda <= nxt <= b + tol_lambda):
-            break
-        lam = nxt
-        val = curve.g(lam)
+    lam, val = curve.newton(0.5 * (lo + hi), a - tol_lambda, b + tol_lambda, tol_g, 30)
     # every returned root must honor the residual contract
     return (lam, abs(val)) if abs(val) <= tol_g else None
 

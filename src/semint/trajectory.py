@@ -74,8 +74,6 @@ class StepOptions:
     solver_tol: float = 1e-13
     shrink: float = 0.9
     policy: str = "default"  # "default" | "follow-ghost"
-    scan_points: int = 256
-    psi_step: Optional[float] = None
     # Steps may use multipliers past the case-table window Lambda_k, up to the
     # decoupling radius lambda_delta where the midpoint function is certified.
     # Roots found out there carry no uniqueness guarantee and are logged as
@@ -133,43 +131,32 @@ class ConservationReport:
     max_energy_residual: float
     max_wp_drift: float
     max_symplectic_defect: float
-    symplectic_defects: tuple[float, ...]
 
 
-def _fast_newton_root(model, z, grad, search_cap, cubic, hint, tol_g, solver_tol, max_iter=12):
+def _fast_newton_root(model, z, grad, search_cap, cubic, hint, tol_g, solver_tol):
     """Newton on g from a previous step's multiplier, confined to (0, cap).
 
-    Accepts a root only after a mid-interval probe confirms g kept the sign
-    of H_k before it (no earlier crossing), so the returned multiplier is the
-    smallest positive root along a smooth run.  The probe is free when the
-    cubic model plus its quartic envelope already pins the sign.  g' is
-    computed only on iterations that take a Newton step.  ``grad`` is
-    H_z(z).  Returns (lambda, z_bar) with the curve's own midpoint array, or
-    None.
+    Takes at most 11 Newton steps (12 g evaluations).  Accepts a root only
+    after a mid-interval probe confirms g kept the sign of H_k before it (no
+    earlier crossing), so the returned multiplier is the smallest positive
+    root along a smooth run.  The probe is free when the cubic model plus
+    its quartic envelope already pins the sign.  ``grad`` is H_z(z).
+    Returns (lambda, z_bar) with the curve's own midpoint array, or None.
     """
     curve = ConstraintCurve(model, z, tol=solver_tol, grad=grad)
-    lam = min(max(hint, 1e-3 * search_cap), 0.999 * search_cap)
-    H_k = cubic.H_k
-    for _ in range(max_iter):
-        val = curve.g(lam)
-        if abs(val) <= tol_g:
-            if not 0.0 < lam < search_cap:
-                return None
-            half = 0.5 * lam
-            envelope = cubic.quartic_bound(half)
-            modeled = cubic(half)
-            if not (abs(modeled) > envelope and (modeled < 0) == (H_k < 0)):
-                probe = curve.g(half)  # the model alone does not certify the sign
-                if probe != 0.0 and (probe < 0) != (H_k < 0):
-                    return None
-            return lam, curve._solve(lam)[0]
-        slope = curve.derivative(lam)
-        if slope == 0.0:
+    start = min(max(hint, 1e-3 * search_cap), 0.999 * search_cap)
+    # the open interval (0, cap) as a closed one of floats
+    lo, hi = math.nextafter(0.0, 1.0), math.nextafter(search_cap, 0.0)
+    lam, val = curve.newton(start, lo, hi, tol_g, 11)
+    if not (abs(val) <= tol_g and 0.0 < lam < search_cap):
+        return None
+    H_k, half = cubic.H_k, 0.5 * lam
+    modeled = cubic(half)
+    if not (abs(modeled) > cubic.quartic_bound(half) and (modeled < 0) == (H_k < 0)):
+        probe = curve.g(half)  # the model alone does not certify the sign
+        if probe != 0.0 and (probe < 0) != (H_k < 0):
             return None
-        lam -= val / slope
-        if not (0.0 < lam < search_cap):
-            return None
-    return None
+    return lam, curve._solve(lam)[0]
 
 
 def step(
@@ -194,7 +181,7 @@ def step(
         raise ParameterError(f"direction must be forward or backward, got {direction}")
     sign = 1.0 if direction == "forward" else -1.0
 
-    fields = sample_fields(model, z_k, psi_step=opts.psi_step)
+    fields = sample_fields(model, z_k)
     cubic = CubicModel.from_fields(fields, opts.constants)
     region = classify_region(cubic)
     if region.tag == "degenerate":
@@ -247,7 +234,6 @@ def step(
         tol_g=opts.tol_g,
         tol_lambda=opts.tol_lambda,
         solver_tol=opts.solver_tol,
-        scan_points=opts.scan_points,
         extend_to=extend_to,
         extend_sides="pos" if sign > 0 else "neg",
         grad=fields.grad,
@@ -388,7 +374,6 @@ def classify_vertex(
     constants: DerivedConstants,
     shrink: float = 0.9,
     tol_g: float = 1e-12,
-    psi_step: Optional[float] = None,
 ) -> VertexClass:
     """Classify what kind of vertex z0 can be, from the case tables alone.
 
@@ -396,7 +381,7 @@ def classify_vertex(
     existence/uniqueness cases.  Points outside every quantified window come
     back indeterminate; psi = psi' = 0 is degenerate.
     """
-    cubic = cubic_model(model, z0, constants, psi_step=psi_step)
+    cubic = cubic_model(model, z0, constants)
     return case_table_vertex(cubic, classify_region(cubic), constants, shrink, tol_g)
 
 
@@ -469,22 +454,14 @@ def conservation_report(
         raise ParameterError("conservation report needs a nonempty trajectory")
     energy = [abs(eval_value(model, zb.coords)) for zb in trajectory.midpoints]
     wp = [abs(b.wp - a.wp) for a, b in zip(trajectory.vertices, trajectory.vertices[1:])]
-    defects = []
-    for k in range(0, len(trajectory.multipliers), max(1, defect_stride)):
-        defects.append(
-            symplectic_defect(
-                model,
-                trajectory.vertices[k],
-                trajectory.multipliers[k],
-                fd_step=fd_step,
-                solver_tol=solver_tol,
-            )
-        )
+    defects = [
+        symplectic_defect(model, trajectory.vertices[k], trajectory.multipliers[k], fd_step, solver_tol)
+        for k in range(0, len(trajectory.multipliers), max(1, defect_stride))
+    ]
     return ConservationReport(
-        max_energy_residual=max(energy) if energy else 0.0,
-        max_wp_drift=max(wp) if wp else 0.0,
-        max_symplectic_defect=max(defects) if defects else 0.0,
-        symplectic_defects=tuple(defects),
+        max_energy_residual=max(energy, default=0.0),
+        max_wp_drift=max(wp, default=0.0),
+        max_symplectic_defect=max(defects, default=0.0),
     )
 
 
@@ -538,19 +515,13 @@ def choose_conjugate_momentum(
         wp_a, fa = wp_b, fb
         wp_b, fb = wp, f
 
-    # one secant refinement on the actually solved forward multiplier
+    # one refinement on the actually solved forward multiplier: Newton on g
+    # with its iterates kept in the open interval (0, 4 lambda_target)
     z = make_state(wp)
     fields = sample_fields(model, z)
     curve = ConstraintCurve(model, z, tol=solver_tol)
-    lam = lambda_target
-    for _ in range(20):
-        val, slope = curve.g_and_derivative(lam)
-        if abs(val) <= 1e-13 or slope == 0.0:
-            break
-        nxt = lam - val / slope
-        if not (0.0 < nxt < 4.0 * lambda_target):
-            break
-        lam = nxt
+    hi = math.nextafter(4.0 * lambda_target, 0.0)
+    lam, _ = curve.newton(lambda_target, math.nextafter(0.0, 1.0), hi, 1e-13, 20)
     # dH/dwp is 1 for lifts; read it off the gradient for custom models
     dH_dwp = float(eval_gradient(model, z.coords)[-1])
     if dH_dwp == 0.0:

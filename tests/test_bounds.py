@@ -163,8 +163,8 @@ class TestEstimateBounds:
         assert sampled.active_axes == (0, 2)
 
     def test_deterministic(self, pendulum):
-        a = estimate_bounds(pendulum, pendulum_state(0, 0), 2.0, 9, seed=7)
-        b = estimate_bounds(pendulum, pendulum_state(0, 0), 2.0, 9, seed=7)
+        a = estimate_bounds(pendulum, pendulum_state(0, 0), 2.0, 9)
+        b = estimate_bounds(pendulum, pendulum_state(0, 0), 2.0, 9)
         assert (a.M1, a.M2, a.gamma_H, a.N1, a.N2) == (b.M1, b.M2, b.gamma_H, b.N1, b.N2)
 
     def test_parameter_validation(self, pendulum):

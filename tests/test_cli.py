@@ -669,3 +669,58 @@ class TestBoundsReuse:
         assert (tmp_path / "a" / "scan.csv").read_bytes() == (
             tmp_path / "b" / "scan.csv"
         ).read_bytes()
+
+
+class TestCommandLine:
+    """Each subcommand takes only the flags it reads; usage errors, bad
+    tolerances and bad model parameters exit 1 (2 means no trajectory)."""
+
+    FLAGS = {
+        "run": {"--config", "--out", "--tol-g", "--tol-lambda", "--steps"},
+        "scan": {"--config", "--out", "--tol-g", "--tol-lambda"},
+        "map": {"--config", "--out"},
+        "verify": {"--config", "--seed", "--inject-k-scale"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_help_lists_the_flags_the_command_reads(self, command):
+        import re
+
+        proc = run_cli(command, "--help")
+        assert proc.returncode == 0
+        assert set(re.findall(r"--[a-z][a-z-]*", proc.stdout)) == self.FLAGS[command] | {"--help"}
+
+    @pytest.mark.parametrize(
+        "args",
+        [("map", "--seed", "1"), ("run", "--bogus"), ("map", "--tol-g", "abc"), ()],
+        ids=["map-seed", "run-bogus", "map-tol-g", "no-command"],
+    )
+    def test_usage_error_exits_1(self, args):
+        proc = run_cli(*args)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.strip().splitlines()[-1].startswith("semint")
+        assert ": error: " in proc.stderr
+
+    @pytest.mark.parametrize(
+        "tolerances, flags, message",
+        [
+            ({"tol_g": "x"}, (), "error: tolerances.tol_g must be a number, got 'x'"),
+            ({"solver_tol": -1}, (), "error: tolerances.solver_tol must be positive, got -1.0"),
+            ({}, ("--tol-g", "nan"), "error: --tol-g must be finite, got nan"),
+        ],
+        ids=["tol-g-non-numeric", "solver-tol-negative", "tol-g-flag-nan"],
+    )
+    def test_bad_tolerance(self, tmp_path, tolerances, flags, message):
+        payload = json.loads(Path(_bounds_config(tmp_path, "run", BOUNDS_BLOCK)).read_text())
+        payload["tolerances"] = tolerances
+        proc = run_cli("run", "--config", write_config(tmp_path, "run.json", payload), *flags)
+        assert_config_error(proc)
+        assert proc.stderr.strip() == message
+
+    def test_free_time_bad_n(self, tmp_path):
+        payload = json.loads(Path(_bounds_config(tmp_path, "run", BOUNDS_BLOCK)).read_text())
+        payload["model"] = {"name": "free_time", "n": "x"}
+        proc = run_cli("run", "--config", write_config(tmp_path, "run.json", payload))
+        assert_config_error(proc)
+        assert "integer >= 1" in proc.stderr

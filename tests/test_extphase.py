@@ -616,3 +616,19 @@ class TestHessianSymmetryShortcut:
         with np.errstate(over="ignore"):
             assert np.isinf(parent_hessian(h)[3, 3])
         assert same_bits(_hessian(hessian_model(h[None], vectorized=False), np.zeros(4)), h)
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_only_asymmetric_rows_of_a_stack_are_symmetrized(self, vectorized, rng):
+        # a bitwise-symmetric row holding an entry above DBL_MAX / 2 keeps its
+        # bits (as ``_hessian`` returns it alone) beside a row that needs
+        # 0.5 (h + h^T); symmetrizing the whole stack overflowed it to inf
+        huge = hessian_case("bitwise", rng)
+        huge[3, 3] = 1.5e308
+        arr = np.array([huge, hessian_case("below", rng)])
+        model = hessian_model(arr, vectorized)
+        zs = np.zeros((2, 4))
+        zs[1, 0] = 1.0
+        (got,) = _eval_stack(model, zs, "hessian")
+        assert same_bits(got[0], huge)
+        assert same_bits(got[0], _hessian(hessian_model(arr, vectorized=False), zs[0]))
+        assert same_bits(got[1], parent_hessian(arr[1]))

@@ -78,6 +78,13 @@ def test_free_time_is_flat():
     assert np.count_nonzero(m.hessian(z)) == 0
 
 
+@pytest.mark.parametrize("n", ["x", 1.5, 0, True])
+def test_free_time_rejects_a_bad_n(n):
+    with pytest.raises(ParameterError, match="integer >= 1"):
+        models.by_name("free_time", n=n)
+    assert models.by_name("free_time", n=2).n == 2
+
+
 def test_by_name_lookup():
     assert models.by_name("pendulum").name == "pendulum"
     assert models.by_name("oscillator", omega=2.0).name == "oscillator"

@@ -234,7 +234,6 @@ class TestPredictRegion2:
         ratio2 = (cubic.psi_k / cubic.psi_prime_k) ** 2
         assert cubic.H_k / cubic.psi_k < (9.0 / 125.0) * ratio2
         assert pred.ghost_verdict == EXISTS
-        assert pred.ghost_expected
         # psi/psi' > 0 means c = -psi/psi' < 0: positive s maps to negative lambda
         assert pred.neg_interval == EXISTS_UNIQUE  # the s+ root
         assert pred.pos_interval == EXISTS_UNIQUE  # the s- root

@@ -11,9 +11,15 @@ import semint.trajectory
 from semint import models
 from semint.bounds import DerivedConstants, derive_constants, estimate_bounds
 from semint.constraint import ConstraintCurve, CubicModel, g_derivative
-from semint.errors import ParameterError, StepNonexistenceError, UnsupportedRegionError
+from semint.errors import (
+    LinearSolveError,
+    NonconvergenceError,
+    ParameterError,
+    StepNonexistenceError,
+    UnsupportedRegionError,
+)
 from semint.extphase import ExtendedState, apply_J, eval_gradient, eval_value, sample_fields
-from semint.multiplier import classify_region
+from semint.multiplier import classify_region, predict_roots
 from semint.trajectory import (
     StepOptions,
     case_table_vertex,
@@ -607,3 +613,123 @@ class TestInterpolation:
         traj = propagate(model, pendulum_state(1.0, 0.5, wp=wp0), 5, opts)
         with pytest.raises(ParameterError):
             interpolate_at_time(traj, -1.0)
+
+
+# recorded before the three Newton-on-g loops (fast path, solve_roots polish,
+# conjugate-momentum refinement) became ConstraintCurve.newton; must stay bitwise
+CONJUGATE_MOMENTUM_DIGEST = "d139f8e9a7e1a7cac270602aba8b6c65ebd4b0afa49704d48b5b7288095c85c6"
+# starts whose refinement does not stop at |g| <= 1e-13: the first four
+# leave (0, 4 lambda_target), the fourth on its 20th step; the fifth runs
+# out of its 20 steps; the midpoint solve of the last fails
+CONJUGATE_MOMENTUM_STARTS = [
+    ("pendulum", -2.111110358175527, 1.8321963589390124, 0.5862010913567097),
+    ("oscillator", 2.2682492412744457, 0.8625777362829585, 1.6430202925215158),
+    ("henon-heiles", [0.6337191641996615, 0.19197840627379142],
+     [0.09476921574724768, 0.7222440374728301], 1.5982437012200765),
+    ("pendulum", -2.2258877539967585, 2.4312525803035507, 0.3083320018674782),
+    ("pendulum", -1.9445326375316379, 2.47933816221971, 0.11185879358780944),
+    ("henon-heiles", [0.5447659787876862, 0.41530914912259986],
+     [-0.5069302275001842, 0.5152898894726882], 1.594485395012439),
+]
+
+
+def conjugate_momentum_starts(seed=3, per_model=25):
+    """Seeded (model, q0, p0, lambda_target) starts plus the ones above."""
+    rng = np.random.default_rng(seed)
+    starts = []
+    for name, n, box in (("pendulum", 1, 2.5), ("oscillator", 1, 2.5), ("henon-heiles", 2, 0.75)):
+        for _ in range(per_model):
+            q0, p0 = rng.uniform(-box, box, n).tolist(), rng.uniform(-box, box, n).tolist()
+            target = float(10 ** rng.uniform(-4, 0.3))
+            starts.append((name, q0 if n == 2 else q0[0], p0 if n == 2 else p0[0], target))
+    return starts + CONJUGATE_MOMENTUM_STARTS
+
+
+def test_choose_conjugate_momentum_pinned():
+    built = {"pendulum": models.pendulum(), "oscillator": models.oscillator(2.0),
+             "henon-heiles": henon_heiles_lift()}
+    record = []
+    for name, q0, p0, target in conjugate_momentum_starts():
+        try:
+            record.append(choose_conjugate_momentum(built[name], q0, 0.0, p0, target))
+        except (NonconvergenceError, LinearSolveError, UnsupportedRegionError) as exc:
+            # a failed start is part of the record
+            record.append(f"{type(exc).__name__}: {exc}")
+    assert [r for r in record if isinstance(r, str)] == [
+        "NonconvergenceError: midpoint solve did not reach tol=1e-13 in 50 iterations"
+    ]
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == CONJUGATE_MOMENTUM_DIGEST
+
+
+# recorded before the fast path's loop became ConstraintCurve.newton; must
+# stay bitwise
+FAST_NEWTON_DIGEST = "6d6621ec9e27161bee0edd5a849b728820cdf60c6fb59a91a6853de019558759"
+FAST_NEWTON_KINDS = {"root": 64, "declined": 230, "no fast path": 9}
+# pendulum (q, p, wp, hint) pairs whose fast-path Newton makes 12 g
+# evaluations without reaching |g| <= tol_g, so it declines
+FAST_NEWTON_CAPPED = [
+    (-2.2886966943684426, 0.9413246019499284, -1.1008523210487942, 0.015268138682167353),
+    (-2.086183359662912, -1.2194087488018002, -1.2363487561090392, 0.007156866480716233),
+    (-1.9637524894852842, 1.6644954418731102, -1.7682727990451852, 0.03549797910551046),
+]
+
+
+def fast_newton_pairs(seed=11, count=300):
+    """Seeded pendulum (q, p, wp, hint) pairs whose cubic model puts a
+    forward root near a drawn lambda, some of them near a double root."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(count):
+        q, p = rng.uniform(-2.5, 2.5, 2)
+        psi, psip = models.pendulum_psi(q, p), models.pendulum_psi_prime(q, p)
+        mode = rng.integers(3)
+        if mode == 0:
+            lam = 10 ** rng.uniform(-2, -0.5)
+        elif mode == 1 and psip != 0:  # g' vanishes near the root
+            lam = 2 * abs(psi / psip) / np.sqrt(3) * (1 + rng.uniform(-0.03, 0.03))
+        else:
+            lam = 10 ** rng.uniform(-1, 0.3)
+        H = psi * lam * lam / 8.0 + psip * lam**3 / 24.0 * rng.uniform(0, 1)
+        hint = lam * 10 ** rng.uniform(-0.7, 0.7)
+        pairs.append((float(q), float(p), float(H - (0.5 * p * p - np.cos(q))), float(hint)))
+    return pairs + FAST_NEWTON_CAPPED
+
+
+def fast_newton_outcome(model, constants, q, p, wp, hint):
+    """``_fast_newton_root`` at one pair, with the search cap ``step`` uses."""
+    z = pendulum_state(q, p, wp=wp)
+    fields = sample_fields(model, z)
+    cubic = CubicModel.from_fields(fields, constants)
+    region = classify_region(cubic)
+    if region.tag not in ("I", "III"):
+        return "no fast path"
+    prediction = predict_roots(region, cubic, constants)
+    if prediction.zero_root:
+        return "no fast path"
+    cap = max(prediction.capital_lambda, constants.lambda_delta)
+    got = semint.trajectory._fast_newton_root(
+        model, z, fields.grad, cap, cubic, hint, 1e-12, 1e-13
+    )
+    return "declined" if got is None else (got[0].hex(), [x.hex() for x in got[1].tolist()])
+
+
+def test_fast_newton_root_pinned(pend_opts):
+    model, opts = pend_opts
+    record = [fast_newton_outcome(model, opts.constants, *pair) for pair in fast_newton_pairs()]
+    kinds = Counter("root" if isinstance(r, tuple) else r for r in record)
+    assert kinds == FAST_NEWTON_KINDS
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == FAST_NEWTON_DIGEST
+
+
+@pytest.mark.parametrize("pair", FAST_NEWTON_CAPPED)
+def test_fast_newton_root_declines_after_twelve_g_evaluations(pair, pend_opts, monkeypatch):
+    model, opts = pend_opts
+    lams, original_g = [], ConstraintCurve.g
+
+    def counting_g(self, lam):
+        lams.append(lam)
+        return original_g(self, lam)
+
+    monkeypatch.setattr(ConstraintCurve, "g", counting_g)
+    assert fast_newton_outcome(model, opts.constants, *pair) == "declined"
+    assert len(lams) == 12
