@@ -84,13 +84,18 @@ def _build_model(cfg):
 
 
 def _tolerances(cfg, args):
-    """The solver tolerances: defaults, then the config's, then the flags'."""
-    tols = {**DEFAULT_TOLERANCES, **_config_object(cfg, "tolerances")}
+    """The solver tolerances: defaults, then the config's, then the flags' (``run`` only)."""
+    block = _config_object(cfg, "tolerances")
+    unknown = [key for key in block if key not in DEFAULT_TOLERANCES]
+    if unknown:
+        raise ConfigError(
+            f"unknown tolerances key {unknown[0]!r}; expected {', '.join(DEFAULT_TOLERANCES)}"
+        )
+    tols = {**DEFAULT_TOLERANCES, **block}
     given = {key: (tols[key], f"tolerances.{key}") for key in DEFAULT_TOLERANCES}
-    if args.tol_g is not None:
-        given["tol_g"] = (args.tol_g, "--tol-g")
-    if args.tol_lambda is not None:
-        given["tol_lambda"] = (args.tol_lambda, "--tol-lambda")
+    for key, flag in (("tol_g", "--tol-g"), ("tol_lambda", "--tol-lambda")):
+        if getattr(args, key, None) is not None:
+            given[key] = (getattr(args, key), flag)
     return {key: _positive_number(value, name) for key, (value, name) in given.items()}
 
 
@@ -423,9 +428,9 @@ def main(argv=None) -> int:
         p.add_argument("--config", help="JSON config file")
     for p in (p_run, p_scan, p_map):
         p.add_argument("--out", help="output directory")
-    for p in (p_run, p_scan):
-        p.add_argument("--tol-g", type=float, dest="tol_g")
-        p.add_argument("--tol-lambda", type=float, dest="tol_lambda")
+    # scan finds no roots, so only run reads the root tolerances
+    p_run.add_argument("--tol-g", type=float, dest="tol_g")
+    p_run.add_argument("--tol-lambda", type=float, dest="tol_lambda")
     p_run.add_argument("--steps", type=int)
     p_verify.add_argument("--seed", type=int)
     p_verify.add_argument(

@@ -14,10 +14,10 @@ ball of radius r_minus about z.
 For a one-degree-of-freedom lift (n = 1 with ``time_independent`` and
 ``wp_affine`` declared) H_zz has zero t and wp rows and columns, so f_zbar is
 the identity on (t, wp) and a 2x2 block on (q, p).  The Newton systems of
-``solve_midpoint_coords``, ``midpoint_sensitivity`` and ``kantorovich_report``
-are then solved in closed form; every other model goes through
-``np.linalg.solve`` on the full (2n+2)x(2n+2) Jacobian.  Convergence is
-always judged on the full residual.
+``solve_midpoint_coords``, ``midpoint_sensitivity``, ``kantorovich_report``
+and ``solve_midpoints`` are then solved in closed form; every other model
+goes through ``np.linalg.solve`` on the full (2n+2)x(2n+2) Jacobian.
+Convergence is always judged on the full residual.
 
 ``_midpoint_newton`` and ``_sensitivity`` are the unchecked cores of
 ``solve_midpoint_coords`` and ``midpoint_sensitivity`` for callers that built
@@ -35,8 +35,10 @@ are bit-identical.
 ``solve_midpoints`` runs the same Newton iteration for a whole grid of
 lambdas at one z as one masked batch: every row starts at z_bar = z, freezes
 at the first iterate that meets the tolerance, and the rows still active
-share one stacked model evaluation and one batched ``np.linalg.solve`` per
-iteration.
+share one stacked model evaluation per iteration.  Their linear solve is the
+same 2x2 Cramer rule as the scalar closed form (``_cramer``), applied to
+(N,) columns of the stacked Hessian, for an n = 1 lift, and one batched
+``np.linalg.solve`` on the (N, 2n+2, 2n+2) Jacobians for every other model.
 """
 
 from __future__ import annotations
@@ -145,21 +147,29 @@ def _singular(lam: float) -> LinearSolveError:
     )
 
 
-def _solve_qp(hess: np.ndarray, lam: float, r_q: float, r_p: float) -> tuple[float, float]:
-    """Cramer solve of the (q, p) block of f_zbar x = r for an n = 1 lift.
+def _cramer(c, h_qq, h_qp, h_pq, h_pp, r_q, r_p):
+    """Cramer's rule on the (q, p) block of f_zbar x = r for an n = 1 lift.
 
     With z = (q, t, p, wp) the block is
-    ((1 - c H_pq, -c H_pp), (c H_qq, 1 + c H_qp)), c = lambda/2.
+    ((1 - c H_pq, -c H_pp), (c H_qq, 1 + c H_qp)), c = lambda/2.  Returns
+    (det, det x_q, det x_p); the caller tests det before dividing.  The
+    arguments are floats or (N,) arrays of one stack's rows alike.
     """
-    c = 0.5 * lam
-    a11 = 1.0 - c * hess.item(2, 0)
-    a12 = -c * hess.item(2, 2)
-    a21 = c * hess.item(0, 0)
-    a22 = 1.0 + c * hess.item(0, 2)
-    det = a11 * a22 - a12 * a21
+    a11 = 1.0 - c * h_pq
+    a12 = -c * h_pp
+    a21 = c * h_qq
+    a22 = 1.0 + c * h_qp
+    return a11 * a22 - a12 * a21, a22 * r_q - a12 * r_p, a11 * r_p - a21 * r_q
+
+
+def _solve_qp(hess: np.ndarray, lam: float, r_q: float, r_p: float) -> tuple[float, float]:
+    """``_cramer`` on one Hessian and floats; a singular block raises LinearSolveError."""
+    det, num_q, num_p = _cramer(
+        0.5 * lam, hess.item(0, 0), hess.item(0, 2), hess.item(2, 0), hess.item(2, 2), r_q, r_p
+    )
     if det == 0.0 or not math.isfinite(det):
         raise _singular(lam)
-    return (a22 * r_q - a12 * r_p) / det, (a11 * r_p - a21 * r_q) / det
+    return num_q / det, num_p / det
 
 
 def _solve_jacobian(
@@ -292,6 +302,10 @@ def solve_midpoints(
     ``max_iter`` steps, ``LinearSolveError`` naming the first singular row's
     lambda, ``EvaluationError`` naming the first row with a non-finite model
     result.  The model sees one stack of the active rows per evaluation.
+    An n = 1 lift solves each row's (q, p) block by Cramer's rule, so a row
+    is singular exactly where the scalar solve finds its 2x2 determinant 0
+    or non-finite; any other model takes one batched LU solve.  The active
+    rows are gathered again only on iterations where some row froze.
     """
     lams = np.asarray(lams, dtype=float)
     if not np.all(np.isfinite(lams)):
@@ -300,19 +314,22 @@ def solve_midpoints(
         raise ParameterError("tol must be positive")
     z = np.asarray(z, dtype=float)
     dim, half = z.size, z.size // 2
-    z_bar = np.tile(z, (lams.size, 1))
-    active = np.arange(lams.size)  # rows not yet within tol
+    closed = _closed_form(model)
+    z_bar = np.empty((lams.size, dim))  # each row written once, when it freezes
+    # the active rows (not yet within tol): their indices, iterates and lambda/2
+    active, zs, c = np.arange(lams.size), np.tile(z, (lams.size, 1)), 0.5 * lams
     it = 0
     while active.size:
-        zs, c = z_bar[active], 0.5 * lams[active, None]
         (g,) = _eval_stack(model, zs, "gradient")
         f = zs - z
-        f[:, :half] -= c * g[:, half:]
-        f[:, half:] += c * g[:, :half]
-        moving = np.sqrt((f * f).sum(axis=1)) > tol  # the others freeze here
-        active, zs, f, c = active[moving], zs[moving], f[moving], c[moving]
-        if not active.size:
-            break
+        f[:, :half] -= c[:, None] * g[:, half:]
+        f[:, half:] += c[:, None] * g[:, :half]
+        moving = np.sqrt((f * f).sum(axis=1)) > tol
+        if not moving.all():  # the others freeze at this iterate
+            z_bar[active[~moving]] = zs[~moving]
+            active, zs, f, c = active[moving], zs[moving], f[moving], c[moving]
+            if not active.size:
+                break
         if it == max_iter:
             raise NonconvergenceError(
                 f"midpoint solve did not reach tol={tol:g} in {max_iter} iterations",
@@ -320,13 +337,25 @@ def solve_midpoints(
                 iterations=it,
             )
         (hess,) = _eval_stack(model, zs, "hessian")
-        jh = np.concatenate([hess[:, half:], -hess[:, :half]], axis=1)  # J H_zz per row
-        jac = _identity(dim) - c[:, :, None] * jh
-        try:
-            z_bar[active] = zs + np.linalg.solve(jac, -f[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            k = int(np.argmax(np.linalg.det(jac) == 0.0))  # LU met a zero pivot there
-            raise _singular(lams[active[k]]) from None
+        if closed:
+            # t and wp move by -f_t and -f_wp; (q, p) by the 2x2 block solve
+            step = np.negative(f, out=f)
+            det, num_q, num_p = _cramer(
+                c, hess[:, 0, 0], hess[:, 0, 2], hess[:, 2, 0], hess[:, 2, 2], step[:, 0], step[:, 2]
+            )
+            bad = (det == 0.0) | ~np.isfinite(det)
+            if bad.any():
+                raise _singular(lams[active[np.argmax(bad)]])
+            step[:, 0], step[:, 2] = num_q / det, num_p / det
+        else:
+            jh = np.concatenate([hess[:, half:], -hess[:, :half]], axis=1)  # J H_zz per row
+            jac = _identity(dim) - c[:, None, None] * jh
+            try:
+                step = np.linalg.solve(jac, -f[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                k = int(np.argmax(np.linalg.det(jac) == 0.0))  # LU met a zero pivot there
+                raise _singular(lams[active[k]]) from None
+        zs = zs + step
         it += 1
     return z_bar
 

@@ -677,7 +677,7 @@ class TestCommandLine:
 
     FLAGS = {
         "run": {"--config", "--out", "--tol-g", "--tol-lambda", "--steps"},
-        "scan": {"--config", "--out", "--tol-g", "--tol-lambda"},
+        "scan": {"--config", "--out"},
         "map": {"--config", "--out"},
         "verify": {"--config", "--seed", "--inject-k-scale"},
     }
@@ -692,8 +692,9 @@ class TestCommandLine:
 
     @pytest.mark.parametrize(
         "args",
-        [("map", "--seed", "1"), ("run", "--bogus"), ("map", "--tol-g", "abc"), ()],
-        ids=["map-seed", "run-bogus", "map-tol-g", "no-command"],
+        [("map", "--seed", "1"), ("run", "--bogus"), ("map", "--tol-g", "abc"),
+         ("scan", "--tol-g", "5"), ()],
+        ids=["map-seed", "run-bogus", "map-tol-g", "scan-tol-g", "no-command"],
     )
     def test_usage_error_exits_1(self, args):
         proc = run_cli(*args)
@@ -717,6 +718,17 @@ class TestCommandLine:
         proc = run_cli("run", "--config", write_config(tmp_path, "run.json", payload), *flags)
         assert_config_error(proc)
         assert proc.stderr.strip() == message
+
+    @pytest.mark.parametrize("command", ["run", "scan"])
+    def test_unknown_tolerance_key(self, tmp_path, command):
+        # a misspelt key would otherwise run silently with the default
+        payload = json.loads(Path(_bounds_config(tmp_path, command, BOUNDS_BLOCK)).read_text())
+        payload["tolerances"] = {"tolg": 5}
+        proc = run_cli(command, "--config", write_config(tmp_path, "cfg.json", payload))
+        assert_config_error(proc)
+        assert proc.stderr.strip() == (
+            "error: unknown tolerances key 'tolg'; expected tol_g, tol_lambda, solver_tol"
+        )
 
     def test_free_time_bad_n(self, tmp_path):
         payload = json.loads(Path(_bounds_config(tmp_path, "run", BOUNDS_BLOCK)).read_text())

@@ -374,3 +374,71 @@ class TestClosedFormDifferential:
         sens = midpoint_sensitivity(model, lam, zb)
         sens_ref = midpoint_sensitivity(reference, lam, zb)
         assert np.max(np.abs(sens - sens_ref)) <= 1e-10
+
+
+def _hessian_t_capped(model, stacked):
+    """The model with a NaN Hessian wherever t > 0.04 (rows with lambda > 0.08)."""
+
+    def hessian(z):
+        h = np.array(model.hessian(z))
+        h[z[..., 1] > 0.04] = np.nan
+        return h
+
+    return replace(model, hessian=hessian, vectorized=stacked)
+
+
+class TestStackedClosedForm:
+    """``solve_midpoints`` solves the (q, p) block of an n = 1 lift by
+    Cramer's rule per row; the same model with a flag cleared takes the
+    batched LU solve, kept as the reference."""
+
+    STATES = [(0.9, 0.3, -0.6, 0.2), (-2.1, -1.0, 1.4, -0.7), (0.0, 0.0, 1.0, 0.501)]
+
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_MODELS))
+    def test_rows_match_lu_path_and_scalar_solve(self, name):
+        model = DIFFERENTIAL_MODELS[name]
+        reference = replace(model, time_independent=None)
+        lams = np.linspace(-0.3, 0.3, 41)
+        for state in self.STATES:
+            z = np.array(state)
+            rows = solve_midpoints(model, lams, z, tol=1e-13)
+            lu_rows = solve_midpoints(reference, lams, z, tol=1e-13)
+            assert np.max(np.abs(rows - lu_rows)) <= 1e-14
+            for lam, row in zip(lams, rows):
+                scalar, _, _ = solve_midpoint_coords(model, lam, z, tol=1e-13)
+                assert np.max(np.abs(row - scalar)) <= 1e-14
+
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_MODELS))
+    def test_nonconvergence_at_the_lu_iteration_count(self, name):
+        model = DIFFERENTIAL_MODELS[name]
+        reference = replace(model, time_independent=None)
+        z, lams = np.array(self.STATES[1]), [0.0, 0.2, -0.4, 0.6]
+        outcomes = {}
+        for label, m in (("closed", model), ("lu", reference)):
+            for max_iter in range(6):
+                try:
+                    solve_midpoints(m, lams, z, tol=1e-13, max_iter=max_iter)
+                    outcomes[label, max_iter] = "converged"
+                except NonconvergenceError as exc:
+                    outcomes[label, max_iter] = exc.iterations
+                    assert exc.residual > 1e-13
+        assert [outcomes["closed", k] for k in range(6)] == [outcomes["lu", k] for k in range(6)]
+        assert outcomes["closed", 0] == 0 and outcomes["closed", 5] == "converged"
+
+    def test_non_finite_determinant_names_its_row(self, pendulum):
+        # c^2 H_pp H_qq overflows: the 2x2 determinant is inf, as in the scalar solve
+        z = pendulum_state(0.3, 0.2, wp=0.1).coords
+        with np.errstate(over="ignore"):
+            with pytest.raises(LinearSolveError, match=r"lambda=1e\+200;"):
+                solve_midpoints(pendulum, [0.1, 1e200, 1e201], z)
+            with pytest.raises(LinearSolveError, match=r"lambda=1e\+200;"):
+                solve_midpoint_coords(pendulum, 1e200, z)
+
+    def test_nan_hessian_names_the_row(self, pendulum):
+        z = pendulum_state(0.5, 0.2).coords
+        lams = np.array([0.0, 0.05, 0.07, 0.09, 0.11])
+        for stacked in (True, False):
+            with pytest.raises(EvaluationError, match="hessian is non-finite") as err:
+                solve_midpoints(_hessian_t_capped(pendulum, stacked), lams, z)
+            # the Hessian of iteration 1 sees row k at t = lambda_k / 2
+            assert err.value.z[1] == pytest.approx(0.045, abs=1e-15)
