@@ -83,13 +83,21 @@ def _build_model(cfg):
         raise ConfigError(f"bad model config: {exc}") from exc
 
 
-def _tolerances(cfg, args):
-    """The solver tolerances: defaults, then the config's, then the flags' (``run`` only)."""
+def _tolerances(cfg, args, used=tuple(DEFAULT_TOLERANCES)):
+    """The solver tolerances: defaults, then the config's, then the flags' (``run`` only).
+
+    A config key outside ``used`` is an error, as is an unknown one.
+    """
     block = _config_object(cfg, "tolerances")
     unknown = [key for key in block if key not in DEFAULT_TOLERANCES]
     if unknown:
         raise ConfigError(
             f"unknown tolerances key {unknown[0]!r}; expected {', '.join(DEFAULT_TOLERANCES)}"
+        )
+    unused = [key for key in block if key not in used]
+    if unused:
+        raise ConfigError(
+            f"{args.command} does not use tolerances key {unused[0]!r}; expected {', '.join(used)}"
         )
     tols = {**DEFAULT_TOLERANCES, **block}
     given = {key: (tols[key], f"tolerances.{key}") for key in DEFAULT_TOLERANCES}
@@ -275,7 +283,7 @@ def _write_trajectory(model, traj, out: Path) -> float:
 def cmd_scan(args) -> int:
     cfg = _load_config(args.config)
     model = _build_model(cfg)
-    tols = _tolerances(cfg, args)
+    tols = _tolerances(cfg, args, used=("solver_tol",))  # scan finds no roots
     if "state" not in cfg:
         raise ConfigError("scan config needs a 'state'")
     try:

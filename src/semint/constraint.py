@@ -10,17 +10,20 @@ whose defect is bounded by K |lambda|^4 for |lambda| <= lambda_delta.  The
 model is reserved for prediction and bracketing.
 
 ``ConstraintCurve`` is the one kernel under every warm-started g and g'
-evaluation: the DTH fast path in ``trajectory``, the bisection and Newton
-polish of ``solve_roots``, ``choose_conjugate_momentum``, ``semint scan`` and
+evaluation: the DTH fast path in ``trajectory``, the bracketed searches of
+``solve_roots``, ``choose_conjugate_momentum``, ``semint scan`` and
 ``semint verify``.  Each midpoint solve hands back the H_z(z_bar) its final
 residual was judged with; the curve caches (lambda, z_bar, H_z(z_bar)), so
 ``derivative`` right after ``g`` at the same lambda, g' = H_z(z_bar)^T
 dz_bar/dlambda, costs one Hessian and one linear solve (a 2x2 Cramer solve
 on floats for an n = 1 lift), not a second midpoint solve or gradient.
 ``ConstraintCurve.newton`` is the one Newton iteration on g (the fast path,
-the polish and the conjugate-momentum refinement all run it); it asks for
-g' only on iterations that take a step, so the iteration that accepts a
-root pays no sensitivity solve.  A caller that has H_z(z_k) already
+the root searches of ``solve_roots`` and the conjugate-momentum refinement
+all run it); it asks for g' only on iterations that take a step, so the
+iteration that accepts a root pays no sensitivity solve.  Given a
+sign-change bracket it first narrows it by safeguarded Newton, falling back
+to bisection only for a step that would leave the bracket or converge
+slower than bisection.  A caller that has H_z(z_k) already
 (``step``, from its field sample) passes it as ``grad``.  Warm-start guesses
 are formed element-wise on floats.  Every result is bit-identical to
 ``g_eval`` / ``g_derivative`` from the same start: the kernel drops only
@@ -167,7 +170,14 @@ class ConstraintCurve:
         return _value(self.model, self._solve(lam)[0]), self.derivative(lam)
 
     def newton(
-        self, lam: float, lo: float, hi: float, tol_g: float, max_steps: int
+        self,
+        lam: float,
+        lo: float,
+        hi: float,
+        tol_g: float,
+        max_steps: int,
+        tol_lambda: Optional[float] = None,
+        g_lo: float = 0.0,
     ) -> tuple[float, float]:
         """Newton on g from ``lam``: (last iterate, g there).
 
@@ -175,8 +185,45 @@ class ConstraintCurve:
         leave [lo, hi], or after ``max_steps`` steps; the caller tells a
         root from a stop by the returned residual.  g' is asked for only on
         iterations that take a step.
+
+        With ``tol_lambda``, [lo, hi] is a sign-change bracket: g(lo) has
+        the sign of ``g_lo``, g(hi) the other, and ``lam`` lies in it.  A
+        safeguarded phase in the manner of ``rtsafe`` (Numerical Recipes
+        9.4) runs first.  Each g value narrows the bracket by its sign.  A
+        Newton step that would leave the open bracket, or that is more than
+        half the step before it, becomes a bisection step: Newton is
+        trusted only while it converges at least as fast.  The phase ends once
+        the bracket or the last step is at most tol_lambda wide, or at
+        g = 0.  It never stops at |g| <= tol_g: where g is flat that holds
+        far from the root.  The plain iteration above then polishes inside
+        [lo - tol_lambda, hi + tol_lambda].
         """
         val = self.g(lam)
+        if tol_lambda is not None:
+            a, b, lo_negative = lo, hi, g_lo < 0
+            last = hi - lo  # a first Newton step may span half the bracket
+            for _ in range(100):  # a cap only: bisection halves the bracket
+                if val == 0.0:
+                    break
+                if (val < 0) == lo_negative:
+                    lo = lam
+                else:
+                    hi = lam
+                if hi - lo <= tol_lambda:
+                    break
+                slope = self.derivative(lam)
+                nxt = 0.5 * (lo + hi)
+                if abs(2.0 * val) <= abs(last * slope):  # so slope != 0
+                    trial = lam - val / slope
+                    if lo < trial < hi:
+                        nxt = trial
+                last = nxt - lam
+                lam = nxt
+                if abs(last) <= tol_lambda:
+                    break
+                val = self.g(lam)
+            lo, hi = a - tol_lambda, b + tol_lambda
+            val = self.g(lam)
         for _ in range(max_steps):
             if abs(val) <= tol_g:
                 break

@@ -306,6 +306,8 @@ def solve_midpoints(
     is singular exactly where the scalar solve finds its 2x2 determinant 0
     or non-finite; any other model takes one batched LU solve.  The active
     rows are gathered again only on iterations where some row froze.
+    Overflow in the stacked arithmetic raises no numpy warning: a row it
+    makes non-finite is caught as the scalar solve would catch it.
     """
     lams = np.asarray(lams, dtype=float)
     if not np.all(np.isfinite(lams)):
@@ -319,44 +321,46 @@ def solve_midpoints(
     # the active rows (not yet within tol): their indices, iterates and lambda/2
     active, zs, c = np.arange(lams.size), np.tile(z, (lams.size, 1)), 0.5 * lams
     it = 0
-    while active.size:
-        (g,) = _eval_stack(model, zs, "gradient")
-        f = zs - z
-        f[:, :half] -= c[:, None] * g[:, half:]
-        f[:, half:] += c[:, None] * g[:, :half]
-        moving = np.sqrt((f * f).sum(axis=1)) > tol
-        if not moving.all():  # the others freeze at this iterate
-            z_bar[active[~moving]] = zs[~moving]
-            active, zs, f, c = active[moving], zs[moving], f[moving], c[moving]
-            if not active.size:
-                break
-        if it == max_iter:
-            raise NonconvergenceError(
-                f"midpoint solve did not reach tol={tol:g} in {max_iter} iterations",
-                residual=float(np.sqrt(f[0] @ f[0])),
-                iterations=it,
-            )
-        (hess,) = _eval_stack(model, zs, "hessian")
-        if closed:
-            # t and wp move by -f_t and -f_wp; (q, p) by the 2x2 block solve
-            step = np.negative(f, out=f)
-            det, num_q, num_p = _cramer(
-                c, hess[:, 0, 0], hess[:, 0, 2], hess[:, 2, 0], hess[:, 2, 2], step[:, 0], step[:, 2]
-            )
-            bad = (det == 0.0) | ~np.isfinite(det)
-            if bad.any():
-                raise _singular(lams[active[np.argmax(bad)]])
-            step[:, 0], step[:, 2] = num_q / det, num_p / det
-        else:
-            jh = np.concatenate([hess[:, half:], -hess[:, :half]], axis=1)  # J H_zz per row
-            jac = _identity(dim) - c[:, None, None] * jh
-            try:
-                step = np.linalg.solve(jac, -f[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                k = int(np.argmax(np.linalg.det(jac) == 0.0))  # LU met a zero pivot there
-                raise _singular(lams[active[k]]) from None
-        zs = zs + step
-        it += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while active.size:
+            (g,) = _eval_stack(model, zs, "gradient")
+            f = zs - z
+            f[:, :half] -= c[:, None] * g[:, half:]
+            f[:, half:] += c[:, None] * g[:, :half]
+            moving = np.sqrt((f * f).sum(axis=1)) > tol
+            if not moving.all():  # the others freeze at this iterate
+                z_bar[active[~moving]] = zs[~moving]
+                active, zs, f, c = active[moving], zs[moving], f[moving], c[moving]
+                if not active.size:
+                    break
+            if it == max_iter:
+                raise NonconvergenceError(
+                    f"midpoint solve did not reach tol={tol:g} in {max_iter} iterations",
+                    residual=float(np.sqrt(f[0] @ f[0])),
+                    iterations=it,
+                )
+            (hess,) = _eval_stack(model, zs, "hessian")
+            if closed:
+                # t and wp move by -f_t and -f_wp; (q, p) by the 2x2 block solve
+                step = np.negative(f, out=f)
+                det, num_q, num_p = _cramer(
+                    c, hess[:, 0, 0], hess[:, 0, 2], hess[:, 2, 0], hess[:, 2, 2],
+                    step[:, 0], step[:, 2],
+                )
+                bad = (det == 0.0) | ~np.isfinite(det)
+                if bad.any():
+                    raise _singular(lams[active[np.argmax(bad)]])
+                step[:, 0], step[:, 2] = num_q / det, num_p / det
+            else:
+                jh = np.concatenate([hess[:, half:], -hess[:, :half]], axis=1)  # J H_zz per row
+                jac = _identity(dim) - c[:, None, None] * jh
+                try:
+                    step = np.linalg.solve(jac, -f[..., None])[..., 0]
+                except np.linalg.LinAlgError:
+                    k = int(np.argmax(np.linalg.det(jac) == 0.0))  # LU met a zero pivot there
+                    raise _singular(lams[active[k]]) from None
+            zs = zs + step
+            it += 1
     return z_bar
 
 

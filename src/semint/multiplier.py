@@ -9,9 +9,10 @@ Points split into three regions by the curvature scalars at z_k:
 Each region has its own existence/uniqueness case table (labelled EU_1,
 EU_2, EU_3 with roman-numeral cases).  ``predict_roots`` evaluates the table
 once, interval verdicts and vertex kind together; ``solve_roots`` walks the
-list of search intervals those verdicts give.  In region II the thresholds
-are stated in the rescaled variable s = -(psi'_k/psi_k) lambda, with
-S_k = |psi'_k/psi_k| Lambda_k.
+list of search intervals those verdicts give, with safeguarded Newton (no
+bisection unless Newton falters) in each sign change.  In region II the
+thresholds are stated in the rescaled variable s = -(psi'_k/psi_k) lambda,
+with S_k = |psi'_k/psi_k| Lambda_k.
 Roots with |s| > 6/5 are ghost multipliers: they do not vanish as
 H_k/psi_k -> 0+ and make trajectories bifurcate.
 """
@@ -329,43 +330,25 @@ def _predict_region3(r, lam_cap, zero_root):
     return label, neg, pos, kind
 
 
-def _bisect_then_polish(curve, a, b, fa, fb, tol_lambda, tol_g):
-    """Bisection to width tol_lambda, then Newton polish to |g| <= tol_g.
-
-    Assumes fa and fb straddle zero.  The polish takes at most 30 steps and
-    stays within tol_lambda of [a, b].  Returns (lambda, residual) or None
-    if it cannot push the residual under tol_g (flat curve).
-    """
-    lo, hi, flo = a, b, fa
-    while hi - lo > tol_lambda:
-        mid = 0.5 * (lo + hi)
-        fm = curve.g(mid)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if (flo < 0) == (fm < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    lam, val = curve.newton(0.5 * (lo + hi), a - tol_lambda, b + tol_lambda, tol_g, 30)
-    # every returned root must honor the residual contract
-    return (lam, abs(val)) if abs(val) <= tol_g else None
+def _root_in_bracket(curve, start, a, b, fa, tol_lambda, tol_g):
+    """(lambda, |g|) at the root of a sign change [a, b], g(a) = fa; None on a flat g."""
+    lam, val = curve.newton(start, a, b, tol_g, 30, tol_lambda=tol_lambda, g_lo=fa)
+    return (lam, abs(val)) if abs(val) <= tol_g else None  # the residual contract
 
 
 def _scan_interval(curve, a, b, points, tol_lambda, tol_g):
-    """Dense scan for sign changes, bisecting and polishing each bracket."""
+    """Dense scan, then a search from the regula-falsi point of each sign change."""
     xs = np.linspace(a, b, points)
-    vals = curve.g_grid(xs).tolist()
+    vals = curve.g_grid(xs)
+    left, right = vals[:-1], vals[1:]
+    cells = np.flatnonzero((left == 0.0) | ((left < 0) != (right < 0))).tolist()
+    xs, vals = xs.tolist(), vals.tolist()
     found = []
-    for i in range(len(xs) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if va == 0.0:
-            found.append((xs[i], 0.0))
-            continue
-        if (va < 0) != (vb < 0):
-            hit = _bisect_then_polish(curve, xs[i], xs[i + 1], va, vb, tol_lambda, tol_g)
-            if hit is not None:
-                found.append(hit)
+    for xa, xb, fa, fb in ((xs[i], xs[i + 1], vals[i], vals[i + 1]) for i in cells):
+        hit = (xa, 0.0) if fa == 0.0 else _root_in_bracket(
+            curve, xa - fa * (xb - xa) / (fb - fa), xa, xb, fa, tol_lambda, tol_g)
+        if hit is not None:
+            found.append(hit)
     return found
 
 
@@ -382,18 +365,19 @@ class _SearchInterval:
     c: Optional[float] = None  # lambda per s-unit in region II
 
 
-def _search_intervals(prediction, extend_to, extend_sides):
+def _search_intervals(prediction, extend_to, extend_sides, sides):
     """The intervals solve_roots searches, in the order it searches them.
 
     Regions I and III give (-Lambda, 0) and (0, Lambda); region II gives
     s in (-S, 0), s in (0, min(6/5, S)) and the ghost zone s in (6/5, S);
     ``none`` verdicts drop out.  The extension annuli past Lambda follow.
+    Each interval lies on one side of 0; ``sides`` keeps one side's.
     """
     lam_cap = prediction.capital_lambda
     region = prediction.region
     if region.tag in ("I", "III"):
-        sides = [(-lam_cap, 0.0, prediction.neg_interval), (0.0, lam_cap, prediction.pos_interval)]
-        out = [_SearchInterval(a, b, verdict, "") for a, b, verdict in sides if verdict != NONE]
+        halves = [(-lam_cap, 0.0, prediction.neg_interval), (0.0, lam_cap, prediction.pos_interval)]
+        out = [_SearchInterval(a, b, verdict, "") for a, b, verdict in halves if verdict != NONE]
     elif region.tag == "II":
         c = -region.psi_k / region.psi_prime_k  # lambda = c * s
         S = prediction.S_k
@@ -417,7 +401,11 @@ def _search_intervals(prediction, extend_to, extend_sides):
         for side, a, b in (("neg", -extend_to, -lam_cap), ("pos", lam_cap, extend_to)):
             if extend_sides in ("both", side):
                 out.append(_SearchInterval(a, b, INDETERMINATE, " in extension", in_window=False))
-    return out
+    if sides == "both":
+        return out
+    if sides not in ("pos", "neg"):
+        raise ParameterError(f"sides must be both, pos or neg, got {sides!r}")
+    return [iv for iv in out if (iv.a >= 0.0 if sides == "pos" else iv.b <= 0.0)]
 
 
 def solve_roots(
@@ -431,15 +419,18 @@ def solve_roots(
     extend_to: Optional[float] = None,
     extend_sides: str = "both",
     grad: Optional[np.ndarray] = None,
+    sides: str = "both",
 ) -> MultiplierSet:
     """Find the multipliers the prediction allows inside [-Lambda, Lambda].
 
     One loop walks the search intervals of the prediction.  Intervals with
     a ``none`` verdict are trusted and skipped.  An ``exists-unique``
-    interval gets an endpoint sign test, then bisection and Newton polish
+    interval gets an endpoint sign test, then safeguarded Newton that
+    narrows the sign change to ``tol_lambda`` and a polish to |g| <= tol_g
     (provenance "theorem").  Every other interval, and an ``exists-unique``
     one whose endpoint test loses the root to float noise, is densely
-    scanned (provenance "scan").  In region II the intervals are cut in
+    scanned, with the same search in each sign change (provenance "scan").
+    In region II the intervals are cut in
     s-units; the ghost zone s in (6/5, S) is always scanned and its roots are
     recorded as ghosts.  An interval where a midpoint solve fails is listed
     in ``unsearched``.
@@ -449,8 +440,9 @@ def solve_roots(
     (at most the decoupling radius makes sense); anything found there is
     recorded with in_window=False and provenance "scan" since no uniqueness
     statement covers it.  ``extend_sides`` limits the extension to "pos" or
-    "neg" multipliers.  ``grad`` is H_z(z_k) when the caller has already
-    evaluated it.
+    "neg" multipliers, and ``sides`` every interval: g is then never
+    evaluated at the other sign.  ``grad`` is H_z(z_k) when the caller has
+    already evaluated it.
     """
     curve = ConstraintCurve(model, z_k, tol=solver_tol, grad=grad)
     result = MultiplierSet()
@@ -459,7 +451,7 @@ def solve_roots(
         result.residuals["zero"] = abs(curve.g(0.0))
 
     records: list[RootRecord] = []
-    for iv in _search_intervals(prediction, extend_to, extend_sides):
+    for iv in _search_intervals(prediction, extend_to, extend_sides, sides):
         try:
             hits, provenance = [], "theorem"
             if iv.verdict == EXISTS_UNIQUE:
@@ -467,7 +459,10 @@ def solve_roots(
                 if fa == 0.0 or fb == 0.0:
                     hits = [(iv.a if fa == 0.0 else iv.b, 0.0)]
                 elif (fa < 0) != (fb < 0):
-                    hit = _bisect_then_polish(curve, iv.a, iv.b, fa, fb, tol_lambda, tol_g)
+                    # a theorem interval ends at lambda = 0, where g' = 0: a
+                    # regula-falsi start would land in that flat part
+                    mid = 0.5 * (iv.a + iv.b)
+                    hit = _root_in_bracket(curve, mid, iv.a, iv.b, fa, tol_lambda, tol_g)
                     hits = [] if hit is None else [hit]
             if not hits:
                 hits = _scan_interval(curve, iv.a, iv.b, scan_points, tol_lambda, tol_g)

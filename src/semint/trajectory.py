@@ -235,8 +235,8 @@ def step(
         tol_lambda=opts.tol_lambda,
         solver_tol=opts.solver_tol,
         extend_to=extend_to,
-        extend_sides="pos" if sign > 0 else "neg",
         grad=fields.grad,
+        sides="pos" if sign > 0 else "neg",  # the step never takes the other sign
     )
 
     regular = [r for r in roots.roots if not r.is_ghost and r.lam * sign > 0]

@@ -4,7 +4,8 @@ Each check returns (name, passed, detail).  The battery covers the module
 invariants: structure-matrix algebra, field-sample identities, certificate
 behavior, the cubic/derivative error envelopes, monotone-interval soundness,
 prediction/solver agreement, the batched dense-scan grid against scalar g,
-stacked field samples against scalar ones, and trajectory conservation.
+bracketed-Newton roots against plain bisection, stacked field samples
+against scalar ones, and trajectory conservation.
 ``k_scale`` injects a corrupted quartic constant so callers can confirm the
 battery actually bites.
 """
@@ -223,16 +224,21 @@ def check_prediction_consistency(rng):
     return agree == total and total >= 8, f"{agree}/{total} grid cases agree with the solver"
 
 
+def _states_with_roots(rng, model, ld):
+    """10 seeded pendulum states whose g has sign changes in (-ld, ld) where psi_k > 0."""
+    for z in _sample_states(rng, 10, box=PEND_RADIUS - DELTA):
+        # move wp so g(0) = H_k puts the sign changes inside the window
+        fields = sample_fields(model, z)
+        target = fields.psi * rng.uniform(0.0, 1.0) * ld**2 / 8.0
+        yield z.replace_coords(z.coords + [0.0, 0.0, 0.0, target - fields.H])
+
+
 def check_grid_scan(rng):
     model, _, _, constants = _pendulum_setup()
     ld = constants.lambda_delta
     lams = np.linspace(-ld, ld, 256)
     worst, brackets = 0.0, 0
-    for z in _sample_states(rng, 10, box=PEND_RADIUS - DELTA):
-        # move wp so g(0) = H_k puts sign changes inside the grid where psi_k > 0
-        fields = sample_fields(model, z)
-        target = fields.psi * rng.uniform(0.0, 1.0) * ld**2 / 8.0
-        z = z.replace_coords(z.coords + [0.0, 0.0, 0.0, target - fields.H])
+    for z in _states_with_roots(rng, model, ld):
         curve = ConstraintCurve(model, z, tol=1e-13)
         scalar = np.array([curve.g(lam) for lam in lams])
         batched = ConstraintCurve(model, z, tol=1e-13).g_grid(lams)
@@ -247,6 +253,54 @@ def check_grid_scan(rng):
     return True, (
         f"10 states x 256 lambdas: worst rel dev {worst:.1e}, same {brackets} brackets"
     )
+
+
+def _bisect(curve, a, b, fa, tol_lambda):
+    """Plain bisection of a sign change of g on [a, b] down to width tol_lambda."""
+    while b - a > tol_lambda:
+        mid = 0.5 * (a + b)
+        fm = curve.g(mid)
+        if fm == 0.0:
+            return mid
+        if (fm < 0) == (fa < 0):
+            a, fa = mid, fm
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+def check_root_polish(rng):
+    """Bracketed Newton in each sign-change cell against plain bisection.
+
+    The cells come from a scalar g on a grid, so this check and grid-scan
+    fail apart.  A root passes when it lies within max(tol_lambda,
+    2 tol_g / |g'|) of the bisection's and |g| <= tol_g there.
+    """
+    model, _, _, constants = _pendulum_setup()
+    tol_g, tol_lambda = 1e-12, 1e-9  # the StepOptions defaults
+    ld = constants.lambda_delta
+    lams = np.linspace(-ld, ld, 64).tolist()
+    roots, worst = 0, 0.0
+    for z in _states_with_roots(rng, model, ld):
+        oracle = ConstraintCurve(model, z, tol=1e-13)
+        vals = [oracle.g(lam) for lam in lams]
+        for i in _brackets(np.array(vals)):
+            a, b, fa, fb = lams[i], lams[i + 1], vals[i], vals[i + 1]
+            if fa == 0.0:
+                continue
+            curve = ConstraintCurve(model, z, tol=1e-13)
+            start = a - fa * (b - a) / (fb - fa)
+            lam, val = curve.newton(start, a, b, tol_g, 30, tol_lambda=tol_lambda, g_lo=fa)
+            slope = curve.derivative(lam)
+            allowed = max(tol_lambda, 2.0 * tol_g / abs(slope)) if slope else tol_lambda
+            dev = abs(lam - _bisect(oracle, a, b, fa, tol_lambda))
+            if not (abs(val) <= tol_g and dev <= allowed):
+                return False, (
+                    f"root {lam:.12g} is {dev:.2e} off bisection (allowed {allowed:.2e}), "
+                    f"|g| = {abs(val):.1e}"
+                )
+            roots, worst = roots + 1, max(worst, dev / allowed)
+    return roots >= 10, f"{roots} roots within tolerance of bisection (worst {worst:.2f} of it)"
 
 
 def _oscillator_lift(omega=1.3):
@@ -290,7 +344,7 @@ def check_stacked_fields(rng):
 
 
 def _brackets(vals):
-    """Grid cells the dense scan would bisect (a zero at the left end or a sign change)."""
+    """Grid cells the dense scan would search (a zero at the left end or a sign change)."""
     left, right = vals[:-1], vals[1:]
     return np.flatnonzero((left == 0.0) | ((left < 0) != (right < 0)))
 
@@ -360,6 +414,7 @@ def run_all(seed: int = 0, k_scale: float = 1.0):
         ("monotone-intervals", check_monotone_intervals, {}),
         ("prediction-vs-solver", check_prediction_consistency, {}),
         ("grid-scan", check_grid_scan, {}),
+        ("root-polish", check_root_polish, {}),
         ("stacked-fields", check_stacked_fields, {}),
         ("trajectory-conservation", check_trajectory, {}),
         ("free-time-trivial", check_free_time, {}),

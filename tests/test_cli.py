@@ -469,8 +469,8 @@ GOLDEN_RUN = {
         "steps": 300,
         "bounds": {"center": [0.0, 0.0, 0.0, 0.0], "radius": 2.5, "samples_per_axis": 17},
     },
-    "trajectory.csv": "e17328145c89edb44af33bbb578683f4dc44f44d7fda40efd8fcfc6747837bdc",
-    "events.json": "cb2b007f0e46b22f36cb6e82ee5001607f0daf4e469222082db1b9283549cd3d",
+    "trajectory.csv": "af47e1c7ab3500175a70c546dc121b70308261bab356d0870ed9f90b1969e04d",
+    "events.json": "14a4b3ced9e64880aada1bbdcc959a46187d8cc06006c3c0a7f3ce3993dcc462",
 }
 GOLDEN_SCAN = {
     "payload": {"model": {"name": "pendulum"}, "state": [1.0, 0.0, 0.5, 0.4]},
@@ -624,6 +624,22 @@ class TestVerify:
         failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
         assert len(failed) == 1 and failed[0].startswith("grid-scan")
 
+    def test_root_polish_check_bites(self, monkeypatch, capsys):
+        # a bracketed search that stops 5e-9 past its root must turn verify red
+        from semint.cli import main
+        from semint.constraint import ConstraintCurve
+
+        original = ConstraintCurve.newton
+
+        def off_by_a_little(self, lam, lo, hi, tol_g, max_steps, tol_lambda=None, g_lo=0.0):
+            got, val = original(self, lam, lo, hi, tol_g, max_steps, tol_lambda, g_lo)
+            return (got, val) if tol_lambda is None else (got + 5e-9, self.g(got + 5e-9))
+
+        monkeypatch.setattr(ConstraintCurve, "newton", off_by_a_little)
+        assert main(["verify"]) == 3
+        failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+        assert any(line.startswith("root-polish") for line in failed)
+
     def test_stacked_fields_check_bites(self, monkeypatch, capsys):
         # a stacked psi one ulp off the scalar form must turn verify red
         from semint import extphase
@@ -728,6 +744,17 @@ class TestCommandLine:
         assert_config_error(proc)
         assert proc.stderr.strip() == (
             "error: unknown tolerances key 'tolg'; expected tol_g, tol_lambda, solver_tol"
+        )
+
+    @pytest.mark.parametrize("key", ["tol_g", "tol_lambda"])
+    def test_scan_rejects_root_tolerances(self, tmp_path, key):
+        # scan finds no roots: a root tolerance in its config would be ignored
+        payload = json.loads(Path(_bounds_config(tmp_path, "scan", BOUNDS_BLOCK)).read_text())
+        payload["tolerances"] = {"solver_tol": 1e-13, key: 5}
+        proc = run_cli("scan", "--config", write_config(tmp_path, "scan.json", payload))
+        assert_config_error(proc)
+        assert proc.stderr.strip() == (
+            f"error: scan does not use tolerances key '{key}'; expected solver_tol"
         )
 
     def test_free_time_bad_n(self, tmp_path):

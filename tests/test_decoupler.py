@@ -434,6 +434,16 @@ class TestStackedClosedForm:
             with pytest.raises(LinearSolveError, match=r"lambda=1e\+200;"):
                 solve_midpoint_coords(pendulum, 1e200, z)
 
+    def test_overflowing_row_raises_without_a_warning(self, pendulum):
+        # the scalar solve raises LinearSolveError silently; so must the batch
+        import warnings
+
+        z = pendulum_state(0.3, 0.2, wp=0.1).coords
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LinearSolveError, match=r"lambda=1e\+200;"):
+                solve_midpoints(pendulum, [0.1, 1e200], z)
+
     def test_nan_hessian_names_the_row(self, pendulum):
         z = pendulum_state(0.5, 0.2).coords
         lams = np.array([0.0, 0.05, 0.07, 0.09, 0.11])

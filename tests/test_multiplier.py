@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -593,19 +594,19 @@ class TestSolveRootsPinned:
         "III+": (2.0, 1.409557067016174, -1.4095723999040441),  # EU_3(ii)
         "III-": (2.0, 1.409557067016174, -1.4095723983654793),  # EU_3(i)
     }
-    # recorded before solve_roots became one loop over a search-interval list
+    # re-recorded when safeguarded Newton replaced bisection in each bracket
     DIGESTS = {
-        "I-beyond": "50d92750023825f5e6c094dc3c1e13b5cd5d332b10c469022ca4055cc6078041",
-        "I-indeterminate": "577c9911fcf5be56f1cc3c5ce73b86b23336657499ca58993026ca3cf001009f",
-        "I-inside": "42127ac344e6cc19b9ad40a607c9b658754805001449084abbe165fc0bd3859f",
+        "I-beyond": "e3f8f03c787873495b609d8a806b2e99f3004cd3b5cb73a9e53015544b57d958",
+        "I-indeterminate": "4d130f1a15d4bee9c15d7bfb593f4a5f97828e1b9acb444eb49976d48c59e242",
+        "I-inside": "e4fde180389361d2fb43ff6def24650dbefc68b8ed726354edfca09f79967f7f",
         "I-negative": "9c587d25070332007c7ed037c4d71324dfb6107be34c7e62b2cea4b2c7fd47a6",
-        "II-ghost-1e-10": "aefd8e8d3091d2b89782625f24b4444f60ee91b55b088911e864c587bc83cffe",
-        "II-ghost-1e-6": "22f0dba1bb040de789f49efb95b029de24b576c133bffb96665e8501237e21dc",
-        "II-ghost-1e-8": "e71322c12445a8d5f5962f84ac97aff4fcd1b242173dc49a0e6015d3d17ea4cc",
-        "II-near-III": "8ea4856e4f57e57f50569f2afcd3efe1a6a1eab9ffa1b9eb2ecd4ada6ed4fecd",
-        "II-small-S": "91767fbe3591ec1dbfbf2c6169b69b473aeae5aa698d37869c244018bfb5d79d",
-        "III+": "88ba5a06c27411d0e3c20b2ddf585f0798b1a94760a82f7d4a459f8e2240e44c",
-        "III-": "278e3e1163b2e1d9cd5eb21ce80d98487e473ebbda83a80d465395e2763dd8e6",
+        "II-ghost-1e-10": "7f49c3a9486671a726a4fc4116d1dc18df0566b47d8003430a86f6a94784f667",
+        "II-ghost-1e-6": "7de19664850b82487034264158516b482152494dc67815170cfbedf5cb2c6fd4",
+        "II-ghost-1e-8": "128801360399ff17724165117ccb2f60ba5849c8f449a3b89f0519fe01186d25",
+        "II-near-III": "77da26cc466145652887612198b8fef116c14837625c4e832617bcd1c3148a3e",
+        "II-small-S": "4afcae027bd24f2a51d503c0eb1d40283684751ded45ad6500e0ec94541d24e3",
+        "III+": "a74e589fd28f0b9d906b1e2209c2ca85aabc211040082c4e120410f838c049ed",
+        "III-": "8b162bc654afa245733313e98fee9419da3335fde3f330ca5ee4090bd6ce37c6",
         "zero-root": "374ec48a3cf5fc842709498bd1629cb597aa44ce704e2750c16e7de2512d4d29",
     }
 
@@ -629,3 +630,132 @@ class TestSolveRootsPinned:
         texts.append(_roots_text(failing))
         text = f"{pred.case_label}\n" + "\n--\n".join(texts)
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[name], text
+
+
+def _pinned_point(model, constants, name):
+    """A TestSolveRootsPinned state with its prediction."""
+    q, p, wp = TestSolveRootsPinned.POINTS[name]
+    z = pendulum_state(q, p, wp=wp)
+    cubic = cubic_model(model, z, constants)
+    return z, predict_roots(classify_region(cubic), cubic, constants)
+
+
+def _two_sided_choice(roots, prediction, sign, policy):
+    """What ``step`` takes from a search of both signs: (lambda, flags) or None.
+
+    The flags are (fixed_point, took_ghost, ghost_alongside, scanned,
+    beyond_window), as ``StepResult`` has them.
+    """
+    regular = [r for r in roots.roots if not r.is_ghost and r.lam * sign > 0]
+    ghost = [r for r in roots.roots if r.is_ghost and r.lam * sign > 0]
+    took_ghost = bool(ghost) and (policy == "follow-ghost" or not regular)
+    if not (ghost or regular):
+        return None if roots.lambda_zero is None else (0.0, (True, False, False, False, False))
+    chosen = min(ghost if took_ghost else regular, key=lambda r: abs(r.lam))
+    side = prediction.pos_interval if sign > 0 else prediction.neg_interval
+    scanned = chosen.in_window and side == INDETERMINATE
+    return chosen.lam, (False, took_ghost, bool(ghost) and not took_ghost, scanned, not chosen.in_window)
+
+
+class TestBracketedSearch:
+    """Safeguarded Newton in each sign-change bracket, and step's one-sided search."""
+
+    DIRECTIONS = (("forward", 1.0), ("backward", -1.0))
+    POLICIES = ("default", "follow-ghost")
+
+    def test_at_most_ten_midpoint_solves_per_bracket(
+        self, pendulum, pendulum_constants, monkeypatch
+    ):
+        # bisection to tol_lambda alone took about twenty per bracket
+        import semint.constraint as constraint
+
+        solves = [0]
+        midpoint_newton, newton = constraint._midpoint_newton, ConstraintCurve.newton
+
+        def counting_solve(*args):
+            solves[0] += 1
+            return midpoint_newton(*args)
+
+        per_bracket = []
+
+        def counting_newton(self, *args, **kwargs):
+            before = solves[0]
+            out = newton(self, *args, **kwargs)
+            if kwargs.get("tol_lambda") is not None:
+                per_bracket.append(solves[0] - before)
+            return out
+
+        monkeypatch.setattr(constraint, "_midpoint_newton", counting_solve)
+        monkeypatch.setattr(ConstraintCurve, "newton", counting_newton)
+        ld = pendulum_constants.lambda_delta
+        for name in TestSolveRootsPinned.POINTS:
+            z, pred = _pinned_point(pendulum, pendulum_constants, name)
+            solve_roots(pendulum, z, pred)
+            for sides in ("both", "pos", "neg"):
+                solve_roots(pendulum, z, pred, extend_to=ld, extend_sides=sides)
+        assert len(per_bracket) >= 50
+        assert max(per_bracket) <= 10, sorted(per_bracket)
+
+    def test_step_takes_the_two_sided_choice(self, pendulum, pendulum_scaled, pendulum_constants):
+        from semint.errors import StepNonexistenceError
+        from semint.trajectory import StepOptions, step
+
+        outcomes = Counter()
+        for name in TestSolveRootsPinned.POINTS:
+            z, pred = _pinned_point(pendulum, pendulum_constants, name)
+            both = solve_roots(pendulum, z, pred, extend_to=pendulum_constants.lambda_delta)
+            curve = ConstraintCurve(pendulum, z)
+            for direction, sign in self.DIRECTIONS:
+                for policy in self.POLICIES:
+                    opts = StepOptions(pendulum_scaled, pendulum_constants, policy=policy)
+                    want = _two_sided_choice(both, pred, sign, policy)
+                    try:
+                        got = step(pendulum, z, direction, opts)
+                    except StepNonexistenceError:
+                        assert want is None, (name, direction, policy)
+                        outcomes["none"] += 1
+                        continue
+                    lam, flags = want
+                    assert (got.fixed_point, got.took_ghost, got.ghost_alongside, got.scanned,
+                            got.beyond_window) == flags, (name, direction, policy)
+                    # the two searches warm-start their midpoint solves differently
+                    slope = curve.g_and_derivative(lam)[1] if lam else 0.0
+                    tol = max(1e-9, 2e-12 / abs(slope)) if slope else 1e-9
+                    assert abs(got.lam - lam) <= tol, (name, direction, policy)
+                    outcomes["ghost" if got.took_ghost else "fixed" if got.fixed_point else "step"] += 1
+        assert all(outcomes[kind] >= 2 for kind in ("none", "ghost", "fixed", "step")), outcomes
+
+    def test_step_evaluates_g_only_on_its_own_side(
+        self, pendulum, pendulum_scaled, pendulum_constants, monkeypatch
+    ):
+        from semint.errors import StepNonexistenceError
+        from semint.trajectory import StepOptions, step
+
+        seen = []
+        solve, g_grid = ConstraintCurve._solve, ConstraintCurve.g_grid
+
+        def recording_solve(self, lam):
+            seen.append(lam)
+            return solve(self, lam)
+
+        def recording_grid(self, lams):
+            seen.extend(np.asarray(lams).tolist())
+            return g_grid(self, lams)
+
+        monkeypatch.setattr(ConstraintCurve, "_solve", recording_solve)
+        monkeypatch.setattr(ConstraintCurve, "g_grid", recording_grid)
+        evaluated = 0
+        for name in TestSolveRootsPinned.POINTS:
+            z, _ = _pinned_point(pendulum, pendulum_constants, name)
+            for direction, sign in self.DIRECTIONS:
+                for policy in self.POLICIES:
+                    seen.clear()
+                    try:
+                        step(pendulum, z, direction, StepOptions(
+                            pendulum_scaled, pendulum_constants, policy=policy))
+                    except StepNonexistenceError:
+                        pass
+                    wrong = [lam for lam in seen if lam * sign < 0]
+                    assert not wrong, (name, direction, policy, wrong[:3])
+                    evaluated += len(seen)
+        assert evaluated > 1000

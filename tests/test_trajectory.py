@@ -174,8 +174,9 @@ class TestPropagate:
         assert calls == traj.vertices[:-1]
 
 
-# recorded before the lean ConstraintCurve kernel; must stay bitwise
-HENON_HEILES_DIGEST = "56b74e00bda6fb9f44e0f999d7baf5ccefb0c31c99cc488579f4cbc0dd103f8f"
+# re-recorded when safeguarded Newton replaced bisection in solve_roots (the
+# first step moved by 7e-12; test_reference_answers.py holds the tolerances)
+HENON_HEILES_DIGEST = "0daefb051f0ed8e2b4962d1faf10c6af7865180b7df8e48a7ec1f190367588b2"
 
 
 def test_henon_heiles_run_pinned(monkeypatch):
@@ -200,9 +201,8 @@ def test_henon_heiles_run_pinned(monkeypatch):
     assert hashlib.sha256(repr(record).encode()).hexdigest() == HENON_HEILES_DIGEST
 
 
-# recorded before the fast path stopped computing g' on its accepting
-# iteration; must stay bitwise
-HENON_HEILES_500_DIGEST = "3256b739df045ce1a69432033c7e8f2913d368b74f8e5e391f7299ede33e98af"
+# re-recorded when safeguarded Newton replaced bisection in solve_roots
+HENON_HEILES_500_DIGEST = "93450dad7d5197334afd371b9e11d11969bf2e6dfd28f20a5a7840df32623dd2"
 
 
 def henon_heiles_run(n_steps, samples=5):
