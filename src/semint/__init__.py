@@ -14,10 +14,9 @@ from .bounds import DerivedConstants, RegionBounds, derive_constants, estimate_b
 from .constraint import ConstraintCurve, CubicModel, cubic_model, g_derivative, g_eval
 from .decoupler import (
     KantorovichReport,
-    MidpointSolution,
     kantorovich_report,
     midpoint_sensitivity,
-    solve_midpoint,
+    solve_midpoint_coords,
 )
 from .extphase import (
     ClassicalModel,
@@ -44,7 +43,6 @@ from .trajectory import (
     ConservationReport,
     DTHTrajectory,
     StepOptions,
-    VertexClass,
     choose_conjugate_momentum,
     classify_vertex,
     conservation_report,

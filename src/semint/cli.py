@@ -35,10 +35,9 @@ from .errors import (
     UnsupportedRegionError,
 )
 from .extphase import ExtendedState, _eval_stack, eval_value, sample_fields, state_header
-from .multiplier import classify_region
+from .multiplier import classify_region, predict_roots
 from .trajectory import (
     StepOptions,
-    case_table_vertex,
     choose_conjugate_momentum,
     classify_vertex,  # noqa: F401  (kept bound: the benchmark tracer rebinds it here)
     propagate,
@@ -193,6 +192,9 @@ def _resolve_initial_state(cfg, model):
             raise ConfigError(f"bad initial state: {exc}") from exc
     q0 = _config_vector(init.get("q0", 0.0), "initial.q0")
     p0 = _config_vector(init.get("p0", 0.0), "initial.p0")
+    for name, part in (("q0", q0), ("p0", p0)):
+        if len(part) != model.n:
+            raise ConfigError(f"initial.{name} needs {model.n} component(s), got {len(part)}")
     t0 = _config_number(init.get("t0", 0.0), "initial.t0")
     lambda_target = _config_number(init["lambda_target"], "initial.lambda_target")
     try:
@@ -294,6 +296,12 @@ def cmd_scan(args) -> int:
     if not isinstance(lam_range, list) or len(lam_range) != 2:
         raise ConfigError(f"lambda_range must be a pair [lo, hi], got {lam_range!r}")
     lo, hi = (_config_number(x, "lambda_range") for x in lam_range)
+    end = max(abs(lo), abs(hi))
+    try:  # the cubic model's quartic bound takes lambda**4 of every row
+        end**4
+    except OverflowError:
+        msg = f"lambda_range end {end:g} is too large: its fourth power overflows"
+        raise ConfigError(msg) from None
     count = _config_number(cfg.get("count", 201), "count", integer=True)
     if count < 2 or not hi > lo:
         raise ConfigError("scan needs count >= 2 and lambda_range with hi > lo")
@@ -324,7 +332,7 @@ def _map_cell(model, constants, qs, p, t, wp_rule):
     """One map row: CSV cells for every q at fixed p.
 
     The row's states go through one stacked ``sample_fields`` call; each cell
-    then only builds its cubic model, its region and its case-table class.
+    then only builds its cubic model, its region and its case-table vertex kind.
     """
     zs = np.zeros((len(qs), 4))
     zs[:, 0], zs[:, 1], zs[:, 2] = qs, t, p
@@ -342,8 +350,8 @@ def _map_cell(model, constants, qs, p, t, wp_rule):
             H_k=H, psi_k=psi, psi_prime_k=psi_prime, K=constants.K, lambda_delta=constants.lambda_delta
         )
         region = classify_region(cubic)
-        vclass = case_table_vertex(cubic, region, constants)
-        out.append([repr(q), p_text, repr(psi), repr(psi_prime), region.tag, vclass.kind])
+        kind = predict_roots(region, cubic, constants).vertex_kind
+        out.append([repr(q), p_text, repr(psi), repr(psi_prime), region.tag, kind])
     return out
 
 
@@ -400,6 +408,8 @@ def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else _config_number(
         cfg.get("seed", 0), "seed", integer=True
     )
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     results = verify_mod.run_all(seed=seed, k_scale=args.inject_k_scale)
     width = max(len(name) for name, _, _ in results)
     failures = 0

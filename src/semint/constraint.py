@@ -15,8 +15,9 @@ evaluation: the DTH fast path in ``trajectory``, the bracketed searches of
 ``semint verify``.  Each midpoint solve hands back the H_z(z_bar) its final
 residual was judged with; the curve caches (lambda, z_bar, H_z(z_bar)), so
 ``derivative`` right after ``g`` at the same lambda, g' = H_z(z_bar)^T
-dz_bar/dlambda, costs one Hessian and one linear solve (a 2x2 Cramer solve
-on floats for an n = 1 lift), not a second midpoint solve or gradient.
+dz_bar/dlambda, costs one ``midpoint_sensitivity`` call: one Hessian and one
+linear solve (a 2x2 Cramer solve on floats for an n = 1 lift), not a second
+midpoint solve or gradient.
 ``ConstraintCurve.newton`` is the one Newton iteration on g (the fast path,
 the root searches of ``solve_roots`` and the conjugate-momentum refinement
 all run it); it asks for g' only on iterations that take a step, so the
@@ -27,7 +28,7 @@ slower than bisection.  A caller that has H_z(z_k) already
 (``step``, from its field sample) passes it as ``grad``.  Warm-start guesses
 are formed element-wise on floats.  Every result is bit-identical to
 ``g_eval`` / ``g_derivative`` from the same start: the kernel drops only
-argument checks on arrays it built itself.
+the midpoint solve's argument checks on arrays it built itself.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ import numpy as np
 from .bounds import DerivedConstants
 from .decoupler import (
     _midpoint_newton,
-    _sensitivity,
     midpoint_sensitivity,
     solve_midpoint_coords,
     solve_midpoints,
@@ -164,7 +164,7 @@ class ConstraintCurve:
     def derivative(self, lam: float) -> float:
         """dg/dlambda; right after ``g(lam)`` it reuses that midpoint solve."""
         zbar, grad = self._solve(lam)
-        return float(grad @ _sensitivity(self.model, lam, zbar, grad))
+        return float(grad @ midpoint_sensitivity(self.model, lam, zbar, grad))
 
     def g_and_derivative(self, lam: float) -> tuple[float, float]:
         return _value(self.model, self._solve(lam)[0]), self.derivative(lam)

@@ -1,15 +1,15 @@
 """Implicit midpoint solves and their solvability certificates.
 
-The discrete-time Hamilton step couples a vertex z to its partner through the
-midpoint z_bar via
+The discrete-time Hamilton step couples a vertex z to its partner
+2 z_bar - z through the midpoint z_bar via
 
     f(lambda, z, z_bar) = z_bar - z - (lambda/2) J H_z(z_bar) = 0,
 
-so z_bar(lambda, z) is implicitly defined.  ``solve_midpoint`` computes it by
-Newton iteration started at z_bar = z, which is exactly the iterate sequence
-the Kantorovich certificate in ``kantorovich_report`` speaks about: when the
-certificate holds, the iteration converges to the unique solution inside the
-ball of radius r_minus about z.
+so z_bar(lambda, z) is implicitly defined.  ``solve_midpoint_coords``
+computes it by Newton iteration started at z_bar = z, which is exactly the
+iterate sequence the Kantorovich certificate in ``kantorovich_report`` speaks
+about: when the certificate holds, the iteration converges to the unique
+solution inside the ball of radius r_minus about z.
 
 For a one-degree-of-freedom lift (n = 1 with ``time_independent`` and
 ``wp_affine`` declared) H_zz has zero t and wp rows and columns, so f_zbar is
@@ -19,18 +19,17 @@ and ``solve_midpoints`` are then solved in closed form; every other model
 goes through ``np.linalg.solve`` on the full (2n+2)x(2n+2) Jacobian.
 Convergence is always judged on the full residual.
 
-``_midpoint_newton`` and ``_sensitivity`` are the unchecked cores of
-``solve_midpoint_coords`` and ``midpoint_sensitivity`` for callers that built
-their arrays themselves: ``constraint.ConstraintCurve``, the kernel of the
-DTH fast path, which asks for a sensitivity only on Newton iterations that
-take a step.  The Newton core also returns the H_z(z_bar) of its final
-residual, so the fast path's dg/dlambda needs no further gradient call.  On
-arrays they built, the cores skip the checks too: the Jacobian takes the
-Hessian through ``extphase._hessian`` (whose symmetry check returns a
-bitwise-symmetric Hessian untouched), the sensitivity writes (1/2) J H_z in
-place, and the general-n residual is tested with ``math``.  They run the
-same floating-point operations as the public functions, so their results
-are bit-identical.
+``_midpoint_newton`` is the unchecked core of ``solve_midpoint_coords`` for
+callers that built their arrays themselves: ``constraint.ConstraintCurve``,
+the kernel of the DTH fast path, which asks ``midpoint_sensitivity`` for a
+slope only on Newton iterations that take a step.  The Newton core also
+returns the H_z(z_bar) of its final residual, so the fast path's
+dg/dlambda needs no further gradient call.  On arrays it built, the core
+skips the checks too: the Jacobian takes the Hessian through
+``extphase._hessian`` (whose symmetry check returns a bitwise-symmetric
+Hessian untouched) and the general-n residual is tested with ``math``.  It
+runs the same floating-point operations as the public function, so its
+results are bit-identical.
 
 ``solve_midpoints`` runs the same Newton iteration for a whole grid of
 lambdas at one z as one masked batch: every row starts at z_bar = z, freezes
@@ -68,29 +67,12 @@ from .extphase import (
 )
 
 __all__ = [
-    "MidpointSolution",
     "KantorovichReport",
-    "solve_midpoint",
     "solve_midpoint_coords",
     "solve_midpoints",
     "kantorovich_report",
     "midpoint_sensitivity",
 ]
-
-
-@dataclass(frozen=True)
-class MidpointSolution:
-    """Solution of the midpoint equation at one (lambda, z) pair.
-
-    ``z_partner`` is the reflected vertex 2 z_bar - z, i.e. the next (or
-    previous, for negative lambda) vertex of the trajectory.
-    """
-
-    z_bar: ExtendedState
-    z_partner: ExtendedState
-    lam: float
-    iterations: int
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -275,13 +257,14 @@ def solve_midpoint_coords(
 ) -> tuple[np.ndarray, int, float]:
     """Newton solve for z_bar on raw coordinate arrays, started at z itself.
 
-    Returns (z_bar, iterations, residual).
+    Returns (z_bar, iterations, residual); the partner vertex is 2 z_bar - z.
     """
     if not np.isfinite(lam):
         raise ParameterError("lambda must be finite")
     if not tol > 0:
         raise ParameterError("tol must be positive")
     z = np.asarray(z, dtype=float)
+    _check_dim(model, z)
     z_bar, _, it, res = _midpoint_newton(model, lam, z, z.tolist(), tol, max_iter)
     return z_bar, it, res
 
@@ -364,28 +347,6 @@ def solve_midpoints(
     return z_bar
 
 
-def solve_midpoint(
-    model: HamiltonianModel,
-    lam: float,
-    z: ExtendedState,
-    tol: float = 1e-12,
-    max_iter: int = 50,
-) -> MidpointSolution:
-    """Solve f(lambda, z, z_bar) = 0 for the midpoint z_bar(lambda, z),
-    starting Newton at z_bar = z."""
-    z_arr = z.coords if isinstance(z, ExtendedState) else np.asarray(z, dtype=float)
-    n = z.n if isinstance(z, ExtendedState) else (z_arr.size - 2) // 2
-    z_bar, iterations, residual = solve_midpoint_coords(model, lam, z_arr, tol, max_iter)
-    partner = 2.0 * z_bar - z_arr
-    return MidpointSolution(
-        z_bar=ExtendedState(z_bar, n),
-        z_partner=ExtendedState(partner, n),
-        lam=float(lam),
-        iterations=iterations,
-        residual=residual,
-    )
-
-
 def kantorovich_report(
     model: HamiltonianModel,
     lam: float,
@@ -439,28 +400,19 @@ def midpoint_sensitivity(
 
     Implicit differentiation of the midpoint equation gives
     z_bar_lambda = f_zbar^{-1} (1/2) J H_z(z_bar).  ``grad`` is H_z(z_bar)
-    when the caller has already evaluated it.
+    when the caller has already evaluated it.  For an n = 1 lift the
+    right-hand side (1/2) J H_z is (g_p, g_wp, -g_q, -g_t) / 2 and f_zbar is
+    the identity on its t and wp rows, so the (q, p) block is solved on floats.
     """
     zb = z_bar.coords if isinstance(z_bar, ExtendedState) else np.asarray(z_bar, dtype=float)
     _check_dim(model, zb)
     grad = eval_gradient(model, zb) if grad is None else np.asarray(grad, dtype=float)
-    return _sensitivity(model, lam, zb, grad)
-
-
-def _sensitivity(
-    model: HamiltonianModel, lam: float, z_bar: np.ndarray, grad: np.ndarray
-) -> np.ndarray:
-    """``midpoint_sensitivity`` without argument checks; ``grad`` is H_z(z_bar).
-
-    For an n = 1 lift the right-hand side (1/2) J H_z is
-    (g_p, g_wp, -g_q, -g_t) / 2 and f_zbar is the identity on its t and wp rows.
-    """
     if _closed_form(model):
         g_q, g_t, g_p, g_w = grad.tolist()
-        d_q, d_p = _solve_qp(_hessian(model, z_bar), lam, 0.5 * g_p, -0.5 * g_q)
+        d_q, d_p = _solve_qp(_hessian(model, zb), lam, 0.5 * g_p, -0.5 * g_q)
         return np.array([d_q, 0.5 * g_w, d_p, -0.5 * g_t])
     half = grad.size // 2
     rhs = np.empty_like(grad)  # (1/2) J H_z = (g_p, g_wp, -g_q, -g_t) / 2
     np.multiply(grad[half:], 0.5, out=rhs[:half])
     np.multiply(grad[:half], -0.5, out=rhs[half:])
-    return _solve_jacobian(model, lam, z_bar, rhs)
+    return _solve_jacobian(model, lam, zb, rhs)

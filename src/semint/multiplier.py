@@ -80,8 +80,8 @@ class RootPrediction:
     tolerance).  Ratios falling between a guaranteed-existence and a
     guaranteed-nonexistence threshold come back indeterminate.
     ``vertex_kind`` is what the same table says the point can be on a
-    trajectory (pass-through, bifurcates, begins-or-ends, none, fixed-point
-    or indeterminate).
+    trajectory (pass-through, bifurcates, begins-or-ends, none, fixed-point,
+    indeterminate or degenerate).
     """
 
     region: Region
@@ -90,9 +90,9 @@ class RootPrediction:
     pos_interval: str
     ghost_verdict: str
     zero_root: bool
-    capital_lambda: float
+    capital_lambda: Optional[float]  # None at a degenerate point, as are S_k and ratio
     S_k: Optional[float]
-    ratio: float
+    ratio: Optional[float]
     vertex_kind: str
 
 
@@ -180,12 +180,21 @@ def predict_roots(
     shrink: float = 0.9,
     tol_g: float = 1e-12,
 ) -> RootPrediction:
-    """Evaluate the existence/uniqueness case table for one point."""
-    lam_cap = capital_lambda(region, cubic, constants, shrink=shrink)
-    H = cubic.H_k
-    psi, psip = region.psi_k, region.psi_prime_k
-    zero_root = abs(H) <= tol_g
+    """Evaluate the existence/uniqueness case table for one point.
 
+    A degenerate point has no table and no window: its label and vertex
+    kind read "degenerate", both verdicts none, and Lambda_k, the ratio and
+    S_k are None.
+    """
+    H = cubic.H_k
+    zero_root = abs(H) <= tol_g
+    if region.tag == "degenerate":
+        return RootPrediction(
+            region, "degenerate", NONE, NONE, "not-applicable", zero_root,
+            capital_lambda=None, S_k=None, ratio=None, vertex_kind="degenerate",
+        )
+    lam_cap = capital_lambda(region, cubic, constants, shrink=shrink)
+    psi, psip = region.psi_k, region.psi_prime_k
     S, ghost = None, "not-applicable"
     if region.tag == "I":
         r = H / psi
@@ -193,11 +202,9 @@ def predict_roots(
     elif region.tag == "II":
         r, S = H / psi, abs(psip / psi) * lam_cap
         label, neg, pos, ghost, kind = _predict_region2(r, psi, psip, S, lam_cap, zero_root)
-    elif region.tag == "III":
+    else:
         r = H / psip
         label, neg, pos, kind = _predict_region3(r, lam_cap, zero_root)
-    else:
-        raise UnsupportedRegionError("cannot predict roots at a degenerate point")
     return RootPrediction(
         region=region,
         case_label=label,

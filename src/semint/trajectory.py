@@ -40,7 +40,7 @@ from .extphase import (
 )
 from .multiplier import (
     INDETERMINATE,
-    Region,
+    RootPrediction,
     classify_region,
     predict_roots,
     solve_roots,
@@ -51,12 +51,10 @@ __all__ = [
     "StepResult",
     "TrajectoryEvent",
     "DTHTrajectory",
-    "VertexClass",
     "ConservationReport",
     "step",
     "propagate",
     "classify_vertex",
-    "case_table_vertex",
     "conservation_report",
     "choose_conjugate_momentum",
     "interpolate_at_time",
@@ -112,18 +110,6 @@ class DTHTrajectory:
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-
-@dataclass(frozen=True)
-class VertexClass:
-    """Main-theorem classification of a candidate vertex point."""
-
-    kind: str  # pass-through | bifurcates | begins-or-ends | none | fixed-point | indeterminate | degenerate
-    ratio: Optional[float]
-    ratio_kind: Optional[str]  # "H/psi" | "H/psi_prime"
-    capital_lambda: Optional[float]
-    region_tag: str
-    case_label: str
 
 
 @dataclass(frozen=True)
@@ -368,46 +354,17 @@ def propagate(
 
 
 def classify_vertex(
-    model: HamiltonianModel,
-    z0: ExtendedState,
-    bounds: RegionBounds,
-    constants: DerivedConstants,
-    shrink: float = 0.9,
-    tol_g: float = 1e-12,
-) -> VertexClass:
-    """Classify what kind of vertex z0 can be, from the case tables alone.
+    model: HamiltonianModel, z0: ExtendedState, constants: DerivedConstants
+) -> RootPrediction:
+    """What kind of vertex z0 can be, from the case tables alone.
 
     No root solving happens here: only the ratio windows quantified by the
-    existence/uniqueness cases.  Points outside every quantified window come
-    back indeterminate; psi = psi' = 0 is degenerate.
+    existence/uniqueness cases.  The answer is ``vertex_kind``; points
+    outside every quantified window come back indeterminate, and
+    psi = psi' = 0 is degenerate.
     """
     cubic = cubic_model(model, z0, constants)
-    return case_table_vertex(cubic, classify_region(cubic), constants, shrink, tol_g)
-
-
-def case_table_vertex(
-    cubic: CubicModel,
-    region: Region,
-    constants: DerivedConstants,
-    shrink: float = 0.9,
-    tol_g: float = 1e-12,
-) -> VertexClass:
-    """The vertex class the case tables give a cubic model in its region.
-
-    ``predict_roots`` decides the kind along with the interval verdicts;
-    only the degenerate point, which has no table, is handled here.
-    """
-    if region.tag == "degenerate":
-        return VertexClass("degenerate", None, None, None, region.tag, "degenerate")
-    prediction = predict_roots(region, cubic, constants, shrink=shrink, tol_g=tol_g)
-    return VertexClass(
-        prediction.vertex_kind,
-        prediction.ratio,
-        "H/psi_prime" if region.tag == "III" else "H/psi",
-        prediction.capital_lambda,
-        region.tag,
-        prediction.case_label,
-    )
+    return predict_roots(classify_region(cubic), cubic, constants)
 
 
 def symplectic_defect(

@@ -187,6 +187,23 @@ class TestRunConfigErrors:
         }
         assert_config_error(run_cli("run", "--config", write_config(tmp_path, "run.json", payload)))
 
+    @pytest.mark.parametrize(
+        "q0, p0",
+        [([1.0, 2.0], [0.5]), ([1.0, 2.0], [0.5, 0.5]), ([], [])],
+        ids=["q0-p0-lengths-differ", "two-components-for-n-1", "no-components"],
+    )
+    def test_initial_parts_need_n_components(self, tmp_path, q0, p0):
+        payload = {
+            "model": {"name": "pendulum"},
+            "initial": {"q0": q0, "p0": p0, "lambda_target": 0.1},
+            "steps": 5,
+            "bounds": BOUNDS_BLOCK,
+            "out": str(tmp_path / "out"),
+        }
+        proc = run_cli("run", "--config", write_config(tmp_path, "run.json", payload))
+        assert_config_error(proc)
+        assert "needs 1 component(s)" in proc.stderr
+
 
 class TestRunEvaluationErrors:
     """Start states the oscillator cannot evaluate: a clean exit, never a traceback."""
@@ -261,8 +278,15 @@ class TestBoundsConfigErrors:
 class TestScanConfigErrors:
     @pytest.mark.parametrize(
         "override",
-        [{"state": [0.0, 0.0, 1.0]}, {"lambda_range": [0.1]}, {"count": "many"}],
-        ids=["state-wrong-length", "lambda-range-one-value", "count-non-numeric"],
+        [
+            {"state": [0.0, 0.0, 1.0]},
+            {"lambda_range": [0.1]},
+            {"count": "many"},
+            {"lambda_range": [-1e80, 1e80]},  # lambda**4 overflows
+            {"lambda_range": [-1.0, 1.2e77]},
+        ],
+        ids=["state-wrong-length", "lambda-range-one-value", "count-non-numeric",
+             "lambda-range-overflows", "lambda-range-end-overflows"],
     )
     def test_bad_value(self, tmp_path, override):
         payload = {"model": {"name": "pendulum"}, "state": [0.0, 0.0, 1.0, 0.501],
@@ -593,6 +617,13 @@ class TestConfigShape:
         cfg = write_config(tmp_path, "verify.json", {"seed": seed})
         assert_config_error(run_cli("verify", "--config", cfg))
 
+    def test_verify_seed_must_be_non_negative(self, tmp_path):
+        cfg = write_config(tmp_path, "verify.json", {"seed": -1})
+        for args in (("--config", cfg), ("--seed", "-1")):
+            proc = run_cli("verify", *args)
+            assert_config_error(proc)
+            assert "non-negative" in proc.stderr
+
 
 class TestVerify:
     def test_battery_passes(self):
@@ -611,6 +642,13 @@ class TestVerify:
         assert proc.returncode == 3
         assert "quartic-bound" in proc.stdout
         assert "FAIL" in proc.stdout
+
+    def test_injected_nan_k_fails(self):
+        # NaN compares false both ways, so the check must fail closed
+        proc = run_cli("verify", "--inject-k-scale", "nan")
+        assert proc.returncode == 3
+        (line,) = [ln for ln in proc.stdout.splitlines() if ln.startswith("quartic-bound")]
+        assert line.split()[1:3] == ["FAIL", "K=nan"]
 
 
     def test_grid_scan_check_bites(self, monkeypatch, capsys):

@@ -11,7 +11,6 @@ from semint.decoupler import (
     KantorovichReport,
     kantorovich_report,
     midpoint_sensitivity,
-    solve_midpoint,
     solve_midpoint_coords,
     solve_midpoints,
 )
@@ -30,21 +29,21 @@ from conftest import DELTA, PEND_RADIUS, pendulum_state
 class TestSolveMidpoint:
     def test_lambda_zero_is_identity(self, pendulum):
         z = pendulum_state(0.7, -0.3, wp=0.9)
-        sol = solve_midpoint(pendulum, 0.0, z)
-        assert np.array_equal(sol.z_bar.coords, z.coords)
-        assert np.array_equal(sol.z_partner.coords, z.coords)
-        assert sol.iterations <= 1
-        assert sol.residual == 0.0
+        z_bar, iterations, residual = solve_midpoint_coords(pendulum, 0.0, z.coords)
+        assert np.array_equal(z_bar, z.coords)
+        assert np.array_equal(2.0 * z_bar - z.coords, z.coords)
+        assert iterations <= 1
+        assert residual == 0.0
 
     def test_oscillator_closed_form(self):
         # linear system: q_bar = (q + lam p/2)/(1 + lam^2/4) etc.
         m = models.oscillator(1.0)
-        z = ExtendedState(np.array([1.0, 0.0, 0.0, 0.25]), 1)
-        sol = solve_midpoint(m, 0.2, z, tol=1e-14)
-        assert sol.z_bar.coords[0] == pytest.approx(1.0 / 1.01, abs=1e-13)
-        assert sol.z_bar.coords[2] == pytest.approx(-0.1 / 1.01, abs=1e-13)
-        assert sol.z_bar.coords[1] == pytest.approx(0.1, abs=1e-14)
-        assert sol.z_bar.coords[3] == 0.25
+        z = np.array([1.0, 0.0, 0.0, 0.25])
+        z_bar, _, _ = solve_midpoint_coords(m, 0.2, z, tol=1e-14)
+        assert z_bar[0] == pytest.approx(1.0 / 1.01, abs=1e-13)
+        assert z_bar[2] == pytest.approx(-0.1 / 1.01, abs=1e-13)
+        assert z_bar[1] == pytest.approx(0.1, abs=1e-14)
+        assert z_bar[3] == 0.25
 
     def test_oscillator_closed_form_random(self, rng):
         m = models.oscillator(1.3)
@@ -53,42 +52,34 @@ class TestSolveMidpoint:
                 [rng.uniform(-2, 2), rng.uniform(-1, 1), rng.uniform(-2, 2), rng.uniform(-1, 1)]
             )
             lam = rng.uniform(-0.4, 0.4)
-            sol = solve_midpoint(m, lam, ExtendedState(z, 1), tol=1e-14)
-            assert np.allclose(
-                sol.z_bar.coords, models.oscillator_midpoint(z, lam, 1.3), atol=1e-12
-            )
-
-    def test_partner_reflection_exact(self, pendulum):
-        z = pendulum_state(0.9, 0.4, wp=0.1)
-        sol = solve_midpoint(pendulum, 0.1, z)
-        assert np.array_equal(
-            sol.z_partner.coords, 2.0 * sol.z_bar.coords - z.coords
-        )
+            z_bar, _, _ = solve_midpoint_coords(m, lam, z, tol=1e-14)
+            assert np.allclose(z_bar, models.oscillator_midpoint(z, lam, 1.3), atol=1e-12)
 
     def test_pendulum_wp_frozen(self, pendulum, rng):
         # the pendulum lift has dH/dt = 0, so wp never moves
         for _ in range(10):
             z = pendulum_state(rng.uniform(-2, 2), rng.uniform(-2, 2), wp=rng.uniform(-1, 1))
-            sol = solve_midpoint(pendulum, rng.uniform(-0.1, 0.1), z, tol=1e-13)
-            assert abs(sol.z_bar.wp - z.wp) < 1e-15
+            lam = rng.uniform(-0.1, 0.1)
+            z_bar, _, _ = solve_midpoint_coords(pendulum, lam, z.coords, tol=1e-13)
+            assert abs(z_bar[3] - z.wp) < 1e-15
 
     def test_midpoint_identity(self, pendulum, rng):
-        # z_partner - z = lambda J H_z(z_bar)
+        # the partner 2 z_bar - z satisfies z_partner - z = lambda J H_z(z_bar)
         for _ in range(10):
             z = pendulum_state(rng.uniform(-2, 2), rng.uniform(-2, 2), wp=rng.uniform(-1, 1))
             lam = rng.uniform(-0.11, 0.11)
-            sol = solve_midpoint(pendulum, lam, z, tol=1e-13)
-            lhs = sol.z_partner.coords - z.coords
-            rhs = lam * apply_J(eval_gradient(pendulum, sol.z_bar.coords))
+            z_bar, _, _ = solve_midpoint_coords(pendulum, lam, z.coords, tol=1e-13)
+            lhs = (2.0 * z_bar - z.coords) - z.coords
+            rhs = lam * apply_J(eval_gradient(pendulum, z_bar))
             assert np.allclose(lhs, rhs, atol=5e-13)
 
     def test_time_reversal(self, pendulum, rng):
         for _ in range(10):
             z = pendulum_state(rng.uniform(-2, 2), rng.uniform(-2, 2), wp=rng.uniform(-1, 1))
             lam = rng.uniform(-0.11, 0.11)
-            sol = solve_midpoint(pendulum, lam, z, tol=1e-13)
-            back = solve_midpoint(pendulum, -lam, sol.z_partner, tol=1e-13)
-            assert np.allclose(back.z_bar.coords, sol.z_bar.coords, atol=1e-11)
+            z_bar, _, _ = solve_midpoint_coords(pendulum, lam, z.coords, tol=1e-13)
+            back, _, _ = solve_midpoint_coords(pendulum, -lam, 2.0 * z_bar - z.coords, tol=1e-13)
+            assert np.allclose(back, z_bar, atol=1e-11)
 
     def test_singular_jacobian_raises(self, pendulum, pendulum_scaled):
         # at q = pi the midpoint Jacobian 1 + lam^2 cos(q)/4 degenerates at lam = 2;
@@ -97,7 +88,7 @@ class TestSolveMidpoint:
         z = pendulum_state(np.pi, 0.0, wp=-1.0)
         for model in (pendulum, replace(pendulum, time_independent=None)):
             with pytest.raises(LinearSolveError):
-                solve_midpoint(model, 2.0, z)
+                solve_midpoint_coords(model, 2.0, z.coords)
             with pytest.raises(LinearSolveError):
                 midpoint_sensitivity(model, 2.0, z)
             with pytest.raises(LinearSolveError):
@@ -111,12 +102,17 @@ class TestSolveMidpoint:
     def test_nonconvergence_carries_residual(self, pendulum):
         z = pendulum_state(0.5, 1.0, wp=0.0)
         with pytest.raises(NonconvergenceError) as err:
-            solve_midpoint(pendulum, 0.1, z, max_iter=0)
+            solve_midpoint_coords(pendulum, 0.1, z.coords, max_iter=0)
         assert err.value.residual > 0
+
+    def test_rejects_wrong_dimension(self, pendulum):
+        for z in (np.zeros(6), np.zeros(3), np.zeros((1, 4))):
+            with pytest.raises(DimensionError):
+                solve_midpoint_coords(pendulum, 0.1, z)
 
     def test_rejects_bad_tol(self, pendulum):
         with pytest.raises(ParameterError):
-            solve_midpoint(pendulum, 0.1, pendulum_state(0, 0), tol=0.0)
+            solve_midpoint_coords(pendulum, 0.1, pendulum_state(0, 0).coords, tol=0.0)
 
 
 def _t_capped(model, stacked):
@@ -221,8 +217,8 @@ class TestKantorovich:
             assert rep.guaranteed
             assert rep.alpha < 0.5
             assert rep.r_minus <= rep.r_plus
-            sol = solve_midpoint(pendulum, lam, z, tol=1e-12)
-            assert np.linalg.norm(sol.z_bar.coords - z.coords) <= rep.r_minus + 1e-12
+            z_bar, _, _ = solve_midpoint_coords(pendulum, lam, z.coords, tol=1e-12)
+            assert np.linalg.norm(z_bar - z.coords) <= rep.r_minus + 1e-12
 
     def test_not_guaranteed_when_ball_leaves_box(self, pendulum, pendulum_scaled):
         # a point at the box edge cannot carry the certificate ball
@@ -291,21 +287,21 @@ class TestSensitivity:
         for _ in range(6):
             z = pendulum_state(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5), wp=0.3)
             lam = rng.uniform(-0.1, 0.1)
-            sol = solve_midpoint(pendulum, lam, z, tol=1e-14)
-            sens = midpoint_sensitivity(pendulum, lam, sol.z_bar)
+            z_bar, _, _ = solve_midpoint_coords(pendulum, lam, z.coords, tol=1e-14)
+            sens = midpoint_sensitivity(pendulum, lam, z_bar)
             h = 1e-5
-            plus = solve_midpoint(pendulum, lam + h, z, tol=1e-14).z_bar.coords
-            minus = solve_midpoint(pendulum, lam - h, z, tol=1e-14).z_bar.coords
+            plus, _, _ = solve_midpoint_coords(pendulum, lam + h, z.coords, tol=1e-14)
+            minus, _, _ = solve_midpoint_coords(pendulum, lam - h, z.coords, tol=1e-14)
             assert np.allclose(sens, (plus - minus) / (2 * h), atol=1e-8)
 
     def test_oscillator_sensitivity_fd(self, rng):
         m = models.oscillator(1.0)
-        z = ExtendedState(np.array([1.0, 0.0, 0.0, 0.1]), 1)
-        sol = solve_midpoint(m, 0.2, z, tol=1e-14)
-        sens = midpoint_sensitivity(m, 0.2, sol.z_bar)
+        z = np.array([1.0, 0.0, 0.0, 0.1])
+        z_bar, _, _ = solve_midpoint_coords(m, 0.2, z, tol=1e-14)
+        sens = midpoint_sensitivity(m, 0.2, ExtendedState(z_bar, 1))
         h = 1e-6
-        plus = solve_midpoint(m, 0.2 + h, z, tol=1e-14).z_bar.coords
-        minus = solve_midpoint(m, 0.2 - h, z, tol=1e-14).z_bar.coords
+        plus, _, _ = solve_midpoint_coords(m, 0.2 + h, z, tol=1e-14)
+        minus, _, _ = solve_midpoint_coords(m, 0.2 - h, z, tol=1e-14)
         assert np.allclose(sens, (plus - minus) / (2 * h), atol=1e-9)
 
     def test_norm_bounded_by_m1(self, pendulum, pendulum_scaled, pendulum_constants, rng):
@@ -313,8 +309,8 @@ class TestSensitivity:
         for _ in range(10):
             z = pendulum_state(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
             lam = rng.uniform(-ld, ld)
-            sol = solve_midpoint(pendulum, lam, z, tol=1e-13)
-            sens = midpoint_sensitivity(pendulum, lam, sol.z_bar)
+            z_bar, _, _ = solve_midpoint_coords(pendulum, lam, z.coords, tol=1e-13)
+            sens = midpoint_sensitivity(pendulum, lam, ExtendedState(z_bar, 1))
             assert np.linalg.norm(sens) <= pendulum_scaled.M1
 
 

@@ -284,6 +284,24 @@ class TestPredictRegion2:
         assert pred.neg_interval == EXISTS_UNIQUE and pred.pos_interval == EXISTS_UNIQUE
 
 
+class TestPredictDegenerate:
+    def test_no_table_and_no_window(self):
+        cubic = make_cubic(H=0.3, psi=0.0, psi_prime=0.0)
+        pred = predict_roots(classify_region(cubic), cubic, reference_constants())
+        assert (pred.case_label, pred.vertex_kind) == ("degenerate", "degenerate")
+        assert (pred.neg_interval, pred.pos_interval) == (NONE, NONE)
+        assert pred.ghost_verdict == "not-applicable" and not pred.zero_root
+        assert pred.capital_lambda is None and pred.ratio is None and pred.S_k is None
+
+    def test_solve_roots_rejects_it(self, pendulum, pendulum_constants):
+        z = pendulum_state(0.0, 0.0, wp=1.0)
+        cubic = cubic_model(pendulum, z, pendulum_constants)
+        pred = predict_roots(classify_region(cubic), cubic, pendulum_constants)
+        assert pred.vertex_kind == "degenerate"
+        with pytest.raises(UnsupportedRegionError):
+            solve_roots(pendulum, z, pred)
+
+
 class TestSolveRootsRegion1:
     def test_balanced_point_only_zero(self, pendulum, pendulum_constants):
         z = pendulum_state(0.0, 1.0, wp=0.5)  # H = 0 exactly

@@ -22,7 +22,6 @@ from semint.extphase import ExtendedState, apply_J, eval_gradient, eval_value, s
 from semint.multiplier import classify_region, predict_roots
 from semint.trajectory import (
     StepOptions,
-    case_table_vertex,
     choose_conjugate_momentum,
     classify_vertex,
     conservation_report,
@@ -84,6 +83,12 @@ class TestStep:
         with pytest.raises(StepNonexistenceError) as err:
             step(model, z, "forward", opts)
         assert err.value.prediction.case_label == "EU_1(i)"
+
+    def test_degenerate_point_has_no_prediction(self, pend_opts):
+        model, opts = pend_opts
+        with pytest.raises(StepNonexistenceError) as err:  # the equilibrium: psi = psi' = 0
+            step(model, pendulum_state(0.0, 0.0, wp=1.0), "forward", opts)
+        assert err.value.prediction is None
 
     def test_backward_step(self, pend_opts):
         model, opts = pend_opts
@@ -236,7 +241,7 @@ def test_fast_path_solves_for_the_slope_only_on_newton_steps(
     calls, inside = [], []  # one record per fast-path call; the open one
     original_fast = semint.trajectory._fast_newton_root
     original_g = ConstraintCurve.g
-    original_sensitivity = semint.constraint._sensitivity
+    original_sensitivity = semint.constraint.midpoint_sensitivity
 
     def counting_fast(*args, **kwargs):
         inside.append({"g": [], "sensitivity": 0})
@@ -258,7 +263,7 @@ def test_fast_path_solves_for_the_slope_only_on_newton_steps(
 
     monkeypatch.setattr(semint.trajectory, "_fast_newton_root", counting_fast)
     monkeypatch.setattr(ConstraintCurve, "g", counting_g)
-    monkeypatch.setattr(semint.constraint, "_sensitivity", counting_sensitivity)
+    monkeypatch.setattr(semint.constraint, "midpoint_sensitivity", counting_sensitivity)
     if run == "pendulum":
         model, opts = pend_opts
         wp0 = choose_conjugate_momentum(model, 1.0, 0.0, 0.5, 0.1)
@@ -332,18 +337,18 @@ class TestFastPathAgreesWithFullPath:
 class TestClassifyVertex:
     def test_region1_cases(self, pend_opts):
         model, opts = pend_opts
-        bounds, constants = opts.bounds, opts.constants
-        assert classify_vertex(model, pendulum_state(0, 1, wp=0.4), bounds, constants).kind == "none"
+        constants = opts.constants
+        assert classify_vertex(model, pendulum_state(0, 1, wp=0.4), constants).vertex_kind == "none"
         assert (
-            classify_vertex(model, pendulum_state(0, 1, wp=0.5), bounds, constants).kind
+            classify_vertex(model, pendulum_state(0, 1, wp=0.5), constants).vertex_kind
             == "fixed-point"
         )
-        vc = classify_vertex(model, pendulum_state(0, 1, wp=0.5 + 1e-6), bounds, constants)
-        assert vc.kind == "pass-through"
-        assert vc.ratio_kind == "H/psi"
+        vc = classify_vertex(model, pendulum_state(0, 1, wp=0.5 + 1e-6), constants)
+        assert vc.vertex_kind == "pass-through"
+        assert vc.region.tag == "I"
         # far above the window: no multiplier can exist
         assert (
-            classify_vertex(model, pendulum_state(0, 1, wp=1.5), bounds, constants).kind == "none"
+            classify_vertex(model, pendulum_state(0, 1, wp=1.5), constants).vertex_kind == "none"
         )
 
     def test_pass_through_implies_both_roots(self, pend_opts):
@@ -351,7 +356,7 @@ class TestClassifyVertex:
         from semint.multiplier import classify_region, predict_roots, solve_roots
 
         model, opts = pend_opts
-        bounds, constants = opts.bounds, opts.constants
+        constants = opts.constants
         hits = 0
         for q in np.linspace(-1.2, 1.2, 4):
             for p in np.linspace(0.8, 1.8, 4):
@@ -366,8 +371,8 @@ class TestClassifyVertex:
                 pred0 = predict_roots(region0, cubic0, constants)
                 target = 0.5 * (3.0 / 32.0) * pred0.capital_lambda**2
                 z = pendulum_state(q, p, wp=target * fields.psi - (fields.H - base.wp))
-                vc = classify_vertex(model, z, bounds, constants)
-                if vc.kind != "pass-through":
+                vc = classify_vertex(model, z, constants)
+                if vc.vertex_kind != "pass-through":
                     continue
                 cubic = cubic_model(model, z, constants)
                 region = classify_region(cubic)
@@ -380,30 +385,28 @@ class TestClassifyVertex:
         from test_multiplier import on_psi_zero_curve, pendulum_wp_for_ratio
 
         model, opts = pend_opts
-        bounds, constants = opts.bounds, opts.constants
+        constants = opts.constants
         q = 2.0
         p = on_psi_zero_curve(q)
         psip = sample_fields(model, pendulum_state(q, p)).psi_prime
         # H = 0 with psi = 0, psi' != 0: fixed point
         z0 = pendulum_state(q, p, wp=pendulum_wp_for_ratio(q, p, 0.0, psip))
-        assert classify_vertex(model, z0, bounds, constants).kind == "fixed-point"
+        assert classify_vertex(model, z0, constants).vertex_kind == "fixed-point"
         # small |H/psi'|: trajectory begins or ends here
         vc = classify_vertex(
             model,
             pendulum_state(q, p, wp=pendulum_wp_for_ratio(q, p, 1e-12, psip)),
-            bounds,
             constants,
         )
-        assert vc.kind == "begins-or-ends"
-        assert vc.ratio_kind == "H/psi_prime"
+        assert vc.vertex_kind == "begins-or-ends"
+        assert vc.region.tag == "III"
         # large ratio: nothing
         vc = classify_vertex(
             model,
             pendulum_state(q, p, wp=pendulum_wp_for_ratio(q, p, 1.0, psip)),
-            bounds,
             constants,
         )
-        assert vc.kind == "none"
+        assert vc.vertex_kind == "none"
 
     def test_region2_bifurcation_cases(self, pendulum):
         from test_multiplier import on_psi_zero_curve, pendulum_wp_for_ratio
@@ -416,34 +419,34 @@ class TestClassifyVertex:
             p -= val / (2.0 * p * np.cos(q))
         center = pendulum_state(q, p, wp=-(0.5 * p * p - np.cos(q)))
         raw = estimate_bounds(pendulum, center, 0.35, 13)
-        bounds = raw.scaled(1.1)
-        constants = derive_constants(bounds, 0.5)
+        constants = derive_constants(raw.scaled(1.1), 0.5)
         fields = sample_fields(pendulum, pendulum_state(q, p))
         ratio2 = (fields.psi / fields.psi_prime) ** 2
 
         z_zero = pendulum_state(q, p, wp=pendulum_wp_for_ratio(q, p, 0.0, fields.psi))
-        assert classify_vertex(pendulum, z_zero, bounds, constants).kind == "bifurcates"
+        assert classify_vertex(pendulum, z_zero, constants).vertex_kind == "bifurcates"
 
         r_small = 0.5 * (9.0 / 125.0) * ratio2
         z_pos = pendulum_state(q, p, wp=pendulum_wp_for_ratio(q, p, r_small, fields.psi))
-        assert classify_vertex(pendulum, z_pos, bounds, constants).kind == "bifurcates"
+        assert classify_vertex(pendulum, z_pos, constants).vertex_kind == "bifurcates"
 
         # negative ratio small enough for the ghost window, with H above tol_g
         z_neg = pendulum_state(q, p, wp=pendulum_wp_for_ratio(q, p, -1e-7, fields.psi))
-        assert classify_vertex(pendulum, z_neg, bounds, constants).kind == "begins-or-ends"
+        assert classify_vertex(pendulum, z_neg, constants).vertex_kind == "begins-or-ends"
 
     def test_equilibrium_degenerate(self, pend_opts):
         model, opts = pend_opts
-        vc = classify_vertex(model, pendulum_state(0, 0, wp=1.0), opts.bounds, opts.constants)
-        assert vc.kind == "degenerate"
+        vc = classify_vertex(model, pendulum_state(0, 0, wp=1.0), opts.constants)
+        assert vc.vertex_kind == "degenerate"
 
 
-# recorded before case_table_vertex took its kind from predict_roots
+# recorded before the vertex kind came from predict_roots, when a separate
+# vertex-class record carried these fields
 SWEEP_DIGEST = "fafbdd39a7043b37110ae0d1f4b90c5536c541c29355d81ff3ae8ee9d4c6dfc5"
 
 
 def test_case_table_sweep_pinned():
-    """Every field of case_table_vertex over a synthetic cubic-model sweep.
+    """The case-table answer for a vertex over a synthetic cubic-model sweep.
 
     About 32k cells: psi and psi' at 0 and at +-powers of ten, H at 0 and
     +-113 log-spaced magnitudes in [1e-14, 1], all under the unit-bounds
@@ -460,11 +463,13 @@ def test_case_table_sweep_pinned():
             for H in Hs:
                 cubic = CubicModel(H_k=H, psi_k=psi, psi_prime_k=psip, K=constants.K,
                                    lambda_delta=constants.lambda_delta)
-                vc = case_table_vertex(cubic, classify_region(cubic), constants)
-                line = (f"{vc.kind}|{vc.case_label}|{vc.ratio!r}|{vc.capital_lambda!r}"
-                        f"|{vc.ratio_kind}|{vc.region_tag}\n")
+                pred = predict_roots(classify_region(cubic), cubic, constants)
+                tag = pred.region.tag
+                ratio_kind = {"degenerate": None, "III": "H/psi_prime"}.get(tag, "H/psi")
+                line = (f"{pred.vertex_kind}|{pred.case_label}|{pred.ratio!r}"
+                        f"|{pred.capital_lambda!r}|{ratio_kind}|{tag}\n")
                 digest.update(line.encode())
-                kinds[vc.kind] += 1
+                kinds[pred.vertex_kind] += 1
     assert set(kinds) == {"pass-through", "bifurcates", "begins-or-ends", "none",
                           "fixed-point", "indeterminate", "degenerate"}
     assert sum(kinds.values()) == 32461
