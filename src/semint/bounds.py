@@ -22,6 +22,7 @@ from .errors import ParameterError
 from .extphase import (
     ExtendedState,
     HamiltonianModel,
+    _coords,
     _eval_stack,
     _row_dots,
     eval_gradient,
@@ -89,7 +90,7 @@ class RegionBounds:
         Only the active axes constrain the box; a Euclidean ball lies in a
         box iff every per-axis interval [z_i - r, z_i + r] does.
         """
-        z = z.coords if isinstance(z, ExtendedState) else np.asarray(z, dtype=float)
+        z = _coords(z)
         c = self.center.coords
         axes = self.active_axes or tuple(range(z.size))
         return all(abs(z[i] - c[i]) + r <= self.radius + 1e-15 for i in axes)

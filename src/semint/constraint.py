@@ -51,6 +51,7 @@ from .extphase import (
     ExtendedState,
     FieldSample,
     HamiltonianModel,
+    _coords,
     _eval_stack,
     _value,
     apply_J as _apply_J_arr,
@@ -116,7 +117,7 @@ class ConstraintCurve:
         if not tol > 0:
             raise ParameterError("tol must be positive")
         self.model = model
-        self.z = z_k.coords if isinstance(z_k, ExtendedState) else np.asarray(z_k, dtype=float)
+        self.z = _coords(z_k)
         self.tol = tol
         if grad is None:
             grad = eval_gradient(self.model, self.z)
@@ -243,15 +244,13 @@ class ConstraintCurve:
 
 def g_eval(model: HamiltonianModel, lam: float, z_k, tol: float = 1e-12) -> float:
     """H evaluated at the midpoint solution z_bar(lambda, z_k)."""
-    z = z_k.coords if isinstance(z_k, ExtendedState) else np.asarray(z_k, dtype=float)
-    zbar, _, _ = solve_midpoint_coords(model, lam, z, tol=tol)
+    zbar, _, _ = solve_midpoint_coords(model, lam, z_k, tol=tol)
     return eval_value(model, zbar)
 
 
 def g_derivative(model: HamiltonianModel, lam: float, z_k, tol: float = 1e-12) -> float:
     """Exact dg/dlambda via implicit differentiation (no cubic truncation)."""
-    z = z_k.coords if isinstance(z_k, ExtendedState) else np.asarray(z_k, dtype=float)
-    zbar, _, _ = solve_midpoint_coords(model, lam, z, tol=tol)
+    zbar, _, _ = solve_midpoint_coords(model, lam, z_k, tol=tol)
     grad = eval_gradient(model, zbar)
     return float(grad @ midpoint_sensitivity(model, lam, zbar, grad=grad))
 

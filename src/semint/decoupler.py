@@ -59,6 +59,7 @@ from .extphase import (
     ExtendedState,
     HamiltonianModel,
     _check_dim,
+    _coords,
     _eval_stack,
     _hessian,
     apply_J,
@@ -251,19 +252,20 @@ def _midpoint_newton(
 def solve_midpoint_coords(
     model: HamiltonianModel,
     lam: float,
-    z: np.ndarray,
+    z,
     tol: float = 1e-12,
     max_iter: int = 50,
 ) -> tuple[np.ndarray, int, float]:
-    """Newton solve for z_bar on raw coordinate arrays, started at z itself.
+    """Newton solve for z_bar, started at z itself (an ExtendedState or its coords).
 
-    Returns (z_bar, iterations, residual); the partner vertex is 2 z_bar - z.
+    Returns (z_bar, iterations, residual) as coordinates; the partner vertex
+    is 2 z_bar - z.
     """
     if not np.isfinite(lam):
         raise ParameterError("lambda must be finite")
     if not tol > 0:
         raise ParameterError("tol must be positive")
-    z = np.asarray(z, dtype=float)
+    z = _coords(z)
     _check_dim(model, z)
     z_bar, _, it, res = _midpoint_newton(model, lam, z, z.tolist(), tol, max_iter)
     return z_bar, it, res
@@ -361,7 +363,7 @@ def kantorovich_report(
     yields guaranteed=False rather than an exception.
     """
     lambda_delta = derive_constants(bounds, delta).lambda_delta  # checks delta
-    z_arr = z.coords if isinstance(z, ExtendedState) else np.asarray(z, dtype=float)
+    z_arr = _coords(z)
     beta, gamma = 2.0, 0.5
     f0 = -0.5 * lam * apply_J(eval_gradient(model, z_arr))
     eta = float(np.linalg.norm(_solve_jacobian(model, lam, z_arr, f0)))
@@ -404,7 +406,7 @@ def midpoint_sensitivity(
     right-hand side (1/2) J H_z is (g_p, g_wp, -g_q, -g_t) / 2 and f_zbar is
     the identity on its t and wp rows, so the (q, p) block is solved on floats.
     """
-    zb = z_bar.coords if isinstance(z_bar, ExtendedState) else np.asarray(z_bar, dtype=float)
+    zb = _coords(z_bar)
     _check_dim(model, zb)
     grad = eval_gradient(model, zb) if grad is None else np.asarray(grad, dtype=float)
     if _closed_form(model):

@@ -98,10 +98,18 @@ class RootPrediction:
 
 @dataclass
 class RootRecord:
+    """One root of g: its multiplier and the midpoint its residual |g| was measured at.
+
+    ``z_bar`` is that midpoint's coordinate array, the one a DTH step through
+    this root reflects through.  Where g read exactly 0 (a grid cell or a
+    theorem endpoint) it is solved again at that lambda.
+    """
+
     lam: float
     residual: float
     provenance: str  # "theorem" | "scan"
     is_ghost: bool
+    z_bar: np.ndarray = field(repr=False, compare=False)
     s: Optional[float] = None
     in_window: bool = True  # inside [-Lambda_k, Lambda_k]
 
@@ -113,7 +121,8 @@ class MultiplierSet:
     lambda_minus / lambda_plus are the regular (non-ghost) roots of each
     sign closest to zero; lambda_zero is 0.0 when H_k vanished within
     tol_g; lambda_ghost is the smallest-magnitude ghost root.  ``roots``
-    keeps every record including residuals and provenance; ``unsearched``
+    keeps every record including residuals, provenance and the midpoint
+    each residual was measured at; ``unsearched``
     lists intervals skipped because the midpoint solve failed there.
     """
 
@@ -338,9 +347,11 @@ def _predict_region3(r, lam_cap, zero_root):
 
 
 def _root_in_bracket(curve, start, a, b, fa, tol_lambda, tol_g):
-    """(lambda, |g|) at the root of a sign change [a, b], g(a) = fa; None on a flat g."""
+    """(lambda, |g|, z_bar) at the root of a sign change [a, b], g(a) = fa; None on a flat g."""
     lam, val = curve.newton(start, a, b, tol_g, 30, tol_lambda=tol_lambda, g_lo=fa)
-    return (lam, abs(val)) if abs(val) <= tol_g else None  # the residual contract
+    if abs(val) > tol_g:  # the residual contract
+        return None
+    return lam, abs(val), curve.midpoint(lam)  # newton's last g was at lam: no new solve
 
 
 def _scan_interval(curve, a, b, points, tol_lambda, tol_g):
@@ -352,7 +363,7 @@ def _scan_interval(curve, a, b, points, tol_lambda, tol_g):
     xs, vals = xs.tolist(), vals.tolist()
     found = []
     for xa, xb, fa, fb in ((xs[i], xs[i + 1], vals[i], vals[i + 1]) for i in cells):
-        hit = (xa, 0.0) if fa == 0.0 else _root_in_bracket(
+        hit = (xa, 0.0, curve.midpoint(xa)) if fa == 0.0 else _root_in_bracket(
             curve, xa - fa * (xb - xa) / (fb - fa), xa, xb, fa, tol_lambda, tol_g)
         if hit is not None:
             found.append(hit)
@@ -464,7 +475,8 @@ def solve_roots(
             if iv.verdict == EXISTS_UNIQUE:
                 fa, fb = curve.g(iv.a), curve.g(iv.b)
                 if fa == 0.0 or fb == 0.0:
-                    hits = [(iv.a if fa == 0.0 else iv.b, 0.0)]
+                    end = iv.a if fa == 0.0 else iv.b
+                    hits = [(end, 0.0, curve.midpoint(end))]
                 elif (fa < 0) != (fb < 0):
                     # a theorem interval ends at lambda = 0, where g' = 0: a
                     # regula-falsi start would land in that flat part
@@ -477,9 +489,9 @@ def solve_roots(
         except (NonconvergenceError, LinearSolveError):
             result.unsearched.append((iv.a, iv.b, "midpoint solve failed" + iv.where))
             continue
-        for lam, res in hits:
+        for lam, res, z_bar in hits:
             s = None if iv.c is None else lam / iv.c
-            records.append(RootRecord(lam, res, provenance, iv.is_ghost, s, iv.in_window))
+            records.append(RootRecord(lam, res, provenance, iv.is_ghost, z_bar, s, iv.in_window))
 
     # dedupe near-identical roots (a scan can bracket the same zero twice)
     records.sort(key=lambda rec: rec.lam)
@@ -516,9 +528,7 @@ class GhostReport:
     psi_min: float
     ghost_bound: float
     pm_magnitudes: tuple[float, ...]
-    ghost_magnitudes: tuple[float, ...]
     final_pm: float
-    pm_vanishing: bool
     ghosts_detected: int
     ghosts_bounded_away: bool
 
@@ -560,14 +570,11 @@ def ghost_check(
 
     finite = [m for m in pm if np.isfinite(m)]
     final_pm = finite[-1] if finite else np.nan
-    pm_vanishing = bool(finite) and final_pm <= min(finite) + 1e-15
     return GhostReport(
         psi_min=psi_min,
         ghost_bound=ghost_bound,
         pm_magnitudes=tuple(pm),
-        ghost_magnitudes=tuple(ghosts),
         final_pm=final_pm,
-        pm_vanishing=pm_vanishing,
         ghosts_detected=len(ghosts),
         ghosts_bounded_away=all(g > ghost_bound for g in ghosts),
     )

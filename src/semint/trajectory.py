@@ -33,8 +33,9 @@ from .errors import (
 from .extphase import (
     ExtendedState,
     HamiltonianModel,
+    _coords,
     apply_J,
-    eval_gradient,
+    eval_gradient,  # noqa: F401  (kept bound: the benchmark tracer rebinds it here)
     eval_value,
     sample_fields,
 )
@@ -81,15 +82,17 @@ class StepOptions:
 
 @dataclass(frozen=True)
 class StepResult:
+    """One step: z_mid is the midpoint at which |H| <= tol_g was checked."""
+
     lam: float
     z_next: ExtendedState
     z_mid: ExtendedState
     prediction: object
-    fixed_point: bool
-    took_ghost: bool
-    ghost_alongside: bool
-    scanned: bool  # an indeterminate in-window verdict was resolved by scanning
-    beyond_window: bool  # |lambda| exceeds the case-table window Lambda_k
+    fixed_point: bool = False
+    took_ghost: bool = False
+    ghost_alongside: bool = False
+    scanned: bool = False  # an indeterminate in-window verdict was resolved by scanning
+    beyond_window: bool = False  # |lambda| exceeds the case-table window Lambda_k
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,8 @@ def _fast_newton_root(model, z, grad, search_cap, cubic, hint, tol_g, solver_tol
     earlier crossing), so the returned multiplier is the smallest positive
     root along a smooth run.  The probe is free when the cubic model plus
     its quartic envelope already pins the sign.  ``grad`` is H_z(z).
-    Returns (lambda, z_bar) with the curve's own midpoint array, or None.
+    Returns (lambda, z_bar), z_bar the midpoint at which |g| <= tol_g was
+    checked (taken before the probe moves the curve off lambda), or None.
     """
     curve = ConstraintCurve(model, z, tol=solver_tol, grad=grad)
     start = min(max(hint, 1e-3 * search_cap), 0.999 * search_cap)
@@ -136,13 +140,21 @@ def _fast_newton_root(model, z, grad, search_cap, cubic, hint, tol_g, solver_tol
     lam, val = curve.newton(start, lo, hi, tol_g, 11)
     if not (abs(val) <= tol_g and 0.0 < lam < search_cap):
         return None
+    z_bar = curve.midpoint(lam)
     H_k, half = cubic.H_k, 0.5 * lam
     modeled = cubic(half)
     if not (abs(modeled) > cubic.quartic_bound(half) and (modeled < 0) == (H_k < 0)):
         probe = curve.g(half)  # the model alone does not certify the sign
         if probe != 0.0 and (probe < 0) != (H_k < 0):
             return None
-    return lam, curve._solve(lam)[0]
+    return lam, z_bar
+
+
+def _step_result(z_k, lam, z_bar, prediction, **flags) -> StepResult:
+    """The step through midpoint z_bar to 2 z_bar - z_k; lam = 0 stays at z_k."""
+    z_mid = z_k if lam == 0.0 else ExtendedState(z_bar, z_k.n)
+    z_next = z_k if lam == 0.0 else ExtendedState(2.0 * z_bar - z_k.coords, z_k.n)
+    return StepResult(lam, z_next, z_mid, prediction, **flags)
 
 
 def step(
@@ -159,7 +171,9 @@ def step(
     of the required sign within the search radius; ghost roots are taken only
     when no regular root exists on that side, or always under the
     ``follow-ghost`` policy.  A point with H_k = 0 yields the fixed-point
-    step lambda = 0, z_next = z_k.
+    step lambda = 0, z_next = z_k.  The midpoint is the one the accepted
+    root's |g| was checked at.  A degenerate point (psi = psi' = 0) raises
+    StepNonexistenceError carrying its degenerate prediction.
     """
     if opts is None:
         raise ParameterError("step needs StepOptions with bounds and constants")
@@ -170,12 +184,12 @@ def step(
     fields = sample_fields(model, z_k)
     cubic = CubicModel.from_fields(fields, opts.constants)
     region = classify_region(cubic)
+    prediction = predict_roots(region, cubic, opts.constants, shrink=opts.shrink, tol_g=opts.tol_g)
     if region.tag == "degenerate":
         raise StepNonexistenceError(
             "degenerate point: psi and psi' both vanish; no multiplier window",
-            prediction=None,
+            prediction=prediction,
         )
-    prediction = predict_roots(region, cubic, opts.constants, shrink=opts.shrink, tol_g=opts.tol_g)
     extend_to = opts.constants.lambda_delta if opts.search_beyond_window else None
 
     # fast path: warm-started Newton in a region where ghosts cannot appear;
@@ -199,18 +213,9 @@ def step(
         except (NonconvergenceError, LinearSolveError):
             got = None
         if got is not None:
-            lam, mid = got
-            z_next = ExtendedState(2.0 * mid - z_k.coords, z_k.n)
-            return StepResult(
-                lam=lam,
-                z_next=z_next,
-                z_mid=ExtendedState(mid, z_k.n),
-                prediction=prediction,
-                fixed_point=False,
-                took_ghost=False,
-                ghost_alongside=False,
-                scanned=False,
-                beyond_window=lam > prediction.capital_lambda,
+            lam, z_bar = got
+            return _step_result(
+                z_k, lam, z_bar, prediction, beyond_window=lam > prediction.capital_lambda
             )
 
     roots = solve_roots(
@@ -227,32 +232,11 @@ def step(
 
     regular = [r for r in roots.roots if not r.is_ghost and r.lam * sign > 0]
     ghost = [r for r in roots.roots if r.is_ghost and r.lam * sign > 0]
-    side_verdict = prediction.pos_interval if sign > 0 else prediction.neg_interval
-
-    chosen = None
-    took_ghost = False
-    if opts.policy == "follow-ghost" and ghost:
-        chosen = min(ghost, key=lambda r: abs(r.lam))
-        took_ghost = True
-    elif regular:
-        chosen = min(regular, key=lambda r: abs(r.lam))
-    elif ghost:
-        chosen = min(ghost, key=lambda r: abs(r.lam))
-        took_ghost = True
-
-    if chosen is None:
+    took_ghost = bool(ghost) and (opts.policy == "follow-ghost" or not regular)
+    pool = ghost if took_ghost else regular
+    if not pool:
         if roots.lambda_zero is not None:
-            return StepResult(
-                lam=0.0,
-                z_next=z_k,
-                z_mid=z_k,
-                prediction=prediction,
-                fixed_point=True,
-                took_ghost=False,
-                ghost_alongside=False,
-                scanned=False,
-                beyond_window=False,
-            )
+            return _step_result(z_k, 0.0, None, prediction, fixed_point=True)
         searched = (
             f"searched up to {extend_to:.3g}" if extend_to is not None else
             f"within Lambda={prediction.capital_lambda:.3g}"
@@ -262,17 +246,10 @@ def step(
             prediction=prediction,
         )
 
-    mid_arr, _, _ = solve_midpoint_coords(
-        model, chosen.lam, z_k.coords, tol=opts.solver_tol
-    )
-    z_next = ExtendedState(2.0 * mid_arr - z_k.coords, z_k.n)
-    return StepResult(
-        lam=chosen.lam,
-        z_next=z_next,
-        z_mid=ExtendedState(mid_arr, z_k.n),
-        prediction=prediction,
-        fixed_point=False,
-        took_ghost=took_ghost,
+    chosen = min(pool, key=lambda r: abs(r.lam))
+    side_verdict = prediction.pos_interval if sign > 0 else prediction.neg_interval
+    return _step_result(
+        z_k, chosen.lam, chosen.z_bar, prediction, took_ghost=took_ghost,
         ghost_alongside=bool(ghost) and not took_ghost,
         scanned=chosen.in_window and side_verdict == INDETERMINATE,
         beyond_window=not chosen.in_window,
@@ -310,39 +287,26 @@ def propagate(
         try:
             result = step(model, z, "forward", opts, hint=hint)
         except StepNonexistenceError as exc:
-            label = exc.prediction.case_label if exc.prediction is not None else "degenerate"
-            traj.events.append(TrajectoryEvent(k, "terminated", label))
+            traj.events.append(TrajectoryEvent(k, "terminated", exc.prediction.case_label))
             break
         except (EvaluationError, NonconvergenceError, LinearSolveError) as exc:
             traj.events.append(TrajectoryEvent(k, "terminated", f"{type(exc).__name__}: {exc}"))
             break
+        label = result.prediction.case_label
         if result.fixed_point:
-            traj.events.append(
-                TrajectoryEvent(k, "fixed-point", result.prediction.case_label)
-            )
+            traj.events.append(TrajectoryEvent(k, "fixed-point", label))
             break
         if result.ghost_alongside:
-            traj.events.append(
-                TrajectoryEvent(k, "bifurcation", result.prediction.case_label)
-            )
+            traj.events.append(TrajectoryEvent(k, "bifurcation", label))
         if result.took_ghost:
-            traj.events.append(
-                TrajectoryEvent(k, "ghost-taken", result.prediction.case_label)
-            )
+            traj.events.append(TrajectoryEvent(k, "ghost-taken", label))
         if result.scanned:
-            traj.events.append(
-                TrajectoryEvent(k, "prediction-indeterminate", result.prediction.case_label)
-            )
+            traj.events.append(TrajectoryEvent(k, "prediction-indeterminate", label))
         elif result.beyond_window and not noted_beyond_window:
             # noted once: multipliers past Lambda_k have no uniqueness backing
             noted_beyond_window = True
-            traj.events.append(
-                TrajectoryEvent(
-                    k,
-                    "prediction-indeterminate",
-                    f"multiplier beyond case-table window ({result.prediction.case_label})",
-                )
-            )
+            detail = f"multiplier beyond case-table window ({label})"
+            traj.events.append(TrajectoryEvent(k, "prediction-indeterminate", detail))
         traj.multipliers.append(result.lam)
         traj.midpoints.append(result.z_mid)
         traj.vertices.append(result.z_next)
@@ -378,7 +342,7 @@ def symplectic_defect(
 
     D is the central-difference Jacobian of z -> 2 z_bar(lambda, z) - z.
     """
-    z_arr = z.coords if isinstance(z, ExtendedState) else np.asarray(z, dtype=float)
+    z_arr = _coords(z)
     dim = z_arr.size
 
     def the_map(x):
@@ -476,11 +440,11 @@ def choose_conjugate_momentum(
     # with its iterates kept in the open interval (0, 4 lambda_target)
     z = make_state(wp)
     fields = sample_fields(model, z)
-    curve = ConstraintCurve(model, z, tol=solver_tol)
+    curve = ConstraintCurve(model, z, tol=solver_tol, grad=fields.grad)
     hi = math.nextafter(4.0 * lambda_target, 0.0)
     lam, _ = curve.newton(lambda_target, math.nextafter(0.0, 1.0), hi, 1e-13, 20)
     # dH/dwp is 1 for lifts; read it off the gradient for custom models
-    dH_dwp = float(eval_gradient(model, z.coords)[-1])
+    dH_dwp = float(fields.grad[-1])
     if dH_dwp == 0.0:
         return float(wp)
     return float(wp + fields.psi * (lambda_target**2 - lam**2) / (8.0 * dH_dwp))

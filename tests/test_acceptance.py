@@ -86,9 +86,10 @@ def test_criterion_1_energy_constraint(setup, reference_run):
     )
 
 
-# re-recorded when safeguarded Newton replaced bisection in solve_roots (the
-# first step moved by 3e-12; test_reference_answers.py holds the tolerances)
-REFERENCE_RUN_DIGEST = "e6821f3f9086bafd36e41d28ad780adfb677f42d8c2886a9e9e74fed232761ad"
+# re-recorded when step began recording the midpoint its root search checked
+# instead of solving it again (the first step's midpoint moved by 1e-14, later
+# vertices by at most 1.2e-10; test_reference_answers.py holds the tolerances)
+REFERENCE_RUN_DIGEST = "360f71584fae9f7a58ff25234e869509c3a8b6ba9150b5d236ab5d0b8f23a4fc"
 
 
 def test_reference_run_pinned(reference_run):

@@ -493,8 +493,10 @@ GOLDEN_RUN = {
         "steps": 300,
         "bounds": {"center": [0.0, 0.0, 0.0, 0.0], "radius": 2.5, "samples_per_axis": 17},
     },
-    "trajectory.csv": "af47e1c7ab3500175a70c546dc121b70308261bab356d0870ed9f90b1969e04d",
-    "events.json": "14a4b3ced9e64880aada1bbdcc959a46187d8cc06006c3c0a7f3ce3993dcc462",
+    # re-recorded when step began recording the midpoint its root search
+    # checked; events.json also holds the vertices, its event list is unchanged
+    "trajectory.csv": "25613c1683ad842c2fdc82e18988c019f24c4b42d10cbb4e77ed95d8c4174e01",
+    "events.json": "7f2f8f0fd6f589b15b841ae860c4e6a14cded16e3195156486fcee32331f59fd",
 }
 GOLDEN_SCAN = {
     "payload": {"model": {"name": "pendulum"}, "state": [1.0, 0.0, 0.5, 0.4]},

@@ -63,6 +63,17 @@ class TestSolveMidpoint:
             z_bar, _, _ = solve_midpoint_coords(pendulum, lam, z.coords, tol=1e-13)
             assert abs(z_bar[3] - z.wp) < 1e-15
 
+    def test_state_and_its_coords_give_the_same_bits(self, pendulum):
+        from conftest import henon_heiles_lift
+
+        for model, z in (
+            (pendulum, pendulum_state(0.7, -0.3, wp=0.9)),
+            (henon_heiles_lift(), ExtendedState.from_parts([0.1, -0.2], 0.0, [0.3, 0.05], 0.4)),
+        ):
+            z_bar, it, res = solve_midpoint_coords(model, 0.08, z, tol=1e-13)
+            ref, it_ref, res_ref = solve_midpoint_coords(model, 0.08, z.coords, tol=1e-13)
+            assert z_bar.tobytes() == ref.tobytes() and (it, res) == (it_ref, res_ref)
+
     def test_midpoint_identity(self, pendulum, rng):
         # the partner 2 z_bar - z satisfies z_partner - z = lambda J H_z(z_bar)
         for _ in range(10):

@@ -1,5 +1,6 @@
 import hashlib
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,6 +59,11 @@ def verify_trajectory(model, traj, tol_g=1e-12):
         assert np.allclose(mid.coords, 0.5 * (za.coords + zb.coords), atol=1e-13)
 
 
+# forward and backward steps under both policies that take a root at the
+# TestSolveRootsPinned points (the others find none or a fixed point)
+TAKEN_FULL_PATH_STEPS = 30
+
+
 class TestStep:
     def test_fixed_point_at_balanced_state(self, pend_opts):
         model, opts = pend_opts
@@ -84,11 +90,54 @@ class TestStep:
             step(model, z, "forward", opts)
         assert err.value.prediction.case_label == "EU_1(i)"
 
-    def test_degenerate_point_has_no_prediction(self, pend_opts):
+    def test_degenerate_point_carries_its_prediction(self, pend_opts):
         model, opts = pend_opts
-        with pytest.raises(StepNonexistenceError) as err:  # the equilibrium: psi = psi' = 0
-            step(model, pendulum_state(0.0, 0.0, wp=1.0), "forward", opts)
-        assert err.value.prediction is None
+        z = pendulum_state(0.0, 0.0, wp=1.0)  # the equilibrium: psi = psi' = 0
+        with pytest.raises(StepNonexistenceError) as err:
+            step(model, z, "forward", opts)
+        pred = err.value.prediction
+        assert pred.vertex_kind == pred.case_label == pred.region.tag == "degenerate"
+        assert pred.capital_lambda is None
+        traj = propagate(model, z, 5, opts)
+        assert traj.multipliers == []
+        assert [(e.index, e.kind, e.detail) for e in traj.events] == [(0, "terminated", "degenerate")]
+
+    def test_full_path_records_the_midpoint_it_checked(self, pend_opts, monkeypatch):
+        """A full-path step solves no midpoint after its root search: z_mid is
+        the midpoint at which the accepted root's |g| was measured."""
+        from test_multiplier import TestSolveRootsPinned
+
+        model, opts = pend_opts
+        found, original = [], semint.trajectory.solve_roots
+
+        def recording(*args, **kwargs):
+            found.append(original(*args, **kwargs))
+            return found[-1]
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("step solved a midpoint after its root search")
+
+        monkeypatch.setattr(semint.trajectory, "solve_roots", recording)
+        monkeypatch.setattr(semint.trajectory, "solve_midpoint_coords", no_solve)
+        taken = Counter()
+        for name, (q, p, wp) in sorted(TestSolveRootsPinned.POINTS.items()):
+            for direction in ("forward", "backward"):
+                for policy in ("default", "follow-ghost"):
+                    z = pendulum_state(q, p, wp=wp)
+                    try:
+                        result = step(model, z, direction, replace(opts, policy=policy))
+                    except StepNonexistenceError:
+                        continue
+                    if result.fixed_point:
+                        continue
+                    taken[name] += 1
+                    (chosen,) = [r for r in found[-1].roots if r.lam == result.lam]
+                    assert np.array_equal(result.z_mid.coords, chosen.z_bar)
+                    assert np.array_equal(result.z_next.coords, 2.0 * chosen.z_bar - z.coords)
+                    # the one exception: a grid cell or theorem endpoint where g
+                    # read exactly 0 has its midpoint solved again; none is met here
+                    assert abs(eval_value(model, result.z_mid.coords)) == chosen.residual
+        assert sum(taken.values()) == TAKEN_FULL_PATH_STEPS, taken
 
     def test_backward_step(self, pend_opts):
         model, opts = pend_opts
@@ -179,9 +228,10 @@ class TestPropagate:
         assert calls == traj.vertices[:-1]
 
 
-# re-recorded when safeguarded Newton replaced bisection in solve_roots (the
-# first step moved by 7e-12; test_reference_answers.py holds the tolerances)
-HENON_HEILES_DIGEST = "0daefb051f0ed8e2b4962d1faf10c6af7865180b7df8e48a7ec1f190367588b2"
+# re-recorded when step began recording the midpoint its root search checked
+# (step 0 takes the full path, so every later vertex moved at rounding level;
+# test_reference_answers.py holds the tolerances)
+HENON_HEILES_DIGEST = "fdd0b040e815e227c4daedd379ea6e644d773543d8cafef7838aebc5d34768e6"
 
 
 def test_henon_heiles_run_pinned(monkeypatch):
@@ -206,8 +256,8 @@ def test_henon_heiles_run_pinned(monkeypatch):
     assert hashlib.sha256(repr(record).encode()).hexdigest() == HENON_HEILES_DIGEST
 
 
-# re-recorded when safeguarded Newton replaced bisection in solve_roots
-HENON_HEILES_500_DIGEST = "93450dad7d5197334afd371b9e11d11969bf2e6dfd28f20a5a7840df32623dd2"
+# re-recorded when step began recording the midpoint its root search checked
+HENON_HEILES_500_DIGEST = "0ce5f5923bd56814408c0946f571a3d8b4cf579dc3fc87b30c51b8e603925ca8"
 
 
 def henon_heiles_run(n_steps, samples=5):
@@ -222,8 +272,8 @@ def henon_heiles_run(n_steps, samples=5):
 
 
 def test_henon_heiles_long_run_pinned():
-    """500 n = 2 steps: the half-step probe, and the re-solve of the accepted
-    root after it, run on 395 of them (27 of the 50 in the pin above)."""
+    """500 n = 2 steps: the half-step probe runs on 395 of them (27 of the 50
+    in the pin above)."""
     traj = henon_heiles_run(500)
     assert len(traj.multipliers) == 500
     record = ([float(lam) for lam in traj.multipliers], [v.coords.tolist() for v in traj.vertices])
@@ -237,14 +287,17 @@ def test_fast_path_solves_for_the_slope_only_on_newton_steps(
     run, probes_expected, pend_opts, monkeypatch
 ):
     """Each fast-path Newton iteration evaluates g; only those that go on to
-    take a Newton step pay a sensitivity solve for g', the accepting one not."""
+    take a Newton step pay a sensitivity solve for g', the accepting one not.
+    Every midpoint solve is one g evaluation: none follows the probe, and the
+    recorded midpoint is the one whose g accepted the root."""
     calls, inside = [], []  # one record per fast-path call; the open one
     original_fast = semint.trajectory._fast_newton_root
     original_g = ConstraintCurve.g
     original_sensitivity = semint.constraint.midpoint_sensitivity
+    original_solve = semint.constraint._midpoint_newton
 
     def counting_fast(*args, **kwargs):
-        inside.append({"g": [], "sensitivity": 0})
+        inside.append({"g": [], "sensitivity": 0, "solves": 0})
         try:
             inside[-1]["got"] = original_fast(*args, **kwargs)
         finally:
@@ -252,34 +305,44 @@ def test_fast_path_solves_for_the_slope_only_on_newton_steps(
         return calls[-1]["got"]
 
     def counting_g(self, lam):
+        val = original_g(self, lam)
         if inside:
-            inside[-1]["g"].append(lam)
-        return original_g(self, lam)
+            inside[-1]["g"].append((lam, val))
+        return val
 
     def counting_sensitivity(*args):
         if inside:
             inside[-1]["sensitivity"] += 1
         return original_sensitivity(*args)
 
+    def counting_solve(*args):
+        if inside:
+            inside[-1]["solves"] += 1
+        return original_solve(*args)
+
     monkeypatch.setattr(semint.trajectory, "_fast_newton_root", counting_fast)
     monkeypatch.setattr(ConstraintCurve, "g", counting_g)
     monkeypatch.setattr(semint.constraint, "midpoint_sensitivity", counting_sensitivity)
+    monkeypatch.setattr(semint.constraint, "_midpoint_newton", counting_solve)
     if run == "pendulum":
         model, opts = pend_opts
         wp0 = choose_conjugate_momentum(model, 1.0, 0.0, 0.5, 0.1)
         traj = propagate(model, pendulum_state(1.0, 0.5, wp=wp0), 50, opts)
     else:
+        model = henon_heiles_lift()
         traj = henon_heiles_run(50, samples=3)
     assert len(traj.multipliers) == 50
     # every step after the first takes the fast path and accepts its root
     assert [c["got"][0] for c in calls] == traj.multipliers[1:]
     newton_evals = probes = sensitivity = 0
-    for c in calls:
-        lams, root = c["g"], c["got"][0]
-        if len(lams) > 1 and lams[-1] == 0.5 * root:  # the half-step probe
-            lams, probes = lams[:-1], probes + 1
-        assert lams[-1] == root
-        newton_evals += len(lams)
+    for c, z_mid in zip(calls, traj.midpoints[1:]):
+        evals, root = c["g"], c["got"][0]
+        assert c["solves"] == len(evals)
+        if len(evals) > 1 and evals[-1][0] == 0.5 * root:  # the half-step probe
+            evals, probes = evals[:-1], probes + 1
+        assert evals[-1][0] == root
+        assert eval_value(model, z_mid.coords) == evals[-1][1]
+        newton_evals += len(evals)
         sensitivity += c["sensitivity"]
     assert probes == probes_expected and newton_evals > len(calls)
     assert sensitivity == newton_evals - len(calls)
