@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,10 +66,11 @@ class RegionBounds:
 
     def __post_init__(self):
         for name in ("M1", "M2", "gamma_H", "N1", "N2"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be nonnegative")
-        if not self.radius > 0:
-            raise ParameterError("radius must be positive")
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ParameterError(f"{name} must be finite and nonnegative, got {value}")
+        if not 0 < self.radius < math.inf:
+            raise ParameterError(f"radius must be finite and positive, got {self.radius}")
 
     def scaled(self, factor: float) -> "RegionBounds":
         """Inflate the five sampled constants by a safety factor."""
@@ -110,14 +112,14 @@ class DerivedConstants:
     gamma_h: float
     K: float
     lambda_delta: float
-    delta: float
 
 
 def derive_constants(bounds: RegionBounds, delta: float = 0.5) -> DerivedConstants:
     """Apply the closed-form constant definitions to a set of bounds.
 
     Zero M2 or gamma_H contributes +inf to the lambda_delta minimum (the
-    corresponding hypothesis is vacuous for flat models).
+    corresponding hypothesis is vacuous for flat models).  Bounds so large
+    that gamma_z, gamma_h or K overflow raise ``ParameterError``.
     """
     if not 0.0 < delta < 1.0:
         raise ParameterError(f"delta must lie in (0, 1), got {delta}")
@@ -125,19 +127,19 @@ def derive_constants(bounds: RegionBounds, delta: float = 0.5) -> DerivedConstan
     n1, n2 = bounds.N1, bounds.N2
     gamma_z = 2.0 * m1 * m2 + m1 * m1
     gamma_h = n1 * gamma_z + m1 * m1 * n2
-    K = (m1 * m1 * m2**3 + 2.0 * gamma_h) / 32.0
+    try:
+        K = (m1 * m1 * m2**3 + 2.0 * gamma_h) / 32.0
+    except OverflowError:  # float ** raises where float * gives inf
+        K = math.inf
+    for name, value in (("gamma_z", gamma_z), ("gamma_h", gamma_h), ("K", K)):
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} overflows ({value}): the region bounds are too large")
     terms = [
         1.0 / m2 if m2 > 0 else np.inf,
         1.0 / gh if gh > 0 else np.inf,
         (1.0 - (1.0 - delta) ** 2) / (2.0 * m1) if m1 > 0 else np.inf,
     ]
-    return DerivedConstants(
-        gamma_z=gamma_z,
-        gamma_h=gamma_h,
-        K=K,
-        lambda_delta=float(min(terms)),
-        delta=float(delta),
-    )
+    return DerivedConstants(gamma_z, gamma_h, K, float(min(terms)))
 
 
 def _probe_axis_active(model: HamiltonianModel, center: np.ndarray, radius: float, axis: int) -> bool:

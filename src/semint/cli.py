@@ -143,10 +143,13 @@ def _resolve_bounds(cfg, model, fallback_center=None):
     if "path" in block:
         try:
             raw = bounds_from_json(Path(block["path"]).read_text())
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, EvaluationError) as exc:
             raise ConfigError(
                 f"cannot read bounds {block['path']}: {type(exc).__name__}: {exc}"
             ) from exc
+        if raw.center.n != model.n:
+            msg = f"bounds {block['path']} were saved for n = {raw.center.n}; the model has n = {model.n}"
+            raise ConfigError(msg)
     else:
         center = block.get("center", None)
         if center is None:
@@ -171,9 +174,11 @@ def _resolve_bounds(cfg, model, fallback_center=None):
             raise ConfigError(
                 f"cannot save bounds {block['save']}: {type(exc).__name__}: {exc}"
             ) from exc
-    scaled = raw.scaled(safety)
-    constants = derive_constants(scaled, delta)
-    return raw, scaled, constants
+    try:
+        scaled = raw.scaled(safety)
+        return raw, scaled, derive_constants(scaled, delta)
+    except ParameterError as exc:
+        raise ConfigError(f"bad bounds: {exc}") from exc
 
 
 def _resolve_initial_state(cfg, model):

@@ -11,12 +11,9 @@ they can be shared freely across threads or processes.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -34,10 +31,6 @@ __all__ = [
     "fd_gradient",
     "fd_hessian",
     "psi_fd_step",
-    "states_to_csv",
-    "states_from_csv",
-    "state_to_json",
-    "state_from_json",
 ]
 
 
@@ -353,14 +346,14 @@ def _psi_stack(model: HamiltonianModel, zs: np.ndarray) -> np.ndarray:
     return _psi_rows(apply_J(grads), hessians)
 
 
-def psi_gradient(model: HamiltonianModel, z, step: Optional[float] = None) -> np.ndarray:
+def psi_gradient(model: HamiltonianModel, z) -> np.ndarray:
     """Gradient of psi at one state (dim,) or at every row of a (N, dim) stack.
 
     Analytic when the model carries one.  Otherwise psi is central-differenced
     along the axes the model's flags leave active (``time_independent`` drops
     t, ``wp_affine`` drops wp; undeclared flags keep every axis), the skipped
     components are zero, and all probes of the call are evaluated as one
-    stack.  The default step is ``psi_fd_step`` of each row.
+    stack.  The step is ``psi_fd_step`` of each row.
     """
     z = _coords(z)
     if model.psi_gradient is not None and z.ndim == 1:
@@ -378,10 +371,7 @@ def psi_gradient(model: HamiltonianModel, z, step: Optional[float] = None) -> np
             raise EvaluationError("model psi gradient is non-finite", zs[int(np.argmax(bad))])
         return out
     axes = _psi_axes(model)
-    if step is None:
-        steps = psi_fd_step(zs)
-    else:
-        steps = np.full(len(zs), float(step))
+    steps = psi_fd_step(zs)
     offsets = steps[:, None, None] * np.eye(model.dim)[list(axes)]  # h e_i rows, exact
     probes = np.concatenate([zs[:, None] + offsets, zs[:, None] - offsets], axis=1)
     psi = _psi_stack(model, probes.reshape(-1, model.dim)).reshape(len(zs), 2, len(axes))
@@ -390,7 +380,7 @@ def psi_gradient(model: HamiltonianModel, z, step: Optional[float] = None) -> np
     return out[0] if z.ndim == 1 else out
 
 
-def sample_fields(model: HamiltonianModel, z, psi_step: Optional[float] = None) -> FieldSample:
+def sample_fields(model: HamiltonianModel, z) -> FieldSample:
     """Evaluate H, H_z, H_zz, psi and psi' = [psi, H] at one point or a stack.
 
     ``z`` is one state (an ``ExtendedState`` or a (dim,) array) or a
@@ -406,14 +396,14 @@ def sample_fields(model: HamiltonianModel, z, psi_step: Optional[float] = None) 
             raise DimensionError(f"model has dimension {model.dim}, states have shape {z.shape}")
         H, grads, hessians = _eval_stack(model, z, "value", "gradient", "hessian")
         ws = apply_J(grads)
-        pz = psi_gradient(model, z, step=psi_step)
+        pz = psi_gradient(model, z)
         return FieldSample(H, grads, hessians, _psi_rows(ws, hessians), _row_dots(pz, ws))
     H = eval_value(model, z)
     grad = eval_gradient(model, z)
     hess = eval_hessian(model, z)
     w = apply_J(grad)
     psi = float(w @ hess @ w)
-    pz = psi_gradient(model, z, step=psi_step)
+    pz = psi_gradient(model, z)
     psi_prime = float(pz @ w)
     return FieldSample(H=H, grad=grad, hess=hess, psi=psi, psi_prime=psi_prime)
 
@@ -527,39 +517,6 @@ def fd_hessian(model: HamiltonianModel, z, step: float = 1e-5) -> np.ndarray:
     return 0.5 * (h + h.T)
 
 
-# ---------------------------------------------------------------------------
-# Serialization: CSV rows and JSON arrays, both in coordinate order
-# q_1..q_n, t, p_1..p_n, wp.
-
-
 def state_header(n: int) -> list[str]:
+    """Column names of a state in coordinate order q_1..q_n, t, p_1..p_n, wp."""
     return [f"q{i + 1}" for i in range(n)] + ["t"] + [f"p{i + 1}" for i in range(n)] + ["wp"]
-
-
-def states_to_csv(states: Sequence[ExtendedState]) -> str:
-    if not states:
-        raise ValueError("cannot serialize an empty state list")
-    n = states[0].n
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(state_header(n))
-    for s in states:
-        writer.writerow([repr(float(x)) for x in s.coords])
-    return buf.getvalue()
-
-
-def states_from_csv(text: str) -> list[ExtendedState]:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
-        return []
-    header = rows[0]
-    n = (len(header) - 2) // 2
-    return [ExtendedState(np.array([float(x) for x in row]), n) for row in rows[1:] if row]
-
-
-def state_to_json(state: ExtendedState) -> str:
-    return json.dumps([float(x) for x in state.coords])
-
-
-def state_from_json(text: str, n: int) -> ExtendedState:
-    return ExtendedState(np.asarray(json.loads(text), dtype=float), n)

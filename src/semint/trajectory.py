@@ -331,13 +331,11 @@ def classify_vertex(
     return predict_roots(classify_region(cubic), cubic, constants)
 
 
-def symplectic_defect(
-    model: HamiltonianModel,
-    z: ExtendedState,
-    lam: float,
-    fd_step: float = 1e-6,
-    solver_tol: float = 1e-13,
-) -> float:
+_DEFECT_FD_STEP = 1e-6  # central-difference step of the defect's Jacobian
+_DEFECT_SOLVER_TOL = 1e-13  # midpoint solve tolerance inside that Jacobian
+
+
+def symplectic_defect(model: HamiltonianModel, z: ExtendedState, lam: float) -> float:
     """||D^T J D - J||_F for the fixed-lambda midpoint map at z.
 
     D is the central-difference Jacobian of z -> 2 z_bar(lambda, z) - z.
@@ -346,14 +344,14 @@ def symplectic_defect(
     dim = z_arr.size
 
     def the_map(x):
-        zbar, _, _ = solve_midpoint_coords(model, lam, x, tol=solver_tol)
+        zbar, _, _ = solve_midpoint_coords(model, lam, x, tol=_DEFECT_SOLVER_TOL)
         return 2.0 * zbar - x
 
     cols = []
     for j in range(dim):
         e = np.zeros(dim)
-        e[j] = fd_step
-        cols.append((the_map(z_arr + e) - the_map(z_arr - e)) / (2.0 * fd_step))
+        e[j] = _DEFECT_FD_STEP
+        cols.append((the_map(z_arr + e) - the_map(z_arr - e)) / (2.0 * _DEFECT_FD_STEP))
     D = np.column_stack(cols)
     # row by row, v^T J = -(J v)^T; so D^T J = -apply_J(D^T) and J = -apply_J(I)
     return float(np.linalg.norm(-apply_J(D.T) @ D + apply_J(np.eye(dim))))
@@ -362,8 +360,6 @@ def symplectic_defect(
 def conservation_report(
     model: HamiltonianModel,
     trajectory: DTHTrajectory,
-    fd_step: float = 1e-6,
-    solver_tol: float = 1e-13,
     defect_stride: int = 1,
 ) -> ConservationReport:
     """Energy, conjugate-momentum and symplecticity diagnostics for a run.
@@ -376,7 +372,7 @@ def conservation_report(
     energy = [abs(eval_value(model, zb.coords)) for zb in trajectory.midpoints]
     wp = [abs(b.wp - a.wp) for a, b in zip(trajectory.vertices, trajectory.vertices[1:])]
     defects = [
-        symplectic_defect(model, trajectory.vertices[k], trajectory.multipliers[k], fd_step, solver_tol)
+        symplectic_defect(model, trajectory.vertices[k], trajectory.multipliers[k])
         for k in range(0, len(trajectory.multipliers), max(1, defect_stride))
     ]
     return ConservationReport(

@@ -113,7 +113,7 @@ def test_criterion_3_symplecticity(setup):
     worst = 0.0
     for _ in range(20):
         z = pendulum_state(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5), wp=rng.uniform(-1, 1))
-        worst = max(worst, symplectic_defect(model, z, 0.1, fd_step=1e-6))
+        worst = max(worst, symplectic_defect(model, z, 0.1))
     ok = worst <= 1e-6
     report(3, "fixed-lambda symplecticity", ok, f"20 states, max defect {worst:.2e} (<= 1e-6)")
 

@@ -59,6 +59,18 @@ class TestDeriveConstants:
             with pytest.raises(ParameterError):
                 derive_constants(bounds, bad)
 
+    @pytest.mark.parametrize(
+        "constants, overflows",
+        [({"M1": 1e200}, "gamma_z"), ({"N1": 1e300, "M2": 1e10}, "gamma_h"), ({"M2": 1e110}, "K")],
+    )
+    def test_non_finite_constant_rejected(self, constants, overflows):
+        bounds = RegionBounds(
+            **dict(dict(M1=1.0, M2=1.0, gamma_H=1.0, N1=1.0, N2=1.0), **constants),
+            center=pendulum_state(0, 0), radius=1.0,
+        )
+        with pytest.raises(ParameterError, match=f"^{overflows} overflows"):
+            derive_constants(bounds, 0.5)
+
     @settings(max_examples=40, deadline=None)
     @given(
         m1=st.floats(0.01, 50),
@@ -342,6 +354,12 @@ class TestRegionBounds:
         assert b.M1 == pytest.approx(2.2)
         assert b.safety == pytest.approx(1.1)
         assert b.radius == 2.0  # geometry untouched
+
+    @pytest.mark.parametrize("name", ["M1", "M2", "gamma_H", "N1", "N2", "radius"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ParameterError, match=name):
+            replace(self._bounds(), **{name: value})
 
     def test_contains_ball_active_axes_only(self):
         b = self._bounds()

@@ -265,14 +265,47 @@ class TestBoundsConfigErrors:
             {"safety": "x"},
             {"delta": "y"},
             {"delta": 1.5},
+            {"safety": 1e100},  # M2**3 overflows: K would be inf
+            {"safety": 1e308},  # the scaled M1 is inf
         ],
         ids=["samples-below-3", "safety-not-positive", "radius-non-numeric",
-             "radius-infinite", "safety-non-numeric", "delta-non-numeric", "delta-outside-unit-interval"],
+             "radius-infinite", "safety-non-numeric", "delta-non-numeric", "delta-outside-unit-interval",
+             "safety-overflows-K", "safety-overflows-M1"],
     )
     def test_bad_bounds_value(self, tmp_path, override):
         for command in ("run", "scan", "map"):
             bounds = dict(BOUNDS_BLOCK, **override)
             assert_config_error(run_cli(command, "--config", _bounds_config(tmp_path, command, bounds)))
+
+
+SAVED_BOUNDS = {"M1": 2.7, "M2": 1.6, "gamma_H": 1.1, "N1": 3.0, "N2": 5.0,
+                "center": [0.0, 0.0, 0.0, 0.0], "n": 1, "radius": 2.5}
+
+
+class TestSavedBoundsErrors:
+    @pytest.mark.parametrize("command", ["run", "scan", "map"])
+    @pytest.mark.parametrize(
+        "edit, says",
+        [
+            ({"M1": float("nan")}, "M1 must be finite"),  # written as NaN
+            ({"M2": float("inf")}, "M2 must be finite"),  # written as Infinity
+            ({"n": 2, "center": [0.0] * 6}, "saved for n = 2; the model has n = 1"),
+        ],
+        ids=["M1-nan", "M2-infinite", "n-2-for-pendulum"],
+    )
+    def test_bad_saved_file(self, tmp_path, command, edit, says):
+        saved = tmp_path / "bounds.json"
+        saved.write_text(json.dumps(dict(SAVED_BOUNDS, **edit)))
+        proc = run_cli(command, "--config", _bounds_config(tmp_path, command, {"path": str(saved)}))
+        assert_config_error(proc)
+        assert says in proc.stderr
+
+    def test_the_unedited_file_runs(self, tmp_path):
+        saved = tmp_path / "bounds.json"
+        saved.write_text(json.dumps(SAVED_BOUNDS))
+        for command in ("run", "scan", "map"):
+            proc = run_cli(command, "--config", _bounds_config(tmp_path, command, {"path": str(saved)}))
+            assert proc.returncode == 0, proc.stderr
 
 
 class TestScanConfigErrors:

@@ -21,10 +21,6 @@ from semint.extphase import (
     psi_fd_step,
     psi_gradient,
     sample_fields,
-    state_from_json,
-    state_to_json,
-    states_from_csv,
-    states_to_csv,
 )
 from semint import models
 
@@ -52,18 +48,6 @@ class TestExtendedState:
     def test_rejects_nonfinite(self):
         with pytest.raises(EvaluationError):
             ExtendedState(np.array([1.0, np.nan, 0.0, 0.0]), 1)
-
-    def test_csv_roundtrip(self):
-        states = [pendulum_state(0.1, -0.2, wp=0.3), pendulum_state(1.5, 2.5, wp=-1.0)]
-        text = states_to_csv(states)
-        assert text.splitlines()[0] == "q1,t,p1,wp"
-        back = states_from_csv(text)
-        for a, b in zip(states, back):
-            assert np.array_equal(a.coords, b.coords)
-
-    def test_json_roundtrip(self):
-        z = pendulum_state(0.25, -1.5, wp=0.75, t=2.0)
-        assert np.array_equal(state_from_json(state_to_json(z), 1).coords, z.coords)
 
 
 class TestApplyJ:
@@ -175,11 +159,10 @@ class TestPsiGradientBatch:
         ]
         for model, n in cases:
             zs = self._stack(rng, n)
-            for step in (None, 3e-5):
-                batch = psi_gradient(model, zs, step=step)
-                rows = np.array([psi_gradient(model, z, step=step) for z in zs])
-                assert batch.shape == zs.shape
-                assert np.array_equal(batch, rows)
+            batch = psi_gradient(model, zs)
+            rows = np.array([psi_gradient(model, z) for z in zs])
+            assert batch.shape == zs.shape
+            assert np.array_equal(batch, rows)
 
     def test_matches_per_probe_loop_bitwise(self, rng):
         # an honest lift: the skipped t and wp components were exact zeros
@@ -288,12 +271,11 @@ class TestSampleFieldsStack:
             (finite_difference_model(1, pendulum.value), 1),
         ]
 
-    @pytest.mark.parametrize("psi_step", [None, 3e-5])
-    def test_stack_equals_rows_bitwise(self, pendulum, rng, psi_step):
+    def test_stack_equals_rows_bitwise(self, pendulum, rng):
         for model, n in self._cases(pendulum):
             zs = rng.uniform(-1.5, 1.5, size=(9, 2 * n + 2))
-            stack = sample_fields(model, zs, psi_step=psi_step)
-            rows = [sample_fields(model, z, psi_step=psi_step) for z in zs]
+            stack = sample_fields(model, zs)
+            rows = [sample_fields(model, z) for z in zs]
             dim = model.dim
             shapes = {"H": (9,), "grad": (9, dim), "hess": (9, dim, dim), "psi": (9,),
                       "psi_prime": (9,)}

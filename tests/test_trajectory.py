@@ -515,7 +515,7 @@ def test_case_table_sweep_pinned():
     +-113 log-spaced magnitudes in [1e-14, 1], all under the unit-bounds
     constants; every vertex kind occurs.
     """
-    constants = DerivedConstants(gamma_z=0.0, gamma_h=0.0, K=0.28125, lambda_delta=0.375, delta=0.5)
+    constants = DerivedConstants(gamma_z=0.0, gamma_h=0.0, K=0.28125, lambda_delta=0.375)
     psis = [0.0] + [s * 10.0**e for e in (-6, -4, -3, -2, -1, 0) for s in (1, -1)]
     psi_primes = [0.0] + [s * 10.0**e for e in (-3, -1, 0, 0.5, 1) for s in (1, -1)]
     Hs = [0.0] + [s * 10.0**e for e in np.linspace(-14, 0, 113).tolist() for s in (1, -1)]
