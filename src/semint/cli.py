@@ -44,7 +44,7 @@ from .trajectory import (
 )
 from . import verify as verify_mod
 
-DEFAULT_TOLERANCES = {"tol_g": 1e-12, "tol_lambda": 1e-9, "solver_tol": 1e-13}
+DEFAULT_TOLERANCES = {key: getattr(StepOptions, key) for key in ("tol_g", "tol_lambda", "solver_tol")}
 DEFAULT_BOUNDS = {"radius": 2.5, "samples_per_axis": 17, "safety": 1.1, "delta": 0.5}
 
 
@@ -109,6 +109,8 @@ def _tolerances(cfg, args, used=tuple(DEFAULT_TOLERANCES)):
 def _config_number(value, name, integer=False):
     """A finite float (or, with ``integer``, a whole number) from a config value."""
     try:
+        if isinstance(value, bool):  # JSON true/false, which float() reads as 1/0
+            raise TypeError
         number = float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} must be a number, got {value!r}") from exc
@@ -131,6 +133,14 @@ def _positive_number(value, name):
 def _config_vector(value, name):
     """A list of finite floats from a config number or list of numbers."""
     return [_config_number(x, name) for x in (value if isinstance(value, list) else [value])]
+
+
+def _config_state(value, model, what):
+    """An ExtendedState of the model's dimension from a config coordinate list."""
+    try:
+        return ExtendedState(np.asarray(value, dtype=float), model.n)
+    except (ValueError, TypeError, EvaluationError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
 
 
 def _resolve_bounds(cfg, model, fallback_center=None):
@@ -157,10 +167,7 @@ def _resolve_bounds(cfg, model, fallback_center=None):
                 raise ConfigError("bounds config needs a center (or a saved path)")
             center_state = fallback_center
         else:
-            try:
-                center_state = ExtendedState(np.asarray(center, dtype=float), model.n)
-            except (ValueError, TypeError, EvaluationError) as exc:
-                raise ConfigError(f"bad bounds center: {exc}") from exc
+            center_state = _config_state(center, model, "bounds center")
         radius = _config_number(block["radius"], "bounds.radius")
         samples = _config_number(block["samples_per_axis"], "bounds.samples_per_axis", integer=True)
         try:
@@ -168,6 +175,8 @@ def _resolve_bounds(cfg, model, fallback_center=None):
         except (ParameterError, EvaluationError) as exc:
             raise ConfigError(f"bad bounds: {exc}") from exc
     if "save" in block:
+        if not isinstance(block["save"], str):
+            raise ConfigError(f"bounds.save must be a path string, got {block['save']!r}")
         try:
             Path(block["save"]).write_text(bounds_to_json(raw))
         except OSError as exc:
@@ -191,10 +200,7 @@ def _resolve_initial_state(cfg, model):
             "(with wp) or q0/p0/t0 plus lambda_target"
         )
     if has_state:
-        try:
-            return ExtendedState(np.asarray(init["state"], dtype=float), model.n)
-        except (ValueError, TypeError, EvaluationError) as exc:
-            raise ConfigError(f"bad initial state: {exc}") from exc
+        return _config_state(init["state"], model, "initial state")
     q0 = _config_vector(init.get("q0", 0.0), "initial.q0")
     p0 = _config_vector(init.get("p0", 0.0), "initial.p0")
     for name, part in (("q0", q0), ("p0", p0)):
@@ -216,7 +222,10 @@ def _resolve_initial_state(cfg, model):
 
 
 def _out_dir(cfg, args):
-    path = Path(args.out or cfg.get("out", "."))
+    out = args.out or cfg.get("out", ".")
+    if not isinstance(out, str):
+        raise ConfigError(f"out must be a path string, got {out!r}")
+    path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -293,10 +302,7 @@ def cmd_scan(args) -> int:
     tols = _tolerances(cfg, args, used=("solver_tol",))  # scan finds no roots
     if "state" not in cfg:
         raise ConfigError("scan config needs a 'state'")
-    try:
-        z_k = ExtendedState(np.asarray(cfg["state"], dtype=float), model.n)
-    except (ValueError, TypeError, EvaluationError) as exc:
-        raise ConfigError(f"bad scan state: {exc}") from exc
+    z_k = _config_state(cfg["state"], model, "scan state")
     lam_range = cfg.get("lambda_range", [-0.15, 0.15])
     if not isinstance(lam_range, list) or len(lam_range) != 2:
         raise ConfigError(f"lambda_range must be a pair [lo, hi], got {lam_range!r}")
@@ -471,6 +477,9 @@ def main(argv=None) -> int:
             return args.func(args)
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except OSError as exc:  # an artifact path that cannot be written
+            print(f"error: cannot write artifacts: {exc}", file=sys.stderr)
             return 1
 
 

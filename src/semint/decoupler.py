@@ -130,6 +130,19 @@ def _singular(lam: float) -> LinearSolveError:
     )
 
 
+def _not_converged(tol: float, max_iter: int, residual: float) -> NonconvergenceError:
+    msg = f"midpoint solve did not reach tol={tol:g} in {max_iter} iterations"
+    return NonconvergenceError(msg, residual=residual, iterations=max_iter)
+
+
+def _check_solve_args(lams, tol) -> None:
+    """The checks of the public midpoint solves: every lambda finite, tol positive."""
+    if not np.all(np.isfinite(lams)):
+        raise ParameterError("lambda must be finite")
+    if not tol > 0:
+        raise ParameterError("tol must be positive")
+
+
 def _cramer(c, h_qq, h_qp, h_pq, h_pp, r_q, r_p):
     """Cramer's rule on the (q, p) block of f_zbar x = r for an n = 1 lift.
 
@@ -200,11 +213,7 @@ def _solve_midpoint_qp(
         if res <= tol:
             return z_bar, grad, it, res
         if it == max_iter:
-            raise NonconvergenceError(
-                f"midpoint solve did not reach tol={tol:g} in {max_iter} iterations",
-                residual=res,
-                iterations=it,
-            )
+            raise _not_converged(tol, max_iter, res)
         d_q, d_p = _solve_qp(_hessian(model, z_bar), lam, -f_q, -f_p)
         q, t, p, w = q + d_q, t - f_t, p + d_p, w - f_w
         z_bar = np.array([q, t, p, w])
@@ -241,11 +250,7 @@ def _midpoint_newton(
         if res <= tol:
             return z_bar, g, it, res
         if it == max_iter:
-            raise NonconvergenceError(
-                f"midpoint solve did not reach tol={tol:g} in {max_iter} iterations",
-                residual=res,
-                iterations=it,
-            )
+            raise _not_converged(tol, max_iter, res)
         z_bar = z_bar + _solve_jacobian(model, lam, z_bar, -f)
 
 
@@ -261,10 +266,7 @@ def solve_midpoint_coords(
     Returns (z_bar, iterations, residual) as coordinates; the partner vertex
     is 2 z_bar - z.
     """
-    if not np.isfinite(lam):
-        raise ParameterError("lambda must be finite")
-    if not tol > 0:
-        raise ParameterError("tol must be positive")
+    _check_solve_args(lam, tol)
     z = _coords(z)
     _check_dim(model, z)
     z_bar, _, it, res = _midpoint_newton(model, lam, z, z.tolist(), tol, max_iter)
@@ -295,10 +297,7 @@ def solve_midpoints(
     makes non-finite is caught as the scalar solve would catch it.
     """
     lams = np.asarray(lams, dtype=float)
-    if not np.all(np.isfinite(lams)):
-        raise ParameterError("lambda must be finite")
-    if not tol > 0:
-        raise ParameterError("tol must be positive")
+    _check_solve_args(lams, tol)
     z = np.asarray(z, dtype=float)
     dim, half = z.size, z.size // 2
     closed = _closed_form(model)
@@ -319,11 +318,7 @@ def solve_midpoints(
                 if not active.size:
                     break
             if it == max_iter:
-                raise NonconvergenceError(
-                    f"midpoint solve did not reach tol={tol:g} in {max_iter} iterations",
-                    residual=float(np.sqrt(f[0] @ f[0])),
-                    iterations=it,
-                )
+                raise _not_converged(tol, max_iter, float(np.sqrt(f[0] @ f[0])))
             (hess,) = _eval_stack(model, zs, "hessian")
             if closed:
                 # t and wp move by -f_t and -f_wp; (q, p) by the 2x2 block solve

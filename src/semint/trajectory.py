@@ -33,6 +33,7 @@ from .errors import (
 from .extphase import (
     ExtendedState,
     HamiltonianModel,
+    _central_differences,
     _coords,
     apply_J,
     eval_gradient,  # noqa: F401  (kept bound: the benchmark tracer rebinds it here)
@@ -82,16 +83,21 @@ class StepOptions:
 
 @dataclass(frozen=True)
 class StepResult:
-    """One step: z_mid is the midpoint at which |H| <= tol_g was checked."""
+    """One step: z_mid is the midpoint at which |H| <= tol_g was checked.
+
+    ``fixed_point``, ``scanned`` and ``beyond_window`` are functions of lam
+    and the prediction alone, whichever path (fast Newton or full search)
+    chose lam.
+    """
 
     lam: float
     z_next: ExtendedState
     z_mid: ExtendedState
     prediction: object
-    fixed_point: bool = False
+    fixed_point: bool = False  # lambda = 0
     took_ghost: bool = False
     ghost_alongside: bool = False
-    scanned: bool = False  # an indeterminate in-window verdict was resolved by scanning
+    scanned: bool = False  # lambda in the window, on a side whose verdict is indeterminate
     beyond_window: bool = False  # |lambda| exceeds the case-table window Lambda_k
 
 
@@ -150,11 +156,17 @@ def _fast_newton_root(model, z, grad, search_cap, cubic, hint, tol_g, solver_tol
     return lam, z_bar
 
 
-def _step_result(z_k, lam, z_bar, prediction, **flags) -> StepResult:
-    """The step through midpoint z_bar to 2 z_bar - z_k; lam = 0 stays at z_k."""
-    z_mid = z_k if lam == 0.0 else ExtendedState(z_bar, z_k.n)
-    z_next = z_k if lam == 0.0 else ExtendedState(2.0 * z_bar - z_k.coords, z_k.n)
-    return StepResult(lam, z_next, z_mid, prediction, **flags)
+def _step_result(z_k, lam, z_bar, prediction, took_ghost=False, ghost_alongside=False):
+    """The step through z_bar to 2 z_bar - z_k, its flags read off lam; lam = 0 stays at z_k."""
+    if lam == 0.0:
+        return StepResult(lam, z_k, z_k, prediction, fixed_point=True)
+    beyond = abs(lam) > prediction.capital_lambda
+    verdict = prediction.pos_interval if lam > 0 else prediction.neg_interval
+    return StepResult(
+        lam, ExtendedState(2.0 * z_bar - z_k.coords, z_k.n), ExtendedState(z_bar, z_k.n),
+        prediction, took_ghost=took_ghost, ghost_alongside=ghost_alongside,
+        scanned=not beyond and verdict == INDETERMINATE, beyond_window=beyond,
+    )
 
 
 def step(
@@ -213,10 +225,7 @@ def step(
         except (NonconvergenceError, LinearSolveError):
             got = None
         if got is not None:
-            lam, z_bar = got
-            return _step_result(
-                z_k, lam, z_bar, prediction, beyond_window=lam > prediction.capital_lambda
-            )
+            return _step_result(z_k, *got, prediction)
 
     roots = solve_roots(
         model,
@@ -236,7 +245,7 @@ def step(
     pool = ghost if took_ghost else regular
     if not pool:
         if roots.lambda_zero is not None:
-            return _step_result(z_k, 0.0, None, prediction, fixed_point=True)
+            return _step_result(z_k, 0.0, None, prediction)
         searched = (
             f"searched up to {extend_to:.3g}" if extend_to is not None else
             f"within Lambda={prediction.capital_lambda:.3g}"
@@ -247,12 +256,9 @@ def step(
         )
 
     chosen = min(pool, key=lambda r: abs(r.lam))
-    side_verdict = prediction.pos_interval if sign > 0 else prediction.neg_interval
     return _step_result(
-        z_k, chosen.lam, chosen.z_bar, prediction, took_ghost=took_ghost,
+        z_k, chosen.lam, chosen.z_bar, prediction, took_ghost,
         ghost_alongside=bool(ghost) and not took_ghost,
-        scanned=chosen.in_window and side_verdict == INDETERMINATE,
-        beyond_window=not chosen.in_window,
     )
 
 
@@ -340,21 +346,13 @@ def symplectic_defect(model: HamiltonianModel, z: ExtendedState, lam: float) -> 
 
     D is the central-difference Jacobian of z -> 2 z_bar(lambda, z) - z.
     """
-    z_arr = _coords(z)
-    dim = z_arr.size
-
     def the_map(x):
         zbar, _, _ = solve_midpoint_coords(model, lam, x, tol=_DEFECT_SOLVER_TOL)
         return 2.0 * zbar - x
 
-    cols = []
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = _DEFECT_FD_STEP
-        cols.append((the_map(z_arr + e) - the_map(z_arr - e)) / (2.0 * _DEFECT_FD_STEP))
-    D = np.column_stack(cols)
+    D = np.column_stack(_central_differences(the_map, _coords(z), _DEFECT_FD_STEP))
     # row by row, v^T J = -(J v)^T; so D^T J = -apply_J(D^T) and J = -apply_J(I)
-    return float(np.linalg.norm(-apply_J(D.T) @ D + apply_J(np.eye(dim))))
+    return float(np.linalg.norm(-apply_J(D.T) @ D + apply_J(np.eye(len(D)))))
 
 
 def conservation_report(
@@ -406,27 +404,26 @@ def choose_conjugate_momentum(
         return ExtendedState.from_parts(q0, t0, p0, wp)
 
     def balance(wp):
-        z = make_state(wp)
-        fields = sample_fields(model, z)
-        return fields.H - fields.psi * lambda_target**2 / 8.0, fields.psi
+        fields = sample_fields(model, make_state(wp))
+        return fields.H - fields.psi * lambda_target**2 / 8.0, fields
 
     # secant solve of the leading-order balance (exact in one step for lifts,
-    # where H is affine in wp with unit slope)
+    # where H is affine in wp with unit slope); ``fields`` is always the
+    # sample at the current wp
     wp_a, wp_b = 0.0, 1.0
     fa, _ = balance(wp_a)
-    fb, psi0 = balance(wp_b)
-    if abs(psi0) < 1e-12:
+    fb, fields = balance(wp_b)
+    if abs(fields.psi) < 1e-12:
         raise UnsupportedRegionError(
             "psi vanishes at the requested point; conjugate-momentum completion "
             "is undefined (region III applies)"
         )
     wp = wp_b
-    f = fb
     for _ in range(50):
         if fb == fa:
             break
         wp = wp_b - fb * (wp_b - wp_a) / (fb - fa)
-        f, _ = balance(wp)
+        f, fields = balance(wp)
         if abs(f) <= 1e-14 * (1.0 + abs(wp)):
             break
         wp_a, fa = wp_b, fb
@@ -435,7 +432,6 @@ def choose_conjugate_momentum(
     # one refinement on the actually solved forward multiplier: Newton on g
     # with its iterates kept in the open interval (0, 4 lambda_target)
     z = make_state(wp)
-    fields = sample_fields(model, z)
     curve = ConstraintCurve(model, z, tol=solver_tol, grad=fields.grad)
     hi = math.nextafter(4.0 * lambda_target, 0.0)
     lam, _ = curve.newton(lambda_target, math.nextafter(0.0, 1.0), hi, 1e-13, 20)

@@ -30,14 +30,8 @@ from .extphase import (
     psi_gradient,
     sample_fields,
 )
-from .multiplier import (
-    EXISTS_UNIQUE,
-    NONE,
-    classify_region,
-    predict_roots,
-    solve_roots,
-)
-from .trajectory import StepOptions, conservation_report, propagate
+from .multiplier import EXISTS_UNIQUE, NONE, solve_roots
+from .trajectory import StepOptions, classify_vertex, conservation_report, propagate
 
 PEND_RADIUS = 2.5
 DELTA = 0.5
@@ -166,11 +160,9 @@ def check_derivative_bound(rng):
 def check_monotone_intervals(rng):
     model, _, scaled, constants = _pendulum_setup()
     for z in _sample_states(rng, 5, box=1.8):
-        cubic = cubic_model(model, z, constants)
-        region = classify_region(cubic)
-        if region.tag != "I":
+        pred = classify_vertex(model, z, constants)
+        if pred.region.tag != "I":
             continue
-        pred = predict_roots(region, cubic, constants)
         lam_cap = pred.capital_lambda
         curve = ConstraintCurve(model, z, tol=1e-13)
         for a, b in ((-lam_cap, 0.0), (0.0, lam_cap)):
@@ -191,21 +183,17 @@ def check_prediction_consistency(rng):
             fields = sample_fields(model, base)
             if abs(fields.psi) < 0.3:
                 continue
-            probe = cubic_model(model, base, constants)
-            region0 = classify_region(probe)
-            if region0.tag != "I":
+            pred0 = classify_vertex(model, base, constants)
+            if pred0.region.tag != "I":
                 continue
-            pred0 = predict_roots(region0, probe, constants)
             lam_cap = pred0.capital_lambda
             for case, ratio in (("exists", 0.5 * 3 / 32), ("none", -0.5)):
                 target = ratio * lam_cap**2
                 wp = target * fields.psi - (fields.H - base.wp)
                 z = ExtendedState.from_parts([q], 0.0, [p], wp)
-                cubic = cubic_model(model, z, constants)
-                region = classify_region(cubic)
-                if region.tag != "I":
+                pred = classify_vertex(model, z, constants)
+                if pred.region.tag != "I":
                     continue
-                pred = predict_roots(region, cubic, constants)
                 total += 1
                 roots = solve_roots(model, z, pred)
                 pos = [r for r in roots.roots if r.lam > 0]
@@ -277,7 +265,7 @@ def check_root_polish(rng):
     2 tol_g / |g'|) of the bisection's and |g| <= tol_g there.
     """
     model, _, _, constants = _pendulum_setup()
-    tol_g, tol_lambda = 1e-12, 1e-9  # the StepOptions defaults
+    tol_g, tol_lambda = StepOptions.tol_g, StepOptions.tol_lambda
     ld = constants.lambda_delta
     lams = np.linspace(-ld, ld, 64).tolist()
     roots, worst = 0, 0.0
@@ -396,9 +384,8 @@ def check_free_time(rng):
     expect = (1 - (1 - DELTA) ** 2) / 2.0
     if abs(constants.lambda_delta - expect) > 1e-15:
         return False, f"free-time lambda_delta {constants.lambda_delta} != {expect}"
-    cubic = cubic_model(model, center, constants)
-    region = classify_region(cubic)
-    return region.tag == "degenerate", f"free-time region tag: {region.tag}"
+    tag = classify_vertex(model, center, constants).region.tag
+    return tag == "degenerate", f"free-time region tag: {tag}"
 
 
 def run_all(seed: int = 0, k_scale: float = 1.0):

@@ -173,9 +173,11 @@ class TestRunConfigErrors:
             ({"lambda_target": "tenth"}, 5),
             ({"lambda_target": 1e300}, 5),  # its square overflows
             ({}, "many"),
+            ({}, True),  # JSON true, which Python would read as 1
         ],
         ids=["q0-non-numeric", "p0-non-numeric", "t0-non-numeric",
-             "lambda-target-non-numeric", "lambda-target-overflows", "steps-non-numeric"],
+             "lambda-target-non-numeric", "lambda-target-overflows", "steps-non-numeric",
+             "steps-boolean"],
     )
     def test_bad_initial_value(self, tmp_path, initial, steps):
         payload = {
@@ -276,6 +278,26 @@ class TestBoundsConfigErrors:
         for command in ("run", "scan", "map"):
             bounds = dict(BOUNDS_BLOCK, **override)
             assert_config_error(run_cli(command, "--config", _bounds_config(tmp_path, command, bounds)))
+
+
+class TestArtifactPathErrors:
+    @pytest.mark.parametrize("command", ["run", "scan", "map"])
+    @pytest.mark.parametrize(
+        "out, edit",
+        [("file", {}), ("file/sub", {}), (None, {}), (None, {"out": 5}),
+         (None, {"bounds": dict(BOUNDS_BLOCK, save=5)})],
+        ids=["out-is-a-file", "out-under-a-file", "artifact-is-a-directory",
+             "out-not-a-string", "save-not-a-string"],
+    )
+    def test_unusable_path(self, tmp_path, command, out, edit):
+        """An artifact path that cannot be written is a one-line error, not a traceback."""
+        (tmp_path / "file").write_text("")
+        artifact = {"run": "trajectory.csv", "scan": "scan.csv", "map": "map.csv"}[command]
+        (tmp_path / "out" / artifact).mkdir(parents=True)  # inside the config's out directory
+        cfg = Path(_bounds_config(tmp_path, command, BOUNDS_BLOCK))
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), **edit}))
+        args = ["--out", str(tmp_path / out)] if out else []
+        assert_config_error(run_cli(command, "--config", str(cfg), *args))
 
 
 SAVED_BOUNDS = {"M1": 2.7, "M2": 1.6, "gamma_H": 1.1, "N1": 3.0, "N2": 5.0,
@@ -561,6 +583,7 @@ class TestMapConfigErrors:
         [
             (("jobs",), "two"),
             (("jobs",), float("inf")),
+            (("jobs",), True),  # JSON true, which Python would read as 1
             (("grid", "nq"), "many"),
             (("grid", "nq"), 2.5),
             (("grid", "np"), float("inf")),
@@ -571,7 +594,7 @@ class TestMapConfigErrors:
             (("wp_rule", "value"), "cold"),
             (("wp_rule", "value"), float("-inf")),
         ],
-        ids=["jobs-non-integer", "jobs-infinite", "nq-non-integer", "nq-fractional",
+        ids=["jobs-non-integer", "jobs-infinite", "jobs-boolean", "nq-non-integer", "nq-fractional",
              "np-infinite", "q_min-non-numeric", "p_max-infinite", "t-non-numeric",
              "t-infinite", "wp-value-non-numeric", "wp-value-infinite"],
     )

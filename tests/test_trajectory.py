@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import semint.constraint
@@ -352,8 +352,8 @@ class TestFastPathAgreesWithFullPath:
     """A hint only seeds the warm-started Newton of the fast path.
 
     Whatever the hint, ``step`` must return the multiplier the full path
-    finds without one, with the same window flag; a declined fast path falls
-    back to the full path itself.  Both paths stop at |g| <= tol_g, so each
+    finds without one, with the same flags and case label; a declined fast
+    path falls back to the full path itself.  Both paths stop at |g| <= tol_g, so each
     lies within tol_g / |g'| of the true root and the two within twice that
     (an ill-conditioned region III root with |g'| ~ 9e-5 differs by 1.0006
     tol_g / |g'|), or within the bisection width tol_lambda.
@@ -381,6 +381,8 @@ class TestFastPathAgreesWithFullPath:
         lam=st.floats(0.005, 0.15),
         spread=st.floats(-0.2, 0.2),
     )
+    # an in-window root on an indeterminate side: EU_1(indeterminate), Lambda_k 0.0233
+    @example(region="I", q=0.0, p=1.0, lam=0.021795515745053128, spread=-0.08)
     def test_hinted_step_matches_unhinted(self, pend_opts, region, q, p, lam, spread):
         model, opts = pend_opts
         z = self.vertex(region, q, p, lam)
@@ -393,8 +395,9 @@ class TestFastPathAgreesWithFullPath:
         slope = g_derivative(model, full.lam, z, tol=opts.solver_tol)
         tol = max(opts.tol_lambda, 2.0 * opts.tol_g / abs(slope))
         assert abs(hinted.lam - full.lam) <= tol
-        assert hinted.beyond_window == full.beyond_window
-        assert not hinted.took_ghost and not hinted.fixed_point
+        flags = ("fixed_point", "took_ghost", "ghost_alongside", "scanned", "beyond_window")
+        assert [getattr(hinted, f) for f in flags] == [getattr(full, f) for f in flags]
+        assert hinted.prediction.case_label == full.prediction.case_label
 
 
 class TestClassifyVertex:
