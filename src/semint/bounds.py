@@ -25,6 +25,7 @@ from .extphase import (
     HamiltonianModel,
     _coords,
     _eval_stack,
+    _psi_axes,
     _row_dots,
     eval_gradient,
     eval_hessian,
@@ -162,19 +163,12 @@ def _probe_axis_active(model: HamiltonianModel, center: np.ndarray, radius: floa
 
 
 def _active_axes(model: HamiltonianModel, center: np.ndarray, radius: float) -> tuple[int, ...]:
-    n = model.n
-    axes = list(range(2 * n + 2))
-    t_axis, wp_axis = n, 2 * n + 1
-    drop = set()
-    if model.time_independent is True:
-        drop.add(t_axis)
-    elif model.time_independent is None and not _probe_axis_active(model, center, radius, t_axis):
-        drop.add(t_axis)
-    if model.wp_affine is True:
-        drop.add(wp_axis)
-    elif model.wp_affine is None and not _probe_axis_active(model, center, radius, wp_axis):
-        drop.add(wp_axis)
-    return tuple(a for a in axes if a not in drop)
+    """The axes ``_psi_axes`` keeps, less an undeclared t or wp axis probing finds flat."""
+    axes = _psi_axes(model)
+    for axis, declared in ((model.n, model.time_independent), (model.dim - 1, model.wp_affine)):
+        if declared is None and not _probe_axis_active(model, center, radius, axis):
+            axes = tuple(a for a in axes if a != axis)
+    return axes
 
 
 def _max_norm(rows: np.ndarray) -> float:
@@ -254,29 +248,28 @@ def estimate_bounds(
     m1, m2 = _max_norm(grads), _max_norm(flat)
     n1, n2 = _psi_suprema(model, points, active, psi_fd_step(c + radius))
 
+    def pair_slope(i1, i2):
+        """Largest ||H_zz(a) - H_zz(b)|| / ||a - b|| over the pairs (a, b) with a != b."""
+        den = np.linalg.norm(points[i1] - points[i2], axis=1)
+        good = den > 0
+        if not np.any(good):
+            return 0.0
+        num = np.linalg.norm(flat[i1[good]] - flat[i2[good]], axis=1)
+        return float(np.max(num / den[good]))
+
     gamma = 0.0
     # neighbor pairs along each grid axis
     idx = np.arange(count).reshape(shape)
-    for axis_pos in range(len(shape)):
-        if shape[axis_pos] < 2:
-            continue
-        a = np.moveaxis(idx, axis_pos, 0)
-        i1, i2 = a[:-1].ravel(), a[1:].ravel()
-        num = np.linalg.norm(flat[i1] - flat[i2], axis=1)
-        den = np.linalg.norm(points[i1] - points[i2], axis=1)
-        good = den > 0
-        if np.any(good):
-            gamma = max(gamma, float(np.max(num[good] / den[good])))
+    for axis in range(dim):
+        if shape[axis] > 1:
+            a = np.moveaxis(idx, axis, 0)
+            gamma = max(gamma, pair_slope(a[:-1].ravel(), a[1:].ravel()))
     # seeded random pairs for off-axis variation
     if count > 1:
         rng = np.random.default_rng(0)
         i1 = rng.integers(0, count, size=_PAIR_SAMPLES)
         i2 = rng.integers(0, count, size=_PAIR_SAMPLES)
-        den = np.linalg.norm(points[i1] - points[i2], axis=1)
-        good = den > 0
-        if np.any(good):
-            num = np.linalg.norm(flat[i1[good]] - flat[i2[good]], axis=1)
-            gamma = max(gamma, float(np.max(num / den[good])))
+        gamma = max(gamma, pair_slope(i1, i2))
 
     return RegionBounds(
         M1=m1,
@@ -314,6 +307,10 @@ def bounds_to_json(bounds: RegionBounds) -> str:
 
 def bounds_from_json(text: str) -> RegionBounds:
     data = json.loads(text)
+    for key in ("M1", "M2", "gamma_H", "N1", "N2", "radius", "n", "center"):
+        values = data[key] if key == "center" else [data[key]]
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+            raise ValueError(f"{key} holds something other than a JSON number: {data[key]!r}")
     center = ExtendedState(np.asarray(data["center"], dtype=float), int(data["n"]))
     return RegionBounds(
         M1=float(data["M1"]),

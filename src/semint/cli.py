@@ -138,8 +138,8 @@ def _config_vector(value, name):
 def _config_state(value, model, what):
     """An ExtendedState of the model's dimension from a config coordinate list."""
     try:
-        return ExtendedState(np.asarray(value, dtype=float), model.n)
-    except (ValueError, TypeError, EvaluationError) as exc:
+        return ExtendedState(np.array(_config_vector(value, what)), model.n)
+    except (ValueError, EvaluationError) as exc:
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 
@@ -241,12 +241,12 @@ def cmd_run(args) -> int:
         raise ConfigError(f"steps must be >= 1, got {steps}")
     z0 = _resolve_initial_state(cfg, model)
     _, scaled, constants = _resolve_bounds(cfg, model, fallback_center=z0)
-    policy = cfg.get("policy", "default")
-    if policy not in ("default", "follow-ghost"):
-        raise ConfigError(f"unknown policy '{policy}'")
+    try:
+        opts = StepOptions(scaled, constants, policy=cfg.get("policy", "default"), **tols)
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
     out = _out_dir(cfg, args)
 
-    opts = StepOptions(bounds=scaled, constants=constants, policy=policy, **tols)
     traj = propagate(model, z0, steps, opts)
     max_resid = _write_trajectory(model, traj, out)
 
@@ -339,18 +339,18 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _map_cell(model, constants, qs, p, t, wp_rule):
-    """One map row: CSV cells for every q at fixed p.
+def _map_cell(model, constants, qs, p, t, wp):
+    """One map row: CSV cells for every q at fixed p and wp (None: where H = 0).
 
     The row's states go through one stacked ``sample_fields`` call; each cell
     then only builds its cubic model, its region and its case-table vertex kind.
     """
     zs = np.zeros((len(qs), 4))
     zs[:, 0], zs[:, 1], zs[:, 2] = qs, t, p
-    if wp_rule.get("kind", "h-zero") == "h-zero":
+    if wp is None:
         zs[:, 3] = -_eval_stack(model, zs, "value")[0]  # H = wp + H_c vanishes there
     else:
-        zs[:, 3] = float(wp_rule.get("value", 0.0))
+        zs[:, 3] = wp
     fields = sample_fields(model, zs)
     p_text = repr(float(p))
     out = []
@@ -382,28 +382,23 @@ def cmd_map(args) -> int:
     if nq < 2 or npts < 2 or not q_max > q_min or not p_max > p_min:
         raise ConfigError("map grid must be increasing with at least 2 points per axis")
     t = _config_number(cfg.get("t", 0.0), "t")
-    wp_rule = cfg.get("wp_rule", {"kind": "h-zero"})
-    if not isinstance(wp_rule, dict):
-        raise ConfigError(f"wp_rule must be an object, got {wp_rule!r}")
+    wp_rule = _config_object(cfg, "wp_rule", {"kind": "h-zero"})
     if wp_rule.get("kind") not in ("h-zero", "fixed"):
         raise ConfigError("wp_rule kind must be 'h-zero' or 'fixed'")
+    wp = None  # h-zero: each cell's wp puts it on H = 0
     if wp_rule["kind"] == "fixed":
-        _config_number(wp_rule.get("value", 0.0), "wp_rule.value")
+        wp = _config_number(wp_rule.get("value", 0.0), "wp_rule.value")
     # accepted so existing configs still validate; rows always run serially
     _config_number(cfg.get("jobs", 1), "jobs", integer=True)
     center = ExtendedState.from_parts([0.5 * (q_min + q_max)], t, [0.5 * (p_min + p_max)], 0.0)
-    user_bounds = _config_object(cfg, "bounds")
-    bcfg = {**DEFAULT_BOUNDS, **user_bounds}
-    if "radius" not in user_bounds:
-        bcfg["radius"] = max(0.5 * (q_max - q_min), 0.5 * (p_max - p_min)) + 0.5
-    cfg = dict(cfg)
-    cfg["bounds"] = bcfg
-    _, _, constants = _resolve_bounds(cfg, model, fallback_center=center)
+    radius = max(0.5 * (q_max - q_min), 0.5 * (p_max - p_min)) + 0.5  # unless bounds gives one
+    block = {"radius": radius, **_config_object(cfg, "bounds")}
+    _, _, constants = _resolve_bounds({"bounds": block}, model, fallback_center=center)
     out = _out_dir(cfg, args)
 
     qs = np.linspace(q_min, q_max, nq)
     ps = np.linspace(p_min, p_max, npts)
-    chunks = [_map_cell(model, constants, qs, float(p), t, wp_rule) for p in ps]
+    chunks = [_map_cell(model, constants, qs, float(p), t, wp) for p in ps]
 
     with open(out / "map.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -470,7 +470,6 @@ def finite_difference_model(
     n: int,
     value: Callable[[np.ndarray], float],
     step: float = 1e-6,
-    name: str = "",
 ) -> HamiltonianModel:
     """Build a model from a value function alone, differencing for the rest.
 
@@ -490,7 +489,7 @@ def finite_difference_model(
         value=value,
         gradient=gradient,
         hessian=hessian,
-        name=name or "finite-difference",
+        name="finite-difference",
     )
 
 

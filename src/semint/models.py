@@ -29,6 +29,41 @@ __all__ = [
 ]
 
 
+def _one_dof_lift(name, value, force, stiffness, psi_gradient) -> HamiltonianModel:
+    """The lift H = wp + p^2/2 + V(q) for n = 1; ``value`` is the model's own
+    expression of H, ``force`` V'(q) and ``stiffness`` V''(q) of one q or a column.
+    """
+
+    def gradient(z):
+        if z.ndim == 1:
+            return np.array([force(z[0]), 0.0, z[2], 1.0])
+        g = np.zeros(z.shape)
+        g[:, 0], g[:, 2], g[:, 3] = force(z[:, 0]), z[:, 2], 1.0
+        return g
+
+    def hessian(z):
+        if z.ndim == 1:
+            h = np.zeros((4, 4))
+            h[0, 0], h[2, 2] = stiffness(z[0]), 1.0
+            return h
+        h = np.zeros(z.shape + (4,))
+        h[:, 0, 0], h[:, 2, 2] = stiffness(z[:, 0]), 1.0
+        return h
+
+    return HamiltonianModel(
+        n=1,
+        value=value,
+        gradient=gradient,
+        hessian=hessian,
+        psi_gradient=psi_gradient,
+        time_independent=True,
+        wp_affine=True,
+        hessian_symmetric=True,
+        vectorized=True,
+        name=name,
+    )
+
+
 def pendulum() -> HamiltonianModel:
     """Unit pendulum lifted to extended phase space: H = wp + p^2/2 - cos q.
 
@@ -44,40 +79,11 @@ def pendulum() -> HamiltonianModel:
         q, p, wp = c[0], c[2], c[3]
         return wp + 0.5 * p * p - np.cos(q)
 
-    def gradient(z):
-        if z.ndim == 1:
-            return np.array([np.sin(z[0]), 0.0, z[2], 1.0])
-        g = np.zeros(z.shape)
-        g[:, 0], g[:, 2], g[:, 3] = np.sin(z[:, 0]), z[:, 2], 1.0
-        return g
-
-    def hessian(z):
-        if z.ndim == 1:
-            h = np.zeros((4, 4))
-            h[0, 0], h[2, 2] = np.cos(z[0]), 1.0
-            return h
-        h = np.zeros(z.shape + (4,))
-        h[:, 0, 0], h[:, 2, 2] = np.cos(z[:, 0]), 1.0
-        return h
-
     def psi_grad(z):
         q, p = z[0], z[2]
-        return np.array(
-            [-p * p * np.sin(q) + np.sin(2 * q), 0.0, 2 * p * np.cos(q), 0.0]
-        )
+        return np.array([-p * p * np.sin(q) + np.sin(2 * q), 0.0, 2 * p * np.cos(q), 0.0])
 
-    return HamiltonianModel(
-        n=1,
-        value=value,
-        gradient=gradient,
-        hessian=hessian,
-        psi_gradient=psi_grad,
-        time_independent=True,
-        wp_affine=True,
-        hessian_symmetric=True,
-        vectorized=True,
-        name="pendulum",
-    )
+    return _one_dof_lift("pendulum", value, np.sin, np.cos, psi_grad)
 
 
 def pendulum_psi(q: float, p: float) -> float:
@@ -104,38 +110,11 @@ def oscillator(omega: float = 1.0) -> HamiltonianModel:
         q, p, wp = c[0], c[2], c[3]
         return wp + 0.5 * (p * p + w2 * q * q)
 
-    def gradient(z):
-        if z.ndim == 1:
-            return np.array([w2 * z[0], 0.0, z[2], 1.0])
-        g = np.zeros(z.shape)
-        g[:, 0], g[:, 2], g[:, 3] = w2 * z[:, 0], z[:, 2], 1.0
-        return g
-
-    def hessian(z):
-        if z.ndim == 1:
-            h = np.zeros((4, 4))
-            h[0, 0], h[2, 2] = w2, 1.0
-            return h
-        h = np.zeros(z.shape + (4,))
-        h[:, 0, 0], h[:, 2, 2] = w2, 1.0
-        return h
-
     def psi_grad(z):
         q, p = z[0], z[2]
         return np.array([2 * w2 * w2 * q, 0.0, 2 * w2 * p, 0.0])
 
-    return HamiltonianModel(
-        n=1,
-        value=value,
-        gradient=gradient,
-        hessian=hessian,
-        psi_gradient=psi_grad,
-        time_independent=True,
-        wp_affine=True,
-        hessian_symmetric=True,
-        vectorized=True,
-        name="oscillator",
-    )
+    return _one_dof_lift("oscillator", value, lambda q: w2 * q, lambda q: w2, psi_grad)
 
 
 def oscillator_midpoint(z: np.ndarray, lam: float, omega: float = 1.0):

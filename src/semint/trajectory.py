@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -65,20 +65,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StepOptions:
-    """Region data and tolerances shared by every step of a propagation."""
+    """Region data and tolerances shared by every step of a propagation; ``shrink``
+    (Lambda_k over its supremum) is fixed, the rest is checked on construction."""
 
     bounds: RegionBounds
     constants: DerivedConstants
     tol_g: float = 1e-12
     tol_lambda: float = 1e-9
     solver_tol: float = 1e-13
-    shrink: float = 0.9
+    shrink: ClassVar[float] = 0.9
     policy: str = "default"  # "default" | "follow-ghost"
     # Steps may use multipliers past the case-table window Lambda_k, up to the
     # decoupling radius lambda_delta where the midpoint function is certified.
     # Roots found out there carry no uniqueness guarantee and are logged as
     # scan-based; disable to confine stepping to the theorem windows.
     search_beyond_window: bool = True
+
+    def __post_init__(self):
+        for name in ("tol_g", "tol_lambda", "solver_tol"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ParameterError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if self.policy not in ("default", "follow-ghost"):
+            raise ParameterError(f"policy must be 'default' or 'follow-ghost', got {self.policy!r}")
 
 
 @dataclass(frozen=True)
@@ -386,7 +394,6 @@ def choose_conjugate_momentum(
     t0: float,
     p0,
     lambda_target: float,
-    solver_tol: float = 1e-13,
 ) -> float:
     """Pick wp0 so the first forward multiplier lands near lambda_target.
 
@@ -432,7 +439,7 @@ def choose_conjugate_momentum(
     # one refinement on the actually solved forward multiplier: Newton on g
     # with its iterates kept in the open interval (0, 4 lambda_target)
     z = make_state(wp)
-    curve = ConstraintCurve(model, z, tol=solver_tol, grad=fields.grad)
+    curve = ConstraintCurve(model, z, tol=StepOptions.solver_tol, grad=fields.grad)
     hi = math.nextafter(4.0 * lambda_target, 0.0)
     lam, _ = curve.newton(lambda_target, math.nextafter(0.0, 1.0), hi, 1e-13, 20)
     # dH/dwp is 1 for lifts; read it off the gradient for custom models

@@ -38,11 +38,11 @@ DELTA = 0.5
 SAFETY = 1.1
 
 
-@functools.lru_cache(maxsize=2)
-def _pendulum_setup(samples=9):
+@functools.lru_cache(maxsize=1)
+def _pendulum_setup():
     model = models.pendulum()
     center = ExtendedState.from_parts([0.0], 0.0, [0.0], 0.0)
-    raw = estimate_bounds(model, center, PEND_RADIUS, samples)
+    raw = estimate_bounds(model, center, PEND_RADIUS, 9)
     scaled = raw.scaled(SAFETY)
     constants = derive_constants(scaled, DELTA)
     return model, raw, scaled, constants
@@ -291,10 +291,10 @@ def check_root_polish(rng):
     return roots >= 10, f"{roots} roots within tolerance of bisection (worst {worst:.2f} of it)"
 
 
-def _oscillator_lift(omega=1.3):
-    """H = wp + (p^2 + omega^2 q^2)/2 as an ``autonomize`` lift: the classical
-    callables take one state, and psi is differenced (no analytic gradient)."""
-    w2 = omega * omega
+def _oscillator_lift():
+    """H = wp + (p^2 + omega^2 q^2)/2, omega = 1.3, as an ``autonomize`` lift: the
+    classical callables take one state, and psi is differenced (no analytic gradient)."""
+    w2 = 1.3 * 1.3
 
     def value(c):
         return 0.5 * (c[2] * c[2] + w2 * c[0] * c[0])

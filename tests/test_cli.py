@@ -150,18 +150,20 @@ class TestRunConfigErrors:
         assert_config_error(run_cli("run", "--config", cfg))
 
     def test_non_numeric_initial_state(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            "run.json",
-            {
-                "model": {"name": "pendulum"},
-                "initial": {"state": [0.0, 0.0, "one", 0.4]},
-                "steps": 5,
-                "bounds": BOUNDS_BLOCK,
-                "out": str(tmp_path / "out"),
-            },
-        )
-        assert_config_error(run_cli("run", "--config", cfg))
+        # a JSON boolean is no number either: true was read as p = 1
+        for state in ([0.0, 0.0, "one", 0.4], [0, 0, True, 0.6], [0.0, [1.0], 1.0, 0.4]):
+            cfg = write_config(
+                tmp_path,
+                "run.json",
+                {
+                    "model": {"name": "pendulum"},
+                    "initial": {"state": state},
+                    "steps": 5,
+                    "bounds": BOUNDS_BLOCK,
+                    "out": str(tmp_path / "out"),
+                },
+            )
+            assert_config_error(run_cli("run", "--config", cfg))
 
 
     @pytest.mark.parametrize(
@@ -269,10 +271,11 @@ class TestBoundsConfigErrors:
             {"delta": 1.5},
             {"safety": 1e100},  # M2**3 overflows: K would be inf
             {"safety": 1e308},  # the scaled M1 is inf
+            {"center": [0.0, False, 0.0, 0.0]},
         ],
         ids=["samples-below-3", "safety-not-positive", "radius-non-numeric",
              "radius-infinite", "safety-non-numeric", "delta-non-numeric", "delta-outside-unit-interval",
-             "safety-overflows-K", "safety-overflows-M1"],
+             "safety-overflows-K", "safety-overflows-M1", "center-boolean"],
     )
     def test_bad_bounds_value(self, tmp_path, override):
         for command in ("run", "scan", "map"):
@@ -312,8 +315,13 @@ class TestSavedBoundsErrors:
             ({"M1": float("nan")}, "M1 must be finite"),  # written as NaN
             ({"M2": float("inf")}, "M2 must be finite"),  # written as Infinity
             ({"n": 2, "center": [0.0] * 6}, "saved for n = 2; the model has n = 1"),
+            ({"M1": True}, "M1 holds something other than a JSON number"),
+            ({"n": True}, "n holds something other than a JSON number"),
+            ({"center": [0.0, False, 0.0, 0.0]}, "center holds something other than a JSON number"),
+            ({"radius": "2.5"}, "radius holds something other than a JSON number"),
         ],
-        ids=["M1-nan", "M2-infinite", "n-2-for-pendulum"],
+        ids=["M1-nan", "M2-infinite", "n-2-for-pendulum", "M1-boolean", "n-boolean",
+             "center-boolean", "radius-string"],
     )
     def test_bad_saved_file(self, tmp_path, command, edit, says):
         saved = tmp_path / "bounds.json"
@@ -339,9 +347,10 @@ class TestScanConfigErrors:
             {"count": "many"},
             {"lambda_range": [-1e80, 1e80]},  # lambda**4 overflows
             {"lambda_range": [-1.0, 1.2e77]},
+            {"state": [0.0, 0.0, True, 0.501]},
         ],
         ids=["state-wrong-length", "lambda-range-one-value", "count-non-numeric",
-             "lambda-range-overflows", "lambda-range-end-overflows"],
+             "lambda-range-overflows", "lambda-range-end-overflows", "state-boolean"],
     )
     def test_bad_value(self, tmp_path, override):
         payload = {"model": {"name": "pendulum"}, "state": [0.0, 0.0, 1.0, 0.501],

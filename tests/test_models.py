@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from semint import models
 from semint.errors import ParameterError
-from semint.extphase import fd_gradient, fd_hessian, sample_fields
+from semint.extphase import fd_gradient, fd_hessian, psi_gradient, sample_fields
 
 from conftest import pendulum_state
 
@@ -110,3 +112,42 @@ def test_builtin_stack_equals_rows_bitwise(name, seed, rows, scale):
         by_row = np.array([fn(z) for z in zs], dtype=float)
         assert stacked.shape == by_row.shape, attr
         assert np.array_equal(stacked, by_row), attr
+
+
+# SHA-256 of the float64 bytes each callable gives at MODEL_BITS_STATES, one
+# row per state; recorded when each built-in still wrote out its own lift
+MODEL_BITS_STATES = np.array([[0.3, 0.0, -1.2, 0.5], [2.9, 1.5, 0.7, -0.25], [-1.1, -3.0, 2.4, 1.0]])
+MODEL_BITS = {
+    "pendulum": {
+        "value": "83a33bf03856e191d9671ab7dda421e266bc9d6859171f4623717b437ed56fd7",
+        "gradient": "c3e51c8872ff5c5b438522af331e66dfc025f43d09e18c4a13d1c1966eb6d4de",
+        "hessian": "d28c3bf168cb3d9fc5781d3ad259fe38656c512fc1a66fcb64e0be3b6502e178",
+        "psi_gradient": "e69c8b57707f0025eeaecfd18738710c78190c56d0d389491de629c5d5d18966",
+    },
+    "oscillator": {
+        "value": "e5b5589fd393c46af19dc0760116a6891708f493de910fef66eefca035b26ece",
+        "gradient": "84cbea7c306aef12b0d10e02b0d19c390282fdf63c209223b0690291102ea4ca",
+        "hessian": "1ac61c4119c1130711a1b514787db53b0a3a954314e2ead38e529ea814fcaadd",
+        "psi_gradient": "937cbd4e48d97c6a54a5f85aa76f4a59fbaf7cef94fd41130020ef0d69f639c6",
+    },
+    "oscillator-1.3": {
+        "value": "0dcc8d0f0e84d7a52c9d593492efcd5ad26fe724e246c09f9eba46a9db9b039d",
+        "gradient": "4d1be34ed002a3cf6beadf77af4b09a7a46f66d425937be6f22527a97efc5da2",
+        "hessian": "825c980a9ed8f1fdaa0845881269381d6d76c08baf47fbbc8f895c5baf27b1bc",
+        "psi_gradient": "b48cfd199a65391e9f17920ffdbcae165624dbcc5b91602e984f9534d999db92",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_BITS))
+@pytest.mark.parametrize("attr", ["value", "gradient", "hessian", "psi_gradient"])
+def test_builtin_bits_pinned(name, attr):
+    """Each state alone and the three as one stack give the recorded bytes."""
+    model = {"pendulum": models.pendulum(), "oscillator": models.oscillator(),
+             "oscillator-1.3": models.oscillator(1.3)}[name]
+    fn = getattr(model, attr)
+    rows = np.array([fn(z) for z in MODEL_BITS_STATES], dtype=float)
+    # the model's psi_gradient takes one state; extphase.psi_gradient stacks it
+    stack = psi_gradient(model, MODEL_BITS_STATES) if attr == "psi_gradient" else fn(MODEL_BITS_STATES)
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == MODEL_BITS[name][attr]
+    assert np.asarray(stack, dtype=float).tobytes() == rows.tobytes()

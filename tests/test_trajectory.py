@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 from collections import Counter
 from dataclasses import replace
 
@@ -20,7 +21,7 @@ from semint.errors import (
     UnsupportedRegionError,
 )
 from semint.extphase import ExtendedState, apply_J, eval_gradient, eval_value, sample_fields
-from semint.multiplier import classify_region, predict_roots
+from semint.multiplier import capital_lambda, classify_region, predict_roots, solve_roots
 from semint.trajectory import (
     StepOptions,
     choose_conjugate_momentum,
@@ -154,6 +155,31 @@ class TestStep:
         back = step(model, fwd.z_next, "backward", opts)
         assert back.lam == pytest.approx(-fwd.lam, abs=1e-10)
         assert np.allclose(back.z_next.coords, z.coords, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"tol_g": -1.0}, {"tol_g": float("nan")}, {"tol_lambda": 0.0},
+     {"solver_tol": float("inf")}, {"policy": "follow_ghost"}],
+    ids=["tol_g-negative", "tol_g-nan", "tol_lambda-zero", "solver_tol-infinite", "policy-misspelt"],
+)
+def test_step_options_reject_bad_values(pend_opts, bad):
+    """Refused when built: tol_g = -1 used to end a step as "no forward multiplier"."""
+    _, opts = pend_opts
+    with pytest.raises(ParameterError):
+        StepOptions(bounds=opts.bounds, constants=opts.constants, **bad)
+
+
+@pytest.mark.parametrize(
+    "callee, param, option",
+    [(solve_roots, "tol_g", "tol_g"), (solve_roots, "tol_lambda", "tol_lambda"),
+     (solve_roots, "solver_tol", "solver_tol"), (predict_roots, "tol_g", "tol_g"),
+     (predict_roots, "shrink", "shrink"), (capital_lambda, "shrink", "shrink"),
+     (ConstraintCurve, "tol", "solver_tol")],
+)
+def test_layer_defaults_equal_step_options(callee, param, option):
+    """The layers below trajectory repeat StepOptions' defaults; a drift fails here."""
+    assert inspect.signature(callee).parameters[param].default == getattr(StepOptions, option)
 
 
 class TestPropagate:
