@@ -72,6 +72,13 @@ class RegionBounds:
                 raise ParameterError(f"{name} must be finite and nonnegative, got {value}")
         if not 0 < self.radius < math.inf:
             raise ParameterError(f"radius must be finite and positive, got {self.radius}")
+        if not 0 < self.safety < math.inf:
+            raise ParameterError(f"safety must be finite and positive, got {self.safety}")
+        if type(self.sample_count) is not int or self.sample_count < 0:
+            raise ParameterError(f"sample_count must be a whole number >= 0, got {self.sample_count!r}")
+        axes, dim = self.active_axes, self.center.coords.size
+        if not all(type(i) is int and 0 <= i < dim for i in axes) or len(set(axes)) < len(axes):
+            raise ParameterError(f"active_axes must be distinct integer axes of the center, got {axes!r}")
 
     def scaled(self, factor: float) -> "RegionBounds":
         """Inflate the five sampled constants by a safety factor."""
@@ -311,6 +318,10 @@ def bounds_from_json(text: str) -> RegionBounds:
         values = data[key] if key == "center" else [data[key]]
         if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
             raise ValueError(f"{key} holds something other than a JSON number: {data[key]!r}")
+    for key in ("n", "sample_count"):
+        value = data.get(key, 0)
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0:
+            raise ValueError(f"{key} must be a whole number, got {value!r}")
     center = ExtendedState(np.asarray(data["center"], dtype=float), int(data["n"]))
     return RegionBounds(
         M1=float(data["M1"]),

@@ -109,7 +109,7 @@ def _tolerances(cfg, args, used=tuple(DEFAULT_TOLERANCES)):
 def _config_number(value, name, integer=False):
     """A finite float (or, with ``integer``, a whole number) from a config value."""
     try:
-        if isinstance(value, bool):  # JSON true/false, which float() reads as 1/0
+        if isinstance(value, (bool, str)):  # float() would read true as 1 and "2.5" as 2.5
             raise TypeError
         number = float(value)
     except (TypeError, ValueError) as exc:
@@ -144,7 +144,7 @@ def _config_state(value, model, what):
 
 
 def _resolve_bounds(cfg, model, fallback_center=None):
-    """Build (raw bounds, safety-scaled bounds, derived constants)."""
+    """Build (safety-scaled bounds, derived constants)."""
     block = {**DEFAULT_BOUNDS, **_config_object(cfg, "bounds")}
     delta = _config_number(block["delta"], "bounds.delta")
     safety = _positive_number(block["safety"], "bounds.safety")
@@ -185,7 +185,7 @@ def _resolve_bounds(cfg, model, fallback_center=None):
             ) from exc
     try:
         scaled = raw.scaled(safety)
-        return raw, scaled, derive_constants(scaled, delta)
+        return scaled, derive_constants(scaled, delta)
     except ParameterError as exc:
         raise ConfigError(f"bad bounds: {exc}") from exc
 
@@ -240,7 +240,7 @@ def cmd_run(args) -> int:
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
     z0 = _resolve_initial_state(cfg, model)
-    _, scaled, constants = _resolve_bounds(cfg, model, fallback_center=z0)
+    scaled, constants = _resolve_bounds(cfg, model, fallback_center=z0)
     try:
         opts = StepOptions(scaled, constants, policy=cfg.get("policy", "default"), **tols)
     except ParameterError as exc:
@@ -316,7 +316,7 @@ def cmd_scan(args) -> int:
     count = _config_number(cfg.get("count", 201), "count", integer=True)
     if count < 2 or not hi > lo:
         raise ConfigError("scan needs count >= 2 and lambda_range with hi > lo")
-    _, scaled, constants = _resolve_bounds(cfg, model, fallback_center=z_k)
+    scaled, constants = _resolve_bounds(cfg, model, fallback_center=z_k)
     out = _out_dir(cfg, args)
 
     cubic = cubic_model(model, z_k, constants)
@@ -393,7 +393,7 @@ def cmd_map(args) -> int:
     center = ExtendedState.from_parts([0.5 * (q_min + q_max)], t, [0.5 * (p_min + p_max)], 0.0)
     radius = max(0.5 * (q_max - q_min), 0.5 * (p_max - p_min)) + 0.5  # unless bounds gives one
     block = {"radius": radius, **_config_object(cfg, "bounds")}
-    _, _, constants = _resolve_bounds({"bounds": block}, model, fallback_center=center)
+    _, constants = _resolve_bounds({"bounds": block}, model, fallback_center=center)
     out = _out_dir(cfg, args)
 
     qs = np.linspace(q_min, q_max, nq)

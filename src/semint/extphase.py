@@ -79,9 +79,6 @@ class ExtendedState:
     def wp(self) -> float:
         return float(self.coords[2 * self.n + 1])
 
-    def replace_coords(self, coords) -> "ExtendedState":
-        return ExtendedState(np.asarray(coords, dtype=float), self.n)
-
 
 @dataclass(frozen=True)
 class HamiltonianModel:
@@ -280,23 +277,25 @@ def _psi_axes(model: HamiltonianModel) -> tuple[int, ...]:
 
 
 def _eval_stack(model: HamiltonianModel, zs: np.ndarray, *kinds: str) -> list[np.ndarray]:
-    """``kinds`` ("value", "gradient", "hessian") at every row of a (N, dim) stack.
+    """``kinds`` ("value", "gradient", "hessian", "psi_gradient") at every
+    row of a (N, dim) stack.
 
-    A ``vectorized`` model is called once per kind, any other row by row.
+    A ``vectorized`` model is called once per kind, any other row by row;
+    ``psi_gradient`` is always called row by row, as the flag does not cover it.
     The checks of the eval_* wrappers then run on the whole stack: the
     shape (``DimensionError``), finiteness, and the symmetry test unless
     ``hessian_symmetric`` (a row whose Hessian is not bitwise symmetric
     comes back symmetrized, every other row untouched, as ``_hessian``
-    treats one state).  An
-    ``EvaluationError`` carries the first offending row, as a row-by-row
-    loop would raise it.
+    treats one state).  An ``EvaluationError`` carries the first offending
+    row, as a row-by-row loop would raise it.
     """
     rows, dim = len(zs), model.dim
     shapes = {"value": (rows,), "gradient": (rows, dim), "hessian": (rows, dim, dim)}
+    shapes["psi_gradient"] = shapes["gradient"]
     out, checks = [], []  # checks: (bad-row mask, message), in priority order
     for kind in kinds:
         fn = getattr(model, kind)
-        if model.vectorized:
+        if model.vectorized and kind != "psi_gradient":
             arr = np.asarray(fn(zs), dtype=float)
         else:
             arr = np.array([fn(z) for z in zs], dtype=float)
@@ -340,12 +339,6 @@ def _psi_rows(ws: np.ndarray, hessians: np.ndarray) -> np.ndarray:
     return _row_dots((ws[:, None, :] @ hessians)[:, 0], ws)
 
 
-def _psi_stack(model: HamiltonianModel, zs: np.ndarray) -> np.ndarray:
-    """psi at every row of a (N, dim) stack, with the checks of eval_*."""
-    grads, hessians = _eval_stack(model, zs, "gradient", "hessian")
-    return _psi_rows(apply_J(grads), hessians)
-
-
 def psi_gradient(model: HamiltonianModel, z) -> np.ndarray:
     """Gradient of psi at one state (dim,) or at every row of a (N, dim) stack.
 
@@ -359,22 +352,19 @@ def psi_gradient(model: HamiltonianModel, z) -> np.ndarray:
     if model.psi_gradient is not None and z.ndim == 1:
         g = np.asarray(model.psi_gradient(z), dtype=float)
         if not np.all(np.isfinite(g)):
-            raise EvaluationError("model psi gradient is non-finite", z)
+            raise EvaluationError("model psi_gradient is non-finite", z)
         return g
     zs = z[None] if z.ndim == 1 else z
     if zs.ndim != 2 or zs.shape[1] != model.dim:
         raise DimensionError(f"model has dimension {model.dim}, states have shape {z.shape}")
     if model.psi_gradient is not None:
-        out = np.array([model.psi_gradient(row) for row in zs], dtype=float)
-        bad = ~np.isfinite(out).all(axis=1)
-        if bad.any():
-            raise EvaluationError("model psi gradient is non-finite", zs[int(np.argmax(bad))])
-        return out
+        return _eval_stack(model, zs, "psi_gradient")[0]
     axes = _psi_axes(model)
     steps = psi_fd_step(zs)
     offsets = steps[:, None, None] * np.eye(model.dim)[list(axes)]  # h e_i rows, exact
     probes = np.concatenate([zs[:, None] + offsets, zs[:, None] - offsets], axis=1)
-    psi = _psi_stack(model, probes.reshape(-1, model.dim)).reshape(len(zs), 2, len(axes))
+    grads, hessians = _eval_stack(model, probes.reshape(-1, model.dim), "gradient", "hessian")
+    psi = _psi_rows(apply_J(grads), hessians).reshape(len(zs), 2, len(axes))
     out = np.zeros(zs.shape)
     out[:, axes] = (psi[:, 0] - psi[:, 1]) / (2 * steps[:, None])
     return out[0] if z.ndim == 1 else out

@@ -354,12 +354,17 @@ def _root_in_bracket(curve, start, a, b, fa, tol_lambda, tol_g):
     return lam, abs(val), curve.midpoint(lam)  # newton's last g was at lam: no new solve
 
 
+def _sign_change_cells(vals: np.ndarray) -> np.ndarray:
+    """Cells i of a g grid the dense scan searches: g = 0 at the left end, or a sign change."""
+    left, right = vals[:-1], vals[1:]
+    return np.flatnonzero((left == 0.0) | ((left < 0) != (right < 0)))
+
+
 def _scan_interval(curve, a, b, points, tol_lambda, tol_g):
     """Dense scan, then a search from the regula-falsi point of each sign change."""
     xs = np.linspace(a, b, points)
     vals = curve.g_grid(xs)
-    left, right = vals[:-1], vals[1:]
-    cells = np.flatnonzero((left == 0.0) | ((left < 0) != (right < 0))).tolist()
+    cells = _sign_change_cells(vals).tolist()
     xs, vals = xs.tolist(), vals.tolist()
     found = []
     for xa, xb, fa, fb in ((xs[i], xs[i + 1], vals[i], vals[i + 1]) for i in cells):

@@ -125,9 +125,6 @@ class DTHTrajectory:
     multipliers: list[float]
     events: list[TrajectoryEvent] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.vertices)
-
 
 @dataclass(frozen=True)
 class ConservationReport:

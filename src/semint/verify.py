@@ -30,8 +30,14 @@ from .extphase import (
     psi_gradient,
     sample_fields,
 )
-from .multiplier import EXISTS_UNIQUE, NONE, solve_roots
-from .trajectory import StepOptions, classify_vertex, conservation_report, propagate
+from .multiplier import EXISTS_UNIQUE, NONE, _sign_change_cells, solve_roots
+from .trajectory import (
+    StepOptions,
+    choose_conjugate_momentum,
+    classify_vertex,
+    conservation_report,
+    propagate,
+)
 
 PEND_RADIUS = 2.5
 DELTA = 0.5
@@ -42,10 +48,8 @@ SAFETY = 1.1
 def _pendulum_setup():
     model = models.pendulum()
     center = ExtendedState.from_parts([0.0], 0.0, [0.0], 0.0)
-    raw = estimate_bounds(model, center, PEND_RADIUS, 9)
-    scaled = raw.scaled(SAFETY)
-    constants = derive_constants(scaled, DELTA)
-    return model, raw, scaled, constants
+    scaled = estimate_bounds(model, center, PEND_RADIUS, 9).scaled(SAFETY)
+    return model, scaled, derive_constants(scaled, DELTA)
 
 
 def _sample_states(rng, count, box=2.0):
@@ -107,7 +111,7 @@ def check_oscillator_midpoint(rng):
 
 
 def check_kantorovich(rng):
-    model, _, scaled, constants = _pendulum_setup()
+    model, scaled, constants = _pendulum_setup()
     ld = constants.lambda_delta
     for z in _sample_states(rng, 20, box=PEND_RADIUS - DELTA):
         lam = rng.uniform(-ld, ld)
@@ -121,7 +125,7 @@ def check_kantorovich(rng):
 
 
 def check_quartic_bound(rng, k_scale=1.0):
-    model, _, scaled, constants = _pendulum_setup()
+    model, scaled, constants = _pendulum_setup()
     K_inj = constants.K * k_scale
     formula = (scaled.M1**2 * scaled.M2**3 + 2 * constants.gamma_h) / 32.0
     if not abs(K_inj - formula) <= 1e-12 * formula:  # a NaN K fails too
@@ -141,7 +145,7 @@ def check_quartic_bound(rng, k_scale=1.0):
 
 
 def check_derivative_bound(rng):
-    model, _, scaled, constants = _pendulum_setup()
+    model, _, constants = _pendulum_setup()
     ld = constants.lambda_delta
     for z in _sample_states(rng, 30, box=PEND_RADIUS - DELTA):
         lam = rng.uniform(-ld, ld)
@@ -158,7 +162,7 @@ def check_derivative_bound(rng):
 
 
 def check_monotone_intervals(rng):
-    model, _, scaled, constants = _pendulum_setup()
+    model, _, constants = _pendulum_setup()
     for z in _sample_states(rng, 5, box=1.8):
         pred = classify_vertex(model, z, constants)
         if pred.region.tag != "I":
@@ -174,7 +178,7 @@ def check_monotone_intervals(rng):
 
 
 def check_prediction_consistency(rng):
-    model, _, scaled, constants = _pendulum_setup()
+    model, _, constants = _pendulum_setup()
     agree = 0
     total = 0
     for q in np.linspace(-1.5, 1.5, 4):
@@ -206,8 +210,8 @@ def check_prediction_consistency(rng):
                     )
                 else:
                     curve = ConstraintCurve(model, z, tol=1e-13)
-                    vals = [curve.g(x) for x in np.linspace(-lam_cap, lam_cap, 257)]
-                    ok = pred.pos_interval == NONE and not _has_sign_change(vals)
+                    vals = np.array([curve.g(x) for x in np.linspace(-lam_cap, lam_cap, 257)])
+                    ok = pred.pos_interval == NONE and _sign_change_cells(vals).size == 0
                 agree += 1 if ok else 0
     return agree == total and total >= 8, f"{agree}/{total} grid cases agree with the solver"
 
@@ -218,11 +222,11 @@ def _states_with_roots(rng, model, ld):
         # move wp so g(0) = H_k puts the sign changes inside the window
         fields = sample_fields(model, z)
         target = fields.psi * rng.uniform(0.0, 1.0) * ld**2 / 8.0
-        yield z.replace_coords(z.coords + [0.0, 0.0, 0.0, target - fields.H])
+        yield ExtendedState(z.coords + [0.0, 0.0, 0.0, target - fields.H], z.n)
 
 
 def check_grid_scan(rng):
-    model, _, _, constants = _pendulum_setup()
+    model, _, constants = _pendulum_setup()
     ld = constants.lambda_delta
     lams = np.linspace(-ld, ld, 256)
     worst, brackets = 0.0, 0
@@ -234,8 +238,8 @@ def check_grid_scan(rng):
         worst = max(worst, dev)
         if dev > 1e-12:
             return False, f"batched g off the scalar g by {dev:.2e} (relative)"
-        cells = _brackets(scalar)
-        if not np.array_equal(_brackets(batched), cells):
+        cells = _sign_change_cells(scalar)
+        if not np.array_equal(_sign_change_cells(batched), cells):
             return False, f"batched and scalar scans bracket different roots at q={z.q[0]:.3f}"
         brackets += cells.size
     return True, (
@@ -264,7 +268,7 @@ def check_root_polish(rng):
     fail apart.  A root passes when it lies within max(tol_lambda,
     2 tol_g / |g'|) of the bisection's and |g| <= tol_g there.
     """
-    model, _, _, constants = _pendulum_setup()
+    model, _, constants = _pendulum_setup()
     tol_g, tol_lambda = StepOptions.tol_g, StepOptions.tol_lambda
     ld = constants.lambda_delta
     lams = np.linspace(-ld, ld, 64).tolist()
@@ -272,7 +276,7 @@ def check_root_polish(rng):
     for z in _states_with_roots(rng, model, ld):
         oracle = ConstraintCurve(model, z, tol=1e-13)
         vals = [oracle.g(lam) for lam in lams]
-        for i in _brackets(np.array(vals)):
+        for i in _sign_change_cells(np.array(vals)):
             a, b, fa, fb = lams[i], lams[i + 1], vals[i], vals[i + 1]
             if fa == 0.0:
                 continue
@@ -331,21 +335,8 @@ def check_stacked_fields(rng):
     return True, f"pendulum and oscillator lift x {rows} states: every field bit-identical"
 
 
-def _brackets(vals):
-    """Grid cells the dense scan would search (a zero at the left end or a sign change)."""
-    left, right = vals[:-1], vals[1:]
-    return np.flatnonzero((left == 0.0) | ((left < 0) != (right < 0)))
-
-
-def _has_sign_change(vals):
-    signs = [v < 0 for v in vals if v != 0.0]
-    return any(a != b for a, b in zip(signs, signs[1:]))
-
-
 def check_trajectory(rng):
-    model, _, scaled, constants = _pendulum_setup()
-    from .trajectory import choose_conjugate_momentum
-
+    model, scaled, constants = _pendulum_setup()
     wp0 = choose_conjugate_momentum(model, 1.0, 0.0, 0.5, 0.1)
     z0 = ExtendedState.from_parts([1.0], 0.0, [0.5], wp0)
     opts = StepOptions(bounds=scaled, constants=constants)

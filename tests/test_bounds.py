@@ -361,6 +361,48 @@ class TestRegionBounds:
         with pytest.raises(ParameterError, match=name):
             replace(self._bounds(), **{name: value})
 
+    @pytest.mark.parametrize(
+        "field, value, says",
+        [
+            ("safety", -3.0, "safety must be finite and positive"),
+            ("safety", np.inf, "safety must be finite and positive"),
+            ("sample_count", -5, "sample_count must be a whole number"),
+            ("sample_count", 2.5, "sample_count must be a whole number"),
+            ("sample_count", True, "sample_count must be a whole number"),
+            ("active_axes", (0, 7), "active_axes must be distinct integer axes"),
+            ("active_axes", (0, "x"), "active_axes must be distinct integer axes"),
+            ("active_axes", (0, True), "active_axes must be distinct integer axes"),
+            ("active_axes", (2, 0, 2), "active_axes must be distinct integer axes"),
+            ("active_axes", (-1,), "active_axes must be distinct integer axes"),
+        ],
+    )
+    def test_rejects_bad_bookkeeping_field(self, field, value, says):
+        with pytest.raises(ParameterError, match=says):
+            replace(self._bounds(), **{field: value})
+
+    @pytest.mark.parametrize(
+        "edit, error, says",
+        [
+            ({"n": 1.5}, ValueError, "n must be a whole number"),
+            ({"sample_count": 1.5}, ValueError, "sample_count must be a whole number"),
+            ({"sample_count": "9"}, ValueError, "sample_count must be a whole number"),
+            ({"sample_count": -5}, ParameterError, "sample_count must be a whole number"),
+            ({"safety": -3}, ParameterError, "safety must be finite and positive"),
+            ({"active_axes": [0, 7, "x"]}, ParameterError, "active_axes must be distinct"),
+        ],
+        ids=["n-fractional", "sample-count-fractional", "sample-count-string",
+             "sample-count-negative", "safety-negative", "active-axes-out-of-range"],
+    )
+    def test_json_rejects_bad_bookkeeping_field(self, edit, error, says):
+        doc = dict(json.loads(bounds_to_json(self._bounds())), **edit)
+        with pytest.raises(error, match=says):
+            bounds_from_json(json.dumps(doc))
+
+    def test_json_reads_whole_float_counts(self):
+        doc = dict(json.loads(bounds_to_json(self._bounds())), n=1.0, sample_count=81.0)
+        back = bounds_from_json(json.dumps(doc))
+        assert back.center.n == 1 and back.sample_count == 81
+
     def test_contains_ball_active_axes_only(self):
         b = self._bounds()
         assert b.contains_ball(pendulum_state(1.0, -1.0, wp=99.0, t=50.0), 1.0)

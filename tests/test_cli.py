@@ -176,10 +176,14 @@ class TestRunConfigErrors:
             ({"lambda_target": 1e300}, 5),  # its square overflows
             ({}, "many"),
             ({}, True),  # JSON true, which Python would read as 1
+            ({"q0": "1.0"}, 5),  # a numeric string, which float() would read
+            ({"p0": "0.5"}, 5),
+            ({"lambda_target": "0.1"}, 5),
+            ({}, "3"),
         ],
         ids=["q0-non-numeric", "p0-non-numeric", "t0-non-numeric",
              "lambda-target-non-numeric", "lambda-target-overflows", "steps-non-numeric",
-             "steps-boolean"],
+             "steps-boolean", "q0-string", "p0-string", "lambda-target-string", "steps-string"],
     )
     def test_bad_initial_value(self, tmp_path, initial, steps):
         payload = {
@@ -272,10 +276,14 @@ class TestBoundsConfigErrors:
             {"safety": 1e100},  # M2**3 overflows: K would be inf
             {"safety": 1e308},  # the scaled M1 is inf
             {"center": [0.0, False, 0.0, 0.0]},
+            {"radius": "2.5"},  # a numeric string, which float() would read
+            {"samples_per_axis": "9"},
+            {"center": [0.0, 0.0, "0.0", 0.0]},
         ],
         ids=["samples-below-3", "safety-not-positive", "radius-non-numeric",
              "radius-infinite", "safety-non-numeric", "delta-non-numeric", "delta-outside-unit-interval",
-             "safety-overflows-K", "safety-overflows-M1", "center-boolean"],
+             "safety-overflows-K", "safety-overflows-M1", "center-boolean", "radius-string",
+             "samples-string", "center-string"],
     )
     def test_bad_bounds_value(self, tmp_path, override):
         for command in ("run", "scan", "map"):
@@ -319,9 +327,14 @@ class TestSavedBoundsErrors:
             ({"n": True}, "n holds something other than a JSON number"),
             ({"center": [0.0, False, 0.0, 0.0]}, "center holds something other than a JSON number"),
             ({"radius": "2.5"}, "radius holds something other than a JSON number"),
+            ({"n": 1.5}, "n must be a whole number"),  # int() read it as n = 1
+            ({"safety": -3}, "safety must be finite and positive"),
+            ({"sample_count": -5}, "sample_count must be a whole number >= 0"),
+            ({"active_axes": [0, 7, "x"]}, "active_axes must be distinct integer axes"),
         ],
         ids=["M1-nan", "M2-infinite", "n-2-for-pendulum", "M1-boolean", "n-boolean",
-             "center-boolean", "radius-string"],
+             "center-boolean", "radius-string", "n-fractional", "safety-negative",
+             "sample-count-negative", "active-axes-out-of-range"],
     )
     def test_bad_saved_file(self, tmp_path, command, edit, says):
         saved = tmp_path / "bounds.json"
@@ -348,9 +361,12 @@ class TestScanConfigErrors:
             {"lambda_range": [-1e80, 1e80]},  # lambda**4 overflows
             {"lambda_range": [-1.0, 1.2e77]},
             {"state": [0.0, 0.0, True, 0.501]},
+            {"count": "5"},  # a numeric string, which float() would read
+            {"lambda_range": ["-0.05", 0.05]},
         ],
         ids=["state-wrong-length", "lambda-range-one-value", "count-non-numeric",
-             "lambda-range-overflows", "lambda-range-end-overflows", "state-boolean"],
+             "lambda-range-overflows", "lambda-range-end-overflows", "state-boolean",
+             "count-string", "lambda-range-string"],
     )
     def test_bad_value(self, tmp_path, override):
         payload = {"model": {"name": "pendulum"}, "state": [0.0, 0.0, 1.0, 0.501],
@@ -602,10 +618,12 @@ class TestMapConfigErrors:
             (("t",), float("inf")),
             (("wp_rule", "value"), "cold"),
             (("wp_rule", "value"), float("-inf")),
+            (("grid", "nq"), "3"),  # a numeric string, which float() would read
+            (("t",), "0.0"),
         ],
         ids=["jobs-non-integer", "jobs-infinite", "jobs-boolean", "nq-non-integer", "nq-fractional",
              "np-infinite", "q_min-non-numeric", "p_max-infinite", "t-non-numeric",
-             "t-infinite", "wp-value-non-numeric", "wp-value-infinite"],
+             "t-infinite", "wp-value-non-numeric", "wp-value-infinite", "nq-string", "t-string"],
     )
     def test_bad_value(self, tmp_path, path, value):
         payload = {

@@ -239,6 +239,14 @@ class TestPsiGradientBatch:
             psi_gradient(replace(lift, gradient=gradient, vectorized=False), zs)
         assert np.array_equal(err.value.z, probe)
 
+    def test_wrong_width_analytic_psi_gradient_raises(self, pendulum):
+        from dataclasses import replace
+
+        model = replace(pendulum, psi_gradient=lambda z: np.append(pendulum.psi_gradient(z), 0.0))
+        zs = np.array([[0.0, 0, 0.5, 0], [1.5, 0, 0.5, 0]])
+        with pytest.raises(DimensionError, match="psi_gradient on 2 states has shape"):
+            psi_gradient(model, zs)
+
     def test_nonfinite_analytic_psi_gradient_carries_row(self, pendulum):
         from dataclasses import replace
 

@@ -18,6 +18,7 @@ from semint.multiplier import (
     classify_region,
     ghost_check,
     predict_roots,
+    _sign_change_cells,
     solve_roots,
 )
 
@@ -466,6 +467,53 @@ class TestSolveRootsRegion2:
         # limits any solver's root location to ~1e-8; compare at that scale
         for a, b in zip(got, sorted(oracle)):
             assert a == pytest.approx(b, abs=1e-7)
+
+
+class TestSolveRootsRegion2NegativeScale:
+    """Region II with psi_k psi'_k > 0, so lambda = c s with c = -psi/psi' < 0:
+    s > 0 lies at lambda < 0 and the s-zones are searched mirrored."""
+
+    @staticmethod
+    def vertex(dp, h_over_psi):
+        """Pendulum at q = 2, p = p0 + dp (psi(2, p0) = 0), with H_k = h_over_psi psi_k."""
+        q = 2.0
+        p = np.sqrt(-np.sin(q) ** 2 / np.cos(q)) + dp
+        H = h_over_psi * models.pendulum_psi(q, p)
+        return pendulum_state(q, p, wp=H - (0.5 * p * p - np.cos(q)))
+
+    @pytest.mark.parametrize(
+        "dp, h_over_psi, label, want",
+        [
+            # theorem roots at s ~ 0.75 (lambda < 0) and s ~ -0.59 (lambda > 0)
+            (3e-3, 1e-7, "EU_2(iv,vi.a)", [(-1.0333e-3, False), (8.172e-4, False)]),
+            # one ghost at s ~ 6.07 (lambda < 0)
+            (1e-3, -1e-6, "EU_2(i)", [(-2.791e-3, True)]),
+        ],
+        ids=["regular-pair", "ghost"],
+    )
+    def test_roots_lie_in_sign_changes_and_zones(
+        self, pendulum, pendulum_constants, dp, h_over_psi, label, want
+    ):
+        z = self.vertex(dp, h_over_psi)
+        cubic = cubic_model(pendulum, z, pendulum_constants)
+        region = classify_region(cubic)
+        pred = predict_roots(region, cubic, pendulum_constants)
+        c = -region.psi_k / region.psi_prime_k
+        assert region.tag == "II" and c < 0 and pred.case_label == label
+        roots = solve_roots(pendulum, z, pred)
+        assert [(rec.lam, rec.is_ghost) for rec in roots.roots] == [
+            (pytest.approx(lam, rel=1e-3), ghost) for lam, ghost in want
+        ]
+        width = abs(c) * pred.S_k
+        xs = np.linspace(-width, width, 4097)
+        cells = set(_sign_change_cells(ConstraintCurve(pendulum, z, tol=1e-13).g_grid(xs)).tolist())
+        for rec in roots.roots:
+            assert int(np.searchsorted(xs, rec.lam, side="right")) - 1 in cells
+            assert rec.s == rec.lam / c
+            if rec.is_ghost:
+                assert 6.0 / 5.0 < rec.s < pred.S_k
+            else:
+                assert -pred.S_k < rec.s < min(6.0 / 5.0, pred.S_k) and rec.s != 0.0
 
 
 class TestMonotoneIntervals:

@@ -426,6 +426,66 @@ class TestFastPathAgreesWithFullPath:
         assert hinted.prediction.case_label == full.prediction.case_label
 
 
+class TestFastPathSafetyNets:
+    """The half-step probe that rejects a fast-path root, and the fallback
+    to the full path when the fast Newton fails (criterion-1 options)."""
+
+    def test_probe_rejects_a_root_past_an_earlier_crossing(self, pend_opts, monkeypatch):
+        # region I, EU_1(iv): H_k = psi_k (0.1 lambda_delta)^2 / 8, and g has
+        # roots near 0.0128 and 0.0957 in (0, lambda_delta)
+        model, opts = pend_opts
+        z = pendulum_state(-2.3, -0.9, wp=-1.0712757326195772)
+        fields = sample_fields(model, z)
+        cubic = CubicModel.from_fields(fields, opts.constants)
+        prediction = predict_roots(classify_region(cubic), cubic, opts.constants)
+        assert prediction.case_label == "EU_1(iv)"
+        cap = max(prediction.capital_lambda, opts.constants.lambda_delta)
+        probes, original_g = [], ConstraintCurve.g
+
+        def recording_g(self, lam):
+            val = original_g(self, lam)
+            probes.append((lam, val))
+            return val
+
+        monkeypatch.setattr(ConstraintCurve, "g", recording_g)
+        got = semint.trajectory._fast_newton_root(
+            model, z, fields.grad, cap, cubic, 0.0957, opts.tol_g, opts.solver_tol
+        )
+        monkeypatch.undo()
+        assert got is None
+        # the last g is the probe at half the root Newton landed on (0.09575),
+        # where the quartic envelope cannot certify the cubic's sign
+        half, probe = probes[-1]
+        assert 0.0478 < half < 0.0479
+        assert abs(cubic(half)) < cubic.quartic_bound(half)
+        assert probe < 0.0 < cubic.H_k
+        hinted = step(model, z, "forward", opts, hint=0.0957)
+        full = step(model, z, "forward", opts)
+        assert hinted.lam.hex() == full.lam.hex() == "0x1.a3676897d9f20p-7"  # 0.0127992
+        assert hinted.z_next.coords.tobytes() == full.z_next.coords.tobytes()
+
+    @pytest.mark.parametrize(
+        "error", [NonconvergenceError("forced", 1.0, 11), LinearSolveError("forced")],
+        ids=["nonconvergence", "linear-solve"],
+    )
+    def test_failed_fast_newton_falls_back_to_the_full_path(self, pend_opts, monkeypatch, error):
+        model, opts = pend_opts
+        wp0 = choose_conjugate_momentum(model, 1.0, 0.0, 0.5, 0.1)
+        z0 = pendulum_state(1.0, 0.5, wp=wp0)
+        full = step(model, z0, "forward", opts)
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            raise error
+
+        monkeypatch.setattr(semint.trajectory, "_fast_newton_root", failing)
+        hinted = step(model, z0, "forward", opts, hint=0.1)
+        assert len(calls) == 1
+        assert hinted.lam == full.lam
+        assert hinted.z_next.coords.tobytes() == full.z_next.coords.tobytes()
+
+
 class TestClassifyVertex:
     def test_region1_cases(self, pend_opts):
         model, opts = pend_opts
