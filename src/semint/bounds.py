@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,6 +42,11 @@ __all__ = [
     "bounds_to_json",
     "bounds_from_json",
 ]
+
+
+def _whole(x) -> bool:
+    """An integer of any type (numpy's too), booleans excepted."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -74,11 +80,13 @@ class RegionBounds:
             raise ParameterError(f"radius must be finite and positive, got {self.radius}")
         if not 0 < self.safety < math.inf:
             raise ParameterError(f"safety must be finite and positive, got {self.safety}")
-        if type(self.sample_count) is not int or self.sample_count < 0:
+        if not _whole(self.sample_count) or self.sample_count < 0:
             raise ParameterError(f"sample_count must be a whole number >= 0, got {self.sample_count!r}")
         axes, dim = self.active_axes, self.center.coords.size
-        if not all(type(i) is int and 0 <= i < dim for i in axes) or len(set(axes)) < len(axes):
+        if not all(_whole(i) and 0 <= i < dim for i in axes) or len(set(axes)) < len(axes):
             raise ParameterError(f"active_axes must be distinct integer axes of the center, got {axes!r}")
+        object.__setattr__(self, "sample_count", int(self.sample_count))
+        object.__setattr__(self, "active_axes", tuple(int(i) for i in axes))
 
     def scaled(self, factor: float) -> "RegionBounds":
         """Inflate the five sampled constants by a safety factor."""

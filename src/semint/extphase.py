@@ -350,8 +350,12 @@ def psi_gradient(model: HamiltonianModel, z) -> np.ndarray:
     """
     z = _coords(z)
     if model.psi_gradient is not None and z.ndim == 1:
+        _check_dim(model, z)
         g = np.asarray(model.psi_gradient(z), dtype=float)
-        if not np.all(np.isfinite(g)):
+        if g.shape != z.shape:
+            raise DimensionError(
+                f"model has dimension {model.dim}; its psi_gradient has shape {g.shape}")
+        if not math.isfinite(g.sum()):
             raise EvaluationError("model psi_gradient is non-finite", z)
         return g
     zs = z[None] if z.ndim == 1 else z

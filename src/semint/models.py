@@ -1,8 +1,9 @@
 """Built-in extended-phase-space Hamiltonian models.
 
-Each model carries analytic gradient, Hessian and psi-gradient.  The closed
-forms of psi and its bracket with H are exported alongside so tests can use
-them as oracles against the generic finite-difference machinery.
+The pendulum and the oscillator carry analytic gradient, Hessian and
+psi-gradient, with closed forms of psi and its bracket with H exported as
+oracles for the generic finite-difference machinery; ``free_time`` is the
+``autonomize`` lift of H_c = 0.
 
 Every built-in is ``vectorized``: value, gradient and Hessian also take an
 (N, dim) stack.  One state keeps its own scalar branch, the hot path of a
@@ -16,7 +17,7 @@ import numbers
 import numpy as np
 
 from .errors import ParameterError
-from .extphase import HamiltonianModel
+from .extphase import ClassicalModel, HamiltonianModel, autonomize
 
 __all__ = [
     "pendulum",
@@ -133,37 +134,12 @@ def oscillator_midpoint(z: np.ndarray, lam: float, omega: float = 1.0):
 
 
 def free_time(n: int = 1) -> HamiltonianModel:
-    """Degenerate model H = wp: every derivative beyond dH/dwp vanishes."""
+    """Degenerate model H = wp, the lift of H_c = 0: every derivative beyond dH/dwp vanishes."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise ParameterError(f"n must be an integer >= 1, got {n!r}")
-    dim = 2 * n + 2
-
-    def value(z):
-        return float(z[dim - 1]) if z.ndim == 1 else z[:, dim - 1].copy()
-
-    def gradient(z):
-        g = np.zeros(z.shape)
-        g[..., dim - 1] = 1.0
-        return g
-
-    def hessian(z):
-        return np.zeros(z.shape + (dim,))
-
-    def psi_grad(z):
-        return np.zeros(dim)
-
-    return HamiltonianModel(
-        n=n,
-        value=value,
-        gradient=gradient,
-        hessian=hessian,
-        psi_gradient=psi_grad,
-        time_independent=True,
-        wp_affine=True,
-        hessian_symmetric=True,
-        vectorized=True,
-        name="free_time",
-    )
+    return autonomize(ClassicalModel(  # x: the classical block (q, t, p)
+        n, value=lambda x: 0.0, gradient=lambda x: np.zeros(x.size),
+        hessian=lambda x: np.zeros((x.size, x.size)), time_independent=True, name="free_time"))
 
 
 def by_name(name: str, **params) -> HamiltonianModel:

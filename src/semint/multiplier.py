@@ -58,6 +58,9 @@ NONE = "none"
 INDETERMINATE = "indeterminate"
 
 GHOST_S_EDGE = 6.0 / 5.0
+_SCAN_POINTS = 256  # grid points of one dense g-scan
+# what a ``sides`` / ``extend_sides`` value keeps of the search intervals
+_ON_SIDE = {"both": lambda iv: True, "pos": lambda iv: iv.a >= 0.0, "neg": lambda iv: iv.b <= 0.0}
 
 
 @dataclass(frozen=True)
@@ -360,9 +363,9 @@ def _sign_change_cells(vals: np.ndarray) -> np.ndarray:
     return np.flatnonzero((left == 0.0) | ((left < 0) != (right < 0)))
 
 
-def _scan_interval(curve, a, b, points, tol_lambda, tol_g):
+def _scan_interval(curve, a, b, tol_lambda, tol_g):
     """Dense scan, then a search from the regula-falsi point of each sign change."""
-    xs = np.linspace(a, b, points)
+    xs = np.linspace(a, b, _SCAN_POINTS)
     vals = curve.g_grid(xs)
     cells = _sign_change_cells(vals).tolist()
     xs, vals = xs.tolist(), vals.tolist()
@@ -392,43 +395,41 @@ def _search_intervals(prediction, extend_to, extend_sides, sides):
     """The intervals solve_roots searches, in the order it searches them.
 
     Regions I and III give (-Lambda, 0) and (0, Lambda); region II gives
-    s in (-S, 0), s in (0, min(6/5, S)) and the ghost zone s in (6/5, S);
-    ``none`` verdicts drop out.  The extension annuli past Lambda follow.
-    Each interval lies on one side of 0; ``sides`` keeps one side's.
+    s in (-S, 0), s in (0, min(6/5, S)) and the ghost zone s in (6/5, S),
+    each sorted into lambda and read on its side; ``none`` verdicts drop
+    out.  The extension annuli past Lambda follow.  ``sides`` keeps one
+    side's intervals, ``extend_sides`` one side's annulus.
     """
     lam_cap = prediction.capital_lambda
     region = prediction.region
     if region.tag in ("I", "III"):
-        halves = [(-lam_cap, 0.0, prediction.neg_interval), (0.0, lam_cap, prediction.pos_interval)]
-        out = [_SearchInterval(a, b, verdict, "") for a, b, verdict in halves if verdict != NONE]
+        c, ghost, zones = None, NONE, [(-lam_cap, 0.0, "", False), (0.0, lam_cap, "", False)]
     elif region.tag == "II":
         c = -region.psi_k / region.psi_prime_k  # lambda = c * s
         S = prediction.S_k
-        s_neg, s_pos = prediction.neg_interval, prediction.pos_interval
-        if not c > 0:  # s > 0 is lambda < 0
-            s_neg, s_pos = s_pos, s_neg
         ghost = prediction.ghost_verdict if S > GHOST_S_EDGE else NONE
         zones = [
-            (-S, 0.0, s_neg, " in s<0", False),
-            (0.0, min(GHOST_S_EDGE, S), s_pos, " in s>0", False),
-            (GHOST_S_EDGE, S, ghost, " in ghost zone", True),  # never exists-unique: scanned
+            (c * -S, c * 0.0, " in s<0", False),
+            (c * 0.0, c * min(GHOST_S_EDGE, S), " in s>0", False),
+            (c * GHOST_S_EDGE, c * S, " in ghost zone", True),  # never exists-unique: scanned
         ]
-        out = []
-        for sa, sb, verdict, where, is_ghost in zones:
-            if verdict != NONE:
-                a, b = sorted((c * sa, c * sb))
-                out.append(_SearchInterval(a, b, verdict, where, is_ghost, c=c))
     else:
         raise UnsupportedRegionError("solve_roots needs a non-degenerate prediction")
+    out = []
+    for za, zb, where, is_ghost in zones:
+        a, b = sorted((za, zb))
+        side = prediction.pos_interval if a >= 0.0 else prediction.neg_interval
+        verdict = ghost if is_ghost else side
+        if verdict != NONE:
+            out.append(_SearchInterval(a, b, verdict, where, is_ghost, c=c))
     if extend_to is not None and extend_to > lam_cap:
-        for side, a, b in (("neg", -extend_to, -lam_cap), ("pos", lam_cap, extend_to)):
-            if extend_sides in ("both", side):
-                out.append(_SearchInterval(a, b, INDETERMINATE, " in extension", in_window=False))
-    if sides == "both":
-        return out
-    if sides not in ("pos", "neg"):
-        raise ParameterError(f"sides must be both, pos or neg, got {sides!r}")
-    return [iv for iv in out if (iv.a >= 0.0 if sides == "pos" else iv.b <= 0.0)]
+        for a, b in ((-extend_to, -lam_cap), (lam_cap, extend_to)):
+            out.append(_SearchInterval(a, b, INDETERMINATE, " in extension", in_window=False))
+    for name, value in (("sides", sides), ("extend_sides", extend_sides)):
+        if value not in _ON_SIDE:
+            raise ParameterError(f"{name} must be both, pos or neg, got {value!r}")
+    on, on_ext = _ON_SIDE[sides], _ON_SIDE[extend_sides]
+    return [iv for iv in out if on(iv) and (iv.in_window or on_ext(iv))]
 
 
 def solve_roots(
@@ -438,7 +439,6 @@ def solve_roots(
     tol_g: float = 1e-12,
     tol_lambda: float = 1e-9,
     solver_tol: float = 1e-13,
-    scan_points: int = 256,
     extend_to: Optional[float] = None,
     extend_sides: str = "both",
     grad: Optional[np.ndarray] = None,
@@ -451,12 +451,11 @@ def solve_roots(
     interval gets an endpoint sign test, then safeguarded Newton that
     narrows the sign change to ``tol_lambda`` and a polish to |g| <= tol_g
     (provenance "theorem").  Every other interval, and an ``exists-unique``
-    one whose endpoint test loses the root to float noise, is densely
-    scanned, with the same search in each sign change (provenance "scan").
-    In region II the intervals are cut in
-    s-units; the ghost zone s in (6/5, S) is always scanned and its roots are
-    recorded as ghosts.  An interval where a midpoint solve fails is listed
-    in ``unsearched``.
+    one whose endpoint test loses the root to float noise, is scanned on a
+    256-point grid, with the same search in each sign change (provenance
+    "scan").  In region II the intervals are cut in s-units; the ghost zone
+    s in (6/5, S) is always scanned and its roots are recorded as ghosts.
+    An interval where a midpoint solve fails is listed in ``unsearched``.
 
     By default the search stops at the case-table window.  ``extend_to``
     additionally scans the annulus between Lambda and the given radius
@@ -464,8 +463,9 @@ def solve_roots(
     recorded with in_window=False and provenance "scan" since no uniqueness
     statement covers it.  ``extend_sides`` limits the extension to "pos" or
     "neg" multipliers, and ``sides`` every interval: g is then never
-    evaluated at the other sign.  ``grad`` is H_z(z_k) when the caller has
-    already evaluated it.
+    evaluated at the other sign; any other value of either raises
+    ``ParameterError``.  ``grad`` is H_z(z_k) when the caller has already
+    evaluated it.
     """
     curve = ConstraintCurve(model, z_k, tol=solver_tol, grad=grad)
     result = MultiplierSet()
@@ -489,7 +489,7 @@ def solve_roots(
                     hit = _root_in_bracket(curve, mid, iv.a, iv.b, fa, tol_lambda, tol_g)
                     hits = [] if hit is None else [hit]
             if not hits:
-                hits = _scan_interval(curve, iv.a, iv.b, scan_points, tol_lambda, tol_g)
+                hits = _scan_interval(curve, iv.a, iv.b, tol_lambda, tol_g)
                 provenance = "scan"
         except (NonconvergenceError, LinearSolveError):
             result.unsearched.append((iv.a, iv.b, "midpoint solve failed" + iv.where))

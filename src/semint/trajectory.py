@@ -343,7 +343,6 @@ def classify_vertex(
 
 
 _DEFECT_FD_STEP = 1e-6  # central-difference step of the defect's Jacobian
-_DEFECT_SOLVER_TOL = 1e-13  # midpoint solve tolerance inside that Jacobian
 
 
 def symplectic_defect(model: HamiltonianModel, z: ExtendedState, lam: float) -> float:
@@ -352,7 +351,7 @@ def symplectic_defect(model: HamiltonianModel, z: ExtendedState, lam: float) -> 
     D is the central-difference Jacobian of z -> 2 z_bar(lambda, z) - z.
     """
     def the_map(x):
-        zbar, _, _ = solve_midpoint_coords(model, lam, x, tol=_DEFECT_SOLVER_TOL)
+        zbar, _, _ = solve_midpoint_coords(model, lam, x, tol=StepOptions.solver_tol)
         return 2.0 * zbar - x
 
     D = np.column_stack(_central_differences(the_map, _coords(z), _DEFECT_FD_STEP))

@@ -1,5 +1,12 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+# the CLI tests run `python -m semint` in a subprocess, which must find src/ too
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 from semint import models
 from semint.bounds import derive_constants, estimate_bounds

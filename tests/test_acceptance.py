@@ -267,7 +267,7 @@ def test_criterion_7_ghost_behavior(setup):
         region = classify_region(cubic)
         pred = predict_roots(region, cubic, constants)
         s_values.append(pred.S_k)
-        sets.append(solve_roots(model, z, pred, tol_g=1e-12, scan_points=512))
+        sets.append(solve_roots(model, z, pred, tol_g=1e-12))
         cubics.append(cubic)
 
     rep = ghost_check(sets, cubics, scaled, ratio_tol=1e-8)

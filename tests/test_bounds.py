@@ -398,6 +398,14 @@ class TestRegionBounds:
         with pytest.raises(error, match=says):
             bounds_from_json(json.dumps(doc))
 
+    def test_numpy_integers_round_trip_as_ints(self):
+        b = replace(self._bounds(), sample_count=np.int64(81),
+                    active_axes=tuple(np.flatnonzero([1, 0, 1, 0])))
+        back = bounds_from_json(bounds_to_json(b))
+        for got in (b, back):
+            assert got.sample_count == 81 and type(got.sample_count) is int
+            assert got.active_axes == (0, 2) and all(type(i) is int for i in got.active_axes)
+
     def test_json_reads_whole_float_counts(self):
         doc = dict(json.loads(bounds_to_json(self._bounds())), n=1.0, sample_count=81.0)
         back = bounds_from_json(json.dumps(doc))

@@ -258,6 +258,32 @@ class TestPsiGradientBatch:
             psi_gradient(replace(pendulum, psi_gradient=psi_grad), zs)
         assert np.array_equal(err.value.z, zs[1])
 
+    def test_one_state_wrong_dimension_state_raises(self, pendulum):
+        # the pendulum's psi gradient reads q and p only: it would answer a 6-vector
+        with pytest.raises(DimensionError, match="state has shape"):
+            psi_gradient(pendulum, np.zeros(6))
+
+    def test_one_state_wrong_width_analytic_psi_gradient_raises(self, pendulum):
+        from dataclasses import replace
+
+        model = replace(pendulum, psi_gradient=lambda z: np.append(pendulum.psi_gradient(z), 0.0))
+        with pytest.raises(DimensionError, match="psi_gradient has shape"):
+            psi_gradient(model, np.array([0.0, 0, 0.5, 0]))
+        with pytest.raises(DimensionError):
+            sample_fields(model, np.array([0.0, 0, 0.5, 0]))
+
+    def test_one_state_and_stack_agree_on_an_overflowing_sum(self, pendulum):
+        from dataclasses import replace
+
+        # every component is finite, but the sum the stack tests is not
+        model = replace(pendulum, psi_gradient=lambda z: np.array([1e308, 1e308, 0.0, 0.0]))
+        z = np.array([0.0, 0, 0.5, 0])
+        with np.errstate(over="ignore"):
+            with pytest.raises(EvaluationError, match="model psi_gradient is non-finite"):
+                psi_gradient(model, np.stack([z, z]))
+            with pytest.raises(EvaluationError, match="model psi_gradient is non-finite"):
+                psi_gradient(model, z)
+
 
 def _bits(x):
     return np.asarray(x, dtype=float).tobytes()

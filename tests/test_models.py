@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from semint import models
 from semint.errors import ParameterError
-from semint.extphase import fd_gradient, fd_hessian, psi_gradient, sample_fields
+from semint.extphase import ExtendedState, fd_gradient, fd_hessian, psi_gradient, sample_fields
 
 from conftest import pendulum_state
 
@@ -78,6 +78,21 @@ def test_free_time_is_flat():
     assert m.value(z) == 2.0
     assert np.allclose(m.gradient(z), [0, 0, 0, 1])
     assert np.count_nonzero(m.hessian(z)) == 0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_free_time_lift_is_degenerate(n):
+    from semint.bounds import RegionBounds, derive_constants
+    from semint.trajectory import classify_vertex
+
+    m = models.free_time(n)
+    zs = np.random.default_rng(n).uniform(-2.0, 2.0, (7, m.dim))
+    fields = sample_fields(m, zs)
+    assert np.all(fields.psi == 0.0) and np.all(fields.psi_prime == 0.0)
+    center = ExtendedState(np.zeros(m.dim), n)
+    constants = derive_constants(RegionBounds(1.0, 0.0, 0.0, 0.0, 0.0, center, radius=2.0))
+    for z in zs:
+        assert classify_vertex(m, ExtendedState(z, n), constants).vertex_kind == "degenerate"
 
 
 @pytest.mark.parametrize("n", ["x", 1.5, 0, True])

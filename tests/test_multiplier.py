@@ -697,6 +697,16 @@ class TestSolveRootsPinned:
         text = f"{pred.case_label}\n" + "\n--\n".join(texts)
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[name], text
 
+    @pytest.mark.parametrize("keyword", ["sides", "extend_sides"])
+    def test_misspelt_side_raises(self, pendulum, pendulum_constants, keyword):
+        # EU_1(iv): the only roots lie in the extension annuli
+        z, pred = _pinned_point(pendulum, pendulum_constants, "I-beyond")
+        ld = pendulum_constants.lambda_delta
+        found = solve_roots(pendulum, z, pred, extend_to=ld, **{keyword: "pos"})
+        assert found.lambda_plus == pytest.approx(0.089555, abs=1e-6)
+        with pytest.raises(ParameterError, match=f"^{keyword} must be both, pos or neg"):
+            solve_roots(pendulum, z, pred, extend_to=ld, **{keyword: "positive"})
+
 
 def _pinned_point(model, constants, name):
     """A TestSolveRootsPinned state with its prediction."""
