@@ -179,11 +179,8 @@ def _probe_axis_active(model: HamiltonianModel, center: np.ndarray, radius: floa
 
 def _active_axes(model: HamiltonianModel, center: np.ndarray, radius: float) -> tuple[int, ...]:
     """The axes ``_psi_axes`` keeps, less an undeclared t or wp axis probing finds flat."""
-    axes = _psi_axes(model)
-    for axis, declared in ((model.n, model.time_independent), (model.dim - 1, model.wp_affine)):
-        if declared is None and not _probe_axis_active(model, center, radius, axis):
-            axes = tuple(a for a in axes if a != axis)
-    return axes
+    return tuple(a for a in _psi_axes(model)
+                 if a not in (model.n, model.dim - 1) or _probe_axis_active(model, center, radius, a))
 
 
 def _max_norm(rows: np.ndarray) -> float:

@@ -121,7 +121,7 @@ def _jacobian(model: HamiltonianModel, lam: float, z_bar: np.ndarray) -> np.ndar
 
 def _closed_form(model: HamiltonianModel) -> bool:
     """Whether f_zbar reduces to a 2x2 (q, p) block (see the module docstring)."""
-    return model.n == 1 and model.time_independent is True and model.wp_affine is True
+    return model.n == 1 and model.time_independent and model.wp_affine
 
 
 def _singular(lam: float) -> LinearSolveError:

@@ -90,8 +90,9 @@ class HamiltonianModel:
     finite differences of psi.
 
     ``time_independent=True`` promises that H_z does not depend on t and
-    ``wp_affine=True`` that it does not depend on wp, so H_zz has zero t and
-    wp rows and columns (a classical lift H = wp + H_c(q, p) keeps both).
+    ``wp_affine=True`` that it does not depend on wp (``False``, the
+    default, promises nothing), so H_zz has zero t and wp rows and columns
+    (a classical lift H = wp + H_c(q, p) keeps both).
     The region sampler then skips the t / wp axes without probing, psi
     differencing skips them too (psi is then constant along them), and for
     n = 1 the midpoint Newton solve becomes a closed-form 2x2 (q, p) solve.
@@ -101,12 +102,13 @@ class HamiltonianModel:
     and, for models without ``psi_gradient``, the differenced psi_z (hence
     psi' and the sampled N1 / N2) do rely on the promise.
 
-    ``vectorized=True`` promises that ``value``, ``gradient`` and ``hessian``
-    also take an (N, dim) stack of states and return shapes (N,), (N, dim)
-    and (N, dim, dim), row k being the result at row k.  Batched evaluations
-    (the dense g-scan of the root search, psi differencing) then call each
-    once per stack; an undeclared model is called row by row.  A declared
-    model whose results have the wrong shape raises ``DimensionError``.
+    ``vectorized=True`` promises that every callable, ``psi_gradient``
+    included, also takes an (N, dim) stack of states and returns shapes
+    (N,), (N, dim), (N, dim, dim) and (N, dim), row k being the result at
+    row k.  Batched evaluations (the dense g-scan of the root search, psi
+    differencing, stacked ``sample_fields``) then call each once per stack;
+    an undeclared model is called row by row.  A result of the wrong shape,
+    at one state or on a stack, raises ``DimensionError``.
     The built-in models and every ``autonomize`` lift declare it, so
     swapping a callable that takes one state only into one of them with
     ``dataclasses.replace`` needs ``vectorized=False`` too.
@@ -117,10 +119,10 @@ class HamiltonianModel:
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
     psi_gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    time_independent: Optional[bool] = None
-    wp_affine: Optional[bool] = None
+    time_independent: bool = False
+    wp_affine: bool = False
     hessian_symmetric: bool = False  # skip the symmetry check for exact models
-    vectorized: bool = False  # value/gradient/hessian accept (N, dim) stacks
+    vectorized: bool = False  # every callable accepts (N, dim) stacks
     name: str = ""
 
     @property
@@ -141,7 +143,7 @@ class ClassicalModel:
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
-    time_independent: Optional[bool] = None
+    time_independent: bool = False
     name: str = ""
 
 
@@ -189,10 +191,18 @@ def _check_dim(model: HamiltonianModel, z: np.ndarray) -> None:
         )
 
 
+def _shape_error(model: HamiltonianModel, kind: str, shape, expected) -> DimensionError:
+    """A model result at one state whose shape is not ``expected``."""
+    return DimensionError(
+        f"model has dimension {model.dim}; its {kind} has shape {shape}, expected {expected}")
+
+
 def eval_gradient(model: HamiltonianModel, z) -> np.ndarray:
     z = _coords(z)
     _check_dim(model, z)
     g = np.asarray(model.gradient(z), dtype=float)
+    if g.shape != z.shape:
+        raise _shape_error(model, "gradient", g.shape, z.shape)
     # a single NaN/Inf component poisons the sum, which is far cheaper to test
     if not np.isfinite(g.sum()):
         raise EvaluationError("model gradient is non-finite", z)
@@ -200,15 +210,24 @@ def eval_gradient(model: HamiltonianModel, z) -> np.ndarray:
 
 
 def eval_hessian(model: HamiltonianModel, z) -> np.ndarray:
-    """Evaluate the Hessian, check symmetry, and symmetrize before use."""
+    """Evaluate the Hessian, check its shape and symmetry, and symmetrize before use."""
     z = _coords(z)
     _check_dim(model, z)
-    return _hessian(model, z)
+    h = np.asarray(model.hessian(z), dtype=float)
+    if h.shape != z.shape * 2:
+        raise _shape_error(model, "hessian", h.shape, z.shape * 2)
+    return _symmetrized(model, z, h)
 
 
 def _hessian(model: HamiltonianModel, z: np.ndarray) -> np.ndarray:
-    """``eval_hessian`` at a coordinate array already of the model's shape."""
-    h = np.asarray(model.hessian(z), dtype=float)
+    """``eval_hessian`` at a coordinate array already of the model's shape,
+    less the result's shape check, which measured a cost on this, the
+    Newton core's hot path."""
+    return _symmetrized(model, z, np.asarray(model.hessian(z), dtype=float))
+
+
+def _symmetrized(model: HamiltonianModel, z: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The Hessian h at z, checked finite and symmetric, symmetrized if need be."""
     if not math.isfinite(h.sum()):
         raise EvaluationError("model hessian is non-finite", z)
     if model.hessian_symmetric or _bitwise_symmetric(h, h.T):
@@ -238,7 +257,13 @@ def eval_value(model: HamiltonianModel, z) -> float:
 
 def _value(model: HamiltonianModel, z: np.ndarray) -> float:
     """``eval_value`` at a coordinate array already of the model's shape."""
-    H = float(model.value(z))
+    v = model.value(z)
+    try:
+        H = float(v)
+    except TypeError:  # numpy converts only a 0-d array
+        if np.ndim(v) == 0:
+            raise
+        raise _shape_error(model, "value", np.shape(v), ()) from None
     if not math.isfinite(H):
         raise EvaluationError("model value is non-finite", z)
     return H
@@ -269,25 +294,22 @@ def psi_fd_step(z: np.ndarray):
 
 def _psi_axes(model: HamiltonianModel) -> tuple[int, ...]:
     """Axes psi can vary along: the model's flags rule out t and wp."""
-    n = model.n
-    skip = {n} if model.time_independent is True else set()
-    if model.wp_affine is True:
-        skip.add(2 * n + 1)
-    return tuple(i for i in range(model.dim) if i not in skip)
+    flat = {model.n: model.time_independent, model.dim - 1: model.wp_affine}
+    return tuple(i for i in range(model.dim) if not flat.get(i))
 
 
 def _eval_stack(model: HamiltonianModel, zs: np.ndarray, *kinds: str) -> list[np.ndarray]:
     """``kinds`` ("value", "gradient", "hessian", "psi_gradient") at every
     row of a (N, dim) stack.
 
-    A ``vectorized`` model is called once per kind, any other row by row;
-    ``psi_gradient`` is always called row by row, as the flag does not cover it.
-    The checks of the eval_* wrappers then run on the whole stack: the
-    shape (``DimensionError``), finiteness, and the symmetry test unless
-    ``hessian_symmetric`` (a row whose Hessian is not bitwise symmetric
-    comes back symmetrized, every other row untouched, as ``_hessian``
-    treats one state).  An ``EvaluationError`` carries the first offending
-    row, as a row-by-row loop would raise it.
+    One rule for every kind, ``psi_gradient`` included: a ``vectorized``
+    model is called once per kind, any other row by row.  The checks of the
+    eval_* wrappers then run on the whole stack: the shape
+    (``DimensionError``), finiteness, and the symmetry test unless
+    ``hessian_symmetric`` (a row whose Hessian is not bitwise symmetric comes
+    back symmetrized, every other row untouched, as for one state).  An
+    ``EvaluationError`` carries the first offending row, as a row-by-row
+    loop would raise it.
     """
     rows, dim = len(zs), model.dim
     shapes = {"value": (rows,), "gradient": (rows, dim), "hessian": (rows, dim, dim)}
@@ -295,7 +317,7 @@ def _eval_stack(model: HamiltonianModel, zs: np.ndarray, *kinds: str) -> list[np
     out, checks = [], []  # checks: (bad-row mask, message), in priority order
     for kind in kinds:
         fn = getattr(model, kind)
-        if model.vectorized and kind != "psi_gradient":
+        if model.vectorized:
             arr = np.asarray(fn(zs), dtype=float)
         else:
             arr = np.array([fn(z) for z in zs], dtype=float)
@@ -344,7 +366,7 @@ def psi_gradient(model: HamiltonianModel, z) -> np.ndarray:
 
     Analytic when the model carries one.  Otherwise psi is central-differenced
     along the axes the model's flags leave active (``time_independent`` drops
-    t, ``wp_affine`` drops wp; undeclared flags keep every axis), the skipped
+    t, ``wp_affine`` drops wp; a ``False`` flag keeps its axis), the skipped
     components are zero, and all probes of the call are evaluated as one
     stack.  The step is ``psi_fd_step`` of each row.
     """
@@ -353,8 +375,7 @@ def psi_gradient(model: HamiltonianModel, z) -> np.ndarray:
         _check_dim(model, z)
         g = np.asarray(model.psi_gradient(z), dtype=float)
         if g.shape != z.shape:
-            raise DimensionError(
-                f"model has dimension {model.dim}; its psi_gradient has shape {g.shape}")
+            raise _shape_error(model, "psi_gradient", g.shape, z.shape)
         if not math.isfinite(g.sum()):
             raise EvaluationError("model psi_gradient is non-finite", z)
         return g

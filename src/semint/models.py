@@ -5,7 +5,7 @@ psi-gradient, with closed forms of psi and its bracket with H exported as
 oracles for the generic finite-difference machinery; ``free_time`` is the
 ``autonomize`` lift of H_c = 0.
 
-Every built-in is ``vectorized``: value, gradient and Hessian also take an
+Every built-in is ``vectorized``: each of its callables also takes an
 (N, dim) stack.  One state keeps its own scalar branch, the hot path of a
 single Newton solve; a stack gives the same numbers row for row.
 """
@@ -30,9 +30,10 @@ __all__ = [
 ]
 
 
-def _one_dof_lift(name, value, force, stiffness, psi_gradient) -> HamiltonianModel:
+def _one_dof_lift(name, value, force, stiffness, psi_qp) -> HamiltonianModel:
     """The lift H = wp + p^2/2 + V(q) for n = 1; ``value`` is the model's own
-    expression of H, ``force`` V'(q) and ``stiffness`` V''(q) of one q or a column.
+    expression of H, ``force`` V'(q) and ``stiffness`` V''(q) of one q or a
+    column, and ``psi_qp`` (dpsi/dq, dpsi/dp) of one (q, p) or two columns.
     """
 
     def gradient(z):
@@ -50,6 +51,14 @@ def _one_dof_lift(name, value, force, stiffness, psi_gradient) -> HamiltonianMod
         h = np.zeros(z.shape + (4,))
         h[:, 0, 0], h[:, 2, 2] = stiffness(z[:, 0]), 1.0
         return h
+
+    def psi_gradient(z):
+        if z.ndim == 1:
+            dq, dp = psi_qp(z[0], z[2])
+            return np.array([dq, 0.0, dp, 0.0])
+        g = np.zeros(z.shape)
+        g[:, 0], g[:, 2] = psi_qp(z[:, 0], z[:, 2])
+        return g
 
     return HamiltonianModel(
         n=1,
@@ -80,11 +89,8 @@ def pendulum() -> HamiltonianModel:
         q, p, wp = c[0], c[2], c[3]
         return wp + 0.5 * p * p - np.cos(q)
 
-    def psi_grad(z):
-        q, p = z[0], z[2]
-        return np.array([-p * p * np.sin(q) + np.sin(2 * q), 0.0, 2 * p * np.cos(q), 0.0])
-
-    return _one_dof_lift("pendulum", value, np.sin, np.cos, psi_grad)
+    return _one_dof_lift("pendulum", value, np.sin, np.cos,
+                         lambda q, p: (-p * p * np.sin(q) + np.sin(2 * q), 2 * p * np.cos(q)))
 
 
 def pendulum_psi(q: float, p: float) -> float:
@@ -111,11 +117,8 @@ def oscillator(omega: float = 1.0) -> HamiltonianModel:
         q, p, wp = c[0], c[2], c[3]
         return wp + 0.5 * (p * p + w2 * q * q)
 
-    def psi_grad(z):
-        q, p = z[0], z[2]
-        return np.array([2 * w2 * w2 * q, 0.0, 2 * w2 * p, 0.0])
-
-    return _one_dof_lift("oscillator", value, lambda q: w2 * q, lambda q: w2, psi_grad)
+    return _one_dof_lift("oscillator", value, lambda q: w2 * q, lambda q: w2,
+                         lambda q, p: (2 * w2 * w2 * q, 2 * w2 * p))
 
 
 def oscillator_midpoint(z: np.ndarray, lam: float, omega: float = 1.0):

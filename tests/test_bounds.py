@@ -170,7 +170,7 @@ class TestEstimateBounds:
     def test_probe_detects_flat_axes(self, pendulum):
         from dataclasses import replace
 
-        unflagged = replace(pendulum, time_independent=None, wp_affine=None)
+        unflagged = replace(pendulum, time_independent=False, wp_affine=False)
         sampled = estimate_bounds(unflagged, pendulum_state(0.0, 0.0), 2.0, 9)
         assert sampled.active_axes == (0, 2)
 
@@ -210,7 +210,7 @@ class TestPinnedBounds:
         )
 
     def test_unflagged_pendulum(self, pendulum):
-        unflagged = replace(pendulum, time_independent=None, wp_affine=None)
+        unflagged = replace(pendulum, time_independent=False, wp_affine=False)
         b = estimate_bounds(unflagged, pendulum_state(0.0, 0.0), 2.0, 9)
         assert b.active_axes == (0, 2)
         assert self._constants(b) == (

@@ -1,18 +1,51 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from semint import cli
+
 REPO = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*args, cwd=None):
+    """``semint.cli.main`` in this process, with what a ``python -m semint``
+    subprocess returns: exit code, stdout and stderr.
+
+    A ``SystemExit`` (argparse's usage errors and ``--help``) becomes its
+    exit code.  Stricter than a subprocess: a warning raises, and an uncaught
+    exception fails the test instead of becoming exit 1 and a traceback.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    cwd_before = os.getcwd()
+    os.chdir(cwd or REPO)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                code = cli.main(list(args))
+            except SystemExit as exc:
+                code = 0 if exc.code is None else exc.code
+    finally:
+        os.chdir(cwd_before)
+    return subprocess.CompletedProcess(["semint", *args], code, out.getvalue(), err.getvalue())
+
+
+def run_cli_subprocess(*args, cwd=None):
+    """``python -m semint`` as the user meets it: the entry point, numpy's
+    error state and stderr.  Kept for ``--help``, one usage error and one
+    run of each command; every other test calls ``run_cli``."""
     return subprocess.run(
         [sys.executable, "-m", "semint", *args],
         capture_output=True,
@@ -466,7 +499,7 @@ class TestMap:
                 "out": str(tmp_path / "out"),
             },
         )
-        proc = run_cli("map", "--config", cfg)
+        proc = run_cli_subprocess("map", "--config", cfg)
         assert proc.returncode == 0, proc.stderr
         header, rows = read_csv(tmp_path / "out" / "map.csv")
         assert header == ["q", "p", "psi", "psi_prime", "region", "vertex_class"]
@@ -587,14 +620,14 @@ GOLDEN_SCAN = {
 class TestRunScanGolden:
     def test_run_artifacts_unchanged(self, tmp_path):
         cfg = write_config(tmp_path, "run.json", dict(GOLDEN_RUN["payload"], out=str(tmp_path)))
-        proc = run_cli("run", "--config", cfg)
+        proc = run_cli_subprocess("run", "--config", cfg)
         assert proc.returncode == 0, proc.stderr
         for name in ("trajectory.csv", "events.json"):
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == GOLDEN_RUN[name]
 
     def test_scan_csv_unchanged(self, tmp_path):
         cfg = write_config(tmp_path, "scan.json", dict(GOLDEN_SCAN["payload"], out=str(tmp_path)))
-        proc = run_cli("scan", "--config", cfg)
+        proc = run_cli_subprocess("scan", "--config", cfg)
         assert proc.returncode == 0, proc.stderr
         _, rows = read_csv(tmp_path / "scan.csv")
         assert len(rows) == 201
@@ -715,7 +748,7 @@ class TestVerify:
         import time
 
         start = time.perf_counter()
-        proc = run_cli("verify")
+        proc = run_cli_subprocess("verify")
         elapsed = time.perf_counter() - start
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "quartic-bound" in proc.stdout
@@ -825,7 +858,7 @@ class TestCommandLine:
     def test_help_lists_the_flags_the_command_reads(self, command):
         import re
 
-        proc = run_cli(command, "--help")
+        proc = run_cli_subprocess(command, "--help")
         assert proc.returncode == 0
         assert set(re.findall(r"--[a-z][a-z-]*", proc.stdout)) == self.FLAGS[command] | {"--help"}
 
@@ -836,7 +869,7 @@ class TestCommandLine:
         ids=["map-seed", "run-bogus", "map-tol-g", "scan-tol-g", "no-command"],
     )
     def test_usage_error_exits_1(self, args):
-        proc = run_cli(*args)
+        proc = (run_cli_subprocess if args == () else run_cli)(*args)  # the bare command: a subprocess
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.strip().splitlines()[-1].startswith("semint")

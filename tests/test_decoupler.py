@@ -97,7 +97,7 @@ class TestSolveMidpoint:
         # the flagged pendulum takes the closed-form (q, p) solve, the
         # unflagged one np.linalg.solve
         z = pendulum_state(np.pi, 0.0, wp=-1.0)
-        for model in (pendulum, replace(pendulum, time_independent=None)):
+        for model in (pendulum, replace(pendulum, time_independent=False)):
             with pytest.raises(LinearSolveError):
                 solve_midpoint_coords(model, 2.0, z.coords)
             with pytest.raises(LinearSolveError):
@@ -143,7 +143,7 @@ class TestSolveMidpoints:
     def test_rows_match_scalar_solves(self, pendulum):
         z = pendulum_state(0.9, -0.6, wp=0.2).coords
         lams = np.linspace(-0.12, 0.12, 33)
-        for model in (pendulum, replace(pendulum, vectorized=False, time_independent=None)):
+        for model in (pendulum, replace(pendulum, vectorized=False, time_independent=False)):
             rows = solve_midpoints(model, lams, z, tol=1e-13)
             for lam, row in zip(lams, rows):
                 ref, _, _ = solve_midpoint_coords(model, lam, z, tol=1e-13)
@@ -369,7 +369,7 @@ class TestClosedFormDifferential:
     def test_matches_reference_solve(self, name, q, t, p, wp, lam):
         tol = 1e-13
         model = DIFFERENTIAL_MODELS[name]
-        reference = replace(model, time_independent=None)
+        reference = replace(model, time_independent=False)
         z = np.array([q, t, p, wp])
         zb, _, res = solve_midpoint_coords(model, lam, z, tol=tol)
         zb_ref, _, res_ref = solve_midpoint_coords(reference, lam, z, tol=tol)
@@ -404,7 +404,7 @@ class TestStackedClosedForm:
     @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_MODELS))
     def test_rows_match_lu_path_and_scalar_solve(self, name):
         model = DIFFERENTIAL_MODELS[name]
-        reference = replace(model, time_independent=None)
+        reference = replace(model, time_independent=False)
         lams = np.linspace(-0.3, 0.3, 41)
         for state in self.STATES:
             z = np.array(state)
@@ -418,7 +418,7 @@ class TestStackedClosedForm:
     @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_MODELS))
     def test_nonconvergence_at_the_lu_iteration_count(self, name):
         model = DIFFERENTIAL_MODELS[name]
-        reference = replace(model, time_independent=None)
+        reference = replace(model, time_independent=False)
         z, lams = np.array(self.STATES[1]), [0.0, 0.2, -0.4, 0.6]
         outcomes = {}
         for label, m in (("closed", model), ("lu", reference)):

@@ -16,6 +16,7 @@ from semint.extphase import (
     autonomize,
     eval_gradient,
     eval_hessian,
+    eval_value,
     fd_gradient,
     finite_difference_model,
     psi_fd_step,
@@ -176,7 +177,7 @@ class TestPsiGradientBatch:
         from dataclasses import replace
 
         lift = henon_heiles_lift()
-        unflagged = replace(lift, time_independent=None, wp_affine=None)
+        unflagged = replace(lift, time_independent=False, wp_affine=False)
         calls = []
 
         def gradient(z):
@@ -255,8 +256,25 @@ class TestPsiGradientBatch:
 
         zs = np.array([[0.0, 0, 0.5, 0], [1.5, 0, 0.5, 0], [2.0, 0, 0.5, 0]])
         with pytest.raises(EvaluationError) as err:
-            psi_gradient(replace(pendulum, psi_gradient=psi_grad), zs)
+            psi_gradient(replace(pendulum, psi_gradient=psi_grad, vectorized=False), zs)
         assert np.array_equal(err.value.z, zs[1])
+
+    def test_stack_native_psi_gradient_is_called_once_per_stack(self, pendulum, rng):
+        from dataclasses import replace
+
+        calls = []
+
+        def psi_grad(z):
+            calls.append(z.shape)
+            return pendulum.psi_gradient(z)
+
+        model = replace(pendulum, psi_gradient=psi_grad)
+        zs = rng.uniform(-1.5, 1.5, size=(200, 4))
+        rows = np.array([pendulum.psi_gradient(z) for z in zs])
+        assert _bits(psi_gradient(model, zs)) == _bits(rows)
+        assert calls == [(200, 4)]
+        assert _bits(sample_fields(model, zs).psi_prime) == _bits(sample_fields(pendulum, zs).psi_prime)
+        assert calls == [(200, 4), (200, 4)]
 
     def test_one_state_wrong_dimension_state_raises(self, pendulum):
         # the pendulum's psi gradient reads q and p only: it would answer a 6-vector
@@ -276,7 +294,8 @@ class TestPsiGradientBatch:
         from dataclasses import replace
 
         # every component is finite, but the sum the stack tests is not
-        model = replace(pendulum, psi_gradient=lambda z: np.array([1e308, 1e308, 0.0, 0.0]))
+        model = replace(pendulum, psi_gradient=lambda z: np.array([1e308, 1e308, 0.0, 0.0]),
+                        vectorized=False)
         z = np.array([0.0, 0, 0.5, 0])
         with np.errstate(over="ignore"):
             with pytest.raises(EvaluationError, match="model psi_gradient is non-finite"):
@@ -525,6 +544,24 @@ class TestEvaluationErrors:
         with pytest.raises(EvaluationError) as err:
             sample_fields(bad, z)
         assert err.value.z is not None
+
+    @pytest.mark.parametrize("kind, result", [
+        ("value", lambda z: np.array([1.0, 2.0])),
+        ("gradient", lambda z: np.zeros(6)),
+        ("hessian", lambda z: np.eye(3)),
+    ], ids=["value", "gradient", "hessian"])
+    def test_one_state_wrong_shape_raises_as_a_stack_does(self, pendulum, kind, result):
+        from dataclasses import replace
+
+        bad = replace(pendulum, vectorized=False, **{kind: result})
+        z = pendulum_state(0.1, 0.2, wp=0.3).coords
+        with pytest.raises(DimensionError, match=f"its {kind} on 1 states has shape"):
+            _eval_stack(bad, z[None], kind)
+        one_state = {"value": eval_value, "gradient": eval_gradient, "hessian": eval_hessian}[kind]
+        with pytest.raises(DimensionError, match=f"its {kind} has shape"):
+            one_state(bad, z)
+        with pytest.raises(DimensionError, match=f"its {kind} has shape"):
+            sample_fields(bad, z)
 
 
 def parent_hessian(h):

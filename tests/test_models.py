@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from semint import models
 from semint.errors import ParameterError
-from semint.extphase import ExtendedState, fd_gradient, fd_hessian, psi_gradient, sample_fields
+from semint.extphase import ExtendedState, fd_gradient, fd_hessian, sample_fields
 
 from conftest import pendulum_state
 
@@ -121,8 +121,10 @@ def test_builtin_stack_equals_rows_bitwise(name, seed, rows, scale):
              "free_time": models.free_time(2)}[name]
     assert model.vectorized
     zs = scale * np.random.default_rng(seed).uniform(-1.0, 1.0, (rows, model.dim))
-    for attr in ("value", "gradient", "hessian"):
+    for attr in ("value", "gradient", "hessian", "psi_gradient"):
         fn = getattr(model, attr)
+        if fn is None:  # free_time differences psi
+            continue
         stacked = np.asarray(fn(zs))
         by_row = np.array([fn(z) for z in zs], dtype=float)
         assert stacked.shape == by_row.shape, attr
@@ -152,17 +154,35 @@ MODEL_BITS = {
         "psi_gradient": "b48cfd199a65391e9f17920ffdbcae165624dbcc5b91602e984f9534d999db92",
     },
 }
+# every model by_name builds, as (name, params)
+BUILTINS = {
+    "pendulum": ("pendulum", {}),
+    "oscillator": ("oscillator", {}),
+    "oscillator-1.3": ("oscillator", {"omega": 1.3}),
+    "free_time-1": ("free_time", {"n": 1}),
+    "free_time-2": ("free_time", {"n": 2}),
+}
+BUILTIN_CALLABLES = [
+    pytest.param(name, attr, id=f"{attr}-{name}")
+    for name, (model, params) in sorted(BUILTINS.items())
+    for attr in ("value", "gradient", "hessian", "psi_gradient")
+    if getattr(models.by_name(model, **params), attr) is not None
+]
 
 
-@pytest.mark.parametrize("name", sorted(MODEL_BITS))
-@pytest.mark.parametrize("attr", ["value", "gradient", "hessian", "psi_gradient"])
+@pytest.mark.parametrize("name, attr", BUILTIN_CALLABLES)
 def test_builtin_bits_pinned(name, attr):
-    """Each state alone and the three as one stack give the recorded bytes."""
-    model = {"pendulum": models.pendulum(), "oscillator": models.oscillator(),
-             "oscillator-1.3": models.oscillator(1.3)}[name]
-    fn = getattr(model, attr)
-    rows = np.array([fn(z) for z in MODEL_BITS_STATES], dtype=float)
-    # the model's psi_gradient takes one state; extphase.psi_gradient stacks it
-    stack = psi_gradient(model, MODEL_BITS_STATES) if attr == "psi_gradient" else fn(MODEL_BITS_STATES)
-    assert hashlib.sha256(rows.tobytes()).hexdigest() == MODEL_BITS[name][attr]
-    assert np.asarray(stack, dtype=float).tobytes() == rows.tobytes()
+    """Each state alone and the states as one stack give the same bytes: the
+    recorded ones at MODEL_BITS_STATES, and those of a random 64-row stack."""
+    model_name, params = BUILTINS[name]
+    fn = getattr(models.by_name(model_name, **params), attr)
+
+    def row_bytes(zs):
+        return np.array([fn(z) for z in zs], dtype=float).tobytes()
+
+    zs = np.random.default_rng(64).uniform(-3.0, 3.0, (64, 2 * params.get("n", 1) + 2))
+    assert np.asarray(fn(zs), dtype=float).tobytes() == row_bytes(zs)
+    if name in MODEL_BITS:
+        rows = row_bytes(MODEL_BITS_STATES)
+        assert hashlib.sha256(rows).hexdigest() == MODEL_BITS[name][attr]
+        assert np.asarray(fn(MODEL_BITS_STATES), dtype=float).tobytes() == rows
