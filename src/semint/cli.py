@@ -6,6 +6,11 @@ Exit codes: 0 success, 1 bad configuration or command line, 2 no trajectory
 exists at the requested start point (the ruling existence case, or the
 evaluation or solver error that ended the run, is printed), 3 verification
 failure.
+
+One boundary gives exit 1: ``main`` prints any ``SemintError`` as one
+``error:`` line.  A refused config value is a ``ParameterError``, prefixed
+with its name where a library call refused it.  A step the DTH equations or
+the solver refuse is a ``terminated`` event of ``propagate`` instead: exit 2.
 """
 
 from __future__ import annotations
@@ -27,13 +32,7 @@ from .bounds import (
     estimate_bounds,
 )
 from .constraint import ConstraintCurve, CubicModel, cubic_model
-from .errors import (
-    EvaluationError,
-    LinearSolveError,
-    NonconvergenceError,
-    ParameterError,
-    UnsupportedRegionError,
-)
+from .errors import ParameterError, SemintError, SolveError
 from .extphase import ExtendedState, _eval_stack, eval_value, sample_fields, state_header
 from .multiplier import classify_region, predict_roots
 from .trajectory import (
@@ -48,10 +47,6 @@ DEFAULT_TOLERANCES = {key: getattr(StepOptions, key) for key in ("tol_g", "tol_l
 DEFAULT_BOUNDS = {"radius": 2.5, "samples_per_axis": 17, "safety": 1.1, "delta": 0.5}
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _load_config(path):
     if path is None:
         return {}
@@ -59,9 +54,9 @@ def _load_config(path):
         with open(path) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ParameterError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path} must be a JSON object, got {type(cfg).__name__}")
+        raise ParameterError(f"config {path} must be a JSON object, got {type(cfg).__name__}")
     return cfg
 
 
@@ -69,7 +64,7 @@ def _config_object(cfg, key, default=None):
     """The JSON object under ``key``: ``default`` (or {}) when absent."""
     block = cfg.get(key, {} if default is None else default)
     if not isinstance(block, dict):
-        raise ConfigError(f"{key} must be an object, got {type(block).__name__}")
+        raise ParameterError(f"{key} must be an object, got {type(block).__name__}")
     return block
 
 
@@ -79,7 +74,7 @@ def _build_model(cfg):
     try:
         return models.by_name(name, **spec)
     except (ParameterError, TypeError) as exc:
-        raise ConfigError(f"bad model config: {exc}") from exc
+        raise ParameterError(f"bad model config: {exc}") from exc
 
 
 def _tolerances(cfg, args, used=tuple(DEFAULT_TOLERANCES)):
@@ -90,12 +85,12 @@ def _tolerances(cfg, args, used=tuple(DEFAULT_TOLERANCES)):
     block = _config_object(cfg, "tolerances")
     unknown = [key for key in block if key not in DEFAULT_TOLERANCES]
     if unknown:
-        raise ConfigError(
+        raise ParameterError(
             f"unknown tolerances key {unknown[0]!r}; expected {', '.join(DEFAULT_TOLERANCES)}"
         )
     unused = [key for key in block if key not in used]
     if unused:
-        raise ConfigError(
+        raise ParameterError(
             f"{args.command} does not use tolerances key {unused[0]!r}; expected {', '.join(used)}"
         )
     tols = {**DEFAULT_TOLERANCES, **block}
@@ -113,12 +108,12 @@ def _config_number(value, name, integer=False):
             raise TypeError
         number = float(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+        raise ParameterError(f"{name} must be a number, got {value!r}") from exc
     if not math.isfinite(number):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
+        raise ParameterError(f"{name} must be finite, got {value!r}")
     if integer:
         if number != int(number):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
         return int(number)
     return number
 
@@ -126,7 +121,7 @@ def _config_number(value, name, integer=False):
 def _positive_number(value, name):
     number = _config_number(value, name)
     if not number > 0:
-        raise ConfigError(f"{name} must be positive, got {number}")
+        raise ParameterError(f"{name} must be positive, got {number}")
     return number
 
 
@@ -137,10 +132,11 @@ def _config_vector(value, name):
 
 def _config_state(value, model, what):
     """An ExtendedState of the model's dimension from a config coordinate list."""
+    coords = np.array(_config_vector(value, what))
     try:
-        return ExtendedState(np.array(_config_vector(value, what)), model.n)
-    except (ValueError, EvaluationError) as exc:
-        raise ConfigError(f"bad {what}: {exc}") from exc
+        return ExtendedState(coords, model.n)
+    except SemintError as exc:
+        raise ParameterError(f"bad {what}: {exc}") from exc
 
 
 def _resolve_bounds(cfg, model, fallback_center=None):
@@ -149,22 +145,22 @@ def _resolve_bounds(cfg, model, fallback_center=None):
     delta = _config_number(block["delta"], "bounds.delta")
     safety = _positive_number(block["safety"], "bounds.safety")
     if not 0.0 < delta < 1.0:
-        raise ConfigError(f"bounds.delta must lie in (0, 1), got {delta}")
+        raise ParameterError(f"bounds.delta must lie in (0, 1), got {delta}")
     if "path" in block:
         try:
             raw = bounds_from_json(Path(block["path"]).read_text())
-        except (OSError, ValueError, KeyError, TypeError, EvaluationError) as exc:
-            raise ConfigError(
+        except (OSError, ValueError, KeyError, TypeError, SemintError) as exc:
+            raise ParameterError(
                 f"cannot read bounds {block['path']}: {type(exc).__name__}: {exc}"
             ) from exc
         if raw.center.n != model.n:
             msg = f"bounds {block['path']} were saved for n = {raw.center.n}; the model has n = {model.n}"
-            raise ConfigError(msg)
+            raise ParameterError(msg)
     else:
         center = block.get("center", None)
         if center is None:
             if fallback_center is None:
-                raise ConfigError("bounds config needs a center (or a saved path)")
+                raise ParameterError("bounds config needs a center (or a saved path)")
             center_state = fallback_center
         else:
             center_state = _config_state(center, model, "bounds center")
@@ -172,22 +168,22 @@ def _resolve_bounds(cfg, model, fallback_center=None):
         samples = _config_number(block["samples_per_axis"], "bounds.samples_per_axis", integer=True)
         try:
             raw = estimate_bounds(model, center_state, radius, samples)
-        except (ParameterError, EvaluationError) as exc:
-            raise ConfigError(f"bad bounds: {exc}") from exc
+        except SemintError as exc:
+            raise ParameterError(f"bad bounds: {exc}") from exc
     if "save" in block:
         if not isinstance(block["save"], str):
-            raise ConfigError(f"bounds.save must be a path string, got {block['save']!r}")
+            raise ParameterError(f"bounds.save must be a path string, got {block['save']!r}")
         try:
             Path(block["save"]).write_text(bounds_to_json(raw))
         except OSError as exc:
-            raise ConfigError(
+            raise ParameterError(
                 f"cannot save bounds {block['save']}: {type(exc).__name__}: {exc}"
             ) from exc
     try:
         scaled = raw.scaled(safety)
         return scaled, derive_constants(scaled, delta)
-    except ParameterError as exc:
-        raise ConfigError(f"bad bounds: {exc}") from exc
+    except SemintError as exc:
+        raise ParameterError(f"bad bounds: {exc}") from exc
 
 
 def _resolve_initial_state(cfg, model):
@@ -195,7 +191,7 @@ def _resolve_initial_state(cfg, model):
     has_state = "state" in init
     has_target = "lambda_target" in init
     if has_state == has_target:
-        raise ConfigError(
+        raise ParameterError(
             "initial config must give exactly one of an explicit state "
             "(with wp) or q0/p0/t0 plus lambda_target"
         )
@@ -205,26 +201,20 @@ def _resolve_initial_state(cfg, model):
     p0 = _config_vector(init.get("p0", 0.0), "initial.p0")
     for name, part in (("q0", q0), ("p0", p0)):
         if len(part) != model.n:
-            raise ConfigError(f"initial.{name} needs {model.n} component(s), got {len(part)}")
+            raise ParameterError(f"initial.{name} needs {model.n} component(s), got {len(part)}")
     t0 = _config_number(init.get("t0", 0.0), "initial.t0")
     lambda_target = _config_number(init["lambda_target"], "initial.lambda_target")
     try:
         wp0 = choose_conjugate_momentum(model, q0, t0, p0, lambda_target)
-    except (
-        ParameterError,
-        UnsupportedRegionError,
-        EvaluationError,
-        NonconvergenceError,
-        LinearSolveError,
-    ) as exc:
-        raise ConfigError(f"conjugate-momentum completion failed: {exc}") from exc
+    except SemintError as exc:
+        raise ParameterError(f"conjugate-momentum completion failed: {exc}") from exc
     return ExtendedState.from_parts(q0, t0, p0, wp0)
 
 
 def _out_dir(cfg, args):
     out = args.out or cfg.get("out", ".")
     if not isinstance(out, str):
-        raise ConfigError(f"out must be a path string, got {out!r}")
+        raise ParameterError(f"out must be a path string, got {out!r}")
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -238,13 +228,10 @@ def cmd_run(args) -> int:
         cfg.get("steps", 100), "steps", integer=True
     )
     if steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {steps}")
+        raise ParameterError(f"steps must be >= 1, got {steps}")
     z0 = _resolve_initial_state(cfg, model)
     scaled, constants = _resolve_bounds(cfg, model, fallback_center=z0)
-    try:
-        opts = StepOptions(scaled, constants, policy=cfg.get("policy", "default"), **tols)
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    opts = StepOptions(scaled, constants, policy=cfg.get("policy", "default"), **tols)
     out = _out_dir(cfg, args)
 
     traj = propagate(model, z0, steps, opts)
@@ -301,21 +288,21 @@ def cmd_scan(args) -> int:
     model = _build_model(cfg)
     tols = _tolerances(cfg, args, used=("solver_tol",))  # scan finds no roots
     if "state" not in cfg:
-        raise ConfigError("scan config needs a 'state'")
+        raise ParameterError("scan config needs a 'state'")
     z_k = _config_state(cfg["state"], model, "scan state")
     lam_range = cfg.get("lambda_range", [-0.15, 0.15])
     if not isinstance(lam_range, list) or len(lam_range) != 2:
-        raise ConfigError(f"lambda_range must be a pair [lo, hi], got {lam_range!r}")
+        raise ParameterError(f"lambda_range must be a pair [lo, hi], got {lam_range!r}")
     lo, hi = (_config_number(x, "lambda_range") for x in lam_range)
     end = max(abs(lo), abs(hi))
     try:  # the cubic model's quartic bound takes lambda**4 of every row
         end**4
     except OverflowError:
         msg = f"lambda_range end {end:g} is too large: its fourth power overflows"
-        raise ConfigError(msg) from None
+        raise ParameterError(msg) from None
     count = _config_number(cfg.get("count", 201), "count", integer=True)
     if count < 2 or not hi > lo:
-        raise ConfigError("scan needs count >= 2 and lambda_range with hi > lo")
+        raise ParameterError("scan needs count >= 2 and lambda_range with hi > lo")
     scaled, constants = _resolve_bounds(cfg, model, fallback_center=z_k)
     out = _out_dir(cfg, args)
 
@@ -329,7 +316,7 @@ def cmd_scan(args) -> int:
         try:
             g, dg = curve.g_and_derivative(lam)
             rows.append([repr(lam), repr(float(g)), repr(model_val), repr(bound), repr(float(dg))])
-        except (NonconvergenceError, LinearSolveError):
+        except SolveError:
             rows.append([repr(lam), "", repr(model_val), repr(bound), ""])
     with open(out / "scan.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -372,19 +359,19 @@ def cmd_map(args) -> int:
     grid = _config_object(cfg, "grid")
     for key in ("q_min", "q_max", "p_min", "p_max", "nq", "np"):
         if key not in grid:
-            raise ConfigError(f"map grid config needs '{key}'")
+            raise ParameterError(f"map grid config needs '{key}'")
     if model.n != 1:
-        raise ConfigError("map sweeps a (q, p) plane; model must have n = 1")
+        raise ParameterError("map sweeps a (q, p) plane; model must have n = 1")
     q_min, q_max, p_min, p_max = (
         _config_number(grid[key], f"grid.{key}") for key in ("q_min", "q_max", "p_min", "p_max")
     )
     nq, npts = (_config_number(grid[key], f"grid.{key}", integer=True) for key in ("nq", "np"))
     if nq < 2 or npts < 2 or not q_max > q_min or not p_max > p_min:
-        raise ConfigError("map grid must be increasing with at least 2 points per axis")
+        raise ParameterError("map grid must be increasing with at least 2 points per axis")
     t = _config_number(cfg.get("t", 0.0), "t")
     wp_rule = _config_object(cfg, "wp_rule", {"kind": "h-zero"})
     if wp_rule.get("kind") not in ("h-zero", "fixed"):
-        raise ConfigError("wp_rule kind must be 'h-zero' or 'fixed'")
+        raise ParameterError("wp_rule kind must be 'h-zero' or 'fixed'")
     wp = None  # h-zero: each cell's wp puts it on H = 0
     if wp_rule["kind"] == "fixed":
         wp = _config_number(wp_rule.get("value", 0.0), "wp_rule.value")
@@ -415,7 +402,7 @@ def cmd_verify(args) -> int:
         cfg.get("seed", 0), "seed", integer=True
     )
     if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+        raise ParameterError(f"seed must be non-negative, got {seed}")
     results = verify_mod.run_all(seed=seed, k_scale=args.inject_k_scale)
     width = max(len(name) for name, _, _ in results)
     failures = 0
@@ -470,7 +457,7 @@ def main(argv=None) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             return args.func(args)
-        except ConfigError as exc:
+        except SemintError as exc:  # a refused config value, or the library refused its input
             print(f"error: {exc}", file=sys.stderr)
             return 1
         except OSError as exc:  # an artifact path that cannot be written

@@ -27,7 +27,8 @@ returns the H_z(z_bar) of its final residual, so the fast path's
 dg/dlambda needs no further gradient call.  On arrays it built, the core
 skips the checks too: the Jacobian takes the Hessian through
 ``extphase._hessian`` (whose symmetry check returns a bitwise-symmetric
-Hessian untouched) and the general-n residual is tested with ``math``.  It
+Hessian untouched; the linear solve checks only its shape) and the
+general-n residual is tested with ``math``.  It
 runs the same floating-point operations as the public function, so its
 results are bit-identical.
 
@@ -62,6 +63,7 @@ from .extphase import (
     _coords,
     _eval_stack,
     _hessian,
+    _shape_error,
     apply_J,
     eval_gradient,
     eval_hessian,
@@ -112,6 +114,8 @@ def _jacobian(model: HamiltonianModel, lam: float, z_bar: np.ndarray) -> np.ndar
     """f_zbar = I - (lambda/2) J H_zz(z_bar); z_bar has the model's shape."""
     hess = _hessian(model, z_bar)
     dim = z_bar.size
+    if hess.shape != (dim, dim):
+        raise _shape_error(model, "hessian", hess.shape, (dim, dim))
     half = dim // 2
     jh = np.empty_like(hess)
     jh[:half] = hess[half:]
@@ -158,8 +162,12 @@ def _cramer(c, h_qq, h_qp, h_pq, h_pp, r_q, r_p):
     return a11 * a22 - a12 * a21, a22 * r_q - a12 * r_p, a11 * r_p - a21 * r_q
 
 
-def _solve_qp(hess: np.ndarray, lam: float, r_q: float, r_p: float) -> tuple[float, float]:
+def _solve_qp(
+    model: HamiltonianModel, hess: np.ndarray, lam: float, r_q: float, r_p: float
+) -> tuple[float, float]:
     """``_cramer`` on one Hessian and floats; a singular block raises LinearSolveError."""
+    if hess.shape != (4, 4):  # ``item`` would read these entries of any larger array
+        raise _shape_error(model, "hessian", hess.shape, (4, 4))
     det, num_q, num_p = _cramer(
         0.5 * lam, hess.item(0, 0), hess.item(0, 2), hess.item(2, 0), hess.item(2, 2), r_q, r_p
     )
@@ -174,7 +182,7 @@ def _solve_jacobian(
     """Solve f_zbar(z_bar) x = rhs; a singular f_zbar raises LinearSolveError."""
     if _closed_form(model):
         x = rhs.copy()  # f_zbar is the identity on the t and wp rows
-        x[0], x[2] = _solve_qp(eval_hessian(model, z_bar), lam, rhs.item(0), rhs.item(2))
+        x[0], x[2] = _solve_qp(model, eval_hessian(model, z_bar), lam, rhs.item(0), rhs.item(2))
         return x
     try:
         return np.linalg.solve(_jacobian(model, lam, z_bar), rhs)
@@ -214,7 +222,7 @@ def _solve_midpoint_qp(
             return z_bar, grad, it, res
         if it == max_iter:
             raise _not_converged(tol, max_iter, res)
-        d_q, d_p = _solve_qp(_hessian(model, z_bar), lam, -f_q, -f_p)
+        d_q, d_p = _solve_qp(model, _hessian(model, z_bar), lam, -f_q, -f_p)
         q, t, p, w = q + d_q, t - f_t, p + d_p, w - f_w
         z_bar = np.array([q, t, p, w])
 
@@ -298,7 +306,8 @@ def solve_midpoints(
     """
     lams = np.asarray(lams, dtype=float)
     _check_solve_args(lams, tol)
-    z = np.asarray(z, dtype=float)
+    z = _coords(z)
+    _check_dim(model, z)
     dim, half = z.size, z.size // 2
     closed = _closed_form(model)
     z_bar = np.empty((lams.size, dim))  # each row written once, when it freezes
@@ -406,7 +415,7 @@ def midpoint_sensitivity(
     grad = eval_gradient(model, zb) if grad is None else np.asarray(grad, dtype=float)
     if _closed_form(model):
         g_q, g_t, g_p, g_w = grad.tolist()
-        d_q, d_p = _solve_qp(_hessian(model, zb), lam, 0.5 * g_p, -0.5 * g_q)
+        d_q, d_p = _solve_qp(model, _hessian(model, zb), lam, 0.5 * g_p, -0.5 * g_q)
         return np.array([d_q, 0.5 * g_w, d_p, -0.5 * g_t])
     half = grad.size // 2
     rhs = np.empty_like(grad)  # (1/2) J H_z = (g_p, g_wp, -g_q, -g_t) / 2

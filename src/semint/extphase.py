@@ -232,6 +232,8 @@ def _symmetrized(model: HamiltonianModel, z: np.ndarray, h: np.ndarray) -> np.nd
         raise EvaluationError("model hessian is non-finite", z)
     if model.hessian_symmetric or _bitwise_symmetric(h, h.T):
         return h
+    if h.shape != z.shape * 2:  # h - h.T needs a square h; ``_hessian`` skips the shape check
+        raise _shape_error(model, "hessian", h.shape, z.shape * 2)
     scale = 1.0 + np.linalg.norm(h)
     if np.linalg.norm(h - h.T) > 1e-10 * scale:
         raise EvaluationError("model hessian is not symmetric", z)

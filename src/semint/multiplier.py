@@ -27,13 +27,7 @@ import numpy as np
 
 from .bounds import DerivedConstants, RegionBounds
 from .constraint import ConstraintCurve, CubicModel
-from .errors import (
-    LinearSolveError,
-    NonconvergenceError,
-    ParameterError,
-    PreconditionError,
-    UnsupportedRegionError,
-)
+from .errors import ParameterError, PreconditionError, SolveError, UnsupportedRegionError
 from .extphase import ExtendedState, HamiltonianModel
 
 __all__ = [
@@ -491,7 +485,7 @@ def solve_roots(
             if not hits:
                 hits = _scan_interval(curve, iv.a, iv.b, tol_lambda, tol_g)
                 provenance = "scan"
-        except (NonconvergenceError, LinearSolveError):
+        except SolveError:
             result.unsearched.append((iv.a, iv.b, "midpoint solve failed" + iv.where))
             continue
         for lam, res, z_bar in hits:

@@ -24,9 +24,8 @@ from .constraint import ConstraintCurve, CubicModel, cubic_model
 from .decoupler import solve_midpoint_coords
 from .errors import (
     EvaluationError,
-    LinearSolveError,
-    NonconvergenceError,
     ParameterError,
+    SolveError,
     StepNonexistenceError,
     UnsupportedRegionError,
 )
@@ -227,7 +226,7 @@ def step(
             got = _fast_newton_root(
                 model, z_k, fields.grad, cap, cubic, hint, opts.tol_g, opts.solver_tol
             )
-        except (NonconvergenceError, LinearSolveError):
+        except SolveError:
             got = None
         if got is not None:
             return _step_result(z_k, *got, prediction)
@@ -300,7 +299,7 @@ def propagate(
         except StepNonexistenceError as exc:
             traj.events.append(TrajectoryEvent(k, "terminated", exc.prediction.case_label))
             break
-        except (EvaluationError, NonconvergenceError, LinearSolveError) as exc:
+        except (EvaluationError, SolveError) as exc:
             traj.events.append(TrajectoryEvent(k, "terminated", f"{type(exc).__name__}: {exc}"))
             break
         label = result.prediction.case_label

@@ -272,6 +272,27 @@ class TestRunEvaluationErrors:
         assert events[0]["index"] == 0 and events[0]["detail"].startswith("EvaluationError: ")
 
 
+class TestLibraryErrorsAtTheBoundary:
+    """A library error raised past the config readers is one ``error:`` line
+    and exit 1 too: ``main`` catches every ``SemintError``."""
+
+    def test_scan_from_a_state_the_model_cannot_evaluate(self, tmp_path):
+        payload = {"model": {"name": "pendulum"}, "state": [0.0, 0.0, 1e200, 0.0],
+                   "bounds": BOUNDS_BLOCK, "out": str(tmp_path / "out")}
+        proc = run_cli("scan", "--config", write_config(tmp_path, "scan.json", payload))
+        assert_config_error(proc)
+        assert proc.stderr.strip() == "error: model value is non-finite"
+
+    def test_map_over_momenta_the_model_cannot_evaluate(self, tmp_path):
+        payload = {"model": {"name": "pendulum"},
+                   "grid": {"q_min": -1.0, "q_max": 1.0, "p_min": 1e200, "p_max": 2e200,
+                            "nq": 3, "np": 3},
+                   "bounds": BOUNDS_BLOCK, "out": str(tmp_path / "out")}
+        proc = run_cli("map", "--config", write_config(tmp_path, "map.json", payload))
+        assert_config_error(proc)
+        assert proc.stderr.strip() == "error: model value is non-finite"
+
+
 def _bounds_config(tmp_path, command, bounds):
     """A small run or map config with the given bounds block."""
     payload = {"model": {"name": "pendulum"}, "bounds": bounds, "out": str(tmp_path / "out")}

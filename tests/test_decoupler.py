@@ -137,6 +137,39 @@ def _t_capped(model, stacked):
     return replace(model, gradient=gradient, vectorized=stacked)
 
 
+class TestWrongShapeHessian:
+    """A Hessian whose shape is not (dim, dim) is a DimensionError in every
+    public midpoint function: the closed form would otherwise read four of
+    its entries and return a midpoint, the LU path raise numpy's own error."""
+
+    Z = [1.0, 0.0, 0.5, 0.0]
+
+    @pytest.mark.parametrize(
+        "hess, symmetric",
+        [(np.eye(3), True), (np.ones((4, 3)), True), (np.ones((4, 3)), False), (np.eye(5), True)],
+        ids=["3x3", "4x3", "4x3-unchecked-symmetry", "5x5"],
+    )
+    def test_one_dof_lift(self, pendulum, hess, symmetric):
+        bad = replace(pendulum, hessian=lambda z: hess, vectorized=False, hessian_symmetric=symmetric)
+        with pytest.raises(DimensionError, match="its hessian has shape"):
+            solve_midpoint_coords(bad, 0.1, self.Z, 1e-13, 50)
+        with pytest.raises(DimensionError, match="its hessian has shape"):
+            midpoint_sensitivity(bad, 0.1, self.Z)
+
+    @pytest.mark.parametrize("hess", [np.eye(5), np.ones((6, 5))], ids=["5x5", "6x5"])
+    def test_two_dof_lift(self, hess):
+        model = models.free_time(2)
+        bad = replace(model, hessian=lambda z: hess, vectorized=False)
+        z = ExtendedState(np.array([0.3, 0.2, 0.0, 0.1, -0.2, 0.0]), 2)
+        bounds = RegionBounds(M1=2.0, M2=2.0, gamma_H=1.0, N1=1.0, N2=1.0, center=z, radius=1.0)
+        with pytest.raises(DimensionError, match="its hessian has shape"):
+            solve_midpoint_coords(bad, 0.05, z)
+        with pytest.raises(DimensionError, match="its hessian has shape"):
+            midpoint_sensitivity(bad, 0.05, z)
+        with pytest.raises(DimensionError, match="its hessian has shape"):
+            kantorovich_report(bad, 0.05, z, bounds)
+
+
 class TestSolveMidpoints:
     """The masked batched Newton raises what the scalar solve raises."""
 
@@ -182,6 +215,13 @@ class TestSolveMidpoints:
         broken = replace(pendulum, gradient=lambda z: pendulum.gradient(z[0]))
         with pytest.raises(DimensionError):
             solve_midpoints(broken, [0.01, 0.02], pendulum_state(0.5, 0.2).coords)
+
+    def test_rejects_wrong_dimension(self, pendulum):
+        # as solve_midpoint_coords does: a short state raised IndexError, a
+        # (1, 4) one was tiled and solved
+        for z in (np.zeros(6), np.zeros(3), np.zeros((1, 4))):
+            with pytest.raises(DimensionError, match="state has shape"):
+                solve_midpoints(pendulum, [0.1], z)
 
     def test_rejects_bad_arguments(self, pendulum):
         with pytest.raises(ParameterError):
