@@ -9,8 +9,10 @@ failure.
 
 One boundary gives exit 1: ``main`` prints any ``SemintError`` as one
 ``error:`` line.  A refused config value is a ``ParameterError``, prefixed
-with its name where a library call refused it.  A step the DTH equations or
-the solver refuse is a ``terminated`` event of ``propagate`` instead: exit 2.
+with its name where a library call refused it; a key that the command does
+not read, at the top level or in a config object, is refused too.  A step
+the DTH equations or the solver refuse is a ``terminated`` event of
+``propagate`` instead: exit 2.
 """
 
 from __future__ import annotations
@@ -45,9 +47,24 @@ from . import verify as verify_mod
 
 DEFAULT_TOLERANCES = {key: getattr(StepOptions, key) for key in ("tol_g", "tol_lambda", "solver_tol")}
 DEFAULT_BOUNDS = {"radius": 2.5, "samples_per_axis": 17, "safety": 1.1, "delta": 0.5}
+CONFIG_KEYS = {  # the top-level keys each command reads
+    "run": ("model", "initial", "steps", "policy", "tolerances", "bounds", "out"),
+    "scan": ("model", "state", "lambda_range", "count", "tolerances", "bounds", "out"),
+    "map": ("model", "grid", "t", "wp_rule", "jobs", "bounds", "out"),
+    "verify": ("seed",),
+}
+BLOCK_KEYS = {  # the keys of each config object but the model's, which the model checks
+    "tolerances": tuple(DEFAULT_TOLERANCES),
+    "bounds": (*DEFAULT_BOUNDS, "center", "path", "save"),
+    "initial": ("state", "q0", "p0", "t0", "lambda_target"),
+    "grid": ("q_min", "q_max", "p_min", "p_max", "nq", "np"),
+    "wp_rule": ("kind", "value"),
+}
 
 
-def _load_config(path):
+def _load_config(args):
+    """The command's JSON config object ({} without ``--config``)."""
+    path = args.config
     if path is None:
         return {}
     try:
@@ -57,7 +74,15 @@ def _load_config(path):
         raise ParameterError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ParameterError(f"config {path} must be a JSON object, got {type(cfg).__name__}")
-    return cfg
+    return _known_keys(cfg, "config", CONFIG_KEYS[args.command])
+
+
+def _known_keys(block, name, keys):
+    """``block`` if every key is one of ``keys``: a misspelt key is refused, not ignored."""
+    unknown = [key for key in block if key not in keys]
+    if unknown:
+        raise ParameterError(f"unknown {name} key {unknown[0]!r}; expected {', '.join(keys)}")
+    return block
 
 
 def _config_object(cfg, key, default=None):
@@ -65,7 +90,7 @@ def _config_object(cfg, key, default=None):
     block = cfg.get(key, {} if default is None else default)
     if not isinstance(block, dict):
         raise ParameterError(f"{key} must be an object, got {type(block).__name__}")
-    return block
+    return _known_keys(block, key, BLOCK_KEYS[key]) if key in BLOCK_KEYS else block
 
 
 def _build_model(cfg):
@@ -83,11 +108,6 @@ def _tolerances(cfg, args, used=tuple(DEFAULT_TOLERANCES)):
     A config key outside ``used`` is an error, as is an unknown one.
     """
     block = _config_object(cfg, "tolerances")
-    unknown = [key for key in block if key not in DEFAULT_TOLERANCES]
-    if unknown:
-        raise ParameterError(
-            f"unknown tolerances key {unknown[0]!r}; expected {', '.join(DEFAULT_TOLERANCES)}"
-        )
     unused = [key for key in block if key not in used]
     if unused:
         raise ParameterError(
@@ -221,7 +241,7 @@ def _out_dir(cfg, args):
 
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     model = _build_model(cfg)
     tols = _tolerances(cfg, args)
     steps = args.steps if args.steps is not None else _config_number(
@@ -284,7 +304,7 @@ def _write_trajectory(model, traj, out: Path) -> float:
 
 
 def cmd_scan(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     model = _build_model(cfg)
     tols = _tolerances(cfg, args, used=("solver_tol",))  # scan finds no roots
     if "state" not in cfg:
@@ -354,10 +374,10 @@ def _map_cell(model, constants, qs, p, t, wp):
 
 
 def cmd_map(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     model = _build_model(cfg)
     grid = _config_object(cfg, "grid")
-    for key in ("q_min", "q_max", "p_min", "p_max", "nq", "np"):
+    for key in BLOCK_KEYS["grid"]:
         if key not in grid:
             raise ParameterError(f"map grid config needs '{key}'")
     if model.n != 1:
@@ -397,7 +417,7 @@ def cmd_map(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     seed = args.seed if args.seed is not None else _config_number(
         cfg.get("seed", 0), "seed", integer=True
     )

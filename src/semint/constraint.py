@@ -51,6 +51,8 @@ from .extphase import (
     ExtendedState,
     FieldSample,
     HamiltonianModel,
+    _check_dim,
+    _checked,
     _coords,
     _eval_stack,
     _value,
@@ -113,7 +115,7 @@ class ConstraintCurve:
         tol: float = 1e-13,
         grad: Optional[np.ndarray] = None,
     ):
-        """``grad`` is H_z(z_k) when the caller has already evaluated it."""
+        """``grad`` is H_z(z_k) when the caller has already evaluated it (checked as the model's)."""
         if not tol > 0:
             raise ParameterError("tol must be positive")
         self.model = model
@@ -121,6 +123,9 @@ class ConstraintCurve:
         self.tol = tol
         if grad is None:
             grad = eval_gradient(self.model, self.z)
+        else:
+            _check_dim(model, self.z)
+            grad = _checked(model, "gradient", self.z, grad, self.z.shape)
         self._half_jgrad = (0.5 * _apply_J_arr(grad)).tolist()
         # (lambda, z_bar, H_z(z_bar)) of the latest solve and of the one before
         self._prev: Optional[tuple[float, np.ndarray, np.ndarray]] = None

@@ -19,18 +19,18 @@ and ``solve_midpoints`` are then solved in closed form; every other model
 goes through ``np.linalg.solve`` on the full (2n+2)x(2n+2) Jacobian.
 Convergence is always judged on the full residual.
 
-``_midpoint_newton`` is the unchecked core of ``solve_midpoint_coords`` for
-callers that built their arrays themselves: ``constraint.ConstraintCurve``,
-the kernel of the DTH fast path, which asks ``midpoint_sensitivity`` for a
-slope only on Newton iterations that take a step.  The Newton core also
-returns the H_z(z_bar) of its final residual, so the fast path's
-dg/dlambda needs no further gradient call.  On arrays it built, the core
-skips the checks too: the Jacobian takes the Hessian through
-``extphase._hessian`` (whose symmetry check returns a bitwise-symmetric
-Hessian untouched; the linear solve checks only its shape) and the
-general-n residual is tested with ``math``.  It
-runs the same floating-point operations as the public function, so its
-results are bit-identical.
+``_midpoint_newton`` is the core of ``solve_midpoint_coords`` without its
+argument checks, for callers that built their arrays themselves:
+``constraint.ConstraintCurve``, the kernel of the DTH fast path, which asks
+``midpoint_sensitivity`` for a slope only on Newton iterations that take a
+step.  The core also returns the H_z(z_bar) of its final residual, so the
+fast path's dg/dlambda needs no further gradient call.  Every model result
+it meets is checked by the one-state rule, ``extphase._checked`` (through
+``extphase._gradient`` and ``_hessian``), except in the n = 1 float core:
+that tests its gradient's shape inline and its finiteness on the floats,
+where a numpy sum per iteration would cost about 1 us.  It runs the same
+floating-point operations as the public function, so its results are
+bit-identical.
 
 ``solve_midpoints`` runs the same Newton iteration for a whole grid of
 lambdas at one z as one masked batch: every row starts at z_bar = z, freezes
@@ -60,8 +60,10 @@ from .extphase import (
     ExtendedState,
     HamiltonianModel,
     _check_dim,
+    _checked,
     _coords,
     _eval_stack,
+    _gradient,
     _hessian,
     _shape_error,
     apply_J,
@@ -114,8 +116,6 @@ def _jacobian(model: HamiltonianModel, lam: float, z_bar: np.ndarray) -> np.ndar
     """f_zbar = I - (lambda/2) J H_zz(z_bar); z_bar has the model's shape."""
     hess = _hessian(model, z_bar)
     dim = z_bar.size
-    if hess.shape != (dim, dim):
-        raise _shape_error(model, "hessian", hess.shape, (dim, dim))
     half = dim // 2
     jh = np.empty_like(hess)
     jh[:half] = hess[half:]
@@ -162,12 +162,9 @@ def _cramer(c, h_qq, h_qp, h_pq, h_pp, r_q, r_p):
     return a11 * a22 - a12 * a21, a22 * r_q - a12 * r_p, a11 * r_p - a21 * r_q
 
 
-def _solve_qp(
-    model: HamiltonianModel, hess: np.ndarray, lam: float, r_q: float, r_p: float
-) -> tuple[float, float]:
-    """``_cramer`` on one Hessian and floats; a singular block raises LinearSolveError."""
-    if hess.shape != (4, 4):  # ``item`` would read these entries of any larger array
-        raise _shape_error(model, "hessian", hess.shape, (4, 4))
+def _solve_qp(hess: np.ndarray, lam: float, r_q: float, r_p: float) -> tuple[float, float]:
+    """``_cramer`` on one checked 4x4 Hessian and floats; a singular block
+    raises LinearSolveError."""
     det, num_q, num_p = _cramer(
         0.5 * lam, hess.item(0, 0), hess.item(0, 2), hess.item(2, 0), hess.item(2, 2), r_q, r_p
     )
@@ -182,7 +179,7 @@ def _solve_jacobian(
     """Solve f_zbar(z_bar) x = rhs; a singular f_zbar raises LinearSolveError."""
     if _closed_form(model):
         x = rhs.copy()  # f_zbar is the identity on the t and wp rows
-        x[0], x[2] = _solve_qp(model, eval_hessian(model, z_bar), lam, rhs.item(0), rhs.item(2))
+        x[0], x[2] = _solve_qp(eval_hessian(model, z_bar), lam, rhs.item(0), rhs.item(2))
         return x
     try:
         return np.linalg.solve(_jacobian(model, lam, z_bar), rhs)
@@ -210,6 +207,8 @@ def _solve_midpoint_qp(
     grad_fn = model.gradient
     for it in range(max_iter + 1):
         grad = np.asarray(grad_fn(z_bar), dtype=float)
+        if grad.shape != (4,):  # the float twin of ``extphase._checked``
+            raise _shape_error(model, "gradient", grad.shape, (4,))
         g_q, g_t, g_p, g_w = grad.tolist()
         if not math.isfinite(g_q + g_t + g_p + g_w):
             raise EvaluationError("model gradient is non-finite", z_bar)
@@ -222,7 +221,7 @@ def _solve_midpoint_qp(
             return z_bar, grad, it, res
         if it == max_iter:
             raise _not_converged(tol, max_iter, res)
-        d_q, d_p = _solve_qp(model, _hessian(model, z_bar), lam, -f_q, -f_p)
+        d_q, d_p = _solve_qp(_hessian(model, z_bar), lam, -f_q, -f_p)
         q, t, p, w = q + d_q, t - f_t, p + d_p, w - f_w
         z_bar = np.array([q, t, p, w])
 
@@ -246,11 +245,8 @@ def _midpoint_newton(
     z_bar = np.array(start, dtype=float)
     half = z.size // 2
     half_lam = 0.5 * lam
-    grad_fn = model.gradient
     for it in range(max_iter + 1):
-        g = np.asarray(grad_fn(z_bar), dtype=float)
-        if not math.isfinite(g.sum()):
-            raise EvaluationError("model gradient is non-finite", z_bar)
+        g = _gradient(model, z_bar)
         f = z_bar - z
         f[:half] -= half_lam * g[half:]
         f[half:] += half_lam * g[:half]
@@ -412,10 +408,10 @@ def midpoint_sensitivity(
     """
     zb = _coords(z_bar)
     _check_dim(model, zb)
-    grad = eval_gradient(model, zb) if grad is None else np.asarray(grad, dtype=float)
+    grad = eval_gradient(model, zb) if grad is None else _checked(model, "gradient", zb, grad, zb.shape)
     if _closed_form(model):
         g_q, g_t, g_p, g_w = grad.tolist()
-        d_q, d_p = _solve_qp(model, _hessian(model, zb), lam, 0.5 * g_p, -0.5 * g_q)
+        d_q, d_p = _solve_qp(_hessian(model, zb), lam, 0.5 * g_p, -0.5 * g_q)
         return np.array([d_q, 0.5 * g_w, d_p, -0.5 * g_t])
     half = grad.size // 2
     rhs = np.empty_like(grad)  # (1/2) J H_z = (g_p, g_wp, -g_q, -g_t) / 2

@@ -6,7 +6,8 @@ space has dimension 2n+2.  The canonical structure matrix J pairs the
 (q_1..q_n, t) block against the (p_1..p_n, wp) block.
 
 Everything here is pure: models must not mutate state during evaluation, so
-they can be shared freely across threads or processes.
+they can be shared freely across threads or processes.  A model result at
+one state is checked by one rule, ``_checked``; a stack by ``_eval_stack``.
 """
 
 from __future__ import annotations
@@ -197,43 +198,42 @@ def _shape_error(model: HamiltonianModel, kind: str, shape, expected) -> Dimensi
         f"model has dimension {model.dim}; its {kind} has shape {shape}, expected {expected}")
 
 
+def _checked(model: HamiltonianModel, kind: str, z: np.ndarray, arr, shape) -> np.ndarray:
+    """A model's ``kind`` result at one state z as a float array: the one-state
+    twin of ``_eval_stack``'s checks (``DimensionError`` for a shape other
+    than ``shape``, ``EvaluationError`` for a sum that is not finite)."""
+    arr = np.asarray(arr, dtype=float)
+    if arr.shape != shape:
+        raise _shape_error(model, kind, arr.shape, shape)
+    # a single NaN/Inf component poisons the sum, which is far cheaper to test
+    if not math.isfinite(arr.sum()):
+        raise EvaluationError(f"model {kind} is non-finite", z)
+    return arr
+
+
 def eval_gradient(model: HamiltonianModel, z) -> np.ndarray:
     z = _coords(z)
     _check_dim(model, z)
-    g = np.asarray(model.gradient(z), dtype=float)
-    if g.shape != z.shape:
-        raise _shape_error(model, "gradient", g.shape, z.shape)
-    # a single NaN/Inf component poisons the sum, which is far cheaper to test
-    if not np.isfinite(g.sum()):
-        raise EvaluationError("model gradient is non-finite", z)
-    return g
+    return _gradient(model, z)
+
+
+def _gradient(model: HamiltonianModel, z: np.ndarray) -> np.ndarray:
+    """``eval_gradient`` at a coordinate array already of the model's shape."""
+    return _checked(model, "gradient", z, model.gradient(z), z.shape)
 
 
 def eval_hessian(model: HamiltonianModel, z) -> np.ndarray:
     """Evaluate the Hessian, check its shape and symmetry, and symmetrize before use."""
     z = _coords(z)
     _check_dim(model, z)
-    h = np.asarray(model.hessian(z), dtype=float)
-    if h.shape != z.shape * 2:
-        raise _shape_error(model, "hessian", h.shape, z.shape * 2)
-    return _symmetrized(model, z, h)
+    return _hessian(model, z)
 
 
 def _hessian(model: HamiltonianModel, z: np.ndarray) -> np.ndarray:
-    """``eval_hessian`` at a coordinate array already of the model's shape,
-    less the result's shape check, which measured a cost on this, the
-    Newton core's hot path."""
-    return _symmetrized(model, z, np.asarray(model.hessian(z), dtype=float))
-
-
-def _symmetrized(model: HamiltonianModel, z: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The Hessian h at z, checked finite and symmetric, symmetrized if need be."""
-    if not math.isfinite(h.sum()):
-        raise EvaluationError("model hessian is non-finite", z)
+    """``eval_hessian`` at a coordinate array already of the model's shape."""
+    h = _checked(model, "hessian", z, model.hessian(z), z.shape * 2)
     if model.hessian_symmetric or _bitwise_symmetric(h, h.T):
         return h
-    if h.shape != z.shape * 2:  # h - h.T needs a square h; ``_hessian`` skips the shape check
-        raise _shape_error(model, "hessian", h.shape, z.shape * 2)
     scale = 1.0 + np.linalg.norm(h)
     if np.linalg.norm(h - h.T) > 1e-10 * scale:
         raise EvaluationError("model hessian is not symmetric", z)
@@ -248,7 +248,7 @@ def _bitwise_symmetric(h: np.ndarray, transposed: np.ndarray) -> bool:
     norm test, and 0.5 (h + h^T) is h bit for bit (short of an entry above
     DBL_MAX / 2, where the sum overflows), so it can skip both.
     """
-    return h.shape == transposed.shape and h.tobytes() == transposed.tobytes()
+    return h.tobytes() == transposed.tobytes()
 
 
 def eval_value(model: HamiltonianModel, z) -> float:
@@ -375,12 +375,7 @@ def psi_gradient(model: HamiltonianModel, z) -> np.ndarray:
     z = _coords(z)
     if model.psi_gradient is not None and z.ndim == 1:
         _check_dim(model, z)
-        g = np.asarray(model.psi_gradient(z), dtype=float)
-        if g.shape != z.shape:
-            raise _shape_error(model, "psi_gradient", g.shape, z.shape)
-        if not math.isfinite(g.sum()):
-            raise EvaluationError("model psi_gradient is non-finite", z)
-        return g
+        return _checked(model, "psi_gradient", z, model.psi_gradient(z), z.shape)
     zs = z[None] if z.ndim == 1 else z
     if zs.ndim != 2 or zs.shape[1] != model.dim:
         raise DimensionError(f"model has dimension {model.dim}, states have shape {z.shape}")
@@ -415,9 +410,8 @@ def sample_fields(model: HamiltonianModel, z) -> FieldSample:
         ws = apply_J(grads)
         pz = psi_gradient(model, z)
         return FieldSample(H, grads, hessians, _psi_rows(ws, hessians), _row_dots(pz, ws))
-    H = eval_value(model, z)
-    grad = eval_gradient(model, z)
-    hess = eval_hessian(model, z)
+    _check_dim(model, z)
+    H, grad, hess = _value(model, z), _gradient(model, z), _hessian(model, z)
     w = apply_J(grad)
     psi = float(w @ hess @ w)
     pz = psi_gradient(model, z)

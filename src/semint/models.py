@@ -12,6 +12,7 @@ single Newton solve; a stack gives the same numbers row for row.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -108,9 +109,16 @@ def oscillator(omega: float = 1.0) -> HamiltonianModel:
     form in :func:`oscillator_midpoint`; psi = omega^2 (p^2 + omega^2 q^2) is
     nonnegative and its bracket with H vanishes identically.
     """
+    if isinstance(omega, bool) or not isinstance(omega, numbers.Real):  # a bool is a Real too
+        raise ParameterError(f"omega must be a number, got {omega!r}")
     if not omega > 0:
         raise ParameterError(f"omega must be positive, got {omega}")
-    w2 = float(omega) ** 2
+    try:
+        w2 = float(omega) ** 2
+    except OverflowError:
+        w2 = math.inf
+    if not math.isfinite(w2):
+        raise ParameterError(f"omega must have a finite square, got {omega}")
 
     def value(z):
         c = z if z.ndim == 1 else z.T  # c[i]: coordinate i of every row

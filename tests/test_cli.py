@@ -213,10 +213,12 @@ class TestRunConfigErrors:
             ({"p0": "0.5"}, 5),
             ({"lambda_target": "0.1"}, 5),
             ({}, "3"),
+            ({"lamda_target": 0.5}, 5),  # a misspelt key was ignored
         ],
         ids=["q0-non-numeric", "p0-non-numeric", "t0-non-numeric",
              "lambda-target-non-numeric", "lambda-target-overflows", "steps-non-numeric",
-             "steps-boolean", "q0-string", "p0-string", "lambda-target-string", "steps-string"],
+             "steps-boolean", "q0-string", "p0-string", "lambda-target-string", "steps-string",
+             "initial-misspelt-key"],
     )
     def test_bad_initial_value(self, tmp_path, initial, steps):
         payload = {
@@ -333,11 +335,12 @@ class TestBoundsConfigErrors:
             {"radius": "2.5"},  # a numeric string, which float() would read
             {"samples_per_axis": "9"},
             {"center": [0.0, 0.0, "0.0", 0.0]},
+            {"sample_per_axis": 5},  # a misspelt key: the default 17 samples were taken
         ],
         ids=["samples-below-3", "safety-not-positive", "radius-non-numeric",
              "radius-infinite", "safety-non-numeric", "delta-non-numeric", "delta-outside-unit-interval",
              "safety-overflows-K", "safety-overflows-M1", "center-boolean", "radius-string",
-             "samples-string", "center-string"],
+             "samples-string", "center-string", "samples-misspelt-key"],
     )
     def test_bad_bounds_value(self, tmp_path, override):
         for command in ("run", "scan", "map"):
@@ -743,6 +746,46 @@ class TestConfigShape:
         proc = run_cli(command, "--config", write_config(tmp_path, "cfg.json", payload))
         assert_config_error(proc)
         assert proc.stderr.strip() == f"error: {key} must be an object, got {got}"
+
+    @pytest.mark.parametrize(
+        "command, path, key, expected",
+        [
+            ("run", (), "step", "model, initial, steps, policy, tolerances, bounds, out"),
+            ("run", (), "polcy", "model, initial, steps, policy, tolerances, bounds, out"),
+            ("scan", (), "lambda_rnage", "model, state, lambda_range, count, tolerances, bounds, out"),
+            ("map", (), "job", "model, grid, t, wp_rule, jobs, bounds, out"),
+            ("verify", (), "sed", "seed"),
+            ("run", ("initial",), "lamda_target", "state, q0, p0, t0, lambda_target"),
+            ("run", ("bounds",), "sample_per_axis",
+             "radius, samples_per_axis, safety, delta, center, path, save"),
+            ("map", ("grid",), "nqq", "q_min, q_max, p_min, p_max, nq, np"),
+            ("map", ("wp_rule",), "vlaue", "kind, value"),
+        ],
+        ids=["run-top", "run-policy", "scan-top", "map-top", "verify-top", "run-initial",
+             "run-bounds", "map-grid", "map-wp-rule"],
+    )
+    def test_unknown_key_is_refused(self, tmp_path, command, path, key, expected):
+        """A misspelt key was ignored: the run took its default and exited 0."""
+        payload = {} if command == "verify" else self._payload(command, tmp_path)
+        payload = json.loads(json.dumps(payload))  # a copy: BOUNDS_BLOCK is shared
+        if path == ("wp_rule",):
+            payload["wp_rule"] = {"kind": "h-zero"}
+        block = payload
+        for name in path:
+            block = block[name]
+        block[key] = 1
+        proc = run_cli(command, "--config", write_config(tmp_path, "cfg.json", payload))
+        assert_config_error(proc)
+        name = path[0] if path else "config"
+        assert proc.stderr.strip() == f"error: unknown {name} key {key!r}; expected {expected}"
+
+    @pytest.mark.parametrize("omega", [True, "2", 1e200], ids=["boolean", "string", "square-overflows"])
+    def test_oscillator_refuses_an_omega_it_cannot_use(self, tmp_path, omega):
+        payload = self._payload("run", tmp_path)
+        payload["model"] = {"name": "oscillator", "omega": omega}
+        proc = run_cli("run", "--config", write_config(tmp_path, "cfg.json", payload))
+        assert_config_error(proc)
+        assert proc.stderr.startswith("error: bad model config: omega must")
 
     def test_pendulum_rejects_parameters(self, tmp_path):
         payload = self._payload("run", tmp_path)

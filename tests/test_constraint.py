@@ -10,6 +10,7 @@ from semint import models
 from semint.bounds import derive_constants, estimate_bounds
 from semint.constraint import ConstraintCurve, CubicModel, cubic_model, g_derivative, g_eval
 from semint.decoupler import solve_midpoint_coords
+from semint.errors import DimensionError, EvaluationError
 from semint.extphase import ExtendedState
 
 from conftest import DELTA, PEND_RADIUS, henon_heiles_lift, pendulum_state
@@ -138,6 +139,34 @@ class TestConstraintCurve:
         cold = [g_eval(pendulum, lam, z, tol=1e-13) for lam in lams]
         warm = [curve.g(lam) for lam in lams]
         assert np.allclose(cold, warm, atol=1e-12)
+
+
+class TestWrongShapeGradient:
+    """A gradient of the wrong shape is a DimensionError on every g route, and
+    a ``grad=`` handed to the curve is checked as the model's own would be."""
+
+    Z = np.array([1.0, 0.0, 0.5, 0.0])
+
+    @pytest.mark.parametrize("grad", [np.ones(5), np.ones((4, 1))], ids=["5", "4x1"])
+    def test_model_gradient(self, pendulum, grad):
+        from dataclasses import replace
+
+        bad = replace(pendulum, gradient=lambda z: grad, vectorized=False)
+        with pytest.raises(DimensionError, match="its gradient has shape"):
+            g_eval(bad, 0.1, self.Z)
+        curve = ConstraintCurve(bad, self.Z, grad=np.array([0.0, 0.0, 0.5, 1.0]))
+        with pytest.raises(DimensionError, match="its gradient has shape"):
+            curve.g(0.1)
+
+    @pytest.mark.parametrize(
+        "grad, error",
+        [(np.ones(6), DimensionError), (np.ones((4, 1)), DimensionError),
+         (np.array([np.nan, 0.0, 0.5, 1.0]), EvaluationError)],
+        ids=["6", "4x1", "non-finite"],
+    )
+    def test_grad_handed_in(self, pendulum, grad, error):
+        with pytest.raises(error, match="its gradient has shape|gradient is non-finite"):
+            ConstraintCurve(pendulum, self.Z, grad=grad)
 
 
 @functools.lru_cache(maxsize=None)

@@ -23,7 +23,7 @@ from semint.errors import (
 )
 from semint.extphase import ClassicalModel, ExtendedState, apply_J, autonomize, eval_gradient
 
-from conftest import DELTA, PEND_RADIUS, pendulum_state
+from conftest import DELTA, PEND_RADIUS, henon_heiles_lift, pendulum_state
 
 
 class TestSolveMidpoint:
@@ -168,6 +168,39 @@ class TestWrongShapeHessian:
             midpoint_sensitivity(bad, 0.05, z)
         with pytest.raises(DimensionError, match="its hessian has shape"):
             kantorovich_report(bad, 0.05, z, bounds)
+
+
+class TestWrongShapeGradient:
+    """A gradient whose shape is not (dim,), from the model or handed in as
+    ``grad=``, is a DimensionError in both Newton cores and in
+    ``midpoint_sensitivity``: the n = 1 core would otherwise fail to unpack
+    it, the general-n core and the sensitivity raise numpy's own error."""
+
+    Z = [1.0, 0.0, 0.5, 0.0]
+    Z2 = [0.1, 0.2, 0.0, 0.1, -0.2, 0.0]
+
+    @pytest.mark.parametrize("grad", [np.ones(5), np.ones((4, 1))], ids=["5", "4x1"])
+    def test_one_dof_core(self, pendulum, grad):
+        bad = replace(pendulum, gradient=lambda z: grad, vectorized=False)
+        expected = f"model has dimension 4; its gradient has shape {grad.shape}, expected (4,)"
+        with pytest.raises(DimensionError) as err:
+            solve_midpoint_coords(bad, 0.1, self.Z)
+        assert str(err.value) == expected
+
+    @pytest.mark.parametrize("grad", [np.ones(7), np.ones(5)], ids=["7", "5"])
+    def test_general_core(self, grad):
+        bad = replace(henon_heiles_lift(), gradient=lambda z: grad, vectorized=False)
+        with pytest.raises(DimensionError, match=r"its gradient has shape .*, expected \(6,\)"):
+            solve_midpoint_coords(bad, 0.05, self.Z2)
+
+    @pytest.mark.parametrize("grad", [np.ones(5), np.ones((4, 1)), np.ones(3)], ids=["5", "4x1", "3"])
+    def test_sensitivity_grad_one_dof(self, pendulum, grad):
+        with pytest.raises(DimensionError, match="its gradient has shape"):
+            midpoint_sensitivity(pendulum, 0.1, self.Z, grad=grad)
+
+    def test_sensitivity_grad_general(self):
+        with pytest.raises(DimensionError, match="its gradient has shape"):
+            midpoint_sensitivity(henon_heiles_lift(), 0.05, self.Z2, grad=np.ones(7))
 
 
 class TestSolveMidpoints:

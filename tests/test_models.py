@@ -70,6 +70,10 @@ def test_oscillator_rejects_bad_omega():
         models.oscillator(0.0)
     with pytest.raises(ParameterError):
         models.oscillator(-2.0)
+    # no number (a boolean, a string), or one whose square is not finite
+    for omega in (True, "2", 1e200, 10**400, float("inf")):
+        with pytest.raises(ParameterError, match="omega must"):
+            models.oscillator(omega)
 
 
 def test_free_time_is_flat():
