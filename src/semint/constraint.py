@@ -28,12 +28,12 @@ slower than bisection.  A caller that has H_z(z_k) already
 (``step``, from its field sample) passes it as ``grad``.  Warm-start guesses
 are formed element-wise on floats.  Every result is bit-identical to
 ``g_eval`` / ``g_derivative`` from the same start: the kernel drops only
-the midpoint solve's argument checks on arrays it built itself.
+the midpoint solve's argument checks on arrays it built itself, and reads
+H_z(z_k), handed in or not, by ``extphase._kernel_read``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,6 +41,7 @@ import numpy as np
 
 from .bounds import DerivedConstants
 from .decoupler import (
+    _check_lambda,
     _midpoint_newton,
     midpoint_sensitivity,
     solve_midpoint_coords,
@@ -52,9 +53,9 @@ from .extphase import (
     FieldSample,
     HamiltonianModel,
     _check_dim,
-    _checked,
     _coords,
     _eval_stack,
+    _kernel_read,
     _value,
     apply_J as _apply_J_arr,
     eval_gradient,
@@ -115,17 +116,14 @@ class ConstraintCurve:
         tol: float = 1e-13,
         grad: Optional[np.ndarray] = None,
     ):
-        """``grad`` is H_z(z_k) when the caller has already evaluated it (checked as the model's)."""
+        """``grad`` is H_z(z_k) when the caller has already evaluated it (read as the model's)."""
         if not tol > 0:
             raise ParameterError("tol must be positive")
         self.model = model
-        self.z = _coords(z_k)
+        self.z = z = _coords(z_k)
         self.tol = tol
-        if grad is None:
-            grad = eval_gradient(self.model, self.z)
-        else:
-            _check_dim(model, self.z)
-            grad = _checked(model, "gradient", self.z, grad, self.z.shape)
+        _check_dim(model, z)
+        grad = _kernel_read(model, "gradient", z, model.gradient(z) if grad is None else grad, z.shape)
         self._half_jgrad = (0.5 * _apply_J_arr(grad)).tolist()
         # (lambda, z_bar, H_z(z_bar)) of the latest solve and of the one before
         self._prev: Optional[tuple[float, np.ndarray, np.ndarray]] = None
@@ -148,8 +146,7 @@ class ConstraintCurve:
         last = self._last
         if last is not None and lam == last[0]:
             return last[1], last[2]
-        if not math.isfinite(lam):
-            raise ParameterError("lambda must be finite")
+        _check_lambda(lam)
         zbar, grad, _, _ = _midpoint_newton(  # 50 iterations, the decoupler's default
             self.model, lam, self.z, self._initial_guess(lam), self.tol, 50
         )

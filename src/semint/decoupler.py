@@ -24,13 +24,11 @@ argument checks, for callers that built their arrays themselves:
 ``constraint.ConstraintCurve``, the kernel of the DTH fast path, which asks
 ``midpoint_sensitivity`` for a slope only on Newton iterations that take a
 step.  The core also returns the H_z(z_bar) of its final residual, so the
-fast path's dg/dlambda needs no further gradient call.  Every model result
-it meets is checked by the one-state rule, ``extphase._checked`` (through
-``extphase._gradient`` and ``_hessian``), except in the n = 1 float core:
-that tests its gradient's shape inline and its finiteness on the floats,
-where a numpy sum per iteration would cost about 1 us.  It runs the same
+fast path's dg/dlambda needs no further gradient call.  It runs the same
 floating-point operations as the public function, so its results are
-bit-identical.
+bit-identical.  The public functions check their arguments once, at entry;
+every model result inside, and a ``grad=`` handed in, is read by
+``extphase._kernel_read`` (the n = 1 core's gradient inline, on its floats).
 
 ``solve_midpoints`` runs the same Newton iteration for a whole grid of
 lambdas at one z as one masked batch: every row starts at z_bar = z, freezes
@@ -43,6 +41,7 @@ same 2x2 Cramer rule as the scalar closed form (``_cramer``), applied to
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -60,15 +59,14 @@ from .extphase import (
     ExtendedState,
     HamiltonianModel,
     _check_dim,
-    _checked,
     _coords,
     _eval_stack,
-    _gradient,
-    _hessian,
+    _kernel_hessian,
+    _kernel_read,
     _shape_error,
     apply_J,
     eval_gradient,
-    eval_hessian,
+    eval_hessian,  # noqa: F401  (kept bound: the benchmark tracer rebinds it here)
 )
 
 __all__ = [
@@ -101,20 +99,14 @@ class KantorovichReport:
     guaranteed: bool
 
 
-_EYE: dict[int, np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _identity(dim: int) -> np.ndarray:
-    eye = _EYE.get(dim)
-    if eye is None:
-        eye = np.eye(dim)
-        _EYE[dim] = eye
-    return eye
+    return np.eye(dim)
 
 
 def _jacobian(model: HamiltonianModel, lam: float, z_bar: np.ndarray) -> np.ndarray:
     """f_zbar = I - (lambda/2) J H_zz(z_bar); z_bar has the model's shape."""
-    hess = _hessian(model, z_bar)
+    hess = _kernel_hessian(model, z_bar)
     dim = z_bar.size
     half = dim // 2
     jh = np.empty_like(hess)
@@ -137,6 +129,12 @@ def _singular(lam: float) -> LinearSolveError:
 def _not_converged(tol: float, max_iter: int, residual: float) -> NonconvergenceError:
     msg = f"midpoint solve did not reach tol={tol:g} in {max_iter} iterations"
     return NonconvergenceError(msg, residual=residual, iterations=max_iter)
+
+
+def _check_lambda(lam: float) -> None:
+    """The lambda rule of ``_check_solve_args`` for one lambda, at a float's cost."""
+    if not math.isfinite(lam):
+        raise ParameterError("lambda must be finite")
 
 
 def _check_solve_args(lams, tol) -> None:
@@ -163,7 +161,7 @@ def _cramer(c, h_qq, h_qp, h_pq, h_pp, r_q, r_p):
 
 
 def _solve_qp(hess: np.ndarray, lam: float, r_q: float, r_p: float) -> tuple[float, float]:
-    """``_cramer`` on one checked 4x4 Hessian and floats; a singular block
+    """``_cramer`` on one read 4x4 Hessian and floats; a singular block
     raises LinearSolveError."""
     det, num_q, num_p = _cramer(
         0.5 * lam, hess.item(0, 0), hess.item(0, 2), hess.item(2, 0), hess.item(2, 2), r_q, r_p
@@ -179,7 +177,7 @@ def _solve_jacobian(
     """Solve f_zbar(z_bar) x = rhs; a singular f_zbar raises LinearSolveError."""
     if _closed_form(model):
         x = rhs.copy()  # f_zbar is the identity on the t and wp rows
-        x[0], x[2] = _solve_qp(eval_hessian(model, z_bar), lam, rhs.item(0), rhs.item(2))
+        x[0], x[2] = _solve_qp(_kernel_hessian(model, z_bar), lam, rhs.item(0), rhs.item(2))
         return x
     try:
         return np.linalg.solve(_jacobian(model, lam, z_bar), rhs)
@@ -207,7 +205,7 @@ def _solve_midpoint_qp(
     grad_fn = model.gradient
     for it in range(max_iter + 1):
         grad = np.asarray(grad_fn(z_bar), dtype=float)
-        if grad.shape != (4,):  # the float twin of ``extphase._checked``
+        if grad.shape != (4,):  # ``extphase._kernel_read`` inline, on the floats it unpacks
             raise _shape_error(model, "gradient", grad.shape, (4,))
         g_q, g_t, g_p, g_w = grad.tolist()
         if not math.isfinite(g_q + g_t + g_p + g_w):
@@ -221,7 +219,7 @@ def _solve_midpoint_qp(
             return z_bar, grad, it, res
         if it == max_iter:
             raise _not_converged(tol, max_iter, res)
-        d_q, d_p = _solve_qp(_hessian(model, z_bar), lam, -f_q, -f_p)
+        d_q, d_p = _solve_qp(_kernel_hessian(model, z_bar), lam, -f_q, -f_p)
         q, t, p, w = q + d_q, t - f_t, p + d_p, w - f_w
         z_bar = np.array([q, t, p, w])
 
@@ -246,7 +244,7 @@ def _midpoint_newton(
     half = z.size // 2
     half_lam = 0.5 * lam
     for it in range(max_iter + 1):
-        g = _gradient(model, z_bar)
+        g = _kernel_read(model, "gradient", z_bar, model.gradient(z_bar), z.shape)
         f = z_bar - z
         f[:half] -= half_lam * g[half:]
         f[half:] += half_lam * g[:half]
@@ -363,6 +361,7 @@ def kantorovich_report(
     yields guaranteed=False rather than an exception.
     """
     lambda_delta = derive_constants(bounds, delta).lambda_delta  # checks delta
+    _check_lambda(lam)
     z_arr = _coords(z)
     beta, gamma = 2.0, 0.5
     f0 = -0.5 * lam * apply_J(eval_gradient(model, z_arr))
@@ -374,13 +373,10 @@ def kantorovich_report(
         root = np.sqrt(1.0 - 2.0 * alpha)
         r_minus = (1.0 - root) / (beta * gamma)
         r_plus = (1.0 + root) / (beta * gamma)
-        lam_ok = abs(lam) <= (1.0 / m2 if m2 > 0 else np.inf) and abs(lam) <= (
-            1.0 / gh if gh > 0 else np.inf
-        )
+        lam_ok = abs(lam) <= min(1.0 / m2 if m2 > 0 else np.inf, 1.0 / gh if gh > 0 else np.inf)
         guaranteed = lam_ok and bounds.contains_ball(z_arr, r_minus)
     else:
-        r_minus = np.nan
-        r_plus = np.nan
+        r_minus = r_plus = np.nan
         guaranteed = False
 
     return KantorovichReport(
@@ -406,15 +402,12 @@ def midpoint_sensitivity(
     right-hand side (1/2) J H_z is (g_p, g_wp, -g_q, -g_t) / 2 and f_zbar is
     the identity on its t and wp rows, so the (q, p) block is solved on floats.
     """
+    _check_lambda(lam)
     zb = _coords(z_bar)
     _check_dim(model, zb)
-    grad = eval_gradient(model, zb) if grad is None else _checked(model, "gradient", zb, grad, zb.shape)
+    grad = _kernel_read(model, "gradient", zb, model.gradient(zb) if grad is None else grad, zb.shape)
     if _closed_form(model):
         g_q, g_t, g_p, g_w = grad.tolist()
-        d_q, d_p = _solve_qp(_hessian(model, zb), lam, 0.5 * g_p, -0.5 * g_q)
+        d_q, d_p = _solve_qp(_kernel_hessian(model, zb), lam, 0.5 * g_p, -0.5 * g_q)
         return np.array([d_q, 0.5 * g_w, d_p, -0.5 * g_t])
-    half = grad.size // 2
-    rhs = np.empty_like(grad)  # (1/2) J H_z = (g_p, g_wp, -g_q, -g_t) / 2
-    np.multiply(grad[half:], 0.5, out=rhs[:half])
-    np.multiply(grad[:half], -0.5, out=rhs[half:])
-    return _solve_jacobian(model, lam, zb, rhs)
+    return _solve_jacobian(model, lam, zb, 0.5 * apply_J(grad))

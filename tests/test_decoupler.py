@@ -125,6 +125,24 @@ class TestSolveMidpoint:
         with pytest.raises(ParameterError):
             solve_midpoint_coords(pendulum, 0.1, pendulum_state(0, 0).coords, tol=0.0)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_every_midpoint_function_rejects_a_non_finite_lambda(self, pendulum, lam):
+        # kantorovich_report and midpoint_sensitivity raised LinearSolveError
+        # (or a numpy warning) here instead of the solves' ParameterError
+        z = np.array([0.3, 0.0, 0.2, 0.1])
+        bounds = RegionBounds(M1=2.0, M2=2.0, gamma_H=1.0, N1=1.0, N2=1.0,
+                              center=ExtendedState(z, 1), radius=1.0)
+        z2 = np.array([0.0, 0.1, 0.0, 0.35, 0.1, 0.3])
+        calls = [
+            lambda: solve_midpoint_coords(pendulum, lam, z),
+            lambda: kantorovich_report(pendulum, lam, ExtendedState(z, 1), bounds),
+            lambda: midpoint_sensitivity(pendulum, lam, z),
+            lambda: midpoint_sensitivity(henon_heiles_lift(), lam, z2),
+        ]
+        for call in calls:
+            with pytest.raises(ParameterError, match="lambda must be finite"):
+                call()
+
 
 def _t_capped(model, stacked):
     """The model with a NaN gradient wherever t > 0.04 (rows with lambda > 0.08)."""
@@ -168,6 +186,55 @@ class TestWrongShapeHessian:
             midpoint_sensitivity(bad, 0.05, z)
         with pytest.raises(DimensionError, match="its hessian has shape"):
             kantorovich_report(bad, 0.05, z, bounds)
+
+
+def _entry_nan_beyond(model, entries, axis, edge):
+    """The model with NaN at the Hessian ``entries`` wherever z[axis] > edge."""
+
+    def hessian(z):
+        h = np.array(model.hessian(z), dtype=float)
+        if z[axis] > edge:
+            for i, j in entries:
+                h[i, j] = np.nan
+        return h
+
+    return replace(model, hessian=hessian, vectorized=False)
+
+
+class TestNonFiniteHessianEntry:
+    """Every Hessian entry the midpoint kernels meet is judged, not only those
+    their floats read: the error is ``model hessian is non-finite`` at the
+    midpoint iterate whose Hessian holds it, raised before a step is taken."""
+
+    def test_entry_the_closed_form_never_reads(self, pendulum):
+        # H[t, t] is not one of the four (q, p) entries of the 2x2 solve
+        bad = _entry_nan_beyond(pendulum, [(1, 1)], 0, 0.3001)
+        with pytest.raises(EvaluationError, match="model hessian is non-finite") as err:
+            solve_midpoint_coords(bad, 0.1, [0.3, 0.0, 0.5, 0.0])
+        assert err.value.z[0] > 0.3001
+
+    def test_symmetric_pair_on_the_lu_path(self):
+        bad = _entry_nan_beyond(henon_heiles_lift(), [(0, 1), (1, 0)], 1, 0.1001)
+        with pytest.raises(EvaluationError, match="model hessian is non-finite") as err:
+            solve_midpoint_coords(bad, 0.1, [0.0, 0.1, 0.0, 0.35, 0.1, 0.3])
+        want = [0.01745, 0.10477, 0.05, 0.34895, 0.09531, 0.3]
+        assert np.allclose(err.value.z, want, atol=1e-5)
+
+    def test_inf_entries_an_lu_solve_divides_away(self):
+        # with inf on its diagonal f_zbar's LU solve returns a finite (zero)
+        # sensitivity, so no Newton float can stand in for the entry check
+        model = henon_heiles_lift()
+        bad = replace(model, hessian=lambda z: np.diag(np.full(6, np.inf)), vectorized=False)
+        z = np.array([0.0, 0.1, 0.0, 0.35, 0.1, 0.3])
+        bounds = RegionBounds(M1=2.0, M2=2.0, gamma_H=1.0, N1=1.0, N2=1.0,
+                              center=ExtendedState(z, 2), radius=1.0)
+        calls = [lambda: solve_midpoint_coords(bad, 0.1, z)]
+        for lam in (0.0, 0.1):
+            calls.append(lambda lam=lam: midpoint_sensitivity(bad, lam, z))
+            calls.append(lambda lam=lam: kantorovich_report(bad, lam, ExtendedState(z, 2), bounds))
+        for call in calls:
+            with pytest.raises(EvaluationError, match="model hessian is non-finite"):
+                call()
 
 
 class TestWrongShapeGradient:

@@ -8,8 +8,10 @@ from semint.extphase import (
     ClassicalModel,
     ExtendedState,
     HamiltonianModel,
+    _checked,
     _eval_stack,
     _hessian,
+    _kernel_read,
     _psi_rows,
     _row_dots,
     apply_J,
@@ -562,6 +564,27 @@ class TestEvaluationErrors:
             one_state(bad, z)
         with pytest.raises(DimensionError, match=f"its {kind} has shape"):
             sample_fields(bad, z)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_kernel_read_judges_a_non_finite_entry_as_the_boundary(self, pendulum, bad):
+        z = pendulum_state(0.1, 0.2, wp=0.3).coords
+        for arr, kind in ((np.array([0.0, bad, 0.5, 1.0]), "gradient"), (np.diag([1.0, bad, 1.0, 0.0]), "hessian")):
+            for read in (_checked, _kernel_read):
+                with pytest.raises(EvaluationError, match=f"model {kind} is non-finite") as err:
+                    read(pendulum, kind, z, arr, arr.shape)
+                assert np.array_equal(err.value.z, z)
+
+    def test_kernel_read_passes_finite_entries_whose_numpy_sum_overflows(self, pendulum):
+        # the one verdict the kernel rule changes: from 9 entries on numpy sums
+        # in 8 interleaved lanes, and lane 7 meets 1e308 + 1e308 = inf, while
+        # the left-to-right float sum stays finite; every entry is finite
+        z = np.zeros(4)
+        big = 1e308
+        hess = np.array([0, 0, 0, 1, big, 1, 0, -big, big, 1, 0, -big, 1, 0, 1, -big]).reshape(4, 4)
+        with np.errstate(over="ignore"):
+            with pytest.raises(EvaluationError, match="model hessian is non-finite"):
+                _checked(pendulum, "hessian", z, hess, hess.shape)
+        assert _kernel_read(pendulum, "hessian", z, hess, hess.shape) is hess
 
 
 def parent_hessian(h):

@@ -374,6 +374,40 @@ def test_fast_path_solves_for_the_slope_only_on_newton_steps(
     assert sensitivity == newton_evals - len(calls)
 
 
+def test_model_results_are_checked_once_where_they_enter(pend_opts, monkeypatch):
+    """A pendulum step checks its gradient, Hessian and psi gradient once
+    each, in ``sample_fields``; on a finite model the midpoint kernels and
+    the hand-offs of that gradient to the curve and to ``midpoint_sensitivity``
+    run no numpy check of their own."""
+    import importlib
+    import pkgutil
+    import sys
+
+    import semint
+
+    model, opts = pend_opts
+    wp0 = choose_conjugate_momentum(model, 1.0, 0.0, 0.5, 0.1)
+    callers = Counter()
+    for info in pkgutil.iter_modules(semint.__path__):
+        module = importlib.import_module(f"semint.{info.name}")
+        original = vars(module).get("_checked")
+        if original is None:
+            continue
+
+        def counting(*args, _original=original):
+            frame, names = sys._getframe(1), []
+            while frame is not None:
+                names.append(frame.f_code.co_name)
+                frame = frame.f_back
+            callers["sample_fields" if "sample_fields" in names else names[0]] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, "_checked", counting)
+    traj = propagate(model, pendulum_state(1.0, 0.5, wp=wp0), 50, opts)
+    assert len(traj.multipliers) == 50
+    assert callers == {"sample_fields": 3 * 50}
+
+
 class TestFastPathAgreesWithFullPath:
     """A hint only seeds the warm-started Newton of the fast path.
 
