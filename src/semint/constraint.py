@@ -28,8 +28,8 @@ slower than bisection.  A caller that has H_z(z_k) already
 (``step``, from its field sample) passes it as ``grad``.  Warm-start guesses
 are formed element-wise on floats.  Every result is bit-identical to
 ``g_eval`` / ``g_derivative`` from the same start: the kernel drops only
-the midpoint solve's argument checks on arrays it built itself, and reads
-H_z(z_k), handed in or not, by ``extphase._kernel_read``.
+the midpoint solve's argument checks on arrays it built itself.  H_z(z_k),
+handed in or not, is checked by the one-state rule, ``extphase._checked``.
 """
 
 from __future__ import annotations
@@ -53,9 +53,9 @@ from .extphase import (
     FieldSample,
     HamiltonianModel,
     _check_dim,
+    _checked,
     _coords,
     _eval_stack,
-    _kernel_read,
     _value,
     apply_J as _apply_J_arr,
     eval_gradient,
@@ -116,14 +116,14 @@ class ConstraintCurve:
         tol: float = 1e-13,
         grad: Optional[np.ndarray] = None,
     ):
-        """``grad`` is H_z(z_k) when the caller has already evaluated it (read as the model's)."""
+        """``grad`` is H_z(z_k) when the caller has already evaluated it (checked as the model's)."""
         if not tol > 0:
             raise ParameterError("tol must be positive")
         self.model = model
         self.z = z = _coords(z_k)
         self.tol = tol
         _check_dim(model, z)
-        grad = _kernel_read(model, "gradient", z, model.gradient(z) if grad is None else grad, z.shape)
+        grad = _checked(model, "gradient", z, model.gradient(z) if grad is None else grad, z.shape)
         self._half_jgrad = (0.5 * _apply_J_arr(grad)).tolist()
         # (lambda, z_bar, H_z(z_bar)) of the latest solve and of the one before
         self._prev: Optional[tuple[float, np.ndarray, np.ndarray]] = None

@@ -24,11 +24,13 @@ argument checks, for callers that built their arrays themselves:
 ``constraint.ConstraintCurve``, the kernel of the DTH fast path, which asks
 ``midpoint_sensitivity`` for a slope only on Newton iterations that take a
 step.  The core also returns the H_z(z_bar) of its final residual, so the
-fast path's dg/dlambda needs no further gradient call.  It runs the same
-floating-point operations as the public function, so its results are
-bit-identical.  The public functions check their arguments once, at entry;
-every model result inside, and a ``grad=`` handed in, is read by
-``extphase._kernel_read`` (the n = 1 core's gradient inline, on its floats).
+fast path's dg/dlambda needs no further gradient call.  The public
+functions check their arguments once, at entry; every model result is
+checked where it enters by the one-state rule, ``extphase._checked``
+(a float sum, through ``_gradient`` and ``_hessian``), which the n = 1 float
+core applies inline to the four gradient floats it unpacks.  The core runs
+the same floating-point operations as the public function, so its results
+are bit-identical.
 
 ``solve_midpoints`` runs the same Newton iteration for a whole grid of
 lambdas at one z as one masked batch: every row starts at z_bar = z, freezes
@@ -41,7 +43,6 @@ same 2x2 Cramer rule as the scalar closed form (``_cramer``), applied to
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -59,14 +60,15 @@ from .extphase import (
     ExtendedState,
     HamiltonianModel,
     _check_dim,
+    _checked,
     _coords,
     _eval_stack,
-    _kernel_hessian,
-    _kernel_read,
+    _gradient,
+    _hessian,
     _shape_error,
     apply_J,
     eval_gradient,
-    eval_hessian,  # noqa: F401  (kept bound: the benchmark tracer rebinds it here)
+    eval_hessian,
 )
 
 __all__ = [
@@ -99,14 +101,20 @@ class KantorovichReport:
     guaranteed: bool
 
 
-@functools.lru_cache(maxsize=None)
+_EYE: dict[int, np.ndarray] = {}
+
+
 def _identity(dim: int) -> np.ndarray:
-    return np.eye(dim)
+    eye = _EYE.get(dim)
+    if eye is None:
+        eye = np.eye(dim)
+        _EYE[dim] = eye
+    return eye
 
 
 def _jacobian(model: HamiltonianModel, lam: float, z_bar: np.ndarray) -> np.ndarray:
     """f_zbar = I - (lambda/2) J H_zz(z_bar); z_bar has the model's shape."""
-    hess = _kernel_hessian(model, z_bar)
+    hess = _hessian(model, z_bar)
     dim = z_bar.size
     half = dim // 2
     jh = np.empty_like(hess)
@@ -132,7 +140,7 @@ def _not_converged(tol: float, max_iter: int, residual: float) -> Nonconvergence
 
 
 def _check_lambda(lam: float) -> None:
-    """The lambda rule of ``_check_solve_args`` for one lambda, at a float's cost."""
+    """The lambda rule of ``_check_solve_args`` for one lambda."""
     if not math.isfinite(lam):
         raise ParameterError("lambda must be finite")
 
@@ -161,7 +169,7 @@ def _cramer(c, h_qq, h_qp, h_pq, h_pp, r_q, r_p):
 
 
 def _solve_qp(hess: np.ndarray, lam: float, r_q: float, r_p: float) -> tuple[float, float]:
-    """``_cramer`` on one read 4x4 Hessian and floats; a singular block
+    """``_cramer`` on one checked 4x4 Hessian and floats; a singular block
     raises LinearSolveError."""
     det, num_q, num_p = _cramer(
         0.5 * lam, hess.item(0, 0), hess.item(0, 2), hess.item(2, 0), hess.item(2, 2), r_q, r_p
@@ -177,7 +185,7 @@ def _solve_jacobian(
     """Solve f_zbar(z_bar) x = rhs; a singular f_zbar raises LinearSolveError."""
     if _closed_form(model):
         x = rhs.copy()  # f_zbar is the identity on the t and wp rows
-        x[0], x[2] = _solve_qp(_kernel_hessian(model, z_bar), lam, rhs.item(0), rhs.item(2))
+        x[0], x[2] = _solve_qp(eval_hessian(model, z_bar), lam, rhs.item(0), rhs.item(2))
         return x
     try:
         return np.linalg.solve(_jacobian(model, lam, z_bar), rhs)
@@ -205,7 +213,7 @@ def _solve_midpoint_qp(
     grad_fn = model.gradient
     for it in range(max_iter + 1):
         grad = np.asarray(grad_fn(z_bar), dtype=float)
-        if grad.shape != (4,):  # ``extphase._kernel_read`` inline, on the floats it unpacks
+        if grad.shape != (4,):  # the float twin of ``extphase._checked``
             raise _shape_error(model, "gradient", grad.shape, (4,))
         g_q, g_t, g_p, g_w = grad.tolist()
         if not math.isfinite(g_q + g_t + g_p + g_w):
@@ -219,7 +227,7 @@ def _solve_midpoint_qp(
             return z_bar, grad, it, res
         if it == max_iter:
             raise _not_converged(tol, max_iter, res)
-        d_q, d_p = _solve_qp(_kernel_hessian(model, z_bar), lam, -f_q, -f_p)
+        d_q, d_p = _solve_qp(_hessian(model, z_bar), lam, -f_q, -f_p)
         q, t, p, w = q + d_q, t - f_t, p + d_p, w - f_w
         z_bar = np.array([q, t, p, w])
 
@@ -244,7 +252,7 @@ def _midpoint_newton(
     half = z.size // 2
     half_lam = 0.5 * lam
     for it in range(max_iter + 1):
-        g = _kernel_read(model, "gradient", z_bar, model.gradient(z_bar), z.shape)
+        g = _gradient(model, z_bar)
         f = z_bar - z
         f[:half] -= half_lam * g[half:]
         f[half:] += half_lam * g[:half]
@@ -373,10 +381,13 @@ def kantorovich_report(
         root = np.sqrt(1.0 - 2.0 * alpha)
         r_minus = (1.0 - root) / (beta * gamma)
         r_plus = (1.0 + root) / (beta * gamma)
-        lam_ok = abs(lam) <= min(1.0 / m2 if m2 > 0 else np.inf, 1.0 / gh if gh > 0 else np.inf)
+        lam_ok = abs(lam) <= (1.0 / m2 if m2 > 0 else np.inf) and abs(lam) <= (
+            1.0 / gh if gh > 0 else np.inf
+        )
         guaranteed = lam_ok and bounds.contains_ball(z_arr, r_minus)
     else:
-        r_minus = r_plus = np.nan
+        r_minus = np.nan
+        r_plus = np.nan
         guaranteed = False
 
     return KantorovichReport(
@@ -405,9 +416,13 @@ def midpoint_sensitivity(
     _check_lambda(lam)
     zb = _coords(z_bar)
     _check_dim(model, zb)
-    grad = _kernel_read(model, "gradient", zb, model.gradient(zb) if grad is None else grad, zb.shape)
+    grad = eval_gradient(model, zb) if grad is None else _checked(model, "gradient", zb, grad, zb.shape)
     if _closed_form(model):
         g_q, g_t, g_p, g_w = grad.tolist()
-        d_q, d_p = _solve_qp(_kernel_hessian(model, zb), lam, 0.5 * g_p, -0.5 * g_q)
+        d_q, d_p = _solve_qp(_hessian(model, zb), lam, 0.5 * g_p, -0.5 * g_q)
         return np.array([d_q, 0.5 * g_w, d_p, -0.5 * g_t])
-    return _solve_jacobian(model, lam, zb, 0.5 * apply_J(grad))
+    half = grad.size // 2
+    rhs = np.empty_like(grad)  # (1/2) J H_z = (g_p, g_wp, -g_q, -g_t) / 2
+    np.multiply(grad[half:], 0.5, out=rhs[:half])
+    np.multiply(grad[:half], -0.5, out=rhs[half:])
+    return _solve_jacobian(model, lam, zb, rhs)

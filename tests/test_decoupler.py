@@ -21,7 +21,14 @@ from semint.errors import (
     NonconvergenceError,
     ParameterError,
 )
-from semint.extphase import ClassicalModel, ExtendedState, apply_J, autonomize, eval_gradient
+from semint.extphase import (
+    ClassicalModel,
+    ExtendedState,
+    apply_J,
+    autonomize,
+    eval_gradient,
+    eval_hessian,
+)
 
 from conftest import DELTA, PEND_RADIUS, henon_heiles_lift, pendulum_state
 
@@ -236,6 +243,23 @@ class TestNonFiniteHessianEntry:
             with pytest.raises(EvaluationError, match="model hessian is non-finite"):
                 call()
 
+    def test_finite_entries_whose_numpy_sum_overflows(self, pendulum):
+        # a verdict that moved: near DBL_MAX in the t and wp rows, which the
+        # n = 1 closed form never reads, numpy's 8-lane sum of the 16 entries
+        # overflows (the numpy-sum rule rejected them) and the left-to-right
+        # float sum does not; the boundary and the kernels take one rule
+        big = np.zeros((4, 4))
+        for (i, j), v in {(0, 3): 1e308, (1, 3): 1e308, (1, 2): -1e308, (2, 3): -1e308}.items():
+            big[i, j] = big[j, i] = v
+        model = replace(pendulum, hessian=lambda z: pendulum.hessian(z) + big, vectorized=False)
+        z = np.array([0.3, 0.0, 0.5, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(model.hessian(z).sum())
+        assert eval_hessian(model, z).tobytes() == model.hessian(z).tobytes()
+        z_bar, _, _ = solve_midpoint_coords(model, 0.1, z)
+        assert z_bar.tobytes() == solve_midpoint_coords(pendulum, 0.1, z)[0].tobytes()
+        got = midpoint_sensitivity(model, 0.1, z_bar)
+        assert got.tobytes() == midpoint_sensitivity(pendulum, 0.1, z_bar).tobytes()
 
 class TestWrongShapeGradient:
     """A gradient whose shape is not (dim,), from the model or handed in as

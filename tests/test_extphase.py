@@ -11,7 +11,6 @@ from semint.extphase import (
     _checked,
     _eval_stack,
     _hessian,
-    _kernel_read,
     _psi_rows,
     _row_dots,
     apply_J,
@@ -566,25 +565,24 @@ class TestEvaluationErrors:
             sample_fields(bad, z)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-    def test_kernel_read_judges_a_non_finite_entry_as_the_boundary(self, pendulum, bad):
+    @pytest.mark.parametrize("side", [6, 8], ids=["float-sum", "numpy-sum"])
+    def test_non_finite_entry_on_either_side_of_the_float_sum(self, pendulum, bad, side):
+        # up to 36 entries (6x6) the sum runs on Python floats, above on numpy
         z = pendulum_state(0.1, 0.2, wp=0.3).coords
-        for arr, kind in ((np.array([0.0, bad, 0.5, 1.0]), "gradient"), (np.diag([1.0, bad, 1.0, 0.0]), "hessian")):
-            for read in (_checked, _kernel_read):
-                with pytest.raises(EvaluationError, match=f"model {kind} is non-finite") as err:
-                    read(pendulum, kind, z, arr, arr.shape)
-                assert np.array_equal(err.value.z, z)
+        hess = np.eye(side)
+        hess[1, side - 1] = bad
+        with pytest.raises(EvaluationError, match="model hessian is non-finite") as err:
+            _checked(pendulum, "hessian", z, hess, hess.shape)
+        assert np.array_equal(err.value.z, z)
 
-    def test_kernel_read_passes_finite_entries_whose_numpy_sum_overflows(self, pendulum):
-        # the one verdict the kernel rule changes: from 9 entries on numpy sums
-        # in 8 interleaved lanes, and lane 7 meets 1e308 + 1e308 = inf, while
-        # the left-to-right float sum stays finite; every entry is finite
-        z = np.zeros(4)
-        big = 1e308
-        hess = np.array([0, 0, 0, 1, big, 1, 0, -big, big, 1, 0, -big, 1, 0, 1, -big]).reshape(4, 4)
-        with np.errstate(over="ignore"):
-            with pytest.raises(EvaluationError, match="model hessian is non-finite"):
-                _checked(pendulum, "hessian", z, hess, hess.shape)
-        assert _kernel_read(pendulum, "hessian", z, hess, hess.shape) is hess
+    def test_overflowing_float_sum_raises_without_a_warning(self, pendulum):
+        # numpy's sum warned "overflow encountered in reduce" before the
+        # EvaluationError, and under -W error the caller got the warning
+        from dataclasses import replace
+
+        bad = replace(pendulum, gradient=lambda z: np.array([1e308, 0.0, 1e308, 1.0]), vectorized=False)
+        with pytest.raises(EvaluationError, match="model gradient is non-finite"):
+            eval_gradient(bad, pendulum_state(0.1, 0.2).coords)
 
 
 def parent_hessian(h):

@@ -374,38 +374,38 @@ def test_fast_path_solves_for_the_slope_only_on_newton_steps(
     assert sensitivity == newton_evals - len(calls)
 
 
-def test_model_results_are_checked_once_where_they_enter(pend_opts, monkeypatch):
-    """A pendulum step checks its gradient, Hessian and psi gradient once
-    each, in ``sample_fields``; on a finite model the midpoint kernels and
-    the hand-offs of that gradient to the curve and to ``midpoint_sensitivity``
-    run no numpy check of their own."""
-    import importlib
-    import pkgutil
+@pytest.mark.parametrize("run", ["pendulum", "henon-heiles"])
+def test_one_state_checks_run_no_numpy_sum(run, pend_opts):
+    """Every one-state model result of an n <= 2 run, at the field sample,
+    inside the midpoint kernels and at the hand-offs of a checked gradient to
+    the curve and to ``midpoint_sensitivity``, is judged by ``_checked``'s sum
+    of Python floats; numpy's sum, 1.0 us a call, never runs there."""
+    import builtins
     import sys
 
-    import semint
+    from semint import extphase
 
-    model, opts = pend_opts
-    wp0 = choose_conjugate_momentum(model, 1.0, 0.0, 0.5, 0.1)
-    callers = Counter()
-    for info in pkgutil.iter_modules(semint.__path__):
-        module = importlib.import_module(f"semint.{info.name}")
-        original = vars(module).get("_checked")
-        if original is None:
-            continue
+    sums = Counter()
 
-        def counting(*args, _original=original):
-            frame, names = sys._getframe(1), []
-            while frame is not None:
-                names.append(frame.f_code.co_name)
-                frame = frame.f_back
-            callers["sample_fields" if "sample_fields" in names else names[0]] += 1
-            return _original(*args)
+    def profile(frame, event, arg):
+        if event == "c_call" and frame.f_code is extphase._checked.__code__:
+            if arg is builtins.sum:
+                sums["float"] += 1
+            elif arg.__name__ == "sum":
+                sums["numpy"] += 1
 
-        monkeypatch.setattr(module, "_checked", counting)
-    traj = propagate(model, pendulum_state(1.0, 0.5, wp=wp0), 50, opts)
-    assert len(traj.multipliers) == 50
-    assert callers == {"sample_fields": 3 * 50}
+    sys.setprofile(profile)
+    try:
+        if run == "pendulum":
+            model, opts = pend_opts
+            wp0 = choose_conjugate_momentum(model, 1.0, 0.0, 0.5, 0.1)
+            traj = propagate(model, pendulum_state(1.0, 0.5, wp=wp0), 50, opts)
+        else:
+            traj = henon_heiles_run(20, samples=3)
+    finally:
+        sys.setprofile(None)
+    assert len(traj.multipliers) == (50 if run == "pendulum" else 20)
+    assert sums["numpy"] == 0 and sums["float"] > 10 * len(traj.multipliers)
 
 
 class TestFastPathAgreesWithFullPath:
