@@ -42,12 +42,12 @@ import numpy as np
 from .bounds import DerivedConstants
 from .decoupler import (
     _check_lambda,
+    _check_tol,
     _midpoint_newton,
     midpoint_sensitivity,
     solve_midpoint_coords,
     solve_midpoints,
 )
-from .errors import ParameterError
 from .extphase import (
     ExtendedState,
     FieldSample,
@@ -117,8 +117,7 @@ class ConstraintCurve:
         grad: Optional[np.ndarray] = None,
     ):
         """``grad`` is H_z(z_k) when the caller has already evaluated it (checked as the model's)."""
-        if not tol > 0:
-            raise ParameterError("tol must be positive")
+        _check_tol(tol)
         self.model = model
         self.z = z = _coords(z_k)
         self.tol = tol

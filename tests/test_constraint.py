@@ -10,7 +10,7 @@ from semint import models
 from semint.bounds import derive_constants, estimate_bounds
 from semint.constraint import ConstraintCurve, CubicModel, cubic_model, g_derivative, g_eval
 from semint.decoupler import solve_midpoint_coords
-from semint.errors import DimensionError, EvaluationError
+from semint.errors import DimensionError, EvaluationError, ParameterError
 from semint.extphase import ExtendedState
 
 from conftest import DELTA, PEND_RADIUS, henon_heiles_lift, pendulum_state
@@ -139,6 +139,15 @@ class TestConstraintCurve:
         cold = [g_eval(pendulum, lam, z, tol=1e-13) for lam in lams]
         warm = [curve.g(lam) for lam in lams]
         assert np.allclose(cold, warm, atol=1e-12)
+
+    def test_rejects_a_tol_that_is_not_positive_and_finite(self, pendulum):
+        # tol = inf was taken: the half-Euler start guess passed as the
+        # midpoint, and g(0.1) read -0.729930 where the solve gives -0.730742
+        z = pendulum_state(0.3, 0.5, wp=0.1)
+        for tol in (np.inf, np.nan, 0.0, -1e-13):
+            with pytest.raises(ParameterError, match="tol must be positive and finite"):
+                ConstraintCurve(pendulum, z, tol=tol)
+        assert ConstraintCurve(pendulum, z).g(0.1) == pytest.approx(-0.730742, abs=1e-6)
 
 
 class TestWrongShapeGradient:

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from semint.extphase import (
     autonomize,
     eval_gradient,
     eval_hessian,
+    eval_value,
 )
 
 from conftest import DELTA, PEND_RADIUS, henon_heiles_lift, pendulum_state
@@ -149,6 +151,48 @@ class TestSolveMidpoint:
         for call in calls:
             with pytest.raises(ParameterError, match="lambda must be finite"):
                 call()
+
+    BAD_ARGUMENTS = {
+        # (function, lambda, keyword arguments); each went through or raised a raw error
+        "coords-negative-max-iter": ("coords", 0.1, {"max_iter": -1}),
+        "grid-negative-max-iter": ("grid", [0.1, 0.2], {"max_iter": -1}),
+        "coords-fractional-max-iter": ("coords", 0.1, {"max_iter": 2.5}),
+        "grid-fractional-max-iter": ("grid", [0.1, 0.2], {"max_iter": 2.5}),
+        "coords-bool-max-iter": ("coords", 0.1, {"max_iter": True}),
+        "coords-infinite-tol": ("coords", 0.1, {"tol": math.inf}),
+        "grid-infinite-tol": ("grid", [0.1, 0.2], {"tol": math.inf}),
+        "grid-of-rows": ("grid", [[0.1, 0.2]], {}),
+        "grid-scalar": ("grid", 0.1, {}),
+        "coords-array-lambda": ("coords", np.array([0.1, 0.2]), {}),
+        "coords-one-entry-lambda": ("coords", np.array([0.1]), {}),
+        "sensitivity-array-lambda": ("sensitivity", np.array([0.1, 0.2]), {}),
+        "sensitivity-str-lambda": ("sensitivity", "0.1", {}),
+        "kantorovich-array-lambda": ("kantorovich", np.array([0.1, 0.2]), {}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+    def test_one_argument_rule(self, pendulum, case):
+        # lambda a finite number (a 1-D sequence of them for the grid), tol
+        # positive and finite, max_iter a whole number >= 0
+        kind, lam, kwargs = self.BAD_ARGUMENTS[case]
+        z = np.array([0.3, 0.0, 0.5, 0.1])
+        bounds = RegionBounds(M1=2.0, M2=2.0, gamma_H=1.0, N1=1.0, N2=1.0,
+                              center=ExtendedState(z, 1), radius=1.0)
+        call = {
+            "coords": lambda: solve_midpoint_coords(pendulum, lam, z, **kwargs),
+            "grid": lambda: solve_midpoints(pendulum, lam, z, **kwargs),
+            "sensitivity": lambda: midpoint_sensitivity(pendulum, lam, z),
+            "kantorovich": lambda: kantorovich_report(pendulum, lam, ExtendedState(z, 1), bounds),
+        }[kind]
+        with pytest.raises(ParameterError):
+            call()
+
+    def test_whole_max_iter_of_any_integer_type(self, pendulum):
+        z = np.array([0.3, 0.0, 0.5, 0.1])
+        ref = solve_midpoint_coords(pendulum, 0.1, z)[0]
+        for max_iter in (np.int64(50), 50):
+            assert solve_midpoint_coords(pendulum, 0.1, z, max_iter=max_iter)[0].tobytes() == ref.tobytes()
+            assert solve_midpoints(pendulum, [0.1], z, max_iter=max_iter)[0].tobytes() == ref.tobytes()
 
 
 def _t_capped(model, stacked):
@@ -432,18 +476,31 @@ class TestKantorovich:
 
 class TestInverseBound:
     def test_matrix_perturbation_bound(self, pendulum, pendulum_scaled, rng):
-        # ||f_zbar^{-1}|| < 2 whenever |lambda| <= 1/M2, probed with unit vectors
-        from semint.decoupler import _jacobian
+        # ||f_zbar^{-1}|| < 2 whenever |lambda| <= 1/M2 (||(lambda/2) J H_zz|| <= 1/2),
+        # probed with unit vectors: the pendulum through the n = 1 Cramer block,
+        # Henon-Heiles through the LU solve on |x|, |y| <= 0.6, where
+        # ||H_zz||_F^2 = 4 + 8 (x^2 + y^2) <= 9.76
+        from semint.decoupler import _solve_f
 
-        lam_max = 1.0 / pendulum_scaled.M2
-        for _ in range(20):
-            z = pendulum_state(rng.uniform(-2, 2), rng.uniform(-2, 2), wp=rng.uniform(-1, 1))
-            lam = rng.uniform(-lam_max, lam_max)
-            A = _jacobian(pendulum, lam, z.coords)
-            for _ in range(5):
-                u = rng.standard_normal(4)
-                u /= np.linalg.norm(u)
-                assert np.linalg.norm(np.linalg.solve(A, u)) < 2.0
+        def pendulum_point():
+            return pendulum_state(rng.uniform(-2, 2), rng.uniform(-2, 2), wp=rng.uniform(-1, 1)).coords
+
+        def henon_heiles_point():
+            return np.array([*rng.uniform(-0.6, 0.6, 2), rng.uniform(-1, 1), *rng.uniform(-1, 1, 3)])
+
+        for model, m2, point in (
+            (pendulum, pendulum_scaled.M2, pendulum_point),
+            (henon_heiles_lift(), np.sqrt(9.76), henon_heiles_point),
+        ):
+            lam_max = 1.0 / m2
+            for _ in range(20):
+                z = point()
+                lam = rng.uniform(-lam_max, lam_max)
+                hess = eval_hessian(model, z)
+                for _ in range(5):
+                    u = rng.standard_normal(model.dim)
+                    u /= np.linalg.norm(u)
+                    assert np.linalg.norm(_solve_f(model, lam, hess, u)) < 2.0
 
 
 class TestSensitivity:
@@ -623,3 +680,85 @@ class TestStackedClosedForm:
                 solve_midpoints(_hessian_t_capped(pendulum, stacked), lams, z)
             # the Hessian of iteration 1 sees row k at t = lambda_k / 2
             assert err.value.z[1] == pytest.approx(0.045, abs=1e-15)
+
+
+def cubic_three_dof_lift():
+    """n = 3 lift of H_c = |p|^2/2 + |q|^2/2 + q1 q2 q3: an 8x8 midpoint
+    Jacobian (the LU solve) and a 64-entry Hessian (``_checked``'s numpy sum)."""
+
+    def value(c):
+        q, p = c[:3], c[4:]
+        return 0.5 * (p @ p) + 0.5 * (q @ q) + q[0] * q[1] * q[2]
+
+    def gradient(c):
+        q1, q2, q3, _, p1, p2, p3 = c
+        return np.array([q1 + q2 * q3, q2 + q1 * q3, q3 + q1 * q2, 0.0, p1, p2, p3])
+
+    def hessian(c):
+        q1, q2, q3 = c[:3]
+        h = np.zeros((7, 7))
+        h[:3, :3] = [[1.0, q3, q2], [q3, 1.0, q1], [q2, q1, 1.0]]
+        h[4, 4] = h[5, 5] = h[6, 6] = 1.0
+        return h
+
+    return autonomize(
+        ClassicalModel(n=3, value=value, gradient=gradient, hessian=hessian, time_independent=True)
+    )
+
+
+class TestThreeDof:
+    """The general-n kernels at n = 3, where no built-in model reaches."""
+
+    MODEL = cubic_three_dof_lift()
+    Z = np.array([0.1, 0.0, -0.2, 0.15, 0.3, 0.1, -0.2, 0.05])
+
+    def test_grid_rows_match_scalar_solves(self):
+        lams = np.linspace(-0.2, 0.2, 17)
+        rows = solve_midpoints(self.MODEL, lams, self.Z, tol=1e-13)
+        for lam, row in zip(lams, rows):
+            ref, _, _ = solve_midpoint_coords(self.MODEL, lam, self.Z, tol=1e-13)
+            assert np.max(np.abs(row - ref)) <= 1e-14
+
+    def test_sensitivity_matches_central_difference(self):
+        h = 1e-5
+        for lam in (-0.15, 0.05, 0.12):
+            z_bar, _, _ = solve_midpoint_coords(self.MODEL, lam, self.Z, tol=1e-14)
+            plus, _, _ = solve_midpoint_coords(self.MODEL, lam + h, self.Z, tol=1e-14)
+            minus, _, _ = solve_midpoint_coords(self.MODEL, lam - h, self.Z, tol=1e-14)
+            sens = midpoint_sensitivity(self.MODEL, lam, z_bar)
+            assert np.allclose(sens, (plus - minus) / (2 * h), atol=1e-8)
+
+    def test_bad_hessians_raise_typed_errors(self):
+        nan_entry = _entry_nan_beyond(self.MODEL, [(2, 2)], 0, -1.0)  # a 64-entry numpy sum
+        short = replace(self.MODEL, hessian=lambda z: np.eye(7), vectorized=False)
+        bounds = RegionBounds(M1=2.0, M2=3.0, gamma_H=1.5, N1=1.0, N2=1.0,
+                              center=ExtendedState(self.Z, 3), radius=1.0)
+        for bad, error in ((nan_entry, EvaluationError), (short, DimensionError)):
+            calls = [
+                lambda: solve_midpoint_coords(bad, 0.1, self.Z),
+                lambda: solve_midpoints(bad, [0.0, 0.1], self.Z),
+                lambda: midpoint_sensitivity(bad, 0.1, self.Z),
+                lambda: kantorovich_report(bad, 0.1, ExtendedState(self.Z, 3), bounds),
+            ]
+            for call in calls:
+                with pytest.raises(error, match="hessian"):
+                    call()
+
+    def test_propagate_keeps_the_constraint_and_wp(self):
+        from semint.bounds import derive_constants
+        from semint.trajectory import StepOptions, choose_conjugate_momentum, propagate
+
+        # closed-form suprema on |q_i|, |p_i| <= 0.5: ||H_z||^2 <= 3 (0.75)^2 + 0.75 + 1,
+        # ||H_zz||_F^2 <= 6 + 2 |q|^2, and H_zz's Lipschitz constant sqrt(2); N1 and
+        # N2 round up a 3-per-axis sample of psi's derivatives (6.98, 12.37)
+        center = ExtendedState(np.zeros(8), 3)
+        bounds = RegionBounds(M1=np.sqrt(3.4375), M2=np.sqrt(7.5), gamma_H=np.sqrt(2.0), N1=8.0,
+                              N2=14.0, center=center, radius=0.5, active_axes=(0, 1, 2, 4, 5, 6))
+        opts = StepOptions(bounds=bounds, constants=derive_constants(bounds, 0.5))
+        q0, p0 = [0.1, -0.2, 0.15], [0.3, 0.1, -0.2]
+        wp0 = choose_conjugate_momentum(self.MODEL, q0, 0.0, p0, 0.1)
+        traj = propagate(self.MODEL, ExtendedState.from_parts(q0, 0.0, p0, wp0), 20, opts)
+        assert len(traj.multipliers) == 20
+        assert all(0.09 < lam < 0.11 for lam in traj.multipliers)
+        assert max(abs(eval_value(self.MODEL, z.coords)) for z in traj.midpoints) <= opts.tol_g
+        assert max(abs(v.wp - wp0) for v in traj.vertices) <= 1e-12
