@@ -15,23 +15,17 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import (
+    ParameterError, _NONNEGATIVE, _POSITIVE, _UNIT, _from_json, _instance, _parse_fields, _real,
+    _refused, _vector, _whole,
+)
 from .extphase import (
-    ExtendedState,
-    HamiltonianModel,
-    _coords,
-    _eval_stack,
-    _psi_axes,
-    _row_dots,
-    eval_gradient,
-    eval_hessian,
-    psi_fd_step,
-    psi_gradient,
+    ExtendedState, HamiltonianModel, _coords, _eval_stack, _psi_axes, _row_dots, eval_gradient,
+    eval_hessian, psi_fd_step, psi_gradient,
 )
 
 __all__ = [
@@ -42,11 +36,6 @@ __all__ = [
     "bounds_to_json",
     "bounds_from_json",
 ]
-
-
-def _whole(x) -> bool:
-    """An integer of any type (numpy's too), booleans excepted."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -72,26 +61,23 @@ class RegionBounds:
     safety: float = 1.0
 
     def __post_init__(self):
-        for name in ("M1", "M2", "gamma_H", "N1", "N2"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ParameterError(f"{name} must be finite and nonnegative, got {value}")
-        if not 0 < self.radius < math.inf:
-            raise ParameterError(f"radius must be finite and positive, got {self.radius}")
-        if not 0 < self.safety < math.inf:
-            raise ParameterError(f"safety must be finite and positive, got {self.safety}")
-        if not _whole(self.sample_count) or self.sample_count < 0:
-            raise ParameterError(f"sample_count must be a whole number >= 0, got {self.sample_count!r}")
-        axes, dim = self.active_axes, self.center.coords.size
-        if not all(_whole(i) and 0 <= i < dim for i in axes) or len(set(axes)) < len(axes):
-            raise ParameterError(f"active_axes must be distinct integer axes of the center, got {axes!r}")
-        object.__setattr__(self, "sample_count", int(self.sample_count))
-        object.__setattr__(self, "active_axes", tuple(int(i) for i in axes))
+        _parse_fields(self, {
+            **dict.fromkeys(("M1", "M2", "gamma_H", "N1", "N2"), (_real, _NONNEGATIVE)),
+            "radius": (_real, _POSITIVE), "safety": (_real, _POSITIVE), "center": (_instance, ExtendedState),
+            "mode": (_instance, str), "sample_count": (_whole, 0),
+        })
+        axes = self.active_axes
+        try:
+            got = tuple(_whole(i, "axis") for i in axes)
+        except (TypeError, ParameterError):  # not a sequence, or an entry is no whole number
+            got = None
+        if got is None or any(i >= self.center.coords.size for i in got) or len(set(got)) < len(got):
+            raise _refused("active_axes", "distinct integer axes of the center", axes)
+        object.__setattr__(self, "active_axes", got)
 
     def scaled(self, factor: float) -> "RegionBounds":
         """Inflate the five sampled constants by a safety factor."""
-        if not factor > 0:
-            raise ParameterError("safety factor must be positive")
+        _real(factor, "factor", _POSITIVE)
         return replace(
             self,
             M1=self.M1 * factor,
@@ -137,8 +123,8 @@ def derive_constants(bounds: RegionBounds, delta: float = 0.5) -> DerivedConstan
     corresponding hypothesis is vacuous for flat models).  Bounds so large
     that gamma_z, gamma_h or K overflow raise ``ParameterError``.
     """
-    if not 0.0 < delta < 1.0:
-        raise ParameterError(f"delta must lie in (0, 1), got {delta}")
+    _instance(bounds, "bounds", RegionBounds)
+    delta = _real(delta, "delta", _UNIT)
     m1, m2, gh = bounds.M1, bounds.M2, bounds.gamma_H
     n1, n2 = bounds.N1, bounds.N2
     gamma_z = 2.0 * m1 * m2 + m1 * m1
@@ -235,10 +221,10 @@ def estimate_bounds(
     Hessian pairs plus a batch of random pairs drawn with seed 0; enlarging
     the grid can only grow the returned maxima.
     """
-    if not radius > 0:
-        raise ParameterError(f"radius must be positive, got {radius}")
-    if samples_per_axis < 3:
-        raise ParameterError("need at least 3 samples per axis")
+    _instance(model, "model", HamiltonianModel)
+    _instance(center, "center", ExtendedState)
+    radius = _real(radius, "radius", _POSITIVE)
+    samples_per_axis = _whole(samples_per_axis, "samples_per_axis", 3)
 
     c = center.coords
     dim = c.size
@@ -283,18 +269,8 @@ def estimate_bounds(
         i2 = rng.integers(0, count, size=_PAIR_SAMPLES)
         gamma = max(gamma, pair_slope(i1, i2))
 
-    return RegionBounds(
-        M1=m1,
-        M2=m2,
-        gamma_H=gamma,
-        N1=n1,
-        N2=n2,
-        center=center,
-        radius=float(radius),
-        sample_count=count,
-        mode="sampled",
-        active_axes=active,
-    )
+    return RegionBounds(M1=m1, M2=m2, gamma_H=gamma, N1=n1, N2=n2, center=center, radius=radius,
+                        sample_count=count, mode="sampled", active_axes=active)
 
 
 def bounds_to_json(bounds: RegionBounds) -> str:
@@ -318,26 +294,14 @@ def bounds_to_json(bounds: RegionBounds) -> str:
 
 
 def bounds_from_json(text: str) -> RegionBounds:
+    """The bounds ``bounds_to_json`` wrote, parsed by the argument kinds."""
     data = json.loads(text)
-    for key in ("M1", "M2", "gamma_H", "N1", "N2", "radius", "n", "center"):
-        values = data[key] if key == "center" else [data[key]]
-        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
-            raise ValueError(f"{key} holds something other than a JSON number: {data[key]!r}")
-    for key in ("n", "sample_count"):
-        value = data.get(key, 0)
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0:
-            raise ValueError(f"{key} must be a whole number, got {value!r}")
-    center = ExtendedState(np.asarray(data["center"], dtype=float), int(data["n"]))
-    return RegionBounds(
-        M1=float(data["M1"]),
-        M2=float(data["M2"]),
-        gamma_H=float(data["gamma_H"]),
-        N1=float(data["N1"]),
-        N2=float(data["N2"]),
+    center = ExtendedState(_vector(data["center"], "center"), _from_json(data["n"], "n", _whole, 1))
+    return RegionBounds(  # RegionBounds parses the numbers; the front end reads the whole ones
+        **{key: data[key] for key in ("M1", "M2", "gamma_H", "N1", "N2", "radius")},
         center=center,
-        radius=float(data["radius"]),
-        sample_count=int(data.get("sample_count", 0)),
-        mode=str(data.get("mode", "user-supplied")),
+        sample_count=_from_json(data.get("sample_count", 0), "sample_count", _whole, 0),
+        mode=data.get("mode", "user-supplied"),
         active_axes=tuple(data.get("active_axes", ())),
-        safety=float(data.get("safety", 1.0)),
+        safety=data.get("safety", 1.0),
     )

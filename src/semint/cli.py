@@ -8,11 +8,11 @@ evaluation or solver error that ended the run, is printed), 3 verification
 failure.
 
 One boundary gives exit 1: ``main`` prints any ``SemintError`` as one
-``error:`` line.  A refused config value is a ``ParameterError``, prefixed
-with its name where a library call refused it; a key that the command does
-not read, at the top level or in a config object, is refused too.  A step
-the DTH equations or the solver refuse is a ``terminated`` event of
-``propagate`` instead: exit 2.
+``error:`` line.  A refused config value is a ``ParameterError`` (every value
+goes through ``errors._from_json``), prefixed with its name where a library
+call refused it; a key that the command does not read, at the top level or
+in a config object, is refused too.  A step the DTH equations or the solver
+refuse is a ``terminated`` event of ``propagate`` instead: exit 2.
 """
 
 from __future__ import annotations
@@ -20,29 +20,22 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import models
-from .bounds import (
-    bounds_from_json,
-    bounds_to_json,
-    derive_constants,
-    estimate_bounds,
-)
+from .bounds import bounds_from_json, bounds_to_json, derive_constants, estimate_bounds
 from .constraint import ConstraintCurve, CubicModel, cubic_model
-from .errors import ParameterError, SemintError, SolveError
+from .errors import (
+    ParameterError, SemintError, SolveError, _POSITIVE, _UNIT, _from_json, _instance, _one_of,
+    _real, _vector, _whole,
+)
 from .extphase import ExtendedState, _eval_stack, eval_value, sample_fields, state_header
 from .multiplier import classify_region, predict_roots
-from .trajectory import (
-    StepOptions,
-    choose_conjugate_momentum,
-    classify_vertex,  # noqa: F401  (kept bound: the benchmark tracer rebinds it here)
-    propagate,
-)
+from .trajectory import StepOptions, choose_conjugate_momentum, propagate
+from .trajectory import classify_vertex  # noqa: F401  (kept bound: the benchmark tracer rebinds it here)
 from . import verify as verify_mod
 
 DEFAULT_TOLERANCES = {key: getattr(StepOptions, key) for key in ("tol_g", "tol_lambda", "solver_tol")}
@@ -118,41 +111,12 @@ def _tolerances(cfg, args, used=tuple(DEFAULT_TOLERANCES)):
     for key, flag in (("tol_g", "--tol-g"), ("tol_lambda", "--tol-lambda")):
         if getattr(args, key, None) is not None:
             given[key] = (getattr(args, key), flag)
-    return {key: _positive_number(value, name) for key, (value, name) in given.items()}
-
-
-def _config_number(value, name, integer=False):
-    """A finite float (or, with ``integer``, a whole number) from a config value."""
-    try:
-        if isinstance(value, (bool, str)):  # float() would read true as 1 and "2.5" as 2.5
-            raise TypeError
-        number = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"{name} must be a number, got {value!r}") from exc
-    if not math.isfinite(number):
-        raise ParameterError(f"{name} must be finite, got {value!r}")
-    if integer:
-        if number != int(number):
-            raise ParameterError(f"{name} must be an integer, got {value!r}")
-        return int(number)
-    return number
-
-
-def _positive_number(value, name):
-    number = _config_number(value, name)
-    if not number > 0:
-        raise ParameterError(f"{name} must be positive, got {number}")
-    return number
-
-
-def _config_vector(value, name):
-    """A list of finite floats from a config number or list of numbers."""
-    return [_config_number(x, name) for x in (value if isinstance(value, list) else [value])]
+    return {key: _from_json(value, name, _real, _POSITIVE) for key, (value, name) in given.items()}
 
 
 def _config_state(value, model, what):
     """An ExtendedState of the model's dimension from a config coordinate list."""
-    coords = np.array(_config_vector(value, what))
+    coords = _from_json(value, what, _vector)
     try:
         return ExtendedState(coords, model.n)
     except SemintError as exc:
@@ -162,10 +126,8 @@ def _config_state(value, model, what):
 def _resolve_bounds(cfg, model, fallback_center=None):
     """Build (safety-scaled bounds, derived constants)."""
     block = {**DEFAULT_BOUNDS, **_config_object(cfg, "bounds")}
-    delta = _config_number(block["delta"], "bounds.delta")
-    safety = _positive_number(block["safety"], "bounds.safety")
-    if not 0.0 < delta < 1.0:
-        raise ParameterError(f"bounds.delta must lie in (0, 1), got {delta}")
+    delta = _from_json(block["delta"], "bounds.delta", _real, _UNIT)
+    safety = _from_json(block["safety"], "bounds.safety", _real, _POSITIVE)
     if "path" in block:
         try:
             raw = bounds_from_json(Path(block["path"]).read_text())
@@ -184,15 +146,14 @@ def _resolve_bounds(cfg, model, fallback_center=None):
             center_state = fallback_center
         else:
             center_state = _config_state(center, model, "bounds center")
-        radius = _config_number(block["radius"], "bounds.radius")
-        samples = _config_number(block["samples_per_axis"], "bounds.samples_per_axis", integer=True)
+        radius = _from_json(block["radius"], "bounds.radius", _real, _POSITIVE)
+        samples = _from_json(block["samples_per_axis"], "bounds.samples_per_axis", _whole, 3)
         try:
             raw = estimate_bounds(model, center_state, radius, samples)
         except SemintError as exc:
             raise ParameterError(f"bad bounds: {exc}") from exc
     if "save" in block:
-        if not isinstance(block["save"], str):
-            raise ParameterError(f"bounds.save must be a path string, got {block['save']!r}")
+        _instance(block["save"], "bounds.save", str)
         try:
             Path(block["save"]).write_text(bounds_to_json(raw))
         except OSError as exc:
@@ -217,13 +178,13 @@ def _resolve_initial_state(cfg, model):
         )
     if has_state:
         return _config_state(init["state"], model, "initial state")
-    q0 = _config_vector(init.get("q0", 0.0), "initial.q0")
-    p0 = _config_vector(init.get("p0", 0.0), "initial.p0")
+    q0 = _from_json(init.get("q0", 0.0), "initial.q0", _vector)
+    p0 = _from_json(init.get("p0", 0.0), "initial.p0", _vector)
     for name, part in (("q0", q0), ("p0", p0)):
         if len(part) != model.n:
             raise ParameterError(f"initial.{name} needs {model.n} component(s), got {len(part)}")
-    t0 = _config_number(init.get("t0", 0.0), "initial.t0")
-    lambda_target = _config_number(init["lambda_target"], "initial.lambda_target")
+    t0 = _from_json(init.get("t0", 0.0), "initial.t0", _real)
+    lambda_target = _from_json(init["lambda_target"], "initial.lambda_target", _real, _POSITIVE)
     try:
         wp0 = choose_conjugate_momentum(model, q0, t0, p0, lambda_target)
     except SemintError as exc:
@@ -232,10 +193,7 @@ def _resolve_initial_state(cfg, model):
 
 
 def _out_dir(cfg, args):
-    out = args.out or cfg.get("out", ".")
-    if not isinstance(out, str):
-        raise ParameterError(f"out must be a path string, got {out!r}")
-    path = Path(out)
+    path = Path(_instance(args.out or cfg.get("out", "."), "out", str))
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -244,11 +202,7 @@ def cmd_run(args) -> int:
     cfg = _load_config(args)
     model = _build_model(cfg)
     tols = _tolerances(cfg, args)
-    steps = args.steps if args.steps is not None else _config_number(
-        cfg.get("steps", 100), "steps", integer=True
-    )
-    if steps < 1:
-        raise ParameterError(f"steps must be >= 1, got {steps}")
+    steps = _from_json(cfg.get("steps", 100) if args.steps is None else args.steps, "steps", _whole, 1)
     z0 = _resolve_initial_state(cfg, model)
     scaled, constants = _resolve_bounds(cfg, model, fallback_center=z0)
     opts = StepOptions(scaled, constants, policy=cfg.get("policy", "default"), **tols)
@@ -313,16 +267,16 @@ def cmd_scan(args) -> int:
     lam_range = cfg.get("lambda_range", [-0.15, 0.15])
     if not isinstance(lam_range, list) or len(lam_range) != 2:
         raise ParameterError(f"lambda_range must be a pair [lo, hi], got {lam_range!r}")
-    lo, hi = (_config_number(x, "lambda_range") for x in lam_range)
+    lo, hi = (_from_json(x, "lambda_range", _real) for x in lam_range)
     end = max(abs(lo), abs(hi))
     try:  # the cubic model's quartic bound takes lambda**4 of every row
         end**4
     except OverflowError:
         msg = f"lambda_range end {end:g} is too large: its fourth power overflows"
         raise ParameterError(msg) from None
-    count = _config_number(cfg.get("count", 201), "count", integer=True)
-    if count < 2 or not hi > lo:
-        raise ParameterError("scan needs count >= 2 and lambda_range with hi > lo")
+    count = _from_json(cfg.get("count", 201), "count", _whole, 2)
+    if not hi > lo:
+        raise ParameterError("scan needs lambda_range with hi > lo")
     scaled, constants = _resolve_bounds(cfg, model, fallback_center=z_k)
     out = _out_dir(cfg, args)
 
@@ -383,20 +337,18 @@ def cmd_map(args) -> int:
     if model.n != 1:
         raise ParameterError("map sweeps a (q, p) plane; model must have n = 1")
     q_min, q_max, p_min, p_max = (
-        _config_number(grid[key], f"grid.{key}") for key in ("q_min", "q_max", "p_min", "p_max")
+        _from_json(grid[key], f"grid.{key}", _real) for key in ("q_min", "q_max", "p_min", "p_max")
     )
-    nq, npts = (_config_number(grid[key], f"grid.{key}", integer=True) for key in ("nq", "np"))
-    if nq < 2 or npts < 2 or not q_max > q_min or not p_max > p_min:
+    nq, npts = (_from_json(grid[key], f"grid.{key}", _whole, 2) for key in ("nq", "np"))
+    if not q_max > q_min or not p_max > p_min:
         raise ParameterError("map grid must be increasing with at least 2 points per axis")
-    t = _config_number(cfg.get("t", 0.0), "t")
+    t = _from_json(cfg.get("t", 0.0), "t", _real)
     wp_rule = _config_object(cfg, "wp_rule", {"kind": "h-zero"})
-    if wp_rule.get("kind") not in ("h-zero", "fixed"):
-        raise ParameterError("wp_rule kind must be 'h-zero' or 'fixed'")
     wp = None  # h-zero: each cell's wp puts it on H = 0
-    if wp_rule["kind"] == "fixed":
-        wp = _config_number(wp_rule.get("value", 0.0), "wp_rule.value")
+    if _one_of(wp_rule.get("kind"), "wp_rule kind", ("h-zero", "fixed")) == "fixed":
+        wp = _from_json(wp_rule.get("value", 0.0), "wp_rule.value", _real)
     # accepted so existing configs still validate; rows always run serially
-    _config_number(cfg.get("jobs", 1), "jobs", integer=True)
+    _from_json(cfg.get("jobs", 1), "jobs", _whole, 1)
     center = ExtendedState.from_parts([0.5 * (q_min + q_max)], t, [0.5 * (p_min + p_max)], 0.0)
     radius = max(0.5 * (q_max - q_min), 0.5 * (p_max - p_min)) + 0.5  # unless bounds gives one
     block = {"radius": radius, **_config_object(cfg, "bounds")}
@@ -418,11 +370,7 @@ def cmd_map(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
-    seed = args.seed if args.seed is not None else _config_number(
-        cfg.get("seed", 0), "seed", integer=True
-    )
-    if seed < 0:
-        raise ParameterError(f"seed must be non-negative, got {seed}")
+    seed = _from_json(cfg.get("seed", 0) if args.seed is None else args.seed, "seed", _whole, 0)
     results = verify_mod.run_all(seed=seed, k_scale=args.inject_k_scale)
     width = max(len(name) for name, _, _ in results)
     failures = 0

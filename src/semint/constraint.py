@@ -34,6 +34,7 @@ handed in or not, is checked by the one-state rule, ``extphase._checked``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,26 +42,12 @@ import numpy as np
 
 from .bounds import DerivedConstants
 from .decoupler import (
-    _check_lambda,
-    _check_tol,
-    _midpoint_newton,
-    midpoint_sensitivity,
-    solve_midpoint_coords,
-    solve_midpoints,
+    _midpoint_newton, midpoint_sensitivity, solve_midpoint_coords, solve_midpoints,
 )
+from .errors import _POSITIVE, _instance, _real
 from .extphase import (
-    ExtendedState,
-    FieldSample,
-    HamiltonianModel,
-    _check_dim,
-    _checked,
-    _coords,
-    _eval_stack,
-    _value,
-    apply_J as _apply_J_arr,
-    eval_gradient,
-    eval_value,
-    sample_fields,
+    ExtendedState, FieldSample, HamiltonianModel, _check_dim, _checked, _coords, _eval_stack,
+    _value, apply_J as _apply_J_arr, eval_gradient, eval_value, sample_fields,
 )
 
 __all__ = ["CubicModel", "ConstraintCurve", "g_eval", "g_derivative", "cubic_model"]
@@ -117,10 +104,9 @@ class ConstraintCurve:
         grad: Optional[np.ndarray] = None,
     ):
         """``grad`` is H_z(z_k) when the caller has already evaluated it (checked as the model's)."""
-        _check_tol(tol)
         self.model = model
         self.z = z = _coords(z_k)
-        self.tol = tol
+        self.tol = _real(tol, "tol", _POSITIVE)
         _check_dim(model, z)
         grad = _checked(model, "gradient", z, model.gradient(z) if grad is None else grad, z.shape)
         self._half_jgrad = (0.5 * _apply_J_arr(grad)).tolist()
@@ -145,7 +131,12 @@ class ConstraintCurve:
         last = self._last
         if last is not None and lam == last[0]:
             return last[1], last[2]
-        _check_lambda(lam)
+        try:
+            finite = math.isfinite(lam)  # the bare per-solve test; the finite kind words a refusal
+        except TypeError:
+            finite = False
+        if not finite:
+            _real(lam, "lambda")
         zbar, grad, _, _ = _midpoint_newton(  # 50 iterations, the decoupler's default
             self.model, lam, self.z, self._initial_guess(lam), self.tol, 50
         )
@@ -258,4 +249,5 @@ def g_derivative(model: HamiltonianModel, lam: float, z_k, tol: float = 1e-12) -
 
 def cubic_model(model: HamiltonianModel, z_k, constants: DerivedConstants) -> CubicModel:
     """Assemble the cubic model of g at z_k from one field sample."""
+    _instance(constants, "constants", DerivedConstants)
     return CubicModel.from_fields(sample_fields(model, z_k), constants)

@@ -49,26 +49,14 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import RegionBounds, _whole, derive_constants
+from .bounds import RegionBounds, derive_constants
 from .errors import (
-    EvaluationError,
-    LinearSolveError,
-    NonconvergenceError,
-    ParameterError,
+    EvaluationError, LinearSolveError, NonconvergenceError, _POSITIVE, _real, _refused, _vector,
+    _whole,
 )
 from .extphase import (
-    ExtendedState,
-    HamiltonianModel,
-    _check_dim,
-    _checked,
-    _coords,
-    _eval_stack,
-    _gradient,
-    _hessian,
-    _shape_error,
-    apply_J,
-    eval_gradient,
-    eval_hessian,
+    ExtendedState, HamiltonianModel, _check_dim, _checked, _coords, _eval_stack, _gradient,
+    _hessian, _shape_error, apply_J, eval_gradient, eval_hessian,
 )
 
 __all__ = [
@@ -126,39 +114,6 @@ def _singular(lam: float) -> LinearSolveError:
 def _not_converged(tol: float, max_iter: int, residual: float) -> NonconvergenceError:
     msg = f"midpoint solve did not reach tol={tol:g} in {max_iter} iterations"
     return NonconvergenceError(msg, residual=residual, iterations=max_iter)
-
-
-def _check_lambda(lam: float) -> None:
-    """One lambda: a finite real number.  ``math.isfinite`` reads a float at
-    the curve's per-solve cost and raises TypeError for anything else (an
-    array with an axis, a str, None, a complex)."""
-    try:
-        if math.isfinite(lam):
-            return
-    except TypeError:
-        raise ParameterError(f"lambda must be a real number, got {lam!r}") from None
-    raise ParameterError("lambda must be finite")
-
-
-def _check_tol(tol: float) -> None:
-    """tol positive and finite, as ``StepOptions`` requires of its tolerances."""
-    if not 0.0 < tol < math.inf:
-        raise ParameterError(f"tol must be positive and finite, got {tol!r}")
-
-
-def _check_solve_args(lam, tol: float, max_iter: int, grid: bool = False) -> None:
-    """The argument rule of the midpoint solves: lambda as ``_check_lambda``
-    (for a ``grid``, a 1-D float array of finite entries), tol as
-    ``_check_tol`` and max_iter a whole number >= 0."""
-    if not grid:
-        _check_lambda(lam)
-    elif lam.ndim != 1:
-        raise ParameterError(f"lambdas must form a 1-D sequence, got shape {lam.shape}")
-    elif not np.isfinite(lam).all():
-        raise ParameterError("lambda must be finite")
-    _check_tol(tol)
-    if not _whole(max_iter) or max_iter < 0:
-        raise ParameterError(f"max_iter must be a whole number >= 0, got {max_iter!r}")
 
 
 def _cramer(c, h_qq, h_qp, h_pq, h_pp, r_q, r_p):
@@ -302,7 +257,7 @@ def solve_midpoint_coords(
     Returns (z_bar, iterations, residual) as coordinates; the partner vertex
     is 2 z_bar - z.
     """
-    _check_solve_args(lam, tol, max_iter)
+    lam, tol, max_iter = _real(lam, "lambda"), _real(tol, "tol", _POSITIVE), _whole(max_iter, "max_iter")
     z = _coords(z)
     _check_dim(model, z)
     z_bar, _, it, res = _midpoint_newton(model, lam, z, z.tolist(), tol, max_iter)
@@ -331,8 +286,9 @@ def solve_midpoints(
     Overflow in the stacked arithmetic raises no numpy warning: a row it
     makes non-finite is caught as the scalar solve would catch it.
     """
-    lams = np.asarray(lams, dtype=float)
-    _check_solve_args(lams, tol, max_iter, grid=True)
+    if np.ndim(lams) != 1:  # the vector kind would read a number as a grid of one
+        raise _refused("lambdas", "a 1-D sequence of finite numbers", lams)
+    lams, tol, max_iter = _vector(lams, "lambdas"), _real(tol, "tol", _POSITIVE), _whole(max_iter, "max_iter")
     z = _coords(z)
     _check_dim(model, z)
     half = z.size // 2
@@ -373,8 +329,8 @@ def kantorovich_report(
     lambda_delta comes from the region constants and delta.  alpha >= 1/2
     yields guaranteed=False rather than an exception.
     """
-    lambda_delta = derive_constants(bounds, delta).lambda_delta  # checks delta
-    _check_lambda(lam)
+    lambda_delta = derive_constants(bounds, delta).lambda_delta  # parses bounds and delta
+    lam = _real(lam, "lambda")
     z_arr = _coords(z)
     beta, gamma = 2.0, 0.5
     f0 = -0.5 * lam * apply_J(eval_gradient(model, z_arr))
@@ -391,20 +347,9 @@ def kantorovich_report(
         )
         guaranteed = lam_ok and bounds.contains_ball(z_arr, r_minus)
     else:
-        r_minus = np.nan
-        r_plus = np.nan
+        r_minus = r_plus = np.nan
         guaranteed = False
-
-    return KantorovichReport(
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        eta=eta,
-        r_minus=r_minus,
-        r_plus=r_plus,
-        lambda_delta=lambda_delta,
-        guaranteed=guaranteed,
-    )
+    return KantorovichReport(alpha, beta, gamma, eta, r_minus, r_plus, lambda_delta, guaranteed)
 
 
 def midpoint_sensitivity(
@@ -419,7 +364,7 @@ def midpoint_sensitivity(
     is the identity on its t and wp rows, so the (q, p) block is solved on
     floats (``_solve_qp``), the fast path's route.
     """
-    _check_lambda(lam)
+    _real(lam, "lambda")
     zb = _coords(z_bar)
     _check_dim(model, zb)
     grad = eval_gradient(model, zb) if grad is None else _checked(model, "gradient", zb, grad, zb.shape)

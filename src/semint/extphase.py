@@ -15,11 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from collections.abc import Callable
+from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionError, EvaluationError
+from .errors import (
+    DimensionError, EvaluationError, _flag, _instance, _optional, _parse_fields, _refused, _whole,
+)
 
 __all__ = [
     "ExtendedState",
@@ -44,10 +47,13 @@ class ExtendedState:
     n: int
 
     def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
+        try:
+            coords = np.asarray(self.coords, dtype=float)
+        except (TypeError, ValueError):
+            raise _refused("coords", "an array of numbers", self.coords) from None
         object.__setattr__(self, "coords", coords)
-        if self.n < 1:
-            raise DimensionError(f"need n >= 1, got n={self.n}")
+        if type(self.n) is not int or self.n < 1:  # an exact int skips the call
+            object.__setattr__(self, "n", _whole(self.n, "n", 1))
         if coords.ndim != 1 or coords.size != 2 * self.n + 2:
             raise DimensionError(
                 f"state for n={self.n} needs {2 * self.n + 2} coordinates, "
@@ -127,6 +133,11 @@ class HamiltonianModel:
     vectorized: bool = False  # every callable accepts (N, dim) stacks
     name: str = ""
 
+    def __post_init__(self):
+        flags = ("time_independent", "wp_affine", "hessian_symmetric", "vectorized")
+        _parse_fields(self, {**_MODEL_KINDS, "psi_gradient": (_optional, _instance, Callable),
+                             **dict.fromkeys(flags, (_flag,))})
+
     @property
     def dim(self) -> int:
         return 2 * self.n + 2
@@ -147,6 +158,14 @@ class ClassicalModel:
     hessian: Callable[[np.ndarray], np.ndarray]
     time_independent: bool = False
     name: str = ""
+
+    def __post_init__(self):
+        _parse_fields(self, {**_MODEL_KINDS, "time_independent": (_flag,)})
+
+
+# the fields a model shares with a classical one
+_MODEL_KINDS = {"n": (_whole, 1), **dict.fromkeys(("value", "gradient", "hessian"), (_instance, Callable)),
+                "name": (_instance, str)}
 
 
 @dataclass(frozen=True)
@@ -173,7 +192,10 @@ def apply_J(v: np.ndarray) -> np.ndarray:
     are the position block (q, t) and the momentum block (p, wp).  A stack
     (..., 2m) is mapped row by row along its last axis.
     """
-    v = np.asarray(v, dtype=float)
+    try:
+        v = np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        raise _refused("v", "an array of numbers", v) from None
     if v.ndim == 0 or v.shape[-1] % 2 != 0:
         raise DimensionError(f"J needs an even-length vector, got shape {v.shape}")
     half = v.shape[-1] // 2
@@ -181,12 +203,19 @@ def apply_J(v: np.ndarray) -> np.ndarray:
 
 
 def _coords(z) -> np.ndarray:
+    """The coordinate array of a state, or ``z`` as a float array; shapes are the callers' to check."""
     if isinstance(z, ExtendedState):
         return z.coords
-    return np.asarray(z, dtype=float)
+    try:
+        return np.asarray(z, dtype=float)
+    except (TypeError, ValueError):
+        raise _refused("state", "an ExtendedState or an array of numbers", z) from None
 
 
 def _check_dim(model: HamiltonianModel, z: np.ndarray) -> None:
+    """``model`` a HamiltonianModel and ``z`` one state of its dimension."""
+    if type(model) is not HamiltonianModel:  # the exact type skips a call on the kernel path
+        _instance(model, "model", HamiltonianModel)
     if z.ndim != 1 or z.size != model.dim:
         raise DimensionError(
             f"model has dimension {model.dim}, state has shape {z.shape}"
@@ -207,7 +236,10 @@ def _checked(model: HamiltonianModel, kind: str, z: np.ndarray, arr, shape) -> n
     floats, 0.34 to 0.76 us against 1.0 us for numpy's, above that on numpy.
     The two add alike short of 8 entries; beyond, only finite entries near
     DBL_MAX can overflow one sum and not the other."""
-    arr = np.asarray(arr, dtype=float)
+    try:
+        arr = np.asarray(arr, dtype=float)
+    except (TypeError, ValueError):  # a str, or a ragged list
+        raise DimensionError(f"model has dimension {model.dim}; its {kind} is no array of numbers") from None
     if arr.shape != shape:
         raise _shape_error(model, kind, arr.shape, shape)
     # a single NaN/Inf component poisons the sum, which is far cheaper to test
@@ -383,7 +415,7 @@ def psi_gradient(model: HamiltonianModel, z) -> np.ndarray:
         _check_dim(model, z)
         return _checked(model, "psi_gradient", z, model.psi_gradient(z), z.shape)
     zs = z[None] if z.ndim == 1 else z
-    if zs.ndim != 2 or zs.shape[1] != model.dim:
+    if zs.ndim != 2 or zs.shape[1] != _instance(model, "model", HamiltonianModel).dim:
         raise DimensionError(f"model has dimension {model.dim}, states have shape {z.shape}")
     if model.psi_gradient is not None:
         return _eval_stack(model, zs, "psi_gradient")[0]
@@ -410,7 +442,7 @@ def sample_fields(model: HamiltonianModel, z) -> FieldSample:
     """
     z = _coords(z)
     if z.ndim == 2:
-        if z.shape[1] != model.dim:
+        if z.shape[1] != _instance(model, "model", HamiltonianModel).dim:
             raise DimensionError(f"model has dimension {model.dim}, states have shape {z.shape}")
         H, grads, hessians = _eval_stack(model, z, "value", "gradient", "hessian")
         ws = apply_J(grads)
@@ -438,7 +470,7 @@ def autonomize(classical: ClassicalModel) -> HamiltonianModel:
     callable that takes one state only must say so:
     ``replace(lift, hessian=f, vectorized=False)``.
     """
-    n = classical.n
+    n = _instance(classical, "classical", ClassicalModel).n
     dim = 2 * n + 2
     c = dim - 1  # the classical block: every coordinate but wp
 

@@ -13,11 +13,10 @@ single Newton solve; a stack gives the same numbers row for row.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _POSITIVE, _real, _refused, _whole
 from .extphase import ClassicalModel, HamiltonianModel, autonomize
 
 __all__ = [
@@ -109,16 +108,13 @@ def oscillator(omega: float = 1.0) -> HamiltonianModel:
     form in :func:`oscillator_midpoint`; psi = omega^2 (p^2 + omega^2 q^2) is
     nonnegative and its bracket with H vanishes identically.
     """
-    if isinstance(omega, bool) or not isinstance(omega, numbers.Real):  # a bool is a Real too
-        raise ParameterError(f"omega must be a number, got {omega!r}")
-    if not omega > 0:
-        raise ParameterError(f"omega must be positive, got {omega}")
+    omega = _real(omega, "omega", _POSITIVE)
     try:
-        w2 = float(omega) ** 2
+        w2 = omega**2
     except OverflowError:
         w2 = math.inf
     if not math.isfinite(w2):
-        raise ParameterError(f"omega must have a finite square, got {omega}")
+        raise _refused("omega", "a number with a finite square", omega)
 
     def value(z):
         c = z if z.ndim == 1 else z.T  # c[i]: coordinate i of every row
@@ -146,8 +142,7 @@ def oscillator_midpoint(z: np.ndarray, lam: float, omega: float = 1.0):
 
 def free_time(n: int = 1) -> HamiltonianModel:
     """Degenerate model H = wp, the lift of H_c = 0: every derivative beyond dH/dwp vanishes."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise ParameterError(f"n must be an integer >= 1, got {n!r}")
+    n = _whole(n, "n", 1)
     return autonomize(ClassicalModel(  # x: the classical block (q, t, p)
         n, value=lambda x: 0.0, gradient=lambda x: np.zeros(x.size),
         hessian=lambda x: np.zeros((x.size, x.size)), time_independent=True, name="free_time"))

@@ -27,7 +27,10 @@ import numpy as np
 
 from .bounds import DerivedConstants, RegionBounds
 from .constraint import ConstraintCurve, CubicModel
-from .errors import ParameterError, PreconditionError, SolveError, UnsupportedRegionError
+from .errors import (
+    PreconditionError, SolveError, UnsupportedRegionError, _NONNEGATIVE, _POSITIVE, _UNIT,
+    _instance, _one_of, _optional, _real,
+)
 from .extphase import ExtendedState, HamiltonianModel
 
 __all__ = [
@@ -140,6 +143,8 @@ def classify_region(cubic: CubicModel) -> Region:
     tau_psi = 1e-9 (1 + |psi'_k| lambda_delta), and psi'_k = 0 is tested
     against tau_psi' = 1e-9 (1 + |psi_k|).
     """
+    if type(cubic) is not CubicModel:
+        _instance(cubic, "cubic", CubicModel)
     psi, psip = cubic.psi_k, cubic.psi_prime_k
     ld = cubic.lambda_delta if np.isfinite(cubic.lambda_delta) else 1.0
     threshold = 24.0 * cubic.K * abs(psi)
@@ -165,8 +170,12 @@ def capital_lambda(
         regions II, III: min(|psi'_k| / 48K,      lambda_delta)
     so ``shrink`` < 1 picks a definite value inside the open interval.
     """
-    if not 0.0 < shrink < 1.0:
-        raise ParameterError(f"shrink must lie in (0, 1), got {shrink}")
+    _check_case_inputs(region, cubic, constants)
+    return _capital_lambda(region, cubic, constants, _real(shrink, "shrink", _UNIT))
+
+
+def _capital_lambda(region, cubic, constants, shrink):
+    """``capital_lambda`` on arguments already parsed."""
     K = cubic.K
     if region.tag == "I":
         cap = math.sqrt(abs(region.psi_k) / (96.0 * K)) if K > 0 else np.inf
@@ -192,14 +201,16 @@ def predict_roots(
     kind read "degenerate", both verdicts none, and Lambda_k, the ratio and
     S_k are None.
     """
+    _check_case_inputs(region, cubic, constants)
+    shrink = _real(shrink, "shrink", _UNIT)
     H = cubic.H_k
-    zero_root = abs(H) <= tol_g
+    zero_root = abs(H) <= _real(tol_g, "tol_g", _POSITIVE)
     if region.tag == "degenerate":
         return RootPrediction(
             region, "degenerate", NONE, NONE, "not-applicable", zero_root,
             capital_lambda=None, S_k=None, ratio=None, vertex_kind="degenerate",
         )
-    lam_cap = capital_lambda(region, cubic, constants, shrink=shrink)
+    lam_cap = _capital_lambda(region, cubic, constants, shrink)
     psi, psip = region.psi_k, region.psi_prime_k
     S, ghost = None, "not-applicable"
     if region.tag == "I":
@@ -223,6 +234,14 @@ def predict_roots(
         ratio=r,
         vertex_kind=kind,
     )
+
+
+def _check_case_inputs(region, cubic, constants) -> None:
+    """The exact types skip three calls: ``predict_roots`` runs once per step and per map cell."""
+    if type(region) is not Region or type(cubic) is not CubicModel or type(constants) is not DerivedConstants:
+        _instance(region, "region", Region)
+        _instance(cubic, "cubic", CubicModel)
+        _instance(constants, "constants", DerivedConstants)
 
 
 def _predict_region1(r, lam_cap, zero_root):
@@ -419,9 +438,6 @@ def _search_intervals(prediction, extend_to, extend_sides, sides):
     if extend_to is not None and extend_to > lam_cap:
         for a, b in ((-extend_to, -lam_cap), (lam_cap, extend_to)):
             out.append(_SearchInterval(a, b, INDETERMINATE, " in extension", in_window=False))
-    for name, value in (("sides", sides), ("extend_sides", extend_sides)):
-        if value not in _ON_SIDE:
-            raise ParameterError(f"{name} must be both, pos or neg, got {value!r}")
     on, on_ext = _ON_SIDE[sides], _ON_SIDE[extend_sides]
     return [iv for iv in out if on(iv) and (iv.in_window or on_ext(iv))]
 
@@ -461,6 +477,11 @@ def solve_roots(
     ``ParameterError``.  ``grad`` is H_z(z_k) when the caller has already
     evaluated it.
     """
+    _instance(prediction, "prediction", RootPrediction)
+    tol_g, tol_lambda = _real(tol_g, "tol_g", _POSITIVE), _real(tol_lambda, "tol_lambda", _POSITIVE)
+    extend_to = _optional(extend_to, "extend_to", _real, _POSITIVE)
+    for name, value in (("sides", sides), ("extend_sides", extend_sides)):
+        _one_of(value, name, tuple(_ON_SIDE))
     curve = ConstraintCurve(model, z_k, tol=solver_tol, grad=grad)
     result = MultiplierSet()
     if prediction.zero_root:
@@ -543,6 +564,11 @@ def ghost_check(
     The regular multipliers must shrink to zero with the ratio, while every
     detected ghost must stay above (6/5) psi_min / (M1 N1).
     """
+    for name, seq, cls in (("multiplier_sets", multiplier_sets, MultiplierSet), ("cubics", cubics, CubicModel)):
+        for item in _instance(seq, name, Sequence):
+            _instance(item, f"an entry of {name}", cls)
+    _instance(bounds, "bounds", RegionBounds)
+    ratio_tol = _real(ratio_tol, "ratio_tol", _NONNEGATIVE)
     if len(multiplier_sets) != len(cubics) or not cubics:
         raise PreconditionError("need one multiplier set per cubic model, at least one")
     psis = [abs(c.psi_k) for c in cubics]

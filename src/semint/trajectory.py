@@ -23,29 +23,14 @@ from .bounds import DerivedConstants, RegionBounds
 from .constraint import ConstraintCurve, CubicModel, cubic_model
 from .decoupler import solve_midpoint_coords
 from .errors import (
-    EvaluationError,
-    ParameterError,
-    SolveError,
-    StepNonexistenceError,
-    UnsupportedRegionError,
+    EvaluationError, ParameterError, SolveError, StepNonexistenceError, UnsupportedRegionError,
+    _POSITIVE, _flag, _instance, _one_of, _optional, _parse_fields, _real, _vector, _whole,
 )
 from .extphase import (
-    ExtendedState,
-    HamiltonianModel,
-    _central_differences,
-    _coords,
-    apply_J,
-    eval_gradient,  # noqa: F401  (kept bound: the benchmark tracer rebinds it here)
-    eval_value,
-    sample_fields,
+    ExtendedState, HamiltonianModel, _central_differences, _coords, apply_J, eval_value, sample_fields,
 )
-from .multiplier import (
-    INDETERMINATE,
-    RootPrediction,
-    classify_region,
-    predict_roots,
-    solve_roots,
-)
+from .extphase import eval_gradient  # noqa: F401  (kept bound: the benchmark tracer rebinds it here)
+from .multiplier import INDETERMINATE, RootPrediction, classify_region, predict_roots, solve_roots
 
 __all__ = [
     "StepOptions",
@@ -81,11 +66,11 @@ class StepOptions:
     search_beyond_window: bool = True
 
     def __post_init__(self):
-        for name in ("tol_g", "tol_lambda", "solver_tol"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ParameterError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if self.policy not in ("default", "follow-ghost"):
-            raise ParameterError(f"policy must be 'default' or 'follow-ghost', got {self.policy!r}")
+        _parse_fields(self, {
+            "bounds": (_instance, RegionBounds), "constants": (_instance, DerivedConstants),
+            **dict.fromkeys(("tol_g", "tol_lambda", "solver_tol"), (_real, _POSITIVE)),
+            "policy": (_one_of, ("default", "follow-ghost")), "search_beyond_window": (_flag,),
+        })
 
 
 @dataclass(frozen=True)
@@ -191,11 +176,12 @@ def step(
     root's |g| was checked at.  A degenerate point (psi = psi' = 0) raises
     StepNonexistenceError carrying its degenerate prediction.
     """
-    if opts is None:
-        raise ParameterError("step needs StepOptions with bounds and constants")
-    if direction not in ("forward", "backward"):
-        raise ParameterError(f"direction must be forward or backward, got {direction}")
-    sign = 1.0 if direction == "forward" else -1.0
+    if type(z_k) is not ExtendedState or type(opts) is not StepOptions:  # exact types skip two calls
+        _instance(z_k, "z_k", ExtendedState)
+        _instance(opts, "opts", StepOptions)
+    sign = 1.0 if _one_of(direction, "direction", ("forward", "backward")) == "forward" else -1.0
+    if hint is not None:
+        _real(hint, "hint")
 
     fields = sample_fields(model, z_k)
     cubic = CubicModel.from_fields(fields, opts.constants)
@@ -280,8 +266,8 @@ def propagate(
     (terminated; the detail names the case or the exception), or once the
     vertex time passes t_stop.
     """
-    if n_steps < 1:
-        raise ParameterError(f"need n_steps >= 1, got {n_steps}")
+    n_steps = _whole(n_steps, "n_steps", 1)
+    t_stop = _optional(t_stop, "t_stop", _real)
     traj = DTHTrajectory(vertices=[z0], midpoints=[], multipliers=[], events=[])
     z = z0
     lam_prev = lam_prev2 = None
@@ -368,13 +354,15 @@ def conservation_report(
     The defect is measured per step at the vertex with that step's frozen
     multiplier; ``defect_stride`` subsamples long runs.
     """
-    if not trajectory.vertices:
+    _instance(model, "model", HamiltonianModel)
+    defect_stride = _whole(defect_stride, "defect_stride", 1)
+    if not _instance(trajectory, "trajectory", DTHTrajectory).vertices:
         raise ParameterError("conservation report needs a nonempty trajectory")
     energy = [abs(eval_value(model, zb.coords)) for zb in trajectory.midpoints]
     wp = [abs(b.wp - a.wp) for a, b in zip(trajectory.vertices, trajectory.vertices[1:])]
     defects = [
         symplectic_defect(model, trajectory.vertices[k], trajectory.multipliers[k])
-        for k in range(0, len(trajectory.multipliers), max(1, defect_stride))
+        for k in range(0, len(trajectory.multipliers), defect_stride)
     ]
     return ConservationReport(
         max_energy_residual=max(energy, default=0.0),
@@ -397,8 +385,8 @@ def choose_conjugate_momentum(
     multiplier tightens it.  Needs psi(z0) != 0 (away from the vanishing
     curves; near them use the region-III analysis instead).
     """
-    if not lambda_target > 0:
-        raise ParameterError("lambda_target must be positive")
+    q0, t0, p0 = _vector(q0, "q0"), _real(t0, "t0"), _vector(p0, "p0")
+    lambda_target = _real(lambda_target, "lambda_target", _POSITIVE)
     if not math.isfinite(lambda_target * lambda_target):
         raise ParameterError(f"lambda_target {lambda_target:g} is too large: its square overflows")
 
@@ -446,7 +434,8 @@ def choose_conjugate_momentum(
 
 def interpolate_at_time(trajectory: DTHTrajectory, t: float) -> ExtendedState:
     """State at time t on the piecewise-linear trajectory (exact on segments)."""
-    verts = trajectory.vertices
+    verts = _instance(trajectory, "trajectory", DTHTrajectory).vertices
+    t = _real(t, "t")
     if not verts:
         raise ParameterError("empty trajectory")
     n = verts[0].n

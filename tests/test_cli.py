@@ -380,10 +380,11 @@ class TestSavedBoundsErrors:
             ({"M1": float("nan")}, "M1 must be finite"),  # written as NaN
             ({"M2": float("inf")}, "M2 must be finite"),  # written as Infinity
             ({"n": 2, "center": [0.0] * 6}, "saved for n = 2; the model has n = 1"),
-            ({"M1": True}, "M1 holds something other than a JSON number"),
-            ({"n": True}, "n holds something other than a JSON number"),
-            ({"center": [0.0, False, 0.0, 0.0]}, "center holds something other than a JSON number"),
-            ({"radius": "2.5"}, "radius holds something other than a JSON number"),
+            ({"M1": True}, "M1 must be finite and nonnegative, got True"),
+            ({"n": True}, "n must be a whole number >= 1, got True"),
+            ({"center": [0.0, False, 0.0, 0.0]},
+             "center must be a finite number or a flat list of them, got [0.0, False, 0.0, 0.0]"),
+            ({"radius": "2.5"}, "radius must be finite and positive, got '2.5'"),
             ({"n": 1.5}, "n must be a whole number"),  # int() read it as n = 1
             ({"safety": -3}, "safety must be finite and positive"),
             ({"sample_count": -5}, "sample_count must be a whole number >= 0"),
@@ -804,7 +805,7 @@ class TestConfigShape:
         for args in (("--config", cfg), ("--seed", "-1")):
             proc = run_cli("verify", *args)
             assert_config_error(proc)
-            assert "non-negative" in proc.stderr
+            assert proc.stderr.strip() == "error: seed must be a whole number >= 0, got -1"
 
 
 class TestVerify:
@@ -942,9 +943,9 @@ class TestCommandLine:
     @pytest.mark.parametrize(
         "tolerances, flags, message",
         [
-            ({"tol_g": "x"}, (), "error: tolerances.tol_g must be a number, got 'x'"),
-            ({"solver_tol": -1}, (), "error: tolerances.solver_tol must be positive, got -1.0"),
-            ({}, ("--tol-g", "nan"), "error: --tol-g must be finite, got nan"),
+            ({"tol_g": "x"}, (), "error: tolerances.tol_g must be finite and positive, got 'x'"),
+            ({"solver_tol": -1}, (), "error: tolerances.solver_tol must be finite and positive, got -1"),
+            ({}, ("--tol-g", "nan"), "error: --tol-g must be finite and positive, got nan"),
         ],
         ids=["tol-g-non-numeric", "solver-tol-negative", "tol-g-flag-nan"],
     )
@@ -982,4 +983,4 @@ class TestCommandLine:
         payload["model"] = {"name": "free_time", "n": "x"}
         proc = run_cli("run", "--config", write_config(tmp_path, "run.json", payload))
         assert_config_error(proc)
-        assert "integer >= 1" in proc.stderr
+        assert proc.stderr.strip() == "error: bad model config: n must be a whole number >= 1, got 'x'"

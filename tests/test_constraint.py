@@ -145,7 +145,7 @@ class TestConstraintCurve:
         # midpoint, and g(0.1) read -0.729930 where the solve gives -0.730742
         z = pendulum_state(0.3, 0.5, wp=0.1)
         for tol in (np.inf, np.nan, 0.0, -1e-13):
-            with pytest.raises(ParameterError, match="tol must be positive and finite"):
+            with pytest.raises(ParameterError, match=r"^tol must be finite and positive, got "):
                 ConstraintCurve(pendulum, z, tol=tol)
         assert ConstraintCurve(pendulum, z).g(0.1) == pytest.approx(-0.730742, abs=1e-6)
 

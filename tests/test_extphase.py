@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semint.errors import DimensionError, EvaluationError
+from semint.errors import DimensionError, EvaluationError, ParameterError
 from semint.extphase import (
     ClassicalModel,
     ExtendedState,
@@ -42,7 +42,7 @@ class TestExtendedState:
     def test_rejects_bad_lengths(self):
         with pytest.raises(DimensionError):
             ExtendedState(np.zeros(5), 1)
-        with pytest.raises(DimensionError):
+        with pytest.raises(ParameterError, match=r"^n must be a whole number >= 1, got 0$"):
             ExtendedState(np.zeros(4), 0)
         with pytest.raises(DimensionError):
             ExtendedState.from_parts([1.0, 2.0], 0.0, [1.0], 0.0)

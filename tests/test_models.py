@@ -101,7 +101,7 @@ def test_free_time_lift_is_degenerate(n):
 
 @pytest.mark.parametrize("n", ["x", 1.5, 0, True])
 def test_free_time_rejects_a_bad_n(n):
-    with pytest.raises(ParameterError, match="integer >= 1"):
+    with pytest.raises(ParameterError, match=f"^n must be a whole number >= 1, got {n!r}$"):
         models.by_name("free_time", n=n)
     assert models.by_name("free_time", n=2).n == 2
 

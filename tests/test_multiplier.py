@@ -14,6 +14,7 @@ from semint.multiplier import (
     EXISTS_UNIQUE,
     INDETERMINATE,
     NONE,
+    MultiplierSet,
     capital_lambda,
     classify_region,
     ghost_check,
@@ -610,12 +611,12 @@ class TestGhostCheck:
     def test_rejects_psi_zero(self, pendulum_scaled):
         cubic = make_cubic(psi=0.0, psi_prime=1.0)
         with pytest.raises(PreconditionError):
-            ghost_check([None], [cubic], pendulum_scaled)
+            ghost_check([MultiplierSet()], [cubic], pendulum_scaled)
 
     def test_rejects_negative_ratio(self, pendulum_scaled):
         cubic = make_cubic(H=-1.0, psi=1.0)
         with pytest.raises(PreconditionError):
-            ghost_check([None], [cubic], pendulum_scaled)
+            ghost_check([MultiplierSet()], [cubic], pendulum_scaled)
 
 
 def _exact(*values):

@@ -161,8 +161,7 @@ def test_every_answer_within_its_tolerance(today):
 def test_tolerances_are_those_of_step_options():
     from semint.trajectory import StepOptions
 
-    opts = StepOptions(bounds=None, constants=None)
-    assert (opts.tol_g, opts.tol_lambda, opts.solver_tol) == (
+    assert (StepOptions.tol_g, StepOptions.tol_lambda, StepOptions.solver_tol) == (
         TOLS["tol_g"], TOLS["tol_lambda"], TOLS["solver_tol"]
     )
 
