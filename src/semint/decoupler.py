@@ -56,8 +56,9 @@ from .errors import (
 )
 from .extphase import (
     ExtendedState, HamiltonianModel, _check_dim, _checked, _coords, _eval_stack, _gradient,
-    _hessian, _shape_error, apply_J, eval_gradient, eval_hessian,
+    _hessian, _shape_error, apply_J, eval_gradient,
 )
+from .extphase import eval_hessian  # noqa: F401  (kept bound: the benchmark tracer rebinds it here)
 
 __all__ = [
     "KantorovichReport",
@@ -147,7 +148,9 @@ def _solve_f(model: HamiltonianModel, lam, hess: np.ndarray, rhs: np.ndarray) ->
     rhs) or row by row on a stack ((N,) lambdas, (N, d, d), (N, d)): Cramer's
     rule on the (q, p) block for an n = 1 lift (the t and wp rows pass
     through), one (batched) LU solve for every other model.  A singular row
-    raises LinearSolveError naming its lambda."""
+    raises LinearSolveError naming its lambda.  No caller hands it one state
+    of an n = 1 lift (its kernels solve that block on floats, ``_solve_qp``):
+    the Cramer branch serves the stacks of ``solve_midpoints``."""
     c = 0.5 * lam
     if _closed_form(model):
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite det is singular
@@ -325,16 +328,17 @@ def kantorovich_report(
 ) -> KantorovichReport:
     """Certificate for solvability of the midpoint equation at (lambda, z).
 
-    eta is computed numerically from the first Newton step at z_bar = z;
-    lambda_delta comes from the region constants and delta.  alpha >= 1/2
-    yields guaranteed=False rather than an exception.
+    eta is the length of the first Newton step from z_bar = z,
+    f_zbar^{-1} (lambda/2) J H_z(z) = lambda z_bar', so |lambda| times the
+    ``midpoint_sensitivity`` z_bar' read at z_bar = z; lambda_delta comes from
+    the region constants and delta.  alpha >= 1/2 yields guaranteed=False
+    rather than an exception.
     """
     lambda_delta = derive_constants(bounds, delta).lambda_delta  # parses bounds and delta
     lam = _real(lam, "lambda")
     z_arr = _coords(z)
     beta, gamma = 2.0, 0.5
-    f0 = -0.5 * lam * apply_J(eval_gradient(model, z_arr))
-    eta = float(np.linalg.norm(_solve_f(model, lam, eval_hessian(model, z_arr), f0)))
+    eta = abs(lam) * float(np.linalg.norm(midpoint_sensitivity(model, lam, z_arr)))
     alpha = beta * gamma * eta
 
     m2, gh = bounds.M2, bounds.gamma_H

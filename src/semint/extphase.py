@@ -59,7 +59,7 @@ class ExtendedState:
                 f"state for n={self.n} needs {2 * self.n + 2} coordinates, "
                 f"got shape {coords.shape}"
             )
-        if not np.all(np.isfinite(coords)):
+        if not all(map(math.isfinite, coords.tolist())):  # on floats: no numpy pass for a few entries
             raise EvaluationError("non-finite state coordinates", coords)
 
     @classmethod

@@ -371,6 +371,9 @@ def conservation_report(
     )
 
 
+_AFFINE = "the completion needs H = a wp + H_c with a != 0"
+
+
 def choose_conjugate_momentum(
     model: HamiltonianModel,
     q0,
@@ -380,10 +383,12 @@ def choose_conjugate_momentum(
 ) -> float:
     """Pick wp0 so the first forward multiplier lands near lambda_target.
 
-    The cubic model's leading balance H(z0) = psi(z0) lambda^2 / 8 fixes wp0
-    to first order; one secant correction against the actually solved
-    multiplier tightens it.  Needs psi(z0) != 0 (away from the vanishing
-    curves; near them use the region-III analysis instead).
+    Needs H = a wp + H_c with a != 0, as every lift has (else ParameterError),
+    and psi(z0) != 0 (away from the vanishing curves; near them use the
+    region-III analysis instead).  psi does not read wp, so the cubic model's
+    leading balance H(z0) = psi(z0) lambda^2 / 8 is affine in wp: one secant
+    step from wp = 0 and 1 solves it, and a third sample checks that it did.
+    One correction against the actually solved multiplier tightens wp0.
     """
     q0, t0, p0 = _vector(q0, "q0"), _real(t0, "t0"), _vector(p0, "p0")
     lambda_target = _real(lambda_target, "lambda_target", _POSITIVE)
@@ -397,38 +402,28 @@ def choose_conjugate_momentum(
         fields = sample_fields(model, make_state(wp))
         return fields.H - fields.psi * lambda_target**2 / 8.0, fields
 
-    # secant solve of the leading-order balance (exact in one step for lifts,
-    # where H is affine in wp with unit slope); ``fields`` is always the
-    # sample at the current wp
-    wp_a, wp_b = 0.0, 1.0
-    fa, _ = balance(wp_a)
-    fb, fields = balance(wp_b)
+    fa, _ = balance(0.0)
+    fb, fields = balance(1.0)
     if abs(fields.psi) < 1e-12:
         raise UnsupportedRegionError(
             "psi vanishes at the requested point; conjugate-momentum completion "
             "is undefined (region III applies)"
         )
-    wp = wp_b
-    for _ in range(50):
-        if fb == fa:
-            break
-        wp = wp_b - fb * (wp_b - wp_a) / (fb - fa)
-        f, fields = balance(wp)
-        if abs(f) <= 1e-14 * (1.0 + abs(wp)):
-            break
-        wp_a, fa = wp_b, fb
-        wp_b, fb = wp, f
+    if fb == fa:
+        raise ParameterError("H does not read wp; " + _AFFINE)
+    wp = 1.0 - fb / (fb - fa)
+    f, fields = balance(wp)
+    if not abs(f) <= 1e-14 * (1.0 + abs(wp)):
+        raise ParameterError(f"the balance reads {f:.3g} after the secant step to wp={wp:.6g}; " + _AFFINE)
 
     # one refinement on the actually solved forward multiplier: Newton on g
     # with its iterates kept in the open interval (0, 4 lambda_target)
-    z = make_state(wp)
-    curve = ConstraintCurve(model, z, tol=StepOptions.solver_tol, grad=fields.grad)
+    curve = ConstraintCurve(model, make_state(wp), tol=StepOptions.solver_tol, grad=fields.grad)
     hi = math.nextafter(4.0 * lambda_target, 0.0)
     lam, _ = curve.newton(lambda_target, math.nextafter(0.0, 1.0), hi, 1e-13, 20)
-    # dH/dwp is 1 for lifts; read it off the gradient for custom models
-    dH_dwp = float(fields.grad[-1])
+    dH_dwp = float(fields.grad[-1])  # 1 for lifts
     if dH_dwp == 0.0:
-        return float(wp)
+        raise ParameterError(f"dH/dwp reads 0 at wp={wp:.6g}; " + _AFFINE)
     return float(wp + fields.psi * (lambda_target**2 - lam**2) / (8.0 * dH_dwp))
 
 
@@ -449,4 +444,3 @@ def interpolate_at_time(trajectory: DTHTrajectory, t: float) -> ExtendedState:
                 return a
             w = (t - ta) / (tb - ta)
             return ExtendedState((1 - w) * a.coords + w * b.coords, n)
-    return verts[-1]

@@ -10,7 +10,7 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("P
 
 from semint import models
 from semint.bounds import derive_constants, estimate_bounds
-from semint.extphase import ClassicalModel, ExtendedState, autonomize
+from semint.extphase import ClassicalModel, ExtendedState, HamiltonianModel, autonomize
 
 PEND_RADIUS = 2.5
 DELTA = 0.5
@@ -94,3 +94,27 @@ def henon_heiles_lift():
     return autonomize(
         ClassicalModel(n=2, value=value, gradient=gradient, hessian=hessian, time_independent=True)
     )
+
+
+def no_lift_model(kind):
+    """An n = 1 pendulum model that is no lift H = a wp + H_c with a != 0.
+
+    ``"no-wp"``: H = p^2/2 - cos q does not read wp.  ``"quadratic-wp"``:
+    H = wp^2/2 + p^2/2 - cos q, declaring no flags.  ``"flat-gradient"``:
+    H = wp + p^2/2 - cos q, whose gradient's wp entry reads 0.
+    """
+    quadratic = kind == "quadratic-wp"
+
+    def value(c):
+        q, _, p, wp = c
+        return 0.5 * p * p - np.cos(q) + {"no-wp": 0.0, "quadratic-wp": 0.5 * wp * wp,
+                                          "flat-gradient": wp}[kind]
+
+    def gradient(c):
+        q, _, p, wp = c
+        return np.array([np.sin(q), 0.0, p, wp if quadratic else 0.0])
+
+    def hessian(c):
+        return np.diag([np.cos(c[0]), 0.0, 1.0, 1.0 if quadratic else 0.0])
+
+    return HamiltonianModel(n=1, value=value, gradient=gradient, hessian=hessian, name=kind)

@@ -15,6 +15,8 @@ import pytest
 
 from semint import cli
 
+from conftest import no_lift_model
+
 REPO = Path(__file__).resolve().parents[1]
 
 
@@ -272,6 +274,18 @@ class TestRunEvaluationErrors:
         events = json.loads((tmp_path / "out" / "events.json").read_text())["events"]
         assert [e["kind"] for e in events] == ["terminated"]
         assert events[0]["index"] == 0 and events[0]["detail"].startswith("EvaluationError: ")
+
+
+@pytest.mark.parametrize("kind", ["no-wp", "quadratic-wp", "flat-gradient"])
+def test_completion_refuses_a_model_that_is_no_lift(tmp_path, monkeypatch, kind):
+    # a model that is no lift H = a wp + H_c with a != 0 (``no_lift_model``)
+    monkeypatch.setattr(cli.models, "by_name", lambda name, **spec: no_lift_model(kind))
+    payload = {"initial": {"q0": 1.0, "p0": 0.5, "lambda_target": 0.1}, "steps": 5,
+               "out": str(tmp_path / "out")}
+    proc = run_cli("run", "--config", write_config(tmp_path, "run.json", payload))
+    assert_config_error(proc)
+    assert proc.stderr.startswith("error: conjugate-momentum completion failed: ")
+    assert not (tmp_path / "out").exists()
 
 
 class TestLibraryErrorsAtTheBoundary:
@@ -871,6 +885,110 @@ class TestVerify:
         assert main(["verify"]) == 3
         failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
         assert len(failed) == 1 and failed[0].startswith("stacked-fields")
+
+
+class TestEveryVerifyCheckBites:
+    """One fault per ``semint verify`` check that the CLI tests above do not
+    inject, each turning its check red when the check is called directly."""
+
+    @staticmethod
+    def _fails(check, detail):
+        ok, got = check(np.random.default_rng(0))
+        assert ok is False and got.startswith(detail), got
+
+    def test_structure_matrix(self, monkeypatch):
+        from semint import verify
+
+        original = verify.apply_J  # a J that lost its sign past one degree of freedom: J^2 = I there
+        monkeypatch.setattr(verify, "apply_J", lambda v: original(v) if v.size == 4 else np.roll(v, v.size // 2))
+        self._fails(verify.check_structure_matrix, "J^2 != -I")
+
+    def test_field_sample(self, monkeypatch):
+        from semint import models, verify
+
+        original = models.pendulum_psi
+        monkeypatch.setattr(models, "pendulum_psi", lambda q, p: original(q, p) + 1e-9)
+        self._fails(verify.check_field_sample, "psi mismatch vs closed form")
+
+    def test_kantorovich_certificate(self, monkeypatch):
+        from dataclasses import replace
+
+        from semint import verify
+
+        original = verify.kantorovich_report
+
+        def narrow(*args, **kw):  # a certified ball half as wide as the certificate's
+            report = original(*args, **kw)
+            return replace(report, r_minus=0.5 * report.r_minus)
+
+        monkeypatch.setattr(verify, "kantorovich_report", narrow)
+        self._fails(verify.check_kantorovich, "midpoint left the certified ball")
+
+    def test_quartic_bound_envelope(self, monkeypatch):
+        from dataclasses import replace
+
+        from semint import verify
+
+        original = verify.cubic_model
+
+        def offset(*args):  # K agrees with its formula, but the model is 1e-4 off g
+            cubic = original(*args)
+            return replace(cubic, H_k=cubic.H_k + 1e-4)
+
+        monkeypatch.setattr(verify, "cubic_model", offset)
+        self._fails(verify.check_quartic_bound, "|g - model| = ")
+
+    def test_derivative_bound(self, monkeypatch):
+        from semint import verify
+        from semint.constraint import CubicModel
+
+        original = CubicModel.derivative
+        monkeypatch.setattr(CubicModel, "derivative", lambda self, lam: original(self, lam) + 1e-5)
+        self._fails(verify.check_derivative_bound, "derivative defect ")
+
+    def test_monotone_intervals(self, monkeypatch):
+        from semint import verify
+        from semint.constraint import ConstraintCurve
+
+        original = ConstraintCurve.g_and_derivative  # a slope biased by 1e-3 changes sign near 0
+
+        def biased(self, lam):
+            g, dg = original(self, lam)
+            return g, dg + 1e-3
+
+        monkeypatch.setattr(ConstraintCurve, "g_and_derivative", biased)
+        self._fails(verify.check_monotone_intervals, "dg/dlambda changes sign inside ")
+
+    def test_trajectory_conservation(self, monkeypatch):
+        from semint import verify
+        from semint.extphase import ExtendedState
+
+        original = verify.propagate
+
+        def shifted(*args, **kw):  # every midpoint 1e-9 off the constraint
+            traj = original(*args, **kw)
+            traj.midpoints[:] = [ExtendedState(m.coords + 1e-9, m.n) for m in traj.midpoints]
+            return traj
+
+        monkeypatch.setattr(verify, "propagate", shifted)
+        self._fails(verify.check_trajectory, "energy residual ")
+
+    def test_free_time_trivial(self, monkeypatch):
+        from semint import models, verify
+
+        monkeypatch.setattr(models, "free_time", lambda: models.oscillator(1e-3))  # not free after all
+        self._fails(verify.check_free_time, "free-time constants not (1, 0, 0, 0, 0)")
+
+    def test_run_all_reports_a_raising_check(self, monkeypatch):
+        from semint import verify
+
+        def crash(rng):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(verify, "check_free_time", crash)
+        results = verify.run_all(seed=0)
+        assert len(results) == 14
+        assert [r for r in results if not r[1]] == [("free-time-trivial", False, "raised RuntimeError: boom")]
 
 
 class TestBoundsReuse:

@@ -149,6 +149,21 @@ class TestConstraintCurve:
                 ConstraintCurve(pendulum, z, tol=tol)
         assert ConstraintCurve(pendulum, z).g(0.1) == pytest.approx(-0.730742, abs=1e-6)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), "0.1"], ids=["nan", "inf", "str"])
+    def test_refuses_a_lambda_that_is_no_finite_number(self, pendulum, lam):
+        curve = ConstraintCurve(pendulum, pendulum_state(0.3, 0.5, wp=0.1))
+        with pytest.raises(ParameterError, match=r"^lambda must be finite, got "):
+            curve.g(lam)
+
+    def test_newton_stops_at_a_zero_slope(self, pendulum):
+        # g'(0) = 0 exactly, so Newton from lambda = 0 cannot move while g(0) = H != 0
+        z = pendulum_state(0.3, 0.5, wp=0.1)
+        curve = ConstraintCurve(pendulum, z, tol=1e-13)
+        assert curve.derivative(0.0) == 0.0
+        lam, val = curve.newton(0.0, -0.1, 0.1, 1e-12, 20)
+        assert lam == 0.0
+        assert val == curve.g(0.0) != 0.0
+
 
 class TestWrongShapeGradient:
     """A gradient of the wrong shape is a DimensionError on every g route, and

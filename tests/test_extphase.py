@@ -48,8 +48,14 @@ class TestExtendedState:
             ExtendedState.from_parts([1.0, 2.0], 0.0, [1.0], 0.0)
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(EvaluationError):
-            ExtendedState(np.array([1.0, np.nan, 0.0, 0.0]), 1)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(EvaluationError, match=r"^non-finite state coordinates$"):
+                ExtendedState(np.array([1.0, bad, 0.0, 0.0]), 1)
+
+    def test_accepts_finite_coordinates_whose_sum_overflows(self):
+        # the test is per coordinate, not on a sum: 1e308 + 1e308 is inf
+        z = ExtendedState(np.array([1e308, 0.0, 1e308, 0.0]), 1)
+        assert z.q[0] == z.p[0] == 1e308
 
 
 class TestApplyJ:

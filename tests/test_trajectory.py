@@ -23,6 +23,7 @@ from semint.errors import (
 from semint.extphase import ExtendedState, apply_J, eval_gradient, eval_value, sample_fields
 from semint.multiplier import capital_lambda, classify_region, predict_roots, solve_roots
 from semint.trajectory import (
+    DTHTrajectory,
     StepOptions,
     choose_conjugate_momentum,
     classify_vertex,
@@ -33,7 +34,7 @@ from semint.trajectory import (
     symplectic_defect,
 )
 
-from conftest import henon_heiles_lift, pendulum_state
+from conftest import henon_heiles_lift, no_lift_model, pendulum_state
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +91,14 @@ class TestStep:
         with pytest.raises(StepNonexistenceError) as err:
             step(model, z, "forward", opts)
         assert err.value.prediction.case_label == "EU_1(i)"
+
+    def test_nonexistence_names_the_window_it_searched(self, pend_opts):
+        model, opts = pend_opts
+        z = pendulum_state(0.0, 1.0, wp=0.4)
+        with pytest.raises(StepNonexistenceError) as err:
+            step(model, z, "forward", replace(opts, search_beyond_window=False))
+        cap = err.value.prediction.capital_lambda
+        assert str(err.value) == f"no forward multiplier within Lambda={cap:.3g} (EU_1(i))"
 
     def test_degenerate_point_carries_its_prediction(self, pend_opts):
         model, opts = pend_opts
@@ -774,6 +783,16 @@ class TestChooseConjugateMomentum:
             h_values.append(eval_value(model, pendulum_state(1.0, 0.5, wp=wp0).coords))
         assert h_values[0] / h_values[1] == pytest.approx(4.0, rel=0.05)
 
+    @pytest.mark.parametrize("kind, message", [
+        ("no-wp", "H does not read wp"),  # the secant loop returned wp0 = 1.0
+        ("quadratic-wp", "the balance reads "),  # it iterated to 0.912525
+        ("flat-gradient", "dH/dwp reads 0 "),  # it returned the uncorrected 0.416356
+    ], ids=["no-wp", "quadratic-wp", "flat-gradient"])
+    def test_refuses_a_model_that_is_no_lift(self, kind, message):
+        with pytest.raises(ParameterError, match=message) as err:
+            choose_conjugate_momentum(no_lift_model(kind), 1.0, 0.0, 0.5, 0.1)
+        assert str(err.value).endswith("; the completion needs H = a wp + H_c with a != 0")
+
     def test_psi_zero_unsupported(self, pend_opts):
         from test_multiplier import on_psi_zero_curve
 
@@ -797,6 +816,12 @@ class TestInterpolation:
         # vertex times are reproduced exactly
         z3 = interpolate_at_time(traj, traj.vertices[3].t)
         assert np.allclose(z3.coords, traj.vertices[3].coords, atol=1e-14)
+
+    def test_zero_length_segment_gives_its_first_vertex(self):
+        # two vertices at one time: no weight to interpolate with
+        a, b = pendulum_state(0.0, 1.0), pendulum_state(0.5, 0.2)
+        traj = DTHTrajectory(vertices=[a, b], midpoints=[pendulum_state(0.25, 0.6)], multipliers=[0.0])
+        assert interpolate_at_time(traj, 0.0) is a
 
     def test_out_of_range_rejected(self, pend_opts):
         model, opts = pend_opts
