@@ -150,19 +150,20 @@ def _solve_f(model: HamiltonianModel, lam, hess: np.ndarray, rhs: np.ndarray) ->
     through), one (batched) LU solve for every other model.  A singular row
     raises LinearSolveError naming its lambda.  No caller hands it one state
     of an n = 1 lift (its kernels solve that block on floats, ``_solve_qp``):
-    the Cramer branch serves the stacks of ``solve_midpoints``."""
+    the Cramer branch serves the stacks of ``solve_midpoints`` alone, so it
+    runs inside that loop's ``np.errstate`` (an overflowing det warns
+    nothing and counts as singular) and writes x into the rhs that loop
+    hands it, a fresh -f."""
     c = 0.5 * lam
     if _closed_form(model):
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite det is singular
-            det, num_q, num_p = _cramer(
-                c, hess[..., 0, 0], hess[..., 0, 2], hess[..., 2, 0], hess[..., 2, 2],
-                rhs[..., 0], rhs[..., 2],
-            )
+        det, num_q, num_p = _cramer(
+            c, hess[..., 0, 0], hess[..., 0, 2], hess[..., 2, 0], hess[..., 2, 2],
+            rhs[..., 0], rhs[..., 2],
+        )
         singular = (det == 0.0) | ~np.isfinite(det)
         if not singular.any():
-            x = rhs.copy()
-            x[..., 0], x[..., 2] = num_q / det, num_p / det
-            return x
+            rhs[..., 0], rhs[..., 2] = num_q / det, num_p / det
+            return rhs
     else:
         dim = rhs.shape[-1]
         jh = np.concatenate([hess[..., dim // 2:, :], -hess[..., :dim // 2, :]], axis=-2)  # J H_zz

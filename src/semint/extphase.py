@@ -94,8 +94,9 @@ class HamiltonianModel:
 
     ``value``, ``gradient`` and ``hessian`` each take a coordinate array of
     length 2n+2.  ``psi_gradient``, when supplied, gives the gradient of the
-    curvature scalar psi analytically; otherwise callers fall back to central
-    finite differences of psi.
+    curvature scalar psi analytically; otherwise ``psi_gradient`` (the
+    function) central-differences psi, and ``sample_fields`` reads psi'
+    off two Hessians along w = J H_z instead.
 
     ``time_independent=True`` promises that H_z does not depend on t and
     ``wp_affine=True`` that it does not depend on wp (``False``, the
@@ -108,13 +109,15 @@ class HamiltonianModel:
     flag costs Newton iterations or raises ``NonconvergenceError`` but never
     returns a wrong midpoint; ``midpoint_sensitivity``, the Kantorovich eta
     and, for models without ``psi_gradient``, the differenced psi_z (hence
-    psi' and the sampled N1 / N2) do rely on the promise.
+    the sampled N1 / N2) do rely on the promise.  psi' does not: for such a
+    model it is the directional D^3 H[w, w, w], which reads no flag.
 
     ``vectorized=True`` promises that every callable, ``psi_gradient``
     included, also takes an (N, dim) stack of states and returns shapes
     (N,), (N, dim), (N, dim, dim) and (N, dim), row k being the result at
     row k.  Batched evaluations (the dense g-scan of the root search, psi
-    differencing, stacked ``sample_fields``) then call each once per stack;
+    differencing, stacked ``sample_fields`` and its probe Hessians) then
+    call each once per stack;
     an undeclared model is called row by row.  A result of the wrong shape,
     at one state or on a stack, raises ``DimensionError``.
     The built-in models and every ``autonomize`` lift declare it, so
@@ -408,7 +411,10 @@ def psi_gradient(model: HamiltonianModel, z) -> np.ndarray:
     along the axes the model's flags leave active (``time_independent`` drops
     t, ``wp_affine`` drops wp; a ``False`` flag keeps its axis), the skipped
     components are zero, and all probes of the call are evaluated as one
-    stack.  The step is ``psi_fd_step`` of each row.
+    stack.  The step is ``psi_fd_step`` of each row, which grows with |z|,
+    t and wp included.  This serves the sampled N1 / N2 bounds and
+    ``semint verify``; ``sample_fields`` gets psi' = psi_z . w without it
+    (``_directional_psi_prime``) unless the model is analytic.
     """
     z = _coords(z)
     if model.psi_gradient is not None and z.ndim == 1:
@@ -430,15 +436,53 @@ def psi_gradient(model: HamiltonianModel, z) -> np.ndarray:
     return out[0] if z.ndim == 1 else out
 
 
+def _directional_psi_prime(model: HamiltonianModel, z: np.ndarray, w: np.ndarray):
+    """psi' = [psi, H] = psi_z . w at one state (float) or every row of a
+    stack ((N,) array), from two Hessians and no psi gradient.
+
+    Along the flow direction w = J H_z, the derivative of
+    psi = w^T H_zz w is
+
+        d/ds psi(z + s w) = 2 (J H_zz w)^T (H_zz w) + D^3 H[w, w, w],
+
+    and the first term vanishes, since a^T J a = 0 for the antisymmetric J.
+    So psi' = D^3 H[w, w, w], differenced centrally along w with w held
+    fixed:
+
+        psi' ~ w^T (H_zz(z + h w) - H_zz(z - h w)) w / (2h),
+        h = 1e-5 / max(1, |w|),
+
+    an O(h^2) error.  The step reads w only, never |z|: it does not grow
+    with t along a run, and no flag (``time_independent``, ``wp_affine``)
+    is read.  A stack evaluates its probes (row k's +h, then its -h) as one
+    checked stack and forms the products as ``_psi_rows`` does, so row k is
+    bit for bit the one-state result.
+    """
+    if z.ndim == 1:
+        h = 1e-5 / max(1.0, math.sqrt(w @ w))  # bit for bit the stack's sqrt of its row dot
+        offset = h * w
+        dh = _hessian(model, z + offset) - _hessian(model, z - offset)
+        return float(w @ dh @ w) / (2 * h)
+    hs = 1e-5 / np.maximum(1.0, np.sqrt(_row_dots(w, w)))
+    offsets = hs[:, None] * w
+    probes = np.stack([z + offsets, z - offsets], axis=1).reshape(-1, model.dim)
+    (hessians,) = _eval_stack(model, probes, "hessian")
+    return _psi_rows(w, hessians[0::2] - hessians[1::2]) / (2 * hs)
+
+
 def sample_fields(model: HamiltonianModel, z) -> FieldSample:
     """Evaluate H, H_z, H_zz, psi and psi' = [psi, H] at one point or a stack.
 
     ``z`` is one state (an ``ExtendedState`` or a (dim,) array) or a
-    (N, dim) stack.  On a stack the model is evaluated through the batched
-    path (one call per callable for a ``vectorized`` model, row by row
-    otherwise, with the same shape, finiteness and symmetry checks; an
-    ``EvaluationError`` names the first offending row), and row k of every
-    field is bit-identical to ``sample_fields(model, z[k])``.
+    (N, dim) stack.  psi' is psi_z . w from the model's analytic
+    ``psi_gradient`` when it carries one, and otherwise the directional
+    third derivative D^3 H[w, w, w] from two probe Hessians
+    (``_directional_psi_prime``).  On a stack the model is evaluated
+    through the batched path (one call per callable for a ``vectorized``
+    model, row by row otherwise, with the same shape, finiteness and
+    symmetry checks; an ``EvaluationError`` names the first offending row),
+    and row k of every field is bit-identical to
+    ``sample_fields(model, z[k])``.
     """
     z = _coords(z)
     if z.ndim == 2:
@@ -446,14 +490,19 @@ def sample_fields(model: HamiltonianModel, z) -> FieldSample:
             raise DimensionError(f"model has dimension {model.dim}, states have shape {z.shape}")
         H, grads, hessians = _eval_stack(model, z, "value", "gradient", "hessian")
         ws = apply_J(grads)
-        pz = psi_gradient(model, z)
-        return FieldSample(H, grads, hessians, _psi_rows(ws, hessians), _row_dots(pz, ws))
+        if model.psi_gradient is None:
+            psi_prime = _directional_psi_prime(model, z, ws)
+        else:
+            psi_prime = _row_dots(psi_gradient(model, z), ws)
+        return FieldSample(H, grads, hessians, _psi_rows(ws, hessians), psi_prime)
     _check_dim(model, z)
     H, grad, hess = _value(model, z), _gradient(model, z), _hessian(model, z)
     w = apply_J(grad)
     psi = float(w @ hess @ w)
-    pz = psi_gradient(model, z)
-    psi_prime = float(pz @ w)
+    if model.psi_gradient is None:
+        psi_prime = _directional_psi_prime(model, z, w)
+    else:
+        psi_prime = float(psi_gradient(model, z) @ w)
     return FieldSample(H=H, grad=grad, hess=hess, psi=psi, psi_prime=psi_prime)
 
 

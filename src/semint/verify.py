@@ -2,7 +2,8 @@
 
 Each check returns (name, passed, detail).  The battery covers the module
 invariants: structure-matrix algebra, field-sample identities, certificate
-behavior, the cubic/derivative error envelopes, monotone-interval soundness,
+behavior, psi' from the directional third derivative against closed forms,
+the cubic/derivative error envelopes, monotone-interval soundness,
 prediction/solver agreement, the batched dense-scan grid against scalar g,
 bracketed-Newton roots against plain bisection, stacked field samples
 against scalar ones, and trajectory conservation.
@@ -13,6 +14,7 @@ battery actually bites.
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 
@@ -86,6 +88,24 @@ def check_field_sample(rng):
         if abs(fields.psi_prime - closed_prime) > 1e-8 * (1 + abs(closed_prime)):
             return False, f"psi' mismatch vs closed form at q={z.q[0]:.3f}"
     return worst <= 1e-12, f"psi quadratic-form identity, worst rel dev {worst:.2e}"
+
+
+def check_psi_prime_identity(rng):
+    """psi' of models without a psi gradient, D^3 H[w, w, w] read off two
+    Hessians, against closed forms at times t up to 1e3: the pendulum with
+    its analytic psi gradient dropped (-p^3 sin q) and the oscillator lift
+    (0).  Neither lift reads t, so neither may its psi'."""
+    worst = 0.0
+    for model, closed in ((replace(models.pendulum(), psi_gradient=None), models.pendulum_psi_prime),
+                          (_oscillator_lift(), lambda q, p: 0.0)):
+        for z, t in zip(_sample_states(rng, 25), rng.uniform(0.0, 1e3, 25)):
+            z = ExtendedState.from_parts(z.q, t, z.p, z.wp)
+            want = closed(z.q[0], z.p[0])
+            dev = abs(sample_fields(model, z).psi_prime - want) / (1 + abs(want))
+            if not dev <= 1e-8:
+                return False, f"psi' mismatch vs closed form on {model.name} at t={t:.1f}, rel dev {dev:.2e}"
+            worst = max(worst, dev)
+    return True, f"pendulum and oscillator lift x 25 states, t <= 1e3: worst rel dev {worst:.1e}"
 
 
 def check_fd_gradient(rng):
@@ -384,6 +404,7 @@ def run_all(seed: int = 0, k_scale: float = 1.0):
     checks = [
         ("structure-matrix", check_structure_matrix, {}),
         ("field-sample", check_field_sample, {}),
+        ("psi-prime-identity", check_psi_prime_identity, {}),
         ("fd-gradient", check_fd_gradient, {}),
         ("oscillator-midpoint", check_oscillator_midpoint, {}),
         ("kantorovich-certificate", check_kantorovich, {}),

@@ -979,6 +979,13 @@ class TestEveryVerifyCheckBites:
         monkeypatch.setattr(models, "free_time", lambda: models.oscillator(1e-3))  # not free after all
         self._fails(verify.check_free_time, "free-time constants not (1, 0, 0, 0, 0)")
 
+    def test_psi_prime_identity(self, monkeypatch):
+        from semint import extphase, verify
+
+        original = extphase._directional_psi_prime  # psi' 1e-7 off D^3 H[w, w, w]
+        monkeypatch.setattr(extphase, "_directional_psi_prime", lambda *args: original(*args) + 1e-7)
+        self._fails(verify.check_psi_prime_identity, "psi' mismatch vs closed form on pendulum")
+
     def test_run_all_reports_a_raising_check(self, monkeypatch):
         from semint import verify
 
@@ -987,7 +994,7 @@ class TestEveryVerifyCheckBites:
 
         monkeypatch.setattr(verify, "check_free_time", crash)
         results = verify.run_all(seed=0)
-        assert len(results) == 14
+        assert len(results) == 15
         assert [r for r in results if not r[1]] == [("free-time-trivial", False, "raised RuntimeError: boom")]
 
 

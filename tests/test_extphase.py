@@ -136,6 +136,126 @@ class TestSampleFields:
             assert b.psi_prime == pytest.approx(a.psi_prime, rel=1e-7, abs=1e-8)
 
 
+def _henon_heiles_third_derivative():
+    """D^3 H[w, w, w] of the Henon-Heiles lift with w = J H_z, derived by
+    sympy, next to the Poisson bracket psi_z . w that it equals; both as
+    numeric functions of the six coordinates."""
+    sp = pytest.importorskip("sympy")
+    z = sp.symbols("x y t px py wp")
+    x, y, _, px, py, wp = z
+    H = wp + (px**2 + py**2) / 2 + (x**2 + y**2) / 2 + x**2 * y - y**3 / 3
+    grad = [sp.diff(H, v) for v in z]
+    w = grad[3:] + [-g for g in grad[:3]]  # J H_z
+    third = sum(sp.diff(H, a, b, c) * w[i] * w[j] * w[k]
+                for i, a in enumerate(z) for j, b in enumerate(z) for k, c in enumerate(z))
+    psi = sum(sp.diff(H, a, b) * w[i] * w[j] for i, a in enumerate(z) for j, b in enumerate(z))
+    bracket = sum(sp.diff(psi, a) * w[i] for i, a in enumerate(z))
+    return sp.lambdify(z, third), sp.simplify(bracket - third)
+
+
+class TestDirectionalPsiPrime:
+    """psi' of a model without a psi gradient is D^3 H[w, w, w] from two
+    Hessians along w = J H_z: no psi gradient, no flag, no |z| in its step."""
+
+    @staticmethod
+    def _states(rng, n, rows, t_max=0.0):
+        zs = rng.uniform(-0.6, 0.6, size=(rows, 2 * n + 2))
+        zs[:, n] = rng.uniform(0.0, t_max, rows)
+        return zs
+
+    def test_matches_the_symbolic_third_derivative(self, rng):
+        third, identity_defect = _henon_heiles_third_derivative()
+        assert identity_defect == 0  # [psi, H] = D^3 H[w, w, w], symbolically
+        lift = henon_heiles_lift()
+        zs = self._states(rng, 2, 40, t_max=1e3)
+        for z in zs:
+            assert abs(sample_fields(lift, z).psi_prime - third(*z)) <= 1e-10
+        want = np.array([third(*z) for z in zs])
+        assert np.max(np.abs(sample_fields(lift, zs).psi_prime - want)) <= 1e-10
+
+    def test_time_independent_lift_reads_the_same_at_any_time(self, pendulum, rng):
+        from dataclasses import replace
+
+        for model, n in ((henon_heiles_lift(), 2), (replace(pendulum, psi_gradient=None), 1)):
+            for z in self._states(rng, n, 20):
+                late = z.copy()
+                late[n] = 1e3
+                early_prime = sample_fields(model, z).psi_prime
+                assert abs(sample_fields(model, late).psi_prime - early_prime) <= 1e-9, model.name
+
+    @staticmethod
+    def _forced_lift():
+        """H_c = p^2/2 + (1 + sin(t)/2) q^2/2 + q^3/3, lifted under a false
+        ``time_independent=True``: a differenced psi_z that trusts the flag
+        drops its t component."""
+
+        def value(c):
+            q, t, p = c
+            return 0.5 * p * p + 0.5 * (1.0 + 0.5 * np.sin(t)) * q * q + q**3 / 3.0
+
+        def gradient(c):
+            q, t, p = c
+            return np.array([(1.0 + 0.5 * np.sin(t)) * q + q * q, 0.25 * np.cos(t) * q * q, p])
+
+        def hessian(c):
+            q, t, _ = c
+            return np.array([[1.0 + 0.5 * np.sin(t) + 2.0 * q, 0.5 * np.cos(t) * q, 0.0],
+                             [0.5 * np.cos(t) * q, -0.25 * np.sin(t) * q * q, 0.0],
+                             [0.0, 0.0, 1.0]])
+
+        return autonomize(ClassicalModel(n=1, value=value, gradient=gradient, hessian=hessian,
+                                         time_independent=True, name="forced"))
+
+    def test_reads_no_flag(self, pendulum, rng):
+        from dataclasses import replace
+
+        for model, n in ((henon_heiles_lift(), 2), (replace(pendulum, psi_gradient=None), 1),
+                         (self._forced_lift(), 1)):
+            cleared = replace(model, time_independent=False, wp_affine=False)
+            zs = self._states(rng, n, 9, t_max=10.0)
+            assert _bits(sample_fields(cleared, zs).psi_prime) == _bits(sample_fields(model, zs).psi_prime)
+            for z in zs:
+                fields = sample_fields(model, z)
+                assert _bits(sample_fields(cleared, z).psi_prime) == _bits(fields.psi_prime)
+                # psi_z differenced along every axis, t included, agrees
+                bracket = float(psi_gradient(cleared, z) @ apply_J(fields.grad))
+                assert fields.psi_prime == pytest.approx(bracket, rel=1e-6, abs=1e-8), model.name
+
+    def test_calls_no_psi_gradient(self, monkeypatch, rng):
+        from semint import extphase
+
+        def refuse(*args):
+            raise AssertionError("psi_gradient called")
+
+        monkeypatch.setattr(extphase, "psi_gradient", refuse)
+        lift = henon_heiles_lift()
+        zs = self._states(rng, 2, 5)
+        sample_fields(lift, zs)
+        sample_fields(lift, zs[0])
+
+    def test_bad_probe_hessian_carries_the_first_offending_probe(self, rng):
+        from dataclasses import replace
+
+        lift = henon_heiles_lift()
+
+        def hessian(z):
+            h = lift.hessian(z)
+            if z[0] > 0.5:
+                h[0, 0] = np.nan
+            return h
+
+        zs = self._states(rng, 2, 4)
+        zs[:, 0] = [0.1, 0.2, 0.5, 0.1]
+        zs[:, 3] = 1.0  # w_x = px = 1: the +h probe of row 2 lies past x = 0.5, its state does not
+        model = replace(lift, hessian=hessian, vectorized=False)
+        w = apply_J(lift.gradient(zs[2]))
+        probe = zs[2] + 1e-5 / max(1.0, float(np.linalg.norm(w))) * w
+        for z in (zs, zs[2]):
+            with pytest.raises(EvaluationError, match="hessian is non-finite") as err:
+                sample_fields(model, z)
+            assert np.array_equal(err.value.z, probe)
+
+
 def _psi_gradient_reference(model, z):
     """The per-probe loop psi differencing used before batching: all axes."""
     h = psi_fd_step(z)

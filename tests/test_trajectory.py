@@ -417,6 +417,19 @@ def test_one_state_checks_run_no_numpy_sum(run, pend_opts):
     assert sums["numpy"] == 0 and sums["float"] > 10 * len(traj.multipliers)
 
 
+def test_henon_heiles_steps_call_no_psi_gradient(monkeypatch):
+    """The Henon-Heiles lift has no analytic psi gradient; its field samples
+    read psi' off two Hessians, so a run calls ``psi_gradient`` only through
+    the bounds' own binding, in the set-up."""
+    from semint import extphase
+
+    calls = []
+    original = extphase.psi_gradient
+    monkeypatch.setattr(extphase, "psi_gradient", lambda *args: calls.append(args) or original(*args))
+    traj = henon_heiles_run(20, samples=3)
+    assert len(traj.multipliers) == 20 and calls == []
+
+
 class TestFastPathAgreesWithFullPath:
     """A hint only seeds the warm-started Newton of the fast path.
 
