@@ -24,8 +24,8 @@ from .errors import (
     _refused, _vector, _whole,
 )
 from .extphase import (
-    ExtendedState, HamiltonianModel, _coords, _eval_stack, _psi_axes, _row_dots, eval_gradient,
-    eval_hessian, psi_fd_step, psi_gradient,
+    ExtendedState, HamiltonianModel, _coords, _eval_stack, _row_dots, eval_gradient, eval_hessian,
+    psi_fd_step, psi_gradient,
 )
 
 __all__ = [
@@ -164,9 +164,10 @@ def _probe_axis_active(model: HamiltonianModel, center: np.ndarray, radius: floa
 
 
 def _active_axes(model: HamiltonianModel, center: np.ndarray, radius: float) -> tuple[int, ...]:
-    """The axes ``_psi_axes`` keeps, less an undeclared t or wp axis probing finds flat."""
-    return tuple(a for a in _psi_axes(model)
-                 if a not in (model.n, model.dim - 1) or _probe_axis_active(model, center, radius, a))
+    """Every axis but t and wp, which count when no flag rules them out and probing finds them active."""
+    flagged = {model.n: model.time_independent, model.dim - 1: model.wp_affine}
+    return tuple(a for a in range(model.dim)
+                 if a not in flagged or (not flagged[a] and _probe_axis_active(model, center, radius, a)))
 
 
 def _max_norm(rows: np.ndarray) -> float:
@@ -189,6 +190,8 @@ def _psi_suprema(model: HamiltonianModel, points: np.ndarray, active, step: floa
     A point's stencil is the point and its +-step neighbours along the active
     axes; one batched ``psi_gradient`` call per block of stencils gives psi_z
     at each point (N1) and its central-difference Jacobian, symmetrized (N2).
+    Without an analytic psi gradient psi_z is read off Hessians at a fixed
+    1e-5, so ``step`` is the one difference N2 adds.
     """
     dim, k = points.shape[1], len(active)
     offsets = step * np.eye(dim)[list(active)]

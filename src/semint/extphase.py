@@ -21,7 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    DimensionError, EvaluationError, _flag, _instance, _optional, _parse_fields, _refused, _whole,
+    DimensionError, EvaluationError, _POSITIVE, _flag, _instance, _optional, _parse_fields, _real, _refused,
+    _whole,
 )
 
 __all__ = [
@@ -95,29 +96,27 @@ class HamiltonianModel:
     ``value``, ``gradient`` and ``hessian`` each take a coordinate array of
     length 2n+2.  ``psi_gradient``, when supplied, gives the gradient of the
     curvature scalar psi analytically; otherwise ``psi_gradient`` (the
-    function) central-differences psi, and ``sample_fields`` reads psi'
-    off two Hessians along w = J H_z instead.
+    function) and ``sample_fields`` read psi_z and psi' off H_z and
+    Hessians (``_third_derivative``).
 
     ``time_independent=True`` promises that H_z does not depend on t and
     ``wp_affine=True`` that it does not depend on wp (``False``, the
     default, promises nothing), so H_zz has zero t and wp rows and columns
     (a classical lift H = wp + H_c(q, p) keeps both).
-    The region sampler then skips the t / wp axes without probing, psi
-    differencing skips them too (psi is then constant along them), and for
+    The region sampler then skips the t / wp axes without probing, and for
     n = 1 the midpoint Newton solve becomes a closed-form 2x2 (q, p) solve.
     Convergence is still judged on the full residual, so a wrongly declared
     flag costs Newton iterations or raises ``NonconvergenceError`` but never
     returns a wrong midpoint; ``midpoint_sensitivity``, the Kantorovich eta
-    and, for models without ``psi_gradient``, the differenced psi_z (hence
-    the sampled N1 / N2) do rely on the promise.  psi' does not: for such a
-    model it is the directional D^3 H[w, w, w], which reads no flag.
+    and the sampled box do rely on the promise.  psi_z and psi' do not: for
+    a model without ``psi_gradient`` they read no flag.
 
     ``vectorized=True`` promises that every callable, ``psi_gradient``
     included, also takes an (N, dim) stack of states and returns shapes
     (N,), (N, dim), (N, dim, dim) and (N, dim), row k being the result at
-    row k.  Batched evaluations (the dense g-scan of the root search, psi
-    differencing, stacked ``sample_fields`` and its probe Hessians) then
-    call each once per stack;
+    row k.  Batched evaluations (the dense g-scan of the root search,
+    stacked ``sample_fields`` and ``psi_gradient`` and their probe
+    Hessians) then call each once per stack;
     an undeclared model is called row by row.  A result of the wrong shape,
     at one state or on a stack, raises ``DimensionError``.
     The built-in models and every ``autonomize`` lift declare it, so
@@ -335,12 +334,6 @@ def psi_fd_step(z: np.ndarray):
     return 1e-5 * max(1.0, float(np.linalg.norm(z)))
 
 
-def _psi_axes(model: HamiltonianModel) -> tuple[int, ...]:
-    """Axes psi can vary along: the model's flags rule out t and wp."""
-    flat = {model.n: model.time_independent, model.dim - 1: model.wp_affine}
-    return tuple(i for i in range(model.dim) if not flat.get(i))
-
-
 def _eval_stack(model: HamiltonianModel, zs: np.ndarray, *kinds: str) -> list[np.ndarray]:
     """``kinds`` ("value", "gradient", "hessian", "psi_gradient") at every
     row of a (N, dim) stack.
@@ -407,14 +400,13 @@ def _psi_rows(ws: np.ndarray, hessians: np.ndarray) -> np.ndarray:
 def psi_gradient(model: HamiltonianModel, z) -> np.ndarray:
     """Gradient of psi at one state (dim,) or at every row of a (N, dim) stack.
 
-    Analytic when the model carries one.  Otherwise psi is central-differenced
-    along the axes the model's flags leave active (``time_independent`` drops
-    t, ``wp_affine`` drops wp; a ``False`` flag keeps its axis), the skipped
-    components are zero, and all probes of the call are evaluated as one
-    stack.  The step is ``psi_fd_step`` of each row, which grows with |z|,
-    t and wp included.  This serves the sampled N1 / N2 bounds and
-    ``semint verify``; ``sample_fields`` gets psi' = psi_z . w without it
-    (``_directional_psi_prime``) unless the model is analytic.
+    Analytic when the model carries one.  Otherwise, with w = J H_z,
+    psi_z = -2 H_zz J H_zz w + D^3 H[w, w, .]: the first term exact from H_z
+    and H_zz at z, the second from Hessians alone (``_third_derivative``
+    along every axis, h = 1e-5), so no flag and no |z| is read and an axis
+    along which H_zz does not vary reads exactly 0.  Its w-component is psi'
+    (w^T H_zz J H_zz w = 0).  Each call is one checked stack of states and
+    one of probes; it serves the sampled N1 / N2 bounds and ``semint verify``.
     """
     z = _coords(z)
     if model.psi_gradient is not None and z.ndim == 1:
@@ -425,49 +417,36 @@ def psi_gradient(model: HamiltonianModel, z) -> np.ndarray:
         raise DimensionError(f"model has dimension {model.dim}, states have shape {z.shape}")
     if model.psi_gradient is not None:
         return _eval_stack(model, zs, "psi_gradient")[0]
-    axes = _psi_axes(model)
-    steps = psi_fd_step(zs)
-    offsets = steps[:, None, None] * np.eye(model.dim)[list(axes)]  # h e_i rows, exact
-    probes = np.concatenate([zs[:, None] + offsets, zs[:, None] - offsets], axis=1)
-    grads, hessians = _eval_stack(model, probes.reshape(-1, model.dim), "gradient", "hessian")
-    psi = _psi_rows(apply_J(grads), hessians).reshape(len(zs), 2, len(axes))
-    out = np.zeros(zs.shape)
-    out[:, axes] = (psi[:, 0] - psi[:, 1]) / (2 * steps[:, None])
+    rows, dim = zs.shape
+    grads, hessians = _eval_stack(model, zs, "gradient", "hessian")
+    ws = apply_J(grads)
+    turned = apply_J((hessians @ ws[:, :, None])[:, :, 0])  # J H_zz w
+    out = _third_derivative(model, zs, ws, np.eye(dim), np.full(rows, 1e-5))
+    out -= 2.0 * (hessians @ turned[:, :, None])[:, :, 0]
     return out[0] if z.ndim == 1 else out
 
 
-def _directional_psi_prime(model: HamiltonianModel, z: np.ndarray, w: np.ndarray):
-    """psi' = [psi, H] = psi_z . w at one state (float) or every row of a
-    stack ((N,) array), from two Hessians and no psi gradient.
+def _third_derivative(model: HamiltonianModel, z: np.ndarray, w: np.ndarray, dirs: np.ndarray, h):
+    """D^3 H[w, w, v] ~ w^T (H_zz(z + h v) - H_zz(z - h v)) w / (2h) for every
+    direction v of ``dirs``: O(h^2) with w held fixed, and exactly 0 along a
+    direction in which H_zz does not vary.
 
-    Along the flow direction w = J H_z, the derivative of
-    psi = w^T H_zz w is
-
-        d/ds psi(z + s w) = 2 (J H_zz w)^T (H_zz w) + D^3 H[w, w, w],
-
-    and the first term vanishes, since a^T J a = 0 for the antisymmetric J.
-    So psi' = D^3 H[w, w, w], differenced centrally along w with w held
-    fixed:
-
-        psi' ~ w^T (H_zz(z + h w) - H_zz(z - h w)) w / (2h),
-        h = 1e-5 / max(1, |w|),
-
-    an O(h^2) error.  The step reads w only, never |z|: it does not grow
-    with t along a run, and no flag (``time_independent``, ``wp_affine``)
-    is read.  A stack evaluates its probes (row k's +h, then its -h) as one
-    checked stack and forms the products as ``_psi_rows`` does, so row k is
-    bit for bit the one-state result.
+    One state: z and w (dim,), ``dirs`` (m, dim), ``h`` a float; two
+    ``_hessian`` calls per v and an (m,) result.  A stack: z and w (N, dim),
+    ``dirs`` (N, m, dim) or (m, dim) for every row, ``h`` (N,); the probes (row k's +h v, then its
+    -h v, v in turn) are one checked stack and the products are formed as
+    ``_psi_rows`` does, so row k of the (N, m) result is bit for bit the
+    one-state result.  ``psi_gradient`` takes v = e_i, ``sample_fields``
+    v = w, which gives psi' itself.
     """
     if z.ndim == 1:
-        h = 1e-5 / max(1.0, math.sqrt(w @ w))  # bit for bit the stack's sqrt of its row dot
-        offset = h * w
-        dh = _hessian(model, z + offset) - _hessian(model, z - offset)
-        return float(w @ dh @ w) / (2 * h)
-    hs = 1e-5 / np.maximum(1.0, np.sqrt(_row_dots(w, w)))
-    offsets = hs[:, None] * w
-    probes = np.stack([z + offsets, z - offsets], axis=1).reshape(-1, model.dim)
+        return np.array([w @ (_hessian(model, z + h * v) - _hessian(model, z - h * v)) @ w
+                         for v in dirs]) / (2 * h)
+    offsets = h[:, None, None] * dirs
+    probes = np.stack([z[:, None] + offsets, z[:, None] - offsets], axis=2).reshape(-1, model.dim)
     (hessians,) = _eval_stack(model, probes, "hessian")
-    return _psi_rows(w, hessians[0::2] - hessians[1::2]) / (2 * hs)
+    ws = np.repeat(w, dirs.shape[-2], axis=0)
+    return _psi_rows(ws, hessians[0::2] - hessians[1::2]).reshape(len(z), -1) / (2 * h[:, None])
 
 
 def sample_fields(model: HamiltonianModel, z) -> FieldSample:
@@ -477,7 +456,7 @@ def sample_fields(model: HamiltonianModel, z) -> FieldSample:
     (N, dim) stack.  psi' is psi_z . w from the model's analytic
     ``psi_gradient`` when it carries one, and otherwise the directional
     third derivative D^3 H[w, w, w] from two probe Hessians
-    (``_directional_psi_prime``).  On a stack the model is evaluated
+    (``_third_derivative``).  On a stack the model is evaluated
     through the batched path (one call per callable for a ``vectorized``
     model, row by row otherwise, with the same shape, finiteness and
     symmetry checks; an ``EvaluationError`` names the first offending row),
@@ -491,7 +470,8 @@ def sample_fields(model: HamiltonianModel, z) -> FieldSample:
         H, grads, hessians = _eval_stack(model, z, "value", "gradient", "hessian")
         ws = apply_J(grads)
         if model.psi_gradient is None:
-            psi_prime = _directional_psi_prime(model, z, ws)
+            hs = 1e-5 / np.maximum(1.0, np.sqrt(_row_dots(ws, ws)))
+            psi_prime = _third_derivative(model, z, ws, ws[:, None], hs)[:, 0]
         else:
             psi_prime = _row_dots(psi_gradient(model, z), ws)
         return FieldSample(H, grads, hessians, _psi_rows(ws, hessians), psi_prime)
@@ -500,7 +480,8 @@ def sample_fields(model: HamiltonianModel, z) -> FieldSample:
     w = apply_J(grad)
     psi = float(w @ hess @ w)
     if model.psi_gradient is None:
-        psi_prime = _directional_psi_prime(model, z, w)
+        h = 1e-5 / max(1.0, math.sqrt(w @ w))  # bit for bit the stack's sqrt of its row dot
+        psi_prime = float(_third_derivative(model, z, w, w[None], h)[0])
     else:
         psi_prime = float(psi_gradient(model, z) @ w)
     return FieldSample(H=H, grad=grad, hess=hess, psi=psi, psi_prime=psi_prime)
@@ -574,6 +555,7 @@ def finite_difference_model(
     The gradient is a central difference of the value (accurate to O(step^2))
     and the Hessian a central difference of that gradient.
     """
+    step = _real(step, "step", _POSITIVE)
 
     def gradient(z: np.ndarray) -> np.ndarray:
         return np.array(_central_differences(value, z, step), dtype=float)
@@ -603,11 +585,13 @@ def _central_differences(f: Callable, z: np.ndarray, step: float) -> list:
 
 def fd_gradient(model: HamiltonianModel, z, step: float = 1e-6) -> np.ndarray:
     """Central finite-difference gradient of H, for cross-checking models."""
+    step = _real(step, "step", _POSITIVE)
     return np.array(_central_differences(lambda x: eval_value(model, x), _coords(z), step))
 
 
 def fd_hessian(model: HamiltonianModel, z, step: float = 1e-5) -> np.ndarray:
     """Central finite-difference Hessian built from the model gradient."""
+    step = _real(step, "step", _POSITIVE)
     h = np.column_stack(
         _central_differences(lambda x: eval_gradient(model, x), _coords(z), step)
     )

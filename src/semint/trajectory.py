@@ -444,3 +444,4 @@ def interpolate_at_time(trajectory: DTHTrajectory, t: float) -> ExtendedState:
                 return a
             w = (t - ta) / (tb - ta)
             return ExtendedState((1 - w) * a.coords + w * b.coords, n)
+    return verts[0]  # one vertex, and t is its time

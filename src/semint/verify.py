@@ -2,7 +2,7 @@
 
 Each check returns (name, passed, detail).  The battery covers the module
 invariants: structure-matrix algebra, field-sample identities, certificate
-behavior, psi' from the directional third derivative against closed forms,
+behavior, psi' and psi_z from Hessian differences against closed forms,
 the cubic/derivative error envelopes, monotone-interval soundness,
 prediction/solver agreement, the batched dense-scan grid against scalar g,
 bracketed-Newton roots against plain bisection, stacked field samples
@@ -91,13 +91,15 @@ def check_field_sample(rng):
 
 
 def check_psi_prime_identity(rng):
-    """psi' of models without a psi gradient, D^3 H[w, w, w] read off two
-    Hessians, against closed forms at times t up to 1e3: the pendulum with
-    its analytic psi gradient dropped (-p^3 sin q) and the oscillator lift
-    (0).  Neither lift reads t, so neither may its psi'."""
+    """psi' and psi_z of models without a psi gradient, read off Hessians,
+    against closed forms at times t up to 1e3: psi' of the pendulum with its
+    analytic psi gradient dropped (-p^3 sin q) and of the oscillator lift
+    (0), and psi_z of that pendulum (its analytic psi gradient).  Neither
+    lift reads t, so neither may its psi' or psi_z."""
+    pendulum = models.pendulum()
+    stripped = replace(pendulum, psi_gradient=None)
     worst = 0.0
-    for model, closed in ((replace(models.pendulum(), psi_gradient=None), models.pendulum_psi_prime),
-                          (_oscillator_lift(), lambda q, p: 0.0)):
+    for model, closed in ((stripped, models.pendulum_psi_prime), (_oscillator_lift(), lambda q, p: 0.0)):
         for z, t in zip(_sample_states(rng, 25), rng.uniform(0.0, 1e3, 25)):
             z = ExtendedState.from_parts(z.q, t, z.p, z.wp)
             want = closed(z.q[0], z.p[0])
@@ -105,7 +107,14 @@ def check_psi_prime_identity(rng):
             if not dev <= 1e-8:
                 return False, f"psi' mismatch vs closed form on {model.name} at t={t:.1f}, rel dev {dev:.2e}"
             worst = max(worst, dev)
-    return True, f"pendulum and oscillator lift x 25 states, t <= 1e3: worst rel dev {worst:.1e}"
+    for z, t in zip(_sample_states(rng, 25), rng.uniform(0.0, 1e3, 25)):
+        z = np.array([z.q[0], t, z.p[0], z.wp])
+        want = pendulum.psi_gradient(z)
+        dev = np.linalg.norm(psi_gradient(stripped, z) - want) / (1 + np.linalg.norm(want))
+        if not dev <= 1e-8:
+            return False, f"psi_z mismatch vs closed form on pendulum at t={t:.1f}, rel dev {dev:.2e}"
+        worst = max(worst, dev)
+    return True, f"psi' of two lifts, psi_z of the pendulum, x 25 states, t <= 1e3: worst rel dev {worst:.1e}"
 
 
 def check_fd_gradient(rng):

@@ -191,10 +191,11 @@ def _hh_center():
 
 
 class TestPinnedBounds:
-    """Exact outputs recorded before psi differencing was batched.
+    """Exact outputs of the five sampled constants, compared with ``==``.
 
-    Batching and skipping the t / wp axes must not move a single bit of the
-    five sampled constants, so these compare with ``==``.
+    The pendulum pins were recorded before psi differencing was batched.
+    The finite-difference and two-dof pins were re-recorded when psi_z of a
+    model without an analytic psi gradient began to be read off Hessians.
     """
 
     @staticmethod
@@ -219,14 +220,15 @@ class TestPinnedBounds:
         )
 
     def test_finite_difference_pendulum(self, pendulum):
-        # no flags: psi is differenced along all four axes, and the probe
-        # keeps wp active because the differenced dH/dwp carries rounding
+        # no flags: the probe keeps wp active because the differenced dH/dwp
+        # carries rounding; psi_z differences Hessians that are themselves
+        # differenced twice, so N2 reads their noise (the exact N2 is below 4)
         fd = finite_difference_model(1, pendulum.value)
         b = estimate_bounds(fd, pendulum_state(0.3, -0.2, wp=0.1), 1.0, 3)
         assert b.active_axes == (0, 2, 3)
         assert self._constants(b) == (
             1.835332225084129, 1.3829959430487937, 0.6878386751193136,
-            2.5197842501366265, 18501.352287510017,
+            2.4181617659451637, 44034.72111316196,
         )
 
     def test_two_dof_lift(self):
@@ -235,7 +237,7 @@ class TestPinnedBounds:
         assert b.sample_count == 81
         assert self._constants(b) == (
             1.5583825749795843, 2.7604347483684526, 2.8284271247461903,
-            6.068096756921769, 15.347996387808903,
+            6.068096756812419, 15.347996700445202,
         )
 
 
@@ -247,15 +249,17 @@ def _bounds_digest(b):
 class TestBoundsDigests:
     """SHA-256 of the sampled constants on the boxes the benchmark runs use.
 
-    Recorded before the lift and the M1 / M2 grid were evaluated as stacks;
-    a change in the last bit of any constant changes the digest.
+    The pendulum digest was recorded before the lift and the M1 / M2 grid
+    were evaluated as stacks, the two-dof one re-recorded when psi_z began
+    to be read off Hessians; a change in the last bit of any constant
+    changes the digest.
     """
 
     def test_two_dof_run_box(self):
         center = ExtendedState.from_parts([0.0, 0.0], 0.0, [0.0, 0.0], 0.0)
         b = estimate_bounds(henon_heiles_lift(), center, 0.6, 5)
         assert _bounds_digest(b) == (
-            "37fb5e9fda6efca1b4375a373a897dff10b5a9fdf6e35f9d1ed031d3edd8fbcb"
+            "e2cdb5fc5d176268169c943eef8ca620d961e8db93802c3b20bf2ab7340664b8"
         )
 
     def test_pendulum_acceptance_box(self, pendulum_bounds):
@@ -295,36 +299,36 @@ class TestStackedNorms:
 
 class TestEstimateBoundsCost:
     def test_model_evaluations_per_point(self):
-        """Count guard: one batched stencil per grid point, no per-probe loop.
+        """Count guard, in model rows: one batched stencil per grid point, no per-probe loop.
 
         Each point costs one gradient and one Hessian for M1 / M2, and its
         stencil (the point and its +-step neighbours on the active axes)
-        needs psi at +-h along every differenced axis, one gradient and one
-        Hessian each: 2 + 2 * 2 * (1 + 2 * |active|) * |fd axes| = 146 for
-        the n = 2 lift (the per-probe loop it replaced made 218).
+        needs psi_z at each of its states: one gradient and one Hessian
+        there and two probe Hessians along every axis,
+        2 + (1 + 2 * |active|) * (2 + 2 * dim) = 128 for the n = 2 lift
+        (differencing psi itself made 146, and its per-probe loop 218).
         """
         lift = henon_heiles_lift()
-        calls = {"n": 0}
+        rows = {"n": 0}
 
         def counted(fn):
             def wrapper(z):
-                calls["n"] += 1
+                rows["n"] += len(z) if z.ndim == 2 else 1
                 return fn(z)
 
             return wrapper
 
         model = replace(lift, gradient=counted(lift.gradient), hessian=counted(lift.hessian))
         b = estimate_bounds(model, _hh_center(), 0.4, 3)
-        active = len(b.active_axes)
-        fd_axes = 4  # both flags declared: t and wp are not differenced
-        per_point = 2 + 2 * 2 * (1 + 2 * active) * fd_axes
-        assert per_point == 146
-        assert calls["n"] <= per_point * b.sample_count
+        per_point = 2 + (1 + 2 * len(b.active_axes)) * (2 + 2 * model.dim)
+        assert per_point == 128
+        assert rows["n"] == per_point * b.sample_count
 
     def test_evaluation_error_in_stencil_carries_point(self):
         # the Hessian turns asymmetric just beyond the box edge x = 0.45,
-        # which only the psi probes around edge points reach; the first is
-        # the +x probe of the first edge point in grid order
+        # which only the N2 stencil around edge points reaches; the first
+        # state past it is the +x neighbour of the first edge point in grid
+        # order, whose Hessian psi_z reads before any probe
         lift = henon_heiles_lift()
         c, r = _hh_center().coords, 0.4
 
@@ -338,7 +342,7 @@ class TestEstimateBoundsCost:
             estimate_bounds(replace(lift, hessian=hessian, vectorized=False), _hh_center(), r, 3)
         edge = np.array([c[0] + r, c[1] - r, c[2], c[3] - r, c[4] - r, c[5]])
         probe = edge.copy()
-        probe[0] += psi_fd_step(edge)
+        probe[0] += psi_fd_step(c + r)
         assert np.array_equal(err.value.z, probe)
 
 

@@ -982,9 +982,16 @@ class TestEveryVerifyCheckBites:
     def test_psi_prime_identity(self, monkeypatch):
         from semint import extphase, verify
 
-        original = extphase._directional_psi_prime  # psi' 1e-7 off D^3 H[w, w, w]
-        monkeypatch.setattr(extphase, "_directional_psi_prime", lambda *args: original(*args) + 1e-7)
+        original = extphase._third_derivative  # psi' 1e-7 off D^3 H[w, w, w]
+        monkeypatch.setattr(extphase, "_third_derivative", lambda *args: original(*args) + 1e-7)
         self._fails(verify.check_psi_prime_identity, "psi' mismatch vs closed form on pendulum")
+
+    def test_psi_prime_identity_reads_psi_z(self, monkeypatch):
+        from semint import verify
+
+        original = verify.psi_gradient  # psi_z 1e-7 off along q
+        monkeypatch.setattr(verify, "psi_gradient", lambda *args: original(*args) + [1e-7, 0.0, 0.0, 0.0])
+        self._fails(verify.check_psi_prime_identity, "psi_z mismatch vs closed form on pendulum")
 
     def test_run_all_reports_a_raising_check(self, monkeypatch):
         from semint import verify

@@ -19,6 +19,7 @@ from semint.extphase import (
     eval_hessian,
     eval_value,
     fd_gradient,
+    fd_hessian,
     finite_difference_model,
     psi_fd_step,
     psi_gradient,
@@ -136,19 +137,25 @@ class TestSampleFields:
             assert b.psi_prime == pytest.approx(a.psi_prime, rel=1e-7, abs=1e-8)
 
 
-def _henon_heiles_third_derivative():
-    """D^3 H[w, w, w] of the Henon-Heiles lift with w = J H_z, derived by
-    sympy, next to the Poisson bracket psi_z . w that it equals; both as
-    numeric functions of the six coordinates."""
+def _henon_heiles_symbolic():
+    """sympy, the lift's six coordinates, its H, w = J H_z and psi = w^T H_zz w."""
     sp = pytest.importorskip("sympy")
     z = sp.symbols("x y t px py wp")
     x, y, _, px, py, wp = z
     H = wp + (px**2 + py**2) / 2 + (x**2 + y**2) / 2 + x**2 * y - y**3 / 3
     grad = [sp.diff(H, v) for v in z]
     w = grad[3:] + [-g for g in grad[:3]]  # J H_z
+    psi = sum(sp.diff(H, a, b) * w[i] * w[j] for i, a in enumerate(z) for j, b in enumerate(z))
+    return sp, z, H, w, psi
+
+
+def _henon_heiles_third_derivative():
+    """D^3 H[w, w, w] of the Henon-Heiles lift with w = J H_z, derived by
+    sympy, next to the Poisson bracket psi_z . w that it equals; both as
+    numeric functions of the six coordinates."""
+    sp, z, H, w, psi = _henon_heiles_symbolic()
     third = sum(sp.diff(H, a, b, c) * w[i] * w[j] * w[k]
                 for i, a in enumerate(z) for j, b in enumerate(z) for k, c in enumerate(z))
-    psi = sum(sp.diff(H, a, b) * w[i] * w[j] for i, a in enumerate(z) for j, b in enumerate(z))
     bracket = sum(sp.diff(psi, a) * w[i] for i, a in enumerate(z))
     return sp.lambdify(z, third), sp.simplify(bracket - third)
 
@@ -257,18 +264,68 @@ class TestDirectionalPsiPrime:
 
 
 def _psi_gradient_reference(model, z):
-    """The per-probe loop psi differencing used before batching: all axes."""
-    h = psi_fd_step(z)
+    """psi_z = -2 H_zz J H_zz w + D^3 H[w, w, .] at one state, one probe at a
+    time: the exact term from H_z and H_zz at z, the second from Hessians at
+    z +- 1e-5 e_i along every axis."""
+    w = apply_J(eval_gradient(model, z))
+    hess = eval_hessian(model, z)
     out = np.empty(z.size)
     for i in range(z.size):
         e = np.zeros(z.size)
-        e[i] = h
-        psi = []
-        for x in (z + e, z - e):
-            w = apply_J(eval_gradient(model, x))
-            psi.append(float(w @ eval_hessian(model, x) @ w))
-        out[i] = (psi[0] - psi[1]) / (2 * h)
-    return out
+        e[i] = 1e-5
+        dh = eval_hessian(model, z + e) - eval_hessian(model, z - e)
+        out[i] = float(w @ dh @ w) / 2e-5
+    return out - 2.0 * (hess @ apply_J(hess @ w))
+
+
+class TestPsiGradientFromHessians:
+    """psi_z of a model without a psi gradient is -2 H_zz J H_zz w plus
+    D^3 H[w, w, .] from Hessians alone: no psi probe, no flag, no |z|."""
+
+    def test_matches_the_symbolic_gradient_at_any_time(self, rng):
+        from dataclasses import replace
+
+        sp, z, _, _, psi = _henon_heiles_symbolic()
+        exact = sp.lambdify(z, [sp.diff(psi, v) for v in z])
+        lift = henon_heiles_lift()
+        cleared = replace(lift, time_independent=False, wp_affine=False)
+        zs = rng.uniform(-0.6, 0.6, size=(200, lift.dim))
+        for t in (0.0, 200.0):
+            zs[:, 2] = t
+            got = psi_gradient(lift, zs)
+            assert np.max(np.abs(got - [exact(*row) for row in zs])) <= 1e-10, t
+            assert _bits(psi_gradient(cleared, zs)) == _bits(got)
+
+    def test_flat_axes_read_exactly_zero_and_no_step_rule(self, pendulum, monkeypatch, rng):
+        from dataclasses import replace
+
+        from semint import extphase
+
+        def refuse(*args):
+            raise AssertionError("psi_fd_step called")
+
+        monkeypatch.setattr(extphase, "psi_fd_step", refuse)
+        stripped = replace(pendulum, psi_gradient=None, time_independent=False, wp_affine=False)
+        zs = rng.uniform(-2.0, 2.0, size=(20, 4))
+        got = psi_gradient(stripped, zs)
+        assert np.all(got[:, [1, 3]] == 0.0)
+        assert np.max(np.abs(got - pendulum.psi_gradient(zs))) <= 1e-9
+
+    def test_one_state_psi_prime_takes_two_probe_hessians(self, rng):
+        from dataclasses import replace
+
+        lift = henon_heiles_lift()
+        seen = []
+
+        def hessian(z):
+            seen.append(z.copy())
+            return lift.hessian(z)
+
+        z = rng.uniform(-0.6, 0.6, lift.dim)
+        fields = sample_fields(replace(lift, hessian=hessian, vectorized=False), z)
+        w = apply_J(fields.grad)
+        h = 1e-5 / max(1.0, float(np.sqrt(w @ w)))
+        assert _bits(seen) == _bits([z, z + h * w, z - h * w])
 
 
 class TestPsiGradientBatch:
@@ -293,7 +350,7 @@ class TestPsiGradientBatch:
             assert np.array_equal(batch, rows)
 
     def test_matches_per_probe_loop_bitwise(self, rng):
-        # an honest lift: the skipped t and wp components were exact zeros
+        # an honest lift: H_zz does not vary along t and wp, whose components are exact zeros
         lift = henon_heiles_lift()
         zs = self._stack(rng, 2)
         batch = psi_gradient(lift, zs)
@@ -301,21 +358,28 @@ class TestPsiGradientBatch:
         assert np.all(batch[:, [2, 5]] == 0.0)
 
     def test_undeclared_flags_keep_every_axis(self, rng):
+        # every axis is differenced whatever the flags say: the same calls and bits
         from dataclasses import replace
 
         lift = henon_heiles_lift()
-        unflagged = replace(lift, time_independent=False, wp_affine=False)
-        calls = []
+        calls = {}
 
-        def gradient(z):
-            calls.append(1)
-            return lift.gradient(z)
+        def counted(kind):
+            def fn(z):
+                calls[kind] = calls.get(kind, 0) + 1
+                return getattr(lift, kind)(z)
+
+            return fn
 
         zs = self._stack(rng, 2, rows=3)
-        flagged_out = psi_gradient(lift, zs)
-        out = psi_gradient(replace(unflagged, gradient=gradient, vectorized=False), zs)
-        assert len(calls) == 3 * 2 * 6  # +-h on all six axes per row
-        assert np.array_equal(out, flagged_out)
+        outs = []
+        for flags in (True, False):
+            calls.clear()
+            model = replace(lift, time_independent=flags, wp_affine=flags, vectorized=False,
+                            gradient=counted("gradient"), hessian=counted("hessian"))
+            outs.append(psi_gradient(model, zs))
+            assert calls == {"gradient": 3, "hessian": 3 * (1 + 2 * 6)}  # the state, then +-h on six axes
+        assert _bits(outs[0]) == _bits(outs[1])
 
     def test_wrong_width_stack_raises(self, pendulum):
         from dataclasses import replace
@@ -339,16 +403,17 @@ class TestPsiGradientBatch:
             return h
 
         zs = self._stack(rng, 2, rows=4)
-        zs[:, 1] = [0.1, 0.2, 0.5, 0.9]  # rows 2 and 3 probe the bad region
-        # probes run +h along x, y, px, py and then -h; row 2 sits on the
-        # edge, so its first probe with y > 0.5 is its +y probe
+        zs[:, 1] = [0.1, 0.2, 0.5, 0.3]  # every state is good; row 2 sits on the edge
+        # probes run row by row, +h then -h along x, y, t, px, py, wp in
+        # turn, so the first with y > 0.5 is row 2's +y probe
         probe = zs[2].copy()
-        probe[1] += psi_fd_step(zs[2])
+        probe[1] += 1e-5
         with pytest.raises(EvaluationError, match="non-finite" if fault == "nan" else "symmetric") as err:
             psi_gradient(replace(lift, hessian=hessian, vectorized=False), zs)
         assert np.array_equal(err.value.z, probe)
 
-    def test_nonfinite_gradient_carries_probe(self, rng):
+    def test_nonfinite_gradient_carries_its_state(self, rng):
+        # the gradient is read at the states alone, never at a probe
         from dataclasses import replace
 
         lift = henon_heiles_lift()
@@ -359,13 +424,14 @@ class TestPsiGradientBatch:
                 g[0] = np.inf
             return g
 
+        model = replace(lift, gradient=gradient, vectorized=False)
         zs = self._stack(rng, 2, rows=3)
-        zs[:, 0] = [0.0, -0.5, 0.3]
-        probe = zs[1].copy()
-        probe[0] -= psi_fd_step(zs[1])  # row 1's -x probe, the first below -0.5
+        zs[:, 0] = [0.0, -0.5, 0.3]  # row 1's -x probe lies past the edge
+        assert np.all(np.isfinite(psi_gradient(model, zs)))
+        zs[:, 0] = [0.0, -0.6, -0.7]
         with pytest.raises(EvaluationError, match="gradient") as err:
-            psi_gradient(replace(lift, gradient=gradient, vectorized=False), zs)
-        assert np.array_equal(err.value.z, probe)
+            psi_gradient(model, zs)
+        assert np.array_equal(err.value.z, zs[1])
 
     def test_wrong_width_analytic_psi_gradient_raises(self, pendulum):
         from dataclasses import replace
@@ -626,6 +692,17 @@ class TestStackedProducts:
 
 
 class TestFiniteDifferenceAgreement:
+    @pytest.mark.parametrize("build", [
+        lambda model, z, step: fd_gradient(model, z, step=step),
+        lambda model, z, step: fd_hessian(model, z, step=step),
+        lambda model, z, step: finite_difference_model(1, model.value, step=step),
+    ], ids=["fd_gradient", "fd_hessian", "finite_difference_model"])
+    def test_step_must_be_positive(self, pendulum, build):
+        z = pendulum_state(0.8, -1.1).coords
+        for step in (0.0, -1e-6, np.nan, np.inf):
+            with pytest.raises(ParameterError, match=r"^step must be finite and positive"):
+                build(pendulum, z, step)
+
     def test_gradient_second_order(self, pendulum):
         z = pendulum_state(0.8, -1.1, wp=0.2).coords
         exact = pendulum.gradient(z)

@@ -263,10 +263,11 @@ class TestPropagate:
         assert calls == traj.vertices[:-1]
 
 
-# re-recorded when step began recording the midpoint its root search checked
-# (step 0 takes the full path, so every later vertex moved at rounding level;
-# test_reference_answers.py holds the tolerances)
-HENON_HEILES_DIGEST = "fdd0b040e815e227c4daedd379ea6e644d773543d8cafef7838aebc5d34768e6"
+# re-recorded when psi_z of a model without an analytic psi gradient began
+# to be read off Hessians: the sampled N1 / N2, hence K, moved at rounding
+# level and every multiplier with them (test_reference_answers.py holds the
+# tolerances; test_time_reversal_along_a_run checks the run without them)
+HENON_HEILES_DIGEST = "b1144ff0dddb554031a87f5236b8d204890062d8152a35842867536537b12f81"
 
 
 def test_henon_heiles_run_pinned(monkeypatch):
@@ -291,16 +292,22 @@ def test_henon_heiles_run_pinned(monkeypatch):
     assert hashlib.sha256(repr(record).encode()).hexdigest() == HENON_HEILES_DIGEST
 
 
-# re-recorded when step began recording the midpoint its root search checked
-HENON_HEILES_500_DIGEST = "0ce5f5923bd56814408c0946f571a3d8b4cf579dc3fc87b30c51b8e603925ca8"
+# re-recorded with HENON_HEILES_DIGEST above (multipliers moved by at most
+# 4.6e-14, events unchanged)
+HENON_HEILES_500_DIGEST = "1c6572f4b82337079813c9405daed3947253fb55c92536e379d9f3bb7914940d"
+
+
+def henon_heiles_opts(samples=5):
+    """The Henon-Heiles lift and the step options of the two-dof-run box."""
+    model = henon_heiles_lift()
+    center = ExtendedState(np.zeros(model.dim), model.n)
+    scaled = estimate_bounds(model, center, 0.6, samples).scaled(1.1)
+    return model, StepOptions(bounds=scaled, constants=derive_constants(scaled, 0.5))
 
 
 def henon_heiles_run(n_steps, samples=5):
     """``propagate`` from the two-dof-run seed-0 start of ``benchmark/workloads.py``."""
-    model = henon_heiles_lift()
-    center = ExtendedState(np.zeros(model.dim), model.n)
-    scaled = estimate_bounds(model, center, 0.6, samples).scaled(1.1)
-    opts = StepOptions(bounds=scaled, constants=derive_constants(scaled, 0.5))
+    model, opts = henon_heiles_opts(samples)
     q0, p0 = [0.0, 0.1], [0.35, 0.1]
     wp0 = choose_conjugate_momentum(model, q0, 0.0, p0, 0.1)
     return propagate(model, ExtendedState.from_parts(q0, 0.0, p0, wp0), n_steps, opts)
@@ -313,6 +320,32 @@ def test_henon_heiles_long_run_pinned():
     assert len(traj.multipliers) == 500
     record = ([float(lam) for lam in traj.multipliers], [v.coords.tolist() for v in traj.vertices])
     assert hashlib.sha256(repr(record).encode()).hexdigest() == HENON_HEILES_500_DIGEST
+
+
+@pytest.mark.parametrize("run", ["pendulum-2000", "henon-heiles-500"])
+def test_time_reversal_along_a_run(run, pend_opts):
+    """The DTH step is symmetric: if z_{k+1} = 2 z_bar - z_k at lambda_k, then
+    z_k = 2 z_bar - z_{k+1} at -lambda_k.  So from every 10th vertex z_{k+1}
+    of the criterion-1 pendulum run and of the 500-step Henon-Heiles run, a
+    backward step returns -lambda_k (within the reference answers' lambda
+    tolerance at one step) and z_k.  No recorded answer is read."""
+    from test_reference_answers import lam_tol  # at module level the import is circular
+
+    if run == "pendulum-2000":
+        model, opts = pend_opts
+        wp0 = choose_conjugate_momentum(model, 1.0, 0.0, 0.5, 0.1)
+        traj = propagate(model, pendulum_state(1.0, 0.5, wp=wp0), 2000, opts)
+    else:
+        model, opts = henon_heiles_opts()
+        traj = henon_heiles_run(500)
+    lams = traj.multipliers
+    assert len(lams) == int(run.rsplit("-", 1)[1])
+    for k in range(0, len(lams), 10):
+        z_next = traj.vertices[k + 1]
+        back = step(model, z_next, "backward", opts)
+        slope = abs(ConstraintCurve(model, z_next.coords).g_and_derivative(-lams[k])[1])
+        assert abs(back.lam + lams[k]) <= lam_tol(slope), k
+        assert np.max(np.abs(back.z_next.coords - traj.vertices[k].coords)) <= 1e-8, k
 
 
 # the pendulum's quartic envelope certifies every step's sign; 27 of the 49
@@ -835,6 +868,16 @@ class TestInterpolation:
         a, b = pendulum_state(0.0, 1.0), pendulum_state(0.5, 0.2)
         traj = DTHTrajectory(vertices=[a, b], midpoints=[pendulum_state(0.25, 0.6)], multipliers=[0.0])
         assert interpolate_at_time(traj, 0.0) is a
+
+    def test_one_vertex_trajectory_gives_its_vertex(self, pend_opts):
+        # this start has no forward multiplier: the run ends at step 0
+        model, opts = pend_opts
+        z0 = pendulum_state(1.0, 0.5, wp=5.0)
+        traj = propagate(model, z0, 5, opts)
+        assert traj.vertices == [z0] and traj.events[0].kind == "terminated"
+        assert interpolate_at_time(traj, 0.0) is z0
+        with pytest.raises(ParameterError):
+            interpolate_at_time(traj, 0.1)
 
     def test_out_of_range_rejected(self, pend_opts):
         model, opts = pend_opts
