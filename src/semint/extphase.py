@@ -323,15 +323,9 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def psi_fd_step(z: np.ndarray):
-    """Default step for differencing psi: 1e-5 scaled with the point's size.
-
-    A (N, dim) stack gives the (N,) steps of its rows, bit for bit.
-    """
-    z = np.asarray(z, dtype=float)
-    if z.ndim == 2:
-        return 1e-5 * np.maximum(1.0, np.sqrt(_row_dots(z, z)))
-    return 1e-5 * max(1.0, float(np.linalg.norm(z)))
+def psi_fd_step(z: np.ndarray) -> float:
+    """Default step for differencing psi: 1e-5 scaled with the point's size."""
+    return 1e-5 * max(1.0, float(np.linalg.norm(np.asarray(z, dtype=float))))
 
 
 def _eval_stack(model: HamiltonianModel, zs: np.ndarray, *kinds: str) -> list[np.ndarray]:

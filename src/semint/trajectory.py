@@ -118,22 +118,26 @@ class ConservationReport:
 
 
 def _fast_newton_root(model, z, grad, search_cap, cubic, hint, tol_g, solver_tol):
-    """Newton on g from a previous step's multiplier, confined to (0, cap).
+    """Newton on g from a previous step's multiplier, confined to (0, cap),
+    or to (-cap, 0) for a negative hint: one routine for both step directions.
 
     Takes at most 11 Newton steps (12 g evaluations).  Accepts a root only
     after a mid-interval probe confirms g kept the sign of H_k before it (no
-    earlier crossing), so the returned multiplier is the smallest positive
-    root along a smooth run.  The probe is free when the cubic model plus
-    its quartic envelope already pins the sign.  ``grad`` is H_z(z).
+    earlier crossing), so the returned multiplier is the smallest-magnitude
+    root on the hint's side along a smooth run.  The probe is free when the
+    cubic model plus its quartic envelope already pins the sign; neither
+    reads the side.  ``grad`` is H_z(z).
     Returns (lambda, z_bar), z_bar the midpoint at which |g| <= tol_g was
     checked (taken before the probe moves the curve off lambda), or None.
     """
     curve = ConstraintCurve(model, z, tol=solver_tol, grad=grad)
-    start = min(max(hint, 1e-3 * search_cap), 0.999 * search_cap)
-    # the open interval (0, cap) as a closed one of floats
+    start = math.copysign(min(max(abs(hint), 1e-3 * search_cap), 0.999 * search_cap), hint)
+    # the open interval (0, cap) as a closed one of floats, mirrored for a backward hint
     lo, hi = math.nextafter(0.0, 1.0), math.nextafter(search_cap, 0.0)
+    if hint < 0:
+        lo, hi = -hi, -lo
     lam, val = curve.newton(start, lo, hi, tol_g, 11)
-    if not (abs(val) <= tol_g and 0.0 < lam < search_cap):
+    if not (abs(val) <= tol_g and lo <= lam <= hi):
         return None
     z_bar = curve.midpoint(lam)
     H_k, half = cubic.H_k, 0.5 * lam
@@ -175,6 +179,10 @@ def step(
     step lambda = 0, z_next = z_k.  The midpoint is the one the accepted
     root's |g| was checked at.  A degenerate point (psi = psi' = 0) raises
     StepNonexistenceError carrying its degenerate prediction.
+
+    A ``hint`` of the step's sign seeds a warm Newton on that side in regions
+    I and III, in both directions and under both policies (no ghost interval
+    there); a hint on the other side, or a declined root, takes the full search.
     """
     if type(z_k) is not ExtendedState or type(opts) is not StepOptions:  # exact types skip two calls
         _instance(z_k, "z_k", ExtendedState)
@@ -194,20 +202,10 @@ def step(
         )
     extend_to = opts.constants.lambda_delta if opts.search_beyond_window else None
 
-    # fast path: warm-started Newton in a region where ghosts cannot appear;
-    # zero-root points must go through the standard path to come back as
-    # fixed points rather than tolerance-level micro-steps
-    if (
-        hint is not None
-        and hint > 0
-        and sign > 0
-        and region.tag in ("I", "III")
-        and opts.policy == "default"
-        and not prediction.zero_root
-    ):
-        cap = prediction.capital_lambda if extend_to is None else max(
-            prediction.capital_lambda, extend_to
-        )
+    # the hinted fast path; zero-root points must go through the standard path
+    # to come back as fixed points rather than tolerance-level micro-steps
+    if hint is not None and hint * sign > 0 and region.tag in ("I", "III") and not prediction.zero_root:
+        cap = prediction.capital_lambda if extend_to is None else max(prediction.capital_lambda, extend_to)
         try:
             got = _fast_newton_root(
                 model, z_k, fields.grad, cap, cubic, hint, opts.tol_g, opts.solver_tol

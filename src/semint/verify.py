@@ -6,7 +6,8 @@ behavior, psi' and psi_z from Hessian differences against closed forms,
 the cubic/derivative error envelopes, monotone-interval soundness,
 prediction/solver agreement, the batched dense-scan grid against scalar g,
 bracketed-Newton roots against plain bisection, stacked field samples
-against scalar ones, and trajectory conservation.
+against scalar ones, trajectory conservation, and time reversal of the
+step (backward steps retrace a forward run, hinted and unhinted).
 ``k_scale`` injects a corrupted quartic constant so callers can confirm the
 battery actually bites.
 """
@@ -39,6 +40,7 @@ from .trajectory import (
     classify_vertex,
     conservation_report,
     propagate,
+    step,
 )
 
 PEND_RADIUS = 2.5
@@ -364,12 +366,17 @@ def check_stacked_fields(rng):
     return True, f"pendulum and oscillator lift x {rows} states: every field bit-identical"
 
 
-def check_trajectory(rng):
+def _pendulum_run():
+    """100 criterion-1 pendulum steps on the battery's box: (model, opts, trajectory)."""
     model, scaled, constants = _pendulum_setup()
     wp0 = choose_conjugate_momentum(model, 1.0, 0.0, 0.5, 0.1)
     z0 = ExtendedState.from_parts([1.0], 0.0, [0.5], wp0)
     opts = StepOptions(bounds=scaled, constants=constants)
-    traj = propagate(model, z0, 100, opts)
+    return model, opts, propagate(model, z0, 100, opts)
+
+
+def check_trajectory(rng):
+    model, _, traj = _pendulum_run()
     if len(traj.multipliers) < 100:
         return False, f"run terminated early at step {len(traj.multipliers)}"
     report = conservation_report(model, traj, defect_stride=20)
@@ -389,6 +396,34 @@ def check_trajectory(rng):
     return True, (
         f"100 steps: |H| <= {report.max_energy_residual:.1e}, "
         f"|dwp| <= {report.max_wp_drift:.1e}"
+    )
+
+
+def check_time_reversal(rng):
+    """The DTH step is symmetric: if z_{k+1} = 2 z_bar - z_k at lambda_k, then
+    z_k = 2 z_bar - z_{k+1} at -lambda_k.  From every 10th vertex z_{k+1} of
+    the trajectory-conservation run, a backward step without a hint (the
+    full search) and one hinted with -lambda_{k+1} (the fast path) must both
+    return -lambda_k within max(tol_lambda, 2 tol_g / |g'|) and z_k within 1e-8.
+    """
+    model, opts, traj = _pendulum_run()
+    lams, worst, moved = traj.multipliers, 0.0, 0.0
+    for k in range(0, len(lams) - 1, 10):
+        z_next = traj.vertices[k + 1]
+        slope = ConstraintCurve(model, z_next, tol=opts.solver_tol).derivative(-lams[k])
+        allowed = max(opts.tol_lambda, 2.0 * opts.tol_g / abs(slope)) if slope else opts.tol_lambda
+        for how, hint in (("unhinted", None), ("hinted", -lams[k + 1])):
+            back = step(model, z_next, "backward", opts, hint=hint)
+            gap = abs(back.lam + lams[k])
+            dz = float(np.max(np.abs(back.z_next.coords - traj.vertices[k].coords)))
+            if not (gap <= allowed and dz <= 1e-8):
+                return False, (
+                    f"{how} backward step from vertex {k + 1} took {back.lam:.12g} against "
+                    f"{-lams[k]:.12g} (gap {gap:.1e}, allowed {allowed:.1e}), |z - z_k| = {dz:.1e}"
+                )
+            worst, moved = max(worst, gap / allowed), max(moved, dz)
+    return True, (
+        f"10 vertices x 2 backward steps: worst lambda gap {worst:.2f} of allowed, |z - z_k| <= {moved:.1e}"
     )
 
 
@@ -425,6 +460,7 @@ def run_all(seed: int = 0, k_scale: float = 1.0):
         ("root-polish", check_root_polish, {}),
         ("stacked-fields", check_stacked_fields, {}),
         ("trajectory-conservation", check_trajectory, {}),
+        ("time-reversal", check_time_reversal, {}),
         ("free-time-trivial", check_free_time, {}),
     ]
     results = []

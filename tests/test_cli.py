@@ -993,6 +993,20 @@ class TestEveryVerifyCheckBites:
         monkeypatch.setattr(verify, "psi_gradient", lambda *args: original(*args) + [1e-7, 0.0, 0.0, 0.0])
         self._fails(verify.check_psi_prime_identity, "psi_z mismatch vs closed form on pendulum")
 
+    def test_time_reversal(self, monkeypatch):
+        from dataclasses import replace
+
+        from semint import verify
+
+        original = verify.step
+
+        def stretched(model, z, direction, opts, hint=None):  # backward multipliers 1e-7 too long
+            result = original(model, z, direction, opts, hint=hint)
+            return replace(result, lam=result.lam * (1.0 + 1e-7)) if direction == "backward" else result
+
+        monkeypatch.setattr(verify, "step", stretched)
+        self._fails(verify.check_time_reversal, "unhinted backward step from vertex 1 took ")
+
     def test_run_all_reports_a_raising_check(self, monkeypatch):
         from semint import verify
 
@@ -1001,7 +1015,7 @@ class TestEveryVerifyCheckBites:
 
         monkeypatch.setattr(verify, "check_free_time", crash)
         results = verify.run_all(seed=0)
-        assert len(results) == 15
+        assert len(results) == 16
         assert [r for r in results if not r[1]] == [("free-time-trivial", False, "raised RuntimeError: boom")]
 
 

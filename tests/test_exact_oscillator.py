@@ -14,6 +14,7 @@ such a state takes lambda* at every step.  And psi = 2 omega^2 E_c has the
 gradient (2 omega^4 q, 0, 2 omega^2 p, 0).
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,8 @@ from semint.bounds import derive_constants, estimate_bounds
 from semint.constraint import ConstraintCurve
 from semint.errors import StepNonexistenceError
 from semint.extphase import apply_J, eval_gradient, psi_gradient
-from semint.trajectory import StepOptions, choose_conjugate_momentum, propagate, step
+from semint.multiplier import EXISTS_UNIQUE, NONE
+from semint.trajectory import StepOptions, choose_conjugate_momentum, classify_vertex, propagate, step
 
 from conftest import pendulum_state
 from test_reference_answers import lam_tol
@@ -95,11 +97,41 @@ def test_g_and_derivative_are_the_closed_forms(case, rng):
 
 
 def test_step_takes_the_closed_form_root(case, rng):
+    """Forward lambda*, and backward -lambda* since g is even in lambda, each
+    without a hint (the full search) and with one (the fast path)."""
     omega, model, opts = case
     for z in _starts(rng, omega, 5, opts.constants.lambda_delta):
         lam = _lambda_star(omega, z.coords)
-        got = step(model, z, "forward", opts)
-        assert abs(got.lam - lam) <= lam_tol(abs(_exact_slope(omega, z.coords, lam)))
+        tol = lam_tol(abs(_exact_slope(omega, z.coords, lam)))
+        for direction, want in (("forward", lam), ("backward", -lam)):
+            for hint in (None, 0.9 * want):
+                assert abs(step(model, z, direction, opts, hint=hint).lam - want) <= tol, (direction, hint)
+
+
+def test_predicted_verdicts_agree_with_the_exact_root(case, rng):
+    """``predict_roots``' verdict on each side (the same on both: g is even)
+    against lambda*: exists-unique only where lambda* < Lambda_k, none only
+    where lambda* > Lambda_k or g has no root."""
+    omega, model, opts = case
+    seen = Counter()
+    for _ in range(20):
+        q, p = rng.uniform(-1.0, 1.0, 2)
+        energy = _energy(omega, q, p)
+        cap = classify_vertex(model, pendulum_state(q, p, wp=0.0), opts.constants).capital_lambda
+        # a root inside or past the window, H_k below zero, wp above zero
+        for wp in (-energy / _den(omega, cap * rng.uniform(0.0, 2.0)), -energy * rng.uniform(1.05, 2.0),
+                   rng.uniform(0.0, 1.0)):
+            z = pendulum_state(q, p, wp=wp)
+            prediction = classify_vertex(model, z, opts.constants)
+            assert prediction.region.tag == "I" and prediction.capital_lambda == cap
+            root = _lambda_star(omega, z.coords) if -energy < wp < 0.0 else None
+            for verdict in (prediction.neg_interval, prediction.pos_interval):
+                seen[verdict] += 1
+                if verdict == EXISTS_UNIQUE:
+                    assert root is not None and root < cap, (q, p, wp)
+                elif verdict == NONE:
+                    assert root is None or root > cap, (q, p, wp)
+    assert seen[EXISTS_UNIQUE] > 0 and seen[NONE] > 0, seen
 
 
 def test_propagate_keeps_lambda_and_conserves_the_energy(case, rng):
@@ -126,8 +158,10 @@ def test_no_multiplier_where_g_has_no_root(case, where, rng):
         wp = {"H below zero": -energy * rng.uniform(1.05, 2.0), "wp zero": 0.0,
               "wp above zero": rng.uniform(0.05, 1.0)}[where]
         for direction in ("forward", "backward"):
-            with pytest.raises(StepNonexistenceError, match="no .* multiplier"):
+            with pytest.raises(StepNonexistenceError, match="no .* multiplier") as err:
                 step(model, pendulum_state(q, p, wp=wp), direction, opts)
+            # g <= H_k < 0 is EU_1(i); H_k / psi_k >= 1 / (2 omega^2) lies far past 5/32 Lambda_k^2
+            assert err.value.prediction.case_label == ("EU_1(i)" if where == "H below zero" else "EU_1(iv)")
 
 
 def test_psi_gradient_from_hessians(case, rng):

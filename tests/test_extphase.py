@@ -21,7 +21,6 @@ from semint.extphase import (
     fd_gradient,
     fd_hessian,
     finite_difference_model,
-    psi_fd_step,
     psi_gradient,
     sample_fields,
 )
@@ -654,7 +653,7 @@ def _layouts(a):
 
 
 class TestStackedProducts:
-    """psi, psi' and the psi step on a stack, bit for bit the per-row forms."""
+    """psi and psi' on a stack, bit for bit the per-row forms."""
 
     @pytest.mark.parametrize("d", [4, 6, 8])
     def test_psi_rows(self, d, rng):
@@ -673,13 +672,6 @@ class TestStackedProducts:
         for pz_view in _layouts(pz):
             for ws_view in _layouts(ws):
                 assert _bits(_row_dots(pz_view, ws_view)) == _bits(want)
-
-    @pytest.mark.parametrize("d", [4, 6, 8])
-    def test_fd_step(self, d, rng):
-        zs = _special_stack(rng, 40, d)
-        want = [1e-5 * max(1.0, float(np.linalg.norm(z))) for z in zs]
-        for view in _layouts(zs):
-            assert _bits(psi_fd_step(view)) == _bits(want)
 
     def test_sample_fields_on_a_strided_stack(self, rng):
         lift = henon_heiles_lift()

@@ -61,18 +61,26 @@ class Deviations(list):
         assert got == want, f"{what}: {got!r} != {want!r}"
 
 
+def vertex_drifts(run):
+    """What each vertex of a recorded run may move by: its start's wp0
+    allowance, then 2 |dz_bar/dlambda| tol_k + SOLVE_FLOOR more per step."""
+    drift = run["start_speed"] * lam_tol(run["start_slope"], tol_g=TOLS["conjugate_tol_g"])
+    drift += SOLVE_FLOOR
+    yield drift
+    for k, (slope, speed) in enumerate(zip(run["slopes"], run["speeds"])):
+        drift += 2.0 * speed * lam_tol(slope, k) + SOLVE_FLOOR
+        yield drift
+
+
 def compare_run(dev, name, got, want):
     dev.exact(f"{name} steps", len(got["lambdas"]), len(want["lambdas"]))
     dev.exact(f"{name} events", got["events"], want["events"])
-    drift = want["start_speed"] * lam_tol(want["start_slope"], tol_g=TOLS["conjugate_tol_g"])
-    drift += SOLVE_FLOOR
-    for k, (vg, vw) in enumerate(zip(got["vertices"], want["vertices"])):
+    for k, (vg, vw, drift) in enumerate(zip(got["vertices"], want["vertices"], vertex_drifts(want))):
         for i, (a, b) in enumerate(zip(vg, vw)):
             dev.number(f"{name} vertex {k}[{i}]", _f(a), _f(b), drift)
         if k < len(want["lambdas"]):
             tol = lam_tol(want["slopes"][k], k)
             dev.number(f"{name} lambda {k}", _f(got["lambdas"][k]), _f(want["lambdas"][k]), tol)
-            drift += 2.0 * want["speeds"][k] * tol + SOLVE_FLOOR
 
 
 def compare_roots(dev, name, got, want):

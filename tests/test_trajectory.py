@@ -322,8 +322,16 @@ def test_henon_heiles_long_run_pinned():
     assert hashlib.sha256(repr(record).encode()).hexdigest() == HENON_HEILES_500_DIGEST
 
 
+@pytest.fixture(scope="module")
+def pendulum_2000(pend_opts):
+    """The criterion-1 run: 2000 pendulum steps from q 1, p 0.5 at lambda_0 near 0.1."""
+    model, opts = pend_opts
+    wp0 = choose_conjugate_momentum(model, 1.0, 0.0, 0.5, 0.1)
+    return propagate(model, pendulum_state(1.0, 0.5, wp=wp0), 2000, opts)
+
+
 @pytest.mark.parametrize("run", ["pendulum-2000", "henon-heiles-500"])
-def test_time_reversal_along_a_run(run, pend_opts):
+def test_time_reversal_along_a_run(run, pend_opts, pendulum_2000):
     """The DTH step is symmetric: if z_{k+1} = 2 z_bar - z_k at lambda_k, then
     z_k = 2 z_bar - z_{k+1} at -lambda_k.  So from every 10th vertex z_{k+1}
     of the criterion-1 pendulum run and of the 500-step Henon-Heiles run, a
@@ -333,8 +341,7 @@ def test_time_reversal_along_a_run(run, pend_opts):
 
     if run == "pendulum-2000":
         model, opts = pend_opts
-        wp0 = choose_conjugate_momentum(model, 1.0, 0.0, 0.5, 0.1)
-        traj = propagate(model, pendulum_state(1.0, 0.5, wp=wp0), 2000, opts)
+        traj = pendulum_2000
     else:
         model, opts = henon_heiles_opts()
         traj = henon_heiles_run(500)
@@ -346,6 +353,38 @@ def test_time_reversal_along_a_run(run, pend_opts):
         slope = abs(ConstraintCurve(model, z_next.coords).g_and_derivative(-lams[k])[1])
         assert abs(back.lam + lams[k]) <= lam_tol(slope), k
         assert np.max(np.abs(back.z_next.coords - traj.vertices[k].coords)) <= 1e-8, k
+
+
+def test_whole_run_returns_to_its_start(pend_opts, pendulum_2000, monkeypatch):
+    """The criterion-1 run stepped back 2000 steps from its end, each step
+    hinted as ``propagate`` hints forward, mirrored: every backward multiplier
+    is -lambda_k within the reference tolerance at step 2000, and the last
+    vertex is z_0 within the drift ``compare_run`` allows a vertex at the
+    run's end.  Every hinted step takes the fast path: only the first step,
+    which has no hint, calls ``solve_roots``."""
+    from test_reference_answers import REFERENCE, lam_tol, vertex_drifts
+
+    model, opts = pend_opts
+    searches, original = [], semint.trajectory.solve_roots
+    monkeypatch.setattr(
+        semint.trajectory, "solve_roots", lambda *args, **kw: searches.append(1) or original(*args, **kw)
+    )
+    lams = pendulum_2000.multipliers
+    z, lam_prev, lam_prev2 = pendulum_2000.vertices[-1], None, None
+    for k in reversed(range(len(lams))):
+        if lam_prev is None:
+            hint = None
+        elif lam_prev2 is None:
+            hint = lam_prev
+        else:
+            hint = min(0.5 * lam_prev, 2.0 * lam_prev - lam_prev2)
+        back = step(model, z, "backward", opts, hint=hint)
+        slope = abs(ConstraintCurve(model, z.coords).derivative(-lams[k]))
+        assert abs(back.lam + lams[k]) <= lam_tol(slope, len(lams)), k
+        z, lam_prev2, lam_prev = back.z_next, lam_prev, back.lam
+    assert len(searches) == 1
+    *_, drift = vertex_drifts(REFERENCE["runs"]["pendulum-2000"])
+    assert np.max(np.abs(z.coords - pendulum_2000.vertices[0].coords)) <= drift
 
 
 # the pendulum's quartic envelope certifies every step's sign; 27 of the 49
@@ -476,7 +515,7 @@ class TestFastPathAgreesWithFullPath:
 
     @staticmethod
     def vertex(region, q, p, lam):
-        """A pendulum vertex whose cubic model puts a forward root near lam."""
+        """A pendulum vertex whose cubic model puts a root near lam (of either sign)."""
         if region == "I":
             H = models.pendulum_psi(q, p) * lam * lam / 8.0
         else:  # on the psi = 0 curve, where psi' carries the cubic
@@ -488,31 +527,57 @@ class TestFastPathAgreesWithFullPath:
             H = models.pendulum_psi_prime(q, p) * lam**3 / 24.0
         return pendulum_state(q, p, wp=H - (0.5 * p * p - np.cos(q)))
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
         region=st.sampled_from(["I", "III"]),
         q=st.floats(-2.0, 2.0),
         p=st.floats(-2.0, 2.0),
         lam=st.floats(0.005, 0.15),
         spread=st.floats(-0.2, 0.2),
+        direction=st.sampled_from(["forward", "backward"]),
+        policy=st.sampled_from(["default", "follow-ghost"]),
     )
     # an in-window root on an indeterminate side: EU_1(indeterminate), Lambda_k 0.0233
-    @example(region="I", q=0.0, p=1.0, lam=0.021795515745053128, spread=-0.08)
-    def test_hinted_step_matches_unhinted(self, pend_opts, region, q, p, lam, spread):
+    @example(region="I", q=0.0, p=1.0, lam=0.021795515745053128, spread=-0.08,
+             direction="forward", policy="default")
+    @example(region="I", q=0.0, p=1.0, lam=0.021795515745053128, spread=-0.08,
+             direction="backward", policy="follow-ghost")
+    def test_hinted_step_matches_unhinted(self, pend_opts, region, q, p, lam, spread, direction, policy):
         model, opts = pend_opts
-        z = self.vertex(region, q, p, lam)
+        opts = replace(opts, policy=policy)
+        z = self.vertex(region, q, p, lam if direction == "forward" else -lam)
         try:
-            full = step(model, z, "forward", opts)
+            full = step(model, z, direction, opts)
         except StepNonexistenceError:
             assume(False)
         assume(full.prediction.region.tag == region and not full.fixed_point)
-        hinted = step(model, z, "forward", opts, hint=full.lam * (1.0 + spread))
+        hinted = step(model, z, direction, opts, hint=full.lam * (1.0 + spread))
         slope = g_derivative(model, full.lam, z, tol=opts.solver_tol)
         tol = max(opts.tol_lambda, 2.0 * opts.tol_g / abs(slope))
         assert abs(hinted.lam - full.lam) <= tol
         flags = ("fixed_point", "took_ghost", "ghost_alongside", "scanned", "beyond_window")
         assert [getattr(hinted, f) for f in flags] == [getattr(full, f) for f in flags]
         assert hinted.prediction.case_label == full.prediction.case_label
+
+    def test_backward_and_follow_ghost_steps_take_the_fast_path(self, pend_opts, monkeypatch):
+        """In region I a hint of the step's sign opens the fast path whatever
+        the direction and the policy: neither a hinted backward step nor a
+        hinted follow-ghost step calls ``solve_roots``."""
+        model, opts = pend_opts
+        wp0 = choose_conjugate_momentum(model, 1.0, 0.0, 0.5, 0.1)
+        z0 = pendulum_state(1.0, 0.5, wp=wp0)
+        fwd = step(model, z0, "forward", opts)
+        assert fwd.prediction.region.tag == "I"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_roots called")
+
+        monkeypatch.setattr(semint.trajectory, "solve_roots", refuse)
+        back = step(model, fwd.z_next, "backward", opts, hint=-0.9 * fwd.lam)
+        ghost = step(model, z0, "forward", replace(opts, policy="follow-ghost"), hint=0.9 * fwd.lam)
+        assert back.prediction.region.tag == "I"
+        assert abs(back.lam + fwd.lam) <= opts.tol_lambda and abs(ghost.lam - fwd.lam) <= opts.tol_lambda
+        assert np.max(np.abs(back.z_next.coords - z0.coords)) <= 1e-9
 
 
 class TestFastPathSafetyNets:
